@@ -141,7 +141,8 @@ StatusOr<LRun> RunLExperiment(const Schema& base_schema,
                          IsChaseFiniteL(database, tgds, options, &stats));
   run.finite = finite;
   // Simulated DBMS dispatch overhead: one unit per issued query (in-db) or
-  // per relation load statement (in-memory). See EXPERIMENTS.md.
+  // per relation load statement (in-memory), standing in for the
+  // PostgreSQL round trip each one costs in the paper's setup.
   const double overhead_ms =
       query_overhead_us * 1e-3 *
       static_cast<double>(stats.access.exists_queries +

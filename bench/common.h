@@ -1,17 +1,19 @@
 // Shared harness for the experiment benches. Each bench binary regenerates
-// one table or figure of the paper (see DESIGN.md §5) and prints the rows /
-// series the paper plots, through TablePrinter.
+// one table or figure of the paper (its file name says which) and prints
+// the rows / series the paper plots, through TablePrinter.
 //
 // Common flags (all binaries):
-//   --scale=<f>     scale factor on workload sizes (default 1.0 = the
-//                   laptop-sized defaults documented in EXPERIMENTS.md)
+//   --scale=<f>     scale factor on workload sizes (default 1.0 = each
+//                   bench's laptop-sized default, a fraction of the
+//                   paper's database sizes)
 //   --full          paper-sized workloads (equivalent to a large --scale)
 //   --seed=<n>      RNG seed
 //   --csv           emit CSV instead of an aligned table
 //   --reps=<n>      sets / repetitions per configuration
 //   --query-overhead-us=<n>  simulated DBMS per-query dispatch cost added to
 //                   in-database FindShapes timings (PostgreSQL parse/plan/
-//                   execute overhead; see EXPERIMENTS.md). Default 25.
+//                   execute overhead, which the row-store probes here do
+//                   not pay). Default 25.
 //   --json-out=<path>  where WriteBenchJson-emitting benches write their
 //                   machine-readable BENCH_<name>.json artifact (default:
 //                   BENCH_<name>.json in the working directory)

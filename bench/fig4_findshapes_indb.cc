@@ -4,7 +4,7 @@
 
 namespace {
 constexpr chase::storage::ShapeFinderMode kFinderMode =
-    chase::storage::ShapeFinderMode::kInDatabase;
+    chase::storage::ShapeFinderMode::kExists;
 constexpr const char* kFigureTitle =
     "Figure 4: FindShapes runtime (in-database) vs n-tuples";
 }  // namespace

@@ -1,6 +1,7 @@
 // Table 1: statistics of the validation scenarios (Deep, LUBM, iBench).
 //
-// Databases are scaled (see EXPERIMENTS.md); n-pred, arity, n-rules and
+// Databases are scaled down by default (LUBM to 4%, iBench to 5% of the
+// paper's atom counts; --full restores them); n-pred, arity, n-rules and
 // n-shapes match the paper, n-atoms scales with --scale / --full.
 
 #include <iostream>

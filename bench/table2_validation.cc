@@ -48,8 +48,8 @@ Row RunScenario(const Scenario& scenario, double query_overhead_us) {
     std::exit(1);
   }
 
-  for (auto mode : {storage::ShapeFinderMode::kInDatabase,
-                    storage::ShapeFinderMode::kInMemory}) {
+  for (auto mode : {storage::ShapeFinderMode::kExists,
+                    storage::ShapeFinderMode::kScan}) {
     LCheckOptions options;
     options.shape_finder = mode;
     LCheckStats stats;
@@ -63,7 +63,7 @@ Row RunScenario(const Scenario& scenario, double query_overhead_us) {
         query_overhead_us * 1e-3 *
         static_cast<double>(stats.access.exists_queries +
                             stats.access.relations_loaded);
-    if (mode == storage::ShapeFinderMode::kInDatabase) {
+    if (mode == storage::ShapeFinderMode::kExists) {
       row.shapes_indb_ms = stats.shapes_ms + overhead_ms;
     } else {
       row.shapes_inmem_ms = stats.shapes_ms + overhead_ms;

@@ -13,7 +13,8 @@
 #include "gen/data_generator.h"
 #include "gen/tgd_generator.h"
 #include "pager/disk_database.h"
-#include "pager/disk_shape_finder.h"
+#include "pager/disk_shape_source.h"
+#include "storage/shape_finder.h"
 #include "storage/shape_index.h"
 
 int main(int argc, char** argv) {
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
     std::cerr << store.status() << "\n";
     return 1;
   }
-  auto shapes = pager::FindShapesOnDiskScan(**store);
+  auto shapes = storage::FindShapes(pager::DiskShapeSource(store->get()));
   if (!shapes.ok()) {
     std::cerr << shapes.status() << "\n";
     return 1;

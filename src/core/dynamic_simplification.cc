@@ -6,7 +6,6 @@
 #include "core/simplification.h"
 #include "core/specialization.h"
 #include "exec/frontier_pool.h"
-#include "index/find_shapes.h"
 #include "logic/atom.h"
 #include "logic/database.h"
 #include "logic/schema.h"
@@ -144,15 +143,12 @@ StatusOr<DynamicSimplificationResult> DynamicSimplificationFromShapes(
 }
 
 StatusOr<DynamicSimplificationResult> DynamicSimplification(
-    const Database& database, const std::vector<Tgd>& tgds,
-    storage::ShapeFinderMode mode, unsigned threads) {
+    const Database& database, const std::vector<Tgd>& tgds) {
   storage::Catalog catalog(&database);
   storage::MemoryShapeSource source(&catalog);
-  CHASE_ASSIGN_OR_RETURN(
-      std::vector<Shape> shapes,
-      index::FindShapes(source, {.mode = mode, .threads = threads}));
-  return DynamicSimplificationFromShapes(database.schema(), tgds, shapes,
-                                         threads);
+  CHASE_ASSIGN_OR_RETURN(std::vector<Shape> shapes,
+                         storage::FindShapes(source));
+  return DynamicSimplificationFromShapes(database.schema(), tgds, shapes);
 }
 
 }  // namespace chase

@@ -28,7 +28,6 @@
 #include "logic/schema.h"
 #include "logic/shape.h"
 #include "logic/tgd.h"
-#include "storage/shape_finder.h"
 
 namespace chase {
 
@@ -62,13 +61,10 @@ StatusOr<DynamicSimplificationResult> DynamicSimplificationFromShapes(
     const std::vector<Shape>& database_shapes, unsigned threads = 1,
     WorkerPool* pool = nullptr);
 
-// FindShapes(D) + Algorithm 2. `database.schema()` must contain every
-// predicate of `tgds`. `threads` drives both the shape finder and the
-// simplification worklist.
+// A serial FindShapes(D) scan + Algorithm 2. `database.schema()` must
+// contain every predicate of `tgds`.
 [[nodiscard]] StatusOr<DynamicSimplificationResult> DynamicSimplification(
-    const Database& database, const std::vector<Tgd>& tgds,
-    storage::ShapeFinderMode mode = storage::ShapeFinderMode::kInMemory,
-    unsigned threads = 1);
+    const Database& database, const std::vector<Tgd>& tgds);
 
 }  // namespace chase
 

@@ -47,8 +47,7 @@ struct SlCheckStats {
                                SlCheckStats* stats = nullptr);
 
 struct LCheckOptions {
-  storage::ShapeFinderMode shape_finder =
-      storage::ShapeFinderMode::kInMemory;
+  storage::ShapeFinderMode shape_finder = storage::ShapeFinderMode::kScan;
   // Worker threads for the db-dependent FindShapes component (<= 1 runs it
   // serially). Ignored when the shapes come precomputed.
   unsigned shape_threads = 1;

@@ -177,14 +177,6 @@ class WorkerPool {
   std::vector<std::thread> workers_;
 };
 
-// One-shot convenience: runs work(worker, index) for every index in [0, n)
-// on a transient pool (threads <= 1 or a single-index space runs inline on
-// the calling thread as worker 0). Spawns and joins threads per call —
-// callers that loop should hold a WorkerPool instead.
-void FrontierParallelFor(
-    size_t n, unsigned threads,
-    const std::function<void(unsigned worker, size_t index)>& work);
-
 // Counters reported by FrontierPool::Run. worker_expanded proves how the
 // frontier itself was split: with one giant work item source (e.g. a single
 // high-arity predicate's lattice), multiple non-zero entries mean multiple

@@ -4,9 +4,12 @@
 //
 // An SCC is *special* if it contains a special edge, i.e., some special edge
 // has both endpoints inside the component — exactly the witnesses of cycles
-// with a special edge required by (non-uniform) weak-acyclicity. See
-// DESIGN.md §3 for why this exact check replaces the paper's dummy-token
-// heuristic.
+// with a special edge required by (non-uniform) weak-acyclicity. The
+// paper's FindSpecialSCC instead pushes a dummy token when it traverses a
+// special edge; a special edge into an already-finished SCC (a cross link)
+// then marks the source's component although the edge leaves it, an
+// over-approximation. Comparing both endpoints' component ids once Tarjan
+// has finished is exact and costs one pass over the arcs.
 
 #ifndef CHASE_GRAPH_TARJAN_H_
 #define CHASE_GRAPH_TARJAN_H_

@@ -72,10 +72,14 @@ Status WalkShapesForPred(const ShapeSource& source, PredId pred,
 // (one huge lattice) spreads across the whole pool instead of pinning one
 // worker, and pruning stays exact: a candidate only discovers its coarser
 // children when its relaxed query succeeded, just like the serial walk.
+// Shape inserts are associative and commutative (the caller sorts on
+// extraction), so each depth's confirmed shapes are absorbed per-chunk on
+// the pool into worker-private sets merged once at the end — nothing of
+// the depth's tail runs serially between barriers.
 Status WalkShapesFrontier(const ShapeSource& source,
                           const std::vector<PredId>& preds, unsigned threads,
-                          bool parallel_absorb, WorkerPool* worker_pool,
-                          ShapeSet* shapes, FrontierStats* frontier_stats) {
+                          WorkerPool* worker_pool, ShapeSet* shapes,
+                          FrontierStats* frontier_stats) {
   struct Probe {
     bool present = false;
   };
@@ -108,37 +112,19 @@ Status WalkShapesFrontier(const ShapeSource& source,
     });
     return OkStatus();
   };
-  Status status;
-  if (parallel_absorb) {
-    // Shape inserts are associative and commutative (the caller sorts on
-    // extraction), so each depth's confirmed shapes are absorbed per-chunk
-    // on the pool into worker-private sets merged once at the end —
-    // nothing of the depth's tail runs serially between barriers.
-    std::vector<ShapeSet> local_shapes(threads);
-    status = pool.RunParallelAbsorb(
-        std::move(seeds), expand,
-        [&](unsigned worker, std::span<const Shape> frontier,
-            std::span<Probe> outs) -> Status {
-          for (size_t i = 0; i < frontier.size(); ++i) {
-            if (outs[i].present) local_shapes[worker].insert(frontier[i]);
-          }
-          return OkStatus();
-        },
-        frontier_stats);
-    for (unsigned t = 0; t < threads; ++t) shapes->merge(local_shapes[t]);
-  } else {
-    status = pool.Run(
-        std::move(seeds), expand,
-        [&](std::span<const Shape> frontier,
-            std::span<Probe> outs) -> Status {
-          for (size_t i = 0; i < frontier.size(); ++i) {
-            if (outs[i].present) shapes->insert(frontier[i]);
-          }
-          return OkStatus();
-        },
-        frontier_stats);
-  }
+  std::vector<ShapeSet> local_shapes(threads);
+  const Status status = pool.RunParallelAbsorb(
+      std::move(seeds), expand,
+      [&](unsigned worker, std::span<const Shape> frontier,
+          std::span<Probe> outs) -> Status {
+        for (size_t i = 0; i < frontier.size(); ++i) {
+          if (outs[i].present) local_shapes[worker].insert(frontier[i]);
+        }
+        return OkStatus();
+      },
+      frontier_stats);
   for (unsigned t = 0; t < threads; ++t) {
+    shapes->merge(local_shapes[t]);
     source.stats().MergeFrom(local_stats[t]);
   }
   return status;
@@ -214,28 +200,11 @@ StatusOr<std::vector<Shape>> FindShapes(const ShapeSource& source,
       if (!status.ok()) break;
     }
   } else {
-    status = WalkShapesFrontier(source, preds, threads,
-                                options.parallel_absorb, options.pool,
+    status = WalkShapesFrontier(source, preds, threads, options.pool,
                                 &shapes, options.frontier_stats);
   }
   CHASE_RETURN_IF_ERROR(status);
   return Sorted(std::move(shapes));
-}
-
-std::vector<Shape> FindShapesInMemory(const Catalog& catalog) {
-  MemoryShapeSource source(&catalog);
-  // The in-memory backend cannot fail.
-  return std::move(FindShapes(source, {ShapeFinderMode::kScan, 1})).value();
-}
-
-std::vector<Shape> FindShapesInDatabase(const Catalog& catalog) {
-  MemoryShapeSource source(&catalog);
-  return std::move(FindShapes(source, {ShapeFinderMode::kExists, 1})).value();
-}
-
-std::vector<Shape> FindShapes(const Catalog& catalog, ShapeFinderMode mode) {
-  MemoryShapeSource source(&catalog);
-  return std::move(FindShapes(source, {mode, 1})).value();
 }
 
 }  // namespace storage

@@ -41,15 +41,11 @@ namespace storage {
 // The query plans. kScan and kExists are the paper's two; kIndex is the
 // Section 10 deployment — build (or reuse) a sharded materialized shape
 // index over the source and extract shape(D) from it, so repeated checks
-// pay a dictionary extraction instead of a scan. The legacy names predate
-// the ShapeSource layer, when each plan was welded to one backend; they
-// alias the plan that backend used.
+// pay a dictionary extraction instead of a scan.
 enum class ShapeFinderMode {
   kScan,
   kExists,
   kIndex,
-  kInMemory = kScan,
-  kInDatabase = kExists,
 };
 
 const char* ShapeFinderModeName(ShapeFinderMode mode);
@@ -65,13 +61,6 @@ struct FindShapesOptions {
   // ignore it. Overlaps cold-pool page faults with tuple hashing; never
   // changes results.
   unsigned prefetch = 0;
-  // Exists plan with threads > 1 only: absorb each depth's confirmed
-  // shapes per-chunk on the worker pool instead of serially between
-  // barriers. Shape insertion is associative and commutative (the result
-  // is sorted on extraction), so this never changes the returned set —
-  // the knob exists so the serial-absorb oracle stays reachable for the
-  // differential sweeps (tests/frontier_equivalence_test.cc).
-  bool parallel_absorb = true;
   // When non-null and the exists plan runs frontier-parallel (threads > 1),
   // receives the engine's depth/expansion counters — per-worker expansion
   // counts included, which is how bench/ablation_frontier_parallel.cc shows
@@ -116,18 +105,6 @@ class ScopedAccessStatsMirror {
 // sharded index.
 [[nodiscard]] StatusOr<std::vector<Shape>> FindShapes(
     const ShapeSource& source, const FindShapesOptions& options = {});
-
-// ---------------------------------------------------------------------------
-// Legacy entry points, kept as thin shims over the unified implementation.
-
-// Scan plan over the in-memory row store.
-std::vector<Shape> FindShapesInMemory(const Catalog& catalog);
-
-// Exists plan over the in-memory row store.
-std::vector<Shape> FindShapesInDatabase(const Catalog& catalog);
-
-// Plan dispatch over the in-memory row store.
-std::vector<Shape> FindShapes(const Catalog& catalog, ShapeFinderMode mode);
 
 }  // namespace storage
 }  // namespace chase

@@ -110,19 +110,47 @@ TEST_F(ChasectlCliTest, WellFormedFlagsStillRun) {
                         " --variant=so --threads=2 --hom-budget=1"),
             0);
   EXPECT_EQ(RunChasectl("findshapes " + program_path_ +
-                        " --mode=exists --threads=2 --absorb=parallel"),
-            0);
-  EXPECT_EQ(RunChasectl("findshapes " + program_path_ +
-                        " --mode=exists --threads=2 --absorb=serial"),
+                        " --mode=exists --threads=2"),
             0);
   EXPECT_EQ(RunChasectl("check " + program_path_ + " --mode=l --threads=2"),
             0);
 }
 
 TEST_F(ChasectlCliTest, UnknownEnumValuesExitTwo) {
-  EXPECT_EQ(RunChasectl("findshapes " + program_path_ + " --absorb=bogus"),
-            2);
+  EXPECT_EQ(RunChasectl("findshapes " + program_path_ + " --mode=bogus"), 2);
   EXPECT_EQ(RunChasectl("chase " + program_path_ + " --variant=bogus"), 2);
+}
+
+TEST_F(ChasectlCliTest, UnknownFlagsExitTwo) {
+  // Every subcommand rejects a flag it does not read, so a typo fails
+  // loudly instead of running with the default it meant to override.
+  const std::string file = program_path_;
+  const std::string scratch = TempDir() + "/chasectl_cli_test_unknown";
+  const std::vector<std::string> invocations = {
+      "check " + file,
+      "explain " + file,
+      "chase " + file,
+      "simplify " + file,
+      "query " + file + " 'q(X) :- r(X, Y).'",
+      "findshapes " + file,
+      "index build " + file + " " + scratch + ".chidx",
+      "index stat " + scratch + ".chidx",
+      "stats " + file,
+      "zoo " + file,
+      "generate " + scratch + ".dlgp",
+      "graph " + file,
+      "normalize " + file + " " + scratch + ".dlgp",
+      "convert " + file + " " + scratch + ".dlgp",
+  };
+  for (const std::string& invocation : invocations) {
+    EXPECT_EQ(RunChasectl(invocation + " --bogus"), 2) << invocation;
+  }
+  // Misspelled flags of the subcommand itself, and a flag that belongs to
+  // a different subcommand.
+  EXPECT_EQ(RunChasectl("findshapes " + file + " --mode=exists --thread=4"),
+            2);
+  EXPECT_EQ(RunChasectl("check " + file + " --mode=l --threds=4"), 2);
+  EXPECT_EQ(RunChasectl("stats " + file + " --threads=2"), 2);
 }
 
 TEST_F(ChasectlCliTest, MalformedObservabilityFlagsExitTwo) {

@@ -10,6 +10,9 @@
 #include "gen/tgd_generator.h"
 #include "logic/parser.h"
 #include "logic/printer.h"
+#include "storage/catalog.h"
+#include "storage/shape_finder.h"
+#include "storage/shape_source.h"
 
 namespace chase {
 namespace {
@@ -18,6 +21,19 @@ Program MustParse(const std::string& text) {
   auto program = ParseProgram(text);
   EXPECT_TRUE(program.ok()) << program.status();
   return std::move(program).value();
+}
+
+// FindShapes(D) by `mode` + Algorithm 2, both on `threads` workers.
+StatusOr<DynamicSimplificationResult> SimplifyWith(
+    const Database& database, const std::vector<Tgd>& tgds,
+    storage::ShapeFinderMode mode, unsigned threads = 1) {
+  storage::Catalog catalog(&database);
+  CHASE_ASSIGN_OR_RETURN(
+      std::vector<Shape> shapes,
+      storage::FindShapes(storage::MemoryShapeSource(&catalog),
+                          {.mode = mode, .threads = threads}));
+  return DynamicSimplificationFromShapes(database.schema(), tgds, shapes,
+                                         threads);
 }
 
 // Renders a simplified rule set as a canonical set of strings so results of
@@ -145,11 +161,9 @@ TEST(DynamicSimplificationTest, BothFinderModesAgree) {
   tgd_params.seed = 4;
   auto tgds = GenerateTgds(*data->schema, tgd_params);
   ASSERT_TRUE(tgds.ok());
-  auto in_memory =
-      DynamicSimplification(*data->database, tgds.value(),
-                            storage::ShapeFinderMode::kInMemory);
-  auto in_db = DynamicSimplification(*data->database, tgds.value(),
-                                     storage::ShapeFinderMode::kInDatabase);
+  auto in_memory = DynamicSimplification(*data->database, tgds.value());
+  auto in_db = SimplifyWith(*data->database, tgds.value(),
+                            storage::ShapeFinderMode::kExists);
   ASSERT_TRUE(in_memory.ok());
   ASSERT_TRUE(in_db.ok());
   EXPECT_EQ(CanonicalRules(in_memory->shape_schema->schema(),
@@ -180,8 +194,8 @@ TEST(DynamicSimplificationTest, CanonicalTgdOrder) {
       "s_[1,2](X0,X1) -> t_[1](X0).",
   };
   for (unsigned threads : {1u, 4u}) {
-    auto dynamic = DynamicSimplification(
-        *p.database, p.tgds, storage::ShapeFinderMode::kInMemory, threads);
+    auto dynamic = SimplifyWith(*p.database, p.tgds,
+                                storage::ShapeFinderMode::kScan, threads);
     ASSERT_TRUE(dynamic.ok()) << dynamic.status();
     std::vector<std::string> got;
     for (const Tgd& tgd : dynamic->tgds) {

@@ -45,6 +45,7 @@
 #include "base/rng.h"
 #include "chase/chase_engine.h"
 #include "core/dynamic_simplification.h"
+#include "exec/frontier_pool.h"
 #include "gen/data_generator.h"
 #include "gen/tgd_generator.h"
 #include "index/find_shapes.h"
@@ -392,9 +393,11 @@ TEST(FrontierEquivalenceTest, RestrictedPrefilterSkipsSatisfiedTriggers) {
   }
 }
 
-TEST(FrontierEquivalenceTest, ParallelAbsorbMatchesSerialAbsorbSweep) {
-  // The exists plan's opt-in parallel absorb must never change shape(D):
-  // sweep both absorb modes against the serial-walk oracle.
+TEST(FrontierEquivalenceTest, ExistsPlanThreadSweepMatchesSerialWalk) {
+  // The frontier-parallel exists plan absorbs each depth per-chunk into
+  // worker-private sets; that must never change shape(D). Sweep thread
+  // counts, on a transient pool and on a caller-owned pool, against the
+  // threads == 1 serial lattice walk.
   Rng rng(515151);
   for (int trial = 0; trial < 4; ++trial) {
     GeneratedData data = MakeRandomData(&rng);
@@ -402,17 +405,17 @@ TEST(FrontierEquivalenceTest, ParallelAbsorbMatchesSerialAbsorbSweep) {
     storage::MemoryShapeSource memory(&catalog);
     auto oracle = index::FindShapes(memory, {ShapeFinderMode::kExists, 1});
     ASSERT_TRUE(oracle.ok()) << oracle.status();
-    for (bool parallel_absorb : {false, true}) {
-      for (unsigned threads : kThreadSweep) {
+    for (unsigned threads : kThreadSweep) {
+      WorkerPool shared(threads);
+      for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &shared}) {
         storage::FindShapesOptions options{ShapeFinderMode::kExists,
                                            threads};
-        options.parallel_absorb = parallel_absorb;
+        options.pool = pool;
         auto shapes = index::FindShapes(memory, options);
         ASSERT_TRUE(shapes.ok()) << shapes.status();
         EXPECT_EQ(*shapes, *oracle)
-            << "trial " << trial << ", absorb "
-            << (parallel_absorb ? "parallel" : "serial") << ", threads "
-            << threads;
+            << "trial " << trial << ", threads " << threads
+            << (pool != nullptr ? ", shared pool" : "");
       }
     }
   }

@@ -345,7 +345,7 @@ TEST(FrontierPoolTest, ParallelForCoversEveryIndexOnce) {
   for (unsigned threads : {1u, 3u, 8u, 16u}) {
     const size_t n = 10'000;
     std::vector<std::atomic<uint32_t>> hits(n);
-    FrontierParallelFor(n, threads, [&](unsigned, size_t index) {
+    WorkerPool(threads).ParallelFor(n, [&](unsigned, size_t index) {
       hits[index].fetch_add(1);
     });
     for (size_t i = 0; i < n; ++i) {

@@ -81,7 +81,8 @@ TEST(SpecialSccTest, SpecialEdgeBetweenSccsDoesNotCount) {
 TEST(SpecialSccTest, SpecialCrossLinkToEarlierSccDoesNotCount) {
   // This is the case where the paper's literal dummy-token trick would
   // over-approximate: a special edge from an SCC into an already-finished
-  // SCC (see DESIGN.md §3). 2 -> {0,1} special, {0,1} and {2,3} are cycles.
+  // SCC (see graph/tarjan.h). 2 -> {0,1} special, {0,1} and {2,3} are
+  // cycles.
   Digraph g = MakeGraph(4, {{0, 1, false},
                             {1, 0, false},
                             {2, 0, true},

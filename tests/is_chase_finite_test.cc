@@ -20,7 +20,7 @@ bool MustCheckSL(const Program& p, SlCheckStats* stats = nullptr) {
 
 bool MustCheckL(const Program& p,
                 storage::ShapeFinderMode mode =
-                    storage::ShapeFinderMode::kInMemory,
+                    storage::ShapeFinderMode::kScan,
                 LCheckStats* stats = nullptr) {
   LCheckOptions options;
   options.shape_finder = mode;
@@ -130,14 +130,14 @@ TEST(IsChaseFiniteLTest, BothShapeFinderModesAgree) {
     r(X,X) -> r(X,Z).
     r(X,Y) -> r(Y,Y).
   )");
-  EXPECT_EQ(MustCheckL(p, storage::ShapeFinderMode::kInMemory),
-            MustCheckL(p, storage::ShapeFinderMode::kInDatabase));
+  EXPECT_EQ(MustCheckL(p, storage::ShapeFinderMode::kScan),
+            MustCheckL(p, storage::ShapeFinderMode::kExists));
 }
 
 TEST(IsChaseFiniteLTest, StatsPopulated) {
   Program p = MustParse("r(a,a). r(a,b).\nr(X,Y) -> r(Y,Z).");
   LCheckStats stats;
-  MustCheckL(p, storage::ShapeFinderMode::kInMemory, &stats);
+  MustCheckL(p, storage::ShapeFinderMode::kScan, &stats);
   EXPECT_EQ(stats.num_initial_shapes, 2u);
   EXPECT_GE(stats.num_derived_shapes, 2u);
   EXPECT_GT(stats.num_simplified_tgds, 0u);

@@ -162,8 +162,8 @@ TEST(PropertyTest, BothShapeFinderModesGiveSameVerdict) {
   Rng rng(31337);
   for (int trial = 0; trial < 200; ++trial) {
     RandomInput input = MakeRandomInput(rng, TgdClass::kLinear);
-    LCheckOptions in_memory{storage::ShapeFinderMode::kInMemory};
-    LCheckOptions in_db{storage::ShapeFinderMode::kInDatabase};
+    LCheckOptions in_memory{storage::ShapeFinderMode::kScan};
+    LCheckOptions in_db{storage::ShapeFinderMode::kExists};
     auto a = IsChaseFiniteL(*input.database, input.tgds, in_memory);
     auto b = IsChaseFiniteL(*input.database, input.tgds, in_db);
     ASSERT_TRUE(a.ok());

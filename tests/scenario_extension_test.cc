@@ -13,6 +13,7 @@
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
 #include "storage/shape_index.h"
+#include "storage/shape_source.h"
 
 namespace chase {
 namespace {
@@ -40,7 +41,10 @@ TEST(ScenarioExtensionTest, ShapeIndexMatchesFindShapesOnLubm) {
   const Program& p = scenario->program;
   storage::Catalog catalog(p.database.get());
   storage::ShapeIndex index = storage::ShapeIndex::Build(*p.database);
-  EXPECT_EQ(index.CurrentShapes(), storage::FindShapesInMemory(catalog));
+  auto scanned_shapes =
+      storage::FindShapes(storage::MemoryShapeSource(&catalog));
+  ASSERT_TRUE(scanned_shapes.ok()) << scanned_shapes.status();
+  EXPECT_EQ(index.CurrentShapes(), *scanned_shapes);
 
   // Index-fed check agrees with the scanning check.
   std::vector<Shape> shapes = index.CurrentShapes();
@@ -85,10 +89,14 @@ TEST(ScenarioExtensionTest, IBenchShapeFindersAgree) {
   auto scenario = MakeIBenchScenario(params);
   ASSERT_TRUE(scenario.ok()) << scenario.status();
   const Program& p = scenario->program;
-  storage::Catalog mem(p.database.get());
-  storage::Catalog db(p.database.get());
-  EXPECT_EQ(storage::FindShapesInMemory(mem),
-            storage::FindShapesInDatabase(db));
+  storage::Catalog catalog(p.database.get());
+  storage::MemoryShapeSource source(&catalog);
+  auto scan = storage::FindShapes(source, {storage::ShapeFinderMode::kScan});
+  auto exists =
+      storage::FindShapes(source, {storage::ShapeFinderMode::kExists});
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  ASSERT_TRUE(exists.ok()) << exists.status();
+  EXPECT_EQ(*scan, *exists);
 }
 
 }  // namespace

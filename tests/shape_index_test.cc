@@ -9,10 +9,18 @@
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
 #include "storage/shape_index.h"
+#include "storage/shape_source.h"
 
 namespace chase {
 namespace storage {
 namespace {
+
+// The scan plan over the row store: the reference the index must match.
+std::vector<Shape> ScanShapes(const Catalog& catalog) {
+  auto shapes = FindShapes(MemoryShapeSource(&catalog));
+  EXPECT_TRUE(shapes.ok()) << shapes.status();
+  return shapes.ok() ? std::move(shapes).value() : std::vector<Shape>{};
+}
 
 GeneratedData MakeData(uint32_t preds, uint64_t rsize, uint64_t seed) {
   DataGenParams params;
@@ -37,7 +45,7 @@ TEST(ShapeIndexTest, BuildMatchesFindShapes) {
   GeneratedData data = MakeData(6, 80, 99);
   ShapeIndex index = ShapeIndex::Build(*data.database);
   Catalog catalog(data.database.get());
-  EXPECT_EQ(index.CurrentShapes(), FindShapesInMemory(catalog));
+  EXPECT_EQ(index.CurrentShapes(), ScanShapes(catalog));
 }
 
 TEST(ShapeIndexTest, InsertAddsShapeOnce) {
@@ -127,7 +135,7 @@ TEST_P(ShapeIndexPropertyTest, MatchesRecomputationUnderChurn) {
     }
   }
   Catalog catalog(&db);
-  EXPECT_EQ(index.CurrentShapes(), FindShapesInMemory(catalog));
+  EXPECT_EQ(index.CurrentShapes(), ScanShapes(catalog));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShapeIndexPropertyTest,

@@ -58,9 +58,10 @@ import re
 import sys
 import tomllib
 
-CC_EXTENSIONS = (".h", ".cc", ".cpp")
+from lint_common import (CC_EXTENSIONS, FIXTURE_DIR_MARKER, Finding,
+                         rel_to_root, strip_code_noise)
+
 HEADER_EXTENSIONS = (".h",)
-FIXTURE_DIR_MARKER = os.path.join("tests", "lint", "fixtures")
 TOP_DIRS = ("src", "tools", "tests", "bench")
 
 SUPPRESS_RE = re.compile(r"//\s*arch-lint:\s*allow\(([\w-]+)\)\s*(.*)")
@@ -91,59 +92,6 @@ STATUS_DECL_RE = re.compile(
     r"constexpr\s+)*(?:chase::)?(?:Status|StatusOr<[^;={()]*>)\s+"
     r"(\w+)\s*\(")
 NODISCARD_RE = re.compile(r"\[\[nodiscard\]\]")
-
-
-def strip_code_noise(line):
-    """Removes // comments and blanks out string/char literal contents so
-    code patterns don't match inside either (same heuristic as
-    chase_lint; no multi-line strings exist in this codebase)."""
-    out = []
-    i = 0
-    n = len(line)
-    in_string = None
-    while i < n:
-        c = line[i]
-        if in_string:
-            if c == "\\":
-                i += 2
-                continue
-            if c == in_string:
-                in_string = None
-                out.append(c)
-            else:
-                out.append(" ")
-            i += 1
-            continue
-        if c in ('"', "'"):
-            in_string = c
-            out.append(c)
-            i += 1
-            continue
-        if c == "/" and i + 1 < n and line[i + 1] == "/":
-            break
-        if c == "/" and i + 1 < n and line[i + 1] == "*":
-            close = line.find("*/", i + 2)
-            if close == -1:
-                break
-            i = close + 2
-            continue
-        out.append(c)
-        i += 1
-    return "".join(out)
-
-
-class Finding:
-    def __init__(self, path, line, rule, message):
-        self.path = path
-        self.line = line
-        self.rule = rule
-        self.message = message
-
-    def __str__(self):
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-    def sort_key(self):
-        return (self.path, self.line, self.rule, self.message)
 
 
 class SourceFile:
@@ -265,13 +213,6 @@ def load_manifest(path):
                 return None, (f"manifest {path}: layers.{name} allows "
                               f"unknown subsystem '{dep}'")
     return layers, None
-
-
-def rel_to_root(path, root):
-    try:
-        return os.path.relpath(os.path.abspath(path), root)
-    except ValueError:
-        return path
 
 
 def collect_files(paths, root):
