@@ -16,7 +16,8 @@
 //    join-split path), chain (role composition), triangle (cyclic join),
 //    cross (disconnected body, the pure cross-product whose unbudgeted
 //    buffering would explode);
-//  * threads 1..8 (1 = the untouched serial streaming oracle);
+//  * threads 1..8 (1 = the serial oracle, which fires each homomorphism
+//    as it is matched);
 //  * hom_budget, from the 4096 default down to 1 (an epoch per
 //    homomorphism per fragment — maximal pause/resume traffic).
 //
@@ -116,7 +117,7 @@ int main(int argc, char** argv) {
       double base_ms = 0;
       for (unsigned threads : {1u, 2u, 4u, 8u}) {
         for (uint64_t budget : {uint64_t{1}, uint64_t{64}, uint64_t{4096}}) {
-          // threads=1 ignores the budget (serial streaming): one row.
+          // threads=1 ignores the budget (nothing is buffered): one row.
           if (threads == 1 && budget != 4096) continue;
           double best_ms = 0;
           uint64_t rounds = 0, triggers = 0, prefiltered = 0, peak = 0,

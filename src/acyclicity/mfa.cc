@@ -1,11 +1,11 @@
 #include "acyclicity/mfa.h"
 
 #include <algorithm>
-#include <functional>
 #include <set>
 #include <utility>
 
 #include "base/status.h"
+#include "chase/body_partition.h"
 #include "chase/instance.h"
 #include "logic/atom.h"
 #include "logic/schema.h"
@@ -55,43 +55,6 @@ bool ContainsTag(const TagSet& set, uint32_t tag) {
   return std::binary_search(set.begin(), set.end(), tag);
 }
 
-// Backtracking enumeration of all homomorphisms from `tgd`'s body into
-// `instance`, invoking `on_match` with the variable assignment. Assignment
-// slots for unbound variables hold kUnbound.
-// Sentinel for unbound assignment slots; null ids are allocated sequentially
-// from zero, so this value can never denote a real term.
-constexpr Term kUnbound = ~Term{0};
-
-void MatchBody(const Instance& instance, const Tgd& tgd, size_t atom_index,
-               std::vector<Term>* assignment,
-               const std::function<void(const std::vector<Term>&)>& on_match) {
-  if (atom_index == tgd.body().size()) {
-    on_match(*assignment);
-    return;
-  }
-  const RuleAtom& atom = tgd.body()[atom_index];
-  for (const GroundAtom& candidate : instance.AtomsOf(atom.pred)) {
-    // Unify candidate with atom under the current partial assignment.
-    std::vector<std::pair<VarId, Term>> bound;
-    bool ok = true;
-    for (size_t i = 0; i < atom.args.size(); ++i) {
-      const VarId var = atom.args[i];
-      const Term term = candidate.args[i];
-      if ((*assignment)[var] == kUnbound) {
-        (*assignment)[var] = term;
-        bound.emplace_back(var, term);
-      } else if ((*assignment)[var] != term) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      MatchBody(instance, tgd, atom_index + 1, assignment, on_match);
-    }
-    for (const auto& [var, term] : bound) (*assignment)[var] = kUnbound;
-  }
-}
-
 }  // namespace
 
 StatusOr<bool> IsModelFaithfulAcyclic(const Schema& schema,
@@ -123,28 +86,23 @@ StatusOr<bool> IsModelFaithfulAcyclic(const Schema& schema,
   // binding).
   std::set<std::pair<uint32_t, std::vector<Term>>> fired;
 
+  HomEnumerator matcher;
   bool cyclic = false;
   bool changed = true;
   while (changed && !cyclic) {
     changed = false;
     for (uint32_t r = 0; r < tgds.size() && !cyclic; ++r) {
       const Tgd& tgd = tgds[r];
-      std::vector<Term> assignment(tgd.num_vars(), kUnbound);
-      // Collect new triggers first: mutating the instance mid-enumeration
-      // would invalidate the AtomsOf spans MatchBody iterates.
-      std::vector<std::vector<Term>> pending;
-      MatchBody(instance, tgd, 0, &assignment,
-                [&](const std::vector<Term>& full) {
-                  std::vector<Term> frontier_binding;
-                  frontier_binding.reserve(tgd.frontier().size());
-                  for (VarId x : tgd.frontier()) {
-                    frontier_binding.push_back(full[x]);
-                  }
-                  if (fired.emplace(r, std::move(frontier_binding)).second) {
-                    pending.push_back(full);
-                  }
-                });
-      for (const std::vector<Term>& full : pending) {
+      // The windows are fixed at Reset, so triggers fire as they are found:
+      // atoms they add are first matched on the next pass.
+      matcher.Reset(tgd.body(), &instance, FullRanges(tgd.body(), instance),
+                    std::vector<Term>(tgd.num_vars(), kUnboundTerm));
+      while (matcher.Next()) {
+        const std::vector<Term>& full = matcher.hom();
+        std::vector<Term> frontier_binding;
+        frontier_binding.reserve(tgd.frontier().size());
+        for (VarId x : tgd.frontier()) frontier_binding.push_back(full[x]);
+        if (!fired.emplace(r, std::move(frontier_binding)).second) continue;
         if (stats != nullptr) ++stats->triggers_fired;
         // Ancestry of the invented nulls: union over the frontier image.
         TagSet ancestry;

@@ -1,10 +1,14 @@
 #include "chase/body_partition.h"
 
 #include "chase/instance.h"
+#include "logic/atom.h"
 #include "logic/schema.h"
+#include "logic/term.h"
 #include "logic/tgd.h"
 
 #include <algorithm>
+#include <span>
+#include <utility>
 
 namespace chase {
 namespace {
@@ -22,21 +26,12 @@ uint64_t SatAdd(uint64_t a, uint64_t b) {
   return a > UINT64_MAX - b ? UINT64_MAX : a + b;
 }
 
-struct Range {
-  size_t begin;
-  size_t end;
-
-  size_t size() const { return end - begin; }
-  bool empty() const { return end == begin; }
-};
-
 // The candidate-row range of body position `pos` for the (rule, delta_pos)
-// task — the same window rule the serial enumeration hard-codes: the delta
-// rows at the delta position, only previous-rounds rows before it (so each
-// trigger is enumerated once, at its first delta position), the full
-// round-start prefix after it.
-Range CandidateRange(const Tgd& tgd, const RoundView& view, size_t delta_pos,
-                     size_t pos) {
+// task: the delta rows at the delta position, only previous-rounds rows
+// before it (so each trigger is enumerated once, at its first delta
+// position), the full round-start prefix after it.
+RowRange CandidateRange(const Tgd& tgd, const RoundView& view,
+                        size_t delta_pos, size_t pos) {
   const PredId pred = tgd.body()[pos].pred;
   if (pos == delta_pos) return {view.PrevOf(pred), view.CurOf(pred)};
   if (pos < delta_pos) return {0, view.PrevOf(pred)};
@@ -53,7 +48,57 @@ uint64_t InnerCost(const Tgd& tgd, const RoundView& view, size_t delta_pos) {
   return cost;
 }
 
+// The per-position row windows of one fragment: its position-0 (and
+// position-1) sub-ranges, the task's candidate ranges everywhere else.
+// Fills `ranges` in place, so a reused enumerator allocates nothing.
+void FragmentRanges(const Tgd& tgd, const RoundView& view,
+                    const BodyPartition& part, std::vector<RowRange>& ranges) {
+  ranges.clear();
+  for (size_t pos = 0; pos < tgd.body().size(); ++pos) {
+    ranges.push_back(CandidateRange(tgd, view, part.delta_pos, pos));
+  }
+  ranges[0] = {part.begin0, part.end0};
+  if (ranges.size() > 1) ranges[1] = {part.begin1, part.end1};
+}
+
+void UndoBindings(std::vector<Term>& h, std::vector<VarId>& trail,
+                  size_t mark) {
+  while (trail.size() > mark) {
+    h[trail.back()] = kUnboundTerm;
+    trail.pop_back();
+  }
+}
+
+// Attempts to extend `h` so that `pattern` maps onto `atom`; records newly
+// bound variables in `trail` so the caller can undo. On failure `h` and
+// `trail` are left as they were.
+bool TryBindAtom(const RuleAtom& pattern, const GroundAtom& atom,
+                 std::vector<Term>& h, std::vector<VarId>& trail) {
+  const size_t undo_mark = trail.size();
+  for (size_t i = 0; i < pattern.args.size(); ++i) {
+    const VarId var = pattern.args[i];
+    if (h[var] == kUnboundTerm) {
+      h[var] = atom.args[i];
+      trail.push_back(var);
+    } else if (h[var] != atom.args[i]) {
+      UndoBindings(h, trail, undo_mark);
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
+
+std::vector<RowRange> FullRanges(std::span<const RuleAtom> atoms,
+                                 const Instance& instance) {
+  std::vector<RowRange> ranges;
+  ranges.reserve(atoms.size());
+  for (const RuleAtom& atom : atoms) {
+    ranges.push_back({0, instance.AtomsOf(atom.pred).size()});
+  }
+  return ranges;
+}
 
 std::vector<BodyPartition> PlanBodyPartitions(const std::vector<Tgd>& tgds,
                                               const RoundView& view,
@@ -88,10 +133,10 @@ std::vector<BodyPartition> PlanBodyPartitions(const std::vector<Tgd>& tgds,
       }
       if (empty) continue;  // some position has no candidates: no triggers
 
-      const Range r0 = CandidateRange(tgd, view, delta_pos, 0);
-      const Range r1 = body_size > 1
-                           ? CandidateRange(tgd, view, delta_pos, 1)
-                           : Range{0, 0};
+      const RowRange r0 = CandidateRange(tgd, view, delta_pos, 0);
+      const RowRange r1 = body_size > 1
+                              ? CandidateRange(tgd, view, delta_pos, 1)
+                              : RowRange{};
       const uint64_t inner = InnerCost(tgd, view, delta_pos);
 
       // A single position-0 row heavier than the grain: pin each row and
@@ -126,61 +171,63 @@ std::vector<BodyPartition> PlanBodyPartitions(const std::vector<Tgd>& tgds,
   return parts;
 }
 
-void HomEnumerator::Reset(const Tgd* tgd, const Instance* instance,
-                          const RoundView* view, const BodyPartition& part) {
-  tgd_ = tgd;
+void HomEnumerator::Reset(std::span<const RuleAtom> atoms,
+                          const Instance* instance,
+                          std::vector<RowRange> ranges,
+                          std::span<const Term> h) {
+  atoms_ = atoms;
   instance_ = instance;
-  view_ = view;
-  part_ = part;
-  const size_t n = tgd->body().size();
-  h_.assign(tgd->num_vars(), kUnboundTerm);
+  ranges_ = std::move(ranges);
+  h_.assign(h.begin(), h.end());
+  Start();
+}
+
+void HomEnumerator::Reset(const Tgd& tgd, const Instance* instance,
+                          const RoundView& view, const BodyPartition& part) {
+  atoms_ = tgd.body();
+  instance_ = instance;
+  FragmentRanges(tgd, view, part, ranges_);
+  h_.assign(tgd.num_vars(), kUnboundTerm);
+  Start();
+}
+
+void HomEnumerator::Start() {
   trail_.clear();
-  row_.assign(n, 0);
-  mark_.assign(n, 0);
+  row_.assign(atoms_.size(), 0);
+  mark_.assign(atoms_.size(), 0);
   depth_ = 0;
-  row_[0] = part.begin0;
+  row_[0] = ranges_[0].begin;
   at_hom_ = false;
   done_ = false;
 }
 
-HomEnumerator::Range HomEnumerator::RangeOf(size_t pos) const {
-  if (pos == 0) return {part_.begin0, part_.end0};
-  if (pos == 1) return {part_.begin1, part_.end1};
-  const PredId pred = tgd_->body()[pos].pred;
-  if (pos == part_.delta_pos) return {view_->PrevOf(pred), view_->CurOf(pred)};
-  if (pos < part_.delta_pos) return {0, view_->PrevOf(pred)};
-  return {0, view_->CurOf(pred)};
-}
-
 bool HomEnumerator::Next() {
   if (done_) return false;
-  const auto& body = tgd_->body();
-  const size_t n = body.size();
+  const size_t n = atoms_.size();
   if (at_hom_) {
-    // Step off the homomorphism emitted last time: unbind the deepest
-    // position and advance its cursor.
+    // Step off the match emitted last time: unbind the deepest position
+    // and advance its cursor.
     at_hom_ = false;
     depth_ = n - 1;
     UndoBindings(h_, trail_, mark_[depth_]);
     ++row_[depth_];
   }
   while (true) {
-    const Range range = RangeOf(depth_);
+    const RuleAtom& atom = atoms_[depth_];
+    const size_t end = ranges_[depth_].end;
     bool descended = false;
-    while (row_[depth_] < range.end) {
+    while (row_[depth_] < end) {
       mark_[depth_] = trail_.size();
-      // Re-fetch the atom vector on every access: serial applies between
-      // resume epochs may reallocate it. Rows below the round window — the
-      // only rows any range reaches — are stable.
-      if (TryBindAtom(body[depth_],
-                      instance_->AtomsOf(body[depth_].pred)[row_[depth_]], h_,
+      // Re-fetch the atom vector on every access: appends between Next()
+      // calls may reallocate it. Rows inside the windows are stable.
+      if (TryBindAtom(atom, instance_->AtomsOf(atom.pred)[row_[depth_]], h_,
                       trail_)) {
         ++depth_;
         if (depth_ == n) {
           at_hom_ = true;
           return true;
         }
-        row_[depth_] = RangeOf(depth_).begin;
+        row_[depth_] = ranges_[depth_].begin;
         descended = true;
         break;
       }

@@ -1,40 +1,40 @@
-// Partitioning the body-homomorphism space of multi-atom TGDs for parallel
-// trigger enumeration (the K-Join recipe adapted to the chase's semi-naive
-// rounds).
+// The chase's one conjunctive matcher (HomEnumerator), and the planner that
+// partitions a round's body-homomorphism space into fragments for it (the
+// K-Join recipe adapted to the chase's semi-naive rounds).
 //
-// The serial engine enumerates the triggers of a round by streaming, for
-// each rule and each delta position d, a nested-loop join over the body
-// atoms: position 0 is the outermost loop, each position's candidate rows
-// are a contiguous range fixed by the round window (delta rows at d, the
-// previous-rounds prefix before d, the full round-start prefix after d).
-// Parallelizing that stream without giving up the bit-identical-result
-// contract hinges on one property: the serial order is the lexicographic
-// order of (rule, delta position, row at position 0, row at position 1, …).
-// So instead of hash-partitioning a join variable — which deals rows of one
-// loop level round-robin across partitions and interleaves their outputs in
-// the streaming order — the planner splits candidate *ranges*:
+// A round's triggers are, for each rule and each delta position d, the
+// matches of a nested-loop join over the body atoms: position 0 is the
+// outermost loop, each position's candidate rows are a contiguous range
+// fixed by the round window (delta rows at d, the previous-rounds prefix
+// before d, the full round-start prefix after d). The trigger order — and
+// with it the bit-identical-result contract at any thread count — is the
+// lexicographic order of (rule, delta position, row at position 0, row at
+// position 1, …). So instead of hash-partitioning a join variable — which
+// deals rows of one loop level round-robin across partitions and
+// interleaves their outputs — the planner splits candidate *ranges*:
 //
 //  * every (rule, delta position) task splits on its outermost loop, the
-//    position-0 candidate range (for d == 0 that is the delta range the
-//    linear path already split; for d > 0 it is the previous-rounds
-//    prefix);
+//    position-0 candidate range (for d == 0 that is the delta range; for
+//    d > 0 it is the previous-rounds prefix);
 //  * when one position-0 row is still heavier than the grain (a hot row
-//    whose inner join cross-products against whole relations — the
-//    non-linear analogue of the high-arity predicate PR 4 unpinned), the
-//    row is pinned and the position-1 candidate range is split under it.
+//    whose inner join cross-products against whole relations), the row is
+//    pinned and the position-1 candidate range is split under it.
 //
 // Concatenating the fragments in (rule, delta_pos, begin0, begin1) order —
-// the order PlanBodyPartitions emits them — replays the serial stream
-// exactly, so the apply loop needs no merge and no order keys. Fragment
+// the order PlanBodyPartitions emits them — yields the round's trigger
+// stream, so the serial round drains the threads = 1 plan inline and the
+// parallel round's apply loop needs no merge and no order keys. Fragment
 // sizing uses estimated enumeration cost (the product of candidate-range
 // sizes, saturating), with the usual grain of a few fragments per worker;
 // the per-row split is self-limiting: a row only splits when its inner cost
 // exceeds the grain, and at most ~4·threads such rows fit in the round's
 // total cost, so fragment counts stay O(tasks + threads²).
 //
-// HomEnumerator is the resumable cursor over one fragment: a paused
-// iterative backtracking search (per-position row cursors + binding trail)
-// that Next() advances one homomorphism at a time. The chase's budgeted
+// HomEnumerator is a resumable cursor over any conjunction of atoms with
+// per-atom row windows: a round fragment's body join, a head-satisfaction
+// probe, MFA's critical-instance triggers, or a conjunctive query. It is a
+// paused iterative backtracking search (per-position row cursors + binding
+// trail) that Next() advances one match at a time. The chase's budgeted
 // enumerate→pause→apply→resume protocol (WorkerPool::RunBudgetedTasks)
 // leans on Next() being stoppable anywhere: a worker fills a bounded
 // buffer, parks, and later resumes from the exact backtracking state.
@@ -43,6 +43,7 @@
 #define CHASE_CHASE_BODY_PARTITION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "chase/instance.h"
@@ -53,38 +54,9 @@
 
 namespace chase {
 
+// The free slot of a partial assignment. Null ids are allocated
+// sequentially from zero, so this value never denotes a real term.
 inline constexpr Term kUnboundTerm = ~uint64_t{0};
-
-// Attempts to extend `h` so that `pattern` maps onto `atom`; records newly
-// bound variables in `trail` so the caller can undo. Shared by the serial
-// streaming enumeration, HeadSatisfied, and HomEnumerator — one binding
-// discipline, so the paths cannot diverge.
-inline bool TryBindAtom(const RuleAtom& pattern, const GroundAtom& atom,
-                        std::vector<Term>& h, std::vector<VarId>& trail) {
-  const size_t undo_mark = trail.size();
-  for (size_t i = 0; i < pattern.args.size(); ++i) {
-    const VarId var = pattern.args[i];
-    if (h[var] == kUnboundTerm) {
-      h[var] = atom.args[i];
-      trail.push_back(var);
-    } else if (h[var] != atom.args[i]) {
-      while (trail.size() > undo_mark) {
-        h[trail.back()] = kUnboundTerm;
-        trail.pop_back();
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
-inline void UndoBindings(std::vector<Term>& h, std::vector<VarId>& trail,
-                         size_t mark) {
-  while (trail.size() > mark) {
-    h[trail.back()] = kUnboundTerm;
-    trail.pop_back();
-  }
-}
 
 // Per-round visibility window: body atoms are matched against the instance
 // as of the start of the round ("cur"), with semi-naive deltas given by
@@ -98,6 +70,19 @@ struct RoundView {
   }
   size_t CurOf(PredId pred) const { return pred < cur.size() ? cur[pred] : 0; }
 };
+
+// A contiguous window [begin, end) of one predicate's instance rows.
+struct RowRange {
+  size_t begin = 0;
+  size_t end = 0;
+
+  size_t size() const { return end - begin; }
+  bool empty() const { return end == begin; }
+};
+
+// Every row of each atom's predicate: the window of an unrestricted match.
+std::vector<RowRange> FullRanges(std::span<const RuleAtom> atoms,
+                                 const Instance& instance);
 
 // One fragment of a (rule, delta position) task's homomorphism space: a
 // contiguous sub-range of the position-0 candidate rows, and — for a
@@ -115,64 +100,65 @@ struct BodyPartition {
 };
 
 // Plans the round's fragments in canonical (rule, delta_pos, begin0,
-// begin1) order — exactly the serial streaming order of their outputs.
-// Tasks with an empty delta produce no fragment. Depends only on `tgds`,
-// the round window, and `threads` (never on instance contents or
-// scheduling), so the plan itself is deterministic.
+// begin1) order — exactly the round's trigger order. Tasks with an empty
+// delta produce no fragment. Depends only on `tgds`, the round window, and
+// `threads` (never on instance contents or scheduling), so the plan itself
+// is deterministic.
 std::vector<BodyPartition> PlanBodyPartitions(const std::vector<Tgd>& tgds,
                                               const RoundView& view,
                                               unsigned threads);
 
-// The resumable enumeration cursor over one fragment. Usage:
+// The resumable conjunctive-match cursor. Usage:
 //
 //   HomEnumerator e;
-//   e.Reset(&tgd, &instance, &view, part);
-//   while (e.Next()) consume(e.hom());   // pausable between any two calls
+//   e.Reset(tgd, &instance, view, part);   // or Reset(atoms, ..., ranges, h)
+//   while (e.Next()) consume(e.hom());     // pausable between any two calls
 //
-// Next() returns true with hom() bound on all universal variables (the
-// fragment's next homomorphism in streaming order), false when the fragment
-// is exhausted. The full backtracking state — partial assignment, binding
-// trail, per-position row cursors — lives in the enumerator, so a paused
-// fragment resumes with zero re-enumeration.
+// Next() returns true with hom() extended to every variable of the atoms
+// (the next match in lexicographic row order: atom 0's row is the
+// outermost loop), false once the matches are exhausted (then stays false).
+// The full backtracking state — partial assignment, binding trail,
+// per-position row cursors — lives in the enumerator, so a paused search
+// resumes with zero re-enumeration.
 //
-// Concurrency: Next() only reads instance rows below the fragment's fixed
-// round-window bounds, and re-fetches the per-predicate atom vector on
-// every access, so serial appends *between* resume epochs (which may
-// reallocate those vectors) are safe as long as the caller orders them
-// before the next resume — which the worker pool's barrier does.
-//
-// hom() is mutable on purpose: the restricted variant's pre-filter
-// transiently binds existential variables during its satisfaction probe and
-// restores them through its own trail before returning.
+// Concurrency: Next() only reads instance rows inside the given windows,
+// and re-fetches the per-predicate atom vector on every access, so appends
+// between two Next() calls (which may reallocate those vectors) are safe as
+// long as no window reaches the appended rows — which the round window
+// guarantees, and which the worker pool's barrier orders across threads.
 class HomEnumerator {
  public:
-  void Reset(const Tgd* tgd, const Instance* instance, const RoundView* view,
+  // Matches atom i against rows `ranges[i]`, extending the partial
+  // assignment `h` (kUnboundTerm = free; sized to cover every variable of
+  // `atoms`). Preconditions: `atoms` is non-empty — Tgd::Create and
+  // ParseQuery reject empty bodies and heads — and ranges.size() ==
+  // atoms.size(). `atoms` and `instance` must outlive the enumeration.
+  void Reset(std::span<const RuleAtom> atoms, const Instance* instance,
+             std::vector<RowRange> ranges, std::span<const Term> h);
+
+  // The round fragment `part` of `tgd`'s body join, from the empty
+  // assignment.
+  void Reset(const Tgd& tgd, const Instance* instance, const RoundView& view,
              const BodyPartition& part);
 
-  // Advances to the fragment's next homomorphism. False once exhausted
-  // (then stays false).
+  // Advances to the next match. False once exhausted (then stays false).
   bool Next();
 
-  std::vector<Term>& hom() { return h_; }
+  const std::vector<Term>& hom() const { return h_; }
 
  private:
-  struct Range {
-    size_t begin;
-    size_t end;
-  };
-  Range RangeOf(size_t pos) const;
+  void Start();
 
-  const Tgd* tgd_ = nullptr;
+  std::span<const RuleAtom> atoms_;
   const Instance* instance_ = nullptr;
-  const RoundView* view_ = nullptr;
-  BodyPartition part_;
+  std::vector<RowRange> ranges_;  // per-position candidate rows
 
   std::vector<Term> h_;        // partial assignment, kUnboundTerm = free
   std::vector<VarId> trail_;   // bound-variable undo log
   std::vector<size_t> row_;    // per-position candidate-row cursor
   std::vector<size_t> mark_;   // per-position trail watermark
   size_t depth_ = 0;           // position currently being advanced
-  bool at_hom_ = false;        // paused on an emitted homomorphism
+  bool at_hom_ = false;        // paused on an emitted match
   bool done_ = true;
 };
 

@@ -25,12 +25,6 @@
 namespace chase {
 namespace {
 
-// The binding discipline (TryBindAtom/UndoBindings/kUnboundTerm) and the
-// round window (RoundView) live in chase/body_partition.h, shared with the
-// parallel fragment enumerator so the serial and parallel paths cannot
-// drift apart.
-constexpr Term kUnbound = kUnboundTerm;
-
 // Trigger keys: [rule_index, bound values...]. For the oblivious chase the
 // values are the full body assignment; for the semi-oblivious chase only the
 // frontier restriction h|fr(σ).
@@ -47,97 +41,40 @@ struct KeyHash {
 };
 using KeySet = std::unordered_set<std::vector<uint64_t>, KeyHash>;
 
-// Enumerates the body homomorphisms of `tgd` whose atom at `delta_pos` is
-// drawn from delta rows [delta_begin, delta_end); calls `fn(h)` with h
-// bound on all universal variables. Only rows below the round-start
-// watermark (view.cur) are ever read, so the enumeration is independent of
-// atoms applied during the round — which is what lets the parallel path
-// below enumerate a whole round's triggers concurrently before applying
-// any of them.
-template <typename Fn>
-void ForEachDeltaHom(const Tgd& tgd, const Instance& instance,
-                     const RoundView& view, size_t delta_pos,
-                     size_t delta_begin, size_t delta_end,
-                     std::vector<Term>& h, std::vector<VarId>& trail,
-                     Fn&& fn) {
-  const auto& body = tgd.body();
-  // Backtracking over body atoms with per-position candidate ranges.
-  auto recurse = [&](auto&& self, size_t index) -> void {
-    if (index == body.size()) {
-      fn(h);
-      return;
-    }
-    const PredId pred = body[index].pred;
-    size_t begin = 0;
-    size_t end = view.CurOf(pred);
-    if (index == delta_pos) {
-      begin = delta_begin;
-      end = delta_end;
-    } else if (index < delta_pos) {
-      end = view.PrevOf(pred);
-    }
-    for (size_t row = begin; row < end; ++row) {
-      const size_t mark = trail.size();
-      // Re-fetch per iteration: `fn` may grow the instance, reallocating
-      // the per-predicate atom vector.
-      if (TryBindAtom(body[index], instance.AtomsOf(pred)[row], h, trail)) {
-        self(self, index + 1);
-        UndoBindings(h, trail, mark);
-      }
-    }
-  };
-  recurse(recurse, 0);
+// True iff some extension of the frontier assignment `hom` maps every head
+// atom of `tgd` into `instance`, head atom i drawn from rows `window(i)` —
+// the restricted chase's satisfaction test. `hom` leaves the existential
+// variables unbound; `matcher` is scratch (one per thread).
+template <typename Window>
+bool HeadMatches(const Tgd& tgd, const Instance& instance,
+                 std::span<const Term> hom, HomEnumerator& matcher,
+                 Window&& window) {
+  std::vector<RowRange> ranges;
+  ranges.reserve(tgd.head().size());
+  for (size_t i = 0; i < tgd.head().size(); ++i) ranges.push_back(window(i));
+  matcher.Reset(tgd.head(), &instance, std::move(ranges), hom);
+  return matcher.Next();
 }
 
-// Enumerates every body homomorphism of `tgd` into the round-start instance
-// that uses at least one delta atom. Each such trigger is enumerated
-// exactly once: the delta position is the first body atom matched to a
-// delta atom.
-template <typename Fn>
-void ForEachNewBodyHom(const Tgd& tgd, const Instance& instance,
-                       const RoundView& view, std::vector<Term>& h,
-                       std::vector<VarId>& trail, Fn&& fn) {
-  for (size_t delta_pos = 0; delta_pos < tgd.body().size(); ++delta_pos) {
-    const PredId pred = tgd.body()[delta_pos].pred;
-    ForEachDeltaHom(tgd, instance, view, delta_pos, view.PrevOf(pred),
-                    view.CurOf(pred), h, trail, fn);
-  }
-}
-
-// True iff some extension of the frontier assignment `h` maps every head
-// atom into `instance` (the restricted chase's satisfaction test). `h` must
-// be sized tgd.num_vars() with existential variables unbound. When `view`
-// is non-null, only rows below the round-start watermark are read — the
-// conservative pre-filter the parallel restricted path evaluates on the
-// worker pool: satisfaction is monotone (atoms are never removed), so a
-// head satisfied by the frozen prefix is satisfied at apply time too, and
-// only the survivors re-check against the full instance serially.
+// The head checked against the whole instance.
 bool HeadSatisfied(const Tgd& tgd, const Instance& instance,
-                   const RoundView* view, std::vector<Term>& h,
-                   std::vector<VarId>& trail) {
-  const auto& head = tgd.head();
-  auto recurse = [&](auto&& self, size_t index) -> bool {
-    if (index == head.size()) return true;
-    const std::span<const GroundAtom> all(instance.AtomsOf(head[index].pred));
-    const std::span<const GroundAtom> atoms =
-        view == nullptr
-            ? all
-            : all.first(std::min(all.size(),
-                                 static_cast<size_t>(
-                                     view->CurOf(head[index].pred))));
-    for (const GroundAtom& atom : atoms) {
-      const size_t mark = trail.size();
-      if (TryBindAtom(head[index], atom, h, trail)) {
-        if (self(self, index + 1)) {
-          UndoBindings(h, trail, mark);
-          return true;
-        }
-        UndoBindings(h, trail, mark);
-      }
-    }
-    return false;
-  };
-  return recurse(recurse, 0);
+                   std::span<const Term> hom, HomEnumerator& matcher) {
+  return HeadMatches(tgd, instance, hom, matcher, [&](size_t i) {
+    return RowRange{0, instance.AtomsOf(tgd.head()[i].pred).size()};
+  });
+}
+
+// The conservative pre-filter the parallel restricted path evaluates on the
+// worker pool: only rows below the round-start watermark. Satisfaction is
+// monotone (atoms are never removed), so a head satisfied by the frozen
+// prefix is satisfied at apply time too, and only the survivors re-check
+// serially.
+bool HeadSatisfiedByPrefix(const Tgd& tgd, const Instance& instance,
+                           const RoundView& view, std::span<const Term> hom,
+                           HomEnumerator& matcher) {
+  return HeadMatches(tgd, instance, hom, matcher, [&](size_t i) {
+    return RowRange{0, view.CurOf(tgd.head()[i].pred)};
+  });
 }
 
 // The suffix re-check for pre-filter survivors: the workers already proved
@@ -148,32 +85,21 @@ bool HeadSatisfied(const Tgd& tgd, const Instance& instance,
 // to the suffix [view.cur, size) and every other position unrestricted.
 // Positions whose predicate has not grown this round are skipped outright;
 // if nothing relevant grew, the head is unsatisfied without touching a
-// single atom. Equivalent to HeadSatisfied(full instance) for survivors,
-// but scans only witnesses the workers could not have seen.
+// single atom. Equivalent to HeadSatisfied for survivors, but scans only
+// witnesses the workers could not have seen.
 bool HeadSatisfiedSuffix(const Tgd& tgd, const Instance& instance,
-                         const RoundView& view, std::vector<Term>& h,
-                         std::vector<VarId>& trail) {
+                         const RoundView& view, std::span<const Term> hom,
+                         HomEnumerator& matcher) {
   const auto& head = tgd.head();
   for (size_t d = 0; d < head.size(); ++d) {
     const size_t suffix_begin = view.CurOf(head[d].pred);
     if (instance.AtomsOf(head[d].pred).size() <= suffix_begin) continue;
-    auto recurse = [&](auto&& self, size_t index) -> bool {
-      if (index == head.size()) return true;
-      const auto& atoms = instance.AtomsOf(head[index].pred);
-      for (size_t row = index == d ? suffix_begin : 0; row < atoms.size();
-           ++row) {
-        const size_t mark = trail.size();
-        if (TryBindAtom(head[index], atoms[row], h, trail)) {
-          if (self(self, index + 1)) {
-            UndoBindings(h, trail, mark);
-            return true;
-          }
-          UndoBindings(h, trail, mark);
-        }
-      }
-      return false;
-    };
-    if (recurse(recurse, 0)) return true;
+    if (HeadMatches(tgd, instance, hom, matcher, [&](size_t i) {
+          return RowRange{i == d ? suffix_begin : 0,
+                          instance.AtomsOf(head[i].pred).size()};
+        })) {
+      return true;
+    }
   }
   return false;
 }
@@ -304,13 +230,11 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     result.peak_buffered_homs = ckpt.peak_buffered_homs;
   }
 
-  std::vector<Term> h;
-  std::vector<VarId> trail;
   std::vector<GroundAtom> pending;  // atoms produced in the current round
 
   // Parallel rounds run on any rule set, linear or not: each round's
   // homomorphism space is split into range fragments whose canonical
-  // concatenation replays the serial stream (chase/body_partition.h), and
+  // concatenation is the serial trigger order (chase/body_partition.h), and
   // the old hazard — a multi-atom body cross-producting a fragment against
   // whole relations and materializing unbounded buffers — is handled by
   // the budgeted enumerate→pause→apply→resume protocol below, which caps
@@ -328,6 +252,11 @@ StatusOr<ChaseResult> RunChase(const Database& database,
   // exactly what dominated shallow-but-many-round workloads.
   std::optional<WorkerPool> pool;
   if (enum_threads > 1) pool.emplace(enum_threads);
+  // Matcher scratch: the serial round's body join, the apply loop's head
+  // checks, and one pre-filter head matcher per worker.
+  HomEnumerator body_matcher;
+  HomEnumerator head_matcher;
+  std::vector<HomEnumerator> worker_head_matchers(enum_threads);
 
   // Observability (all off by default, every site behind one relaxed
   // load): a whole-run span, a span and log2 duration histogram per round,
@@ -417,19 +346,18 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     // this thread. `prefix_unsat` marks a restricted trigger whose head
     // the parallel pre-filter already proved unsatisfied by the
     // round-start prefix, so only same-round witnesses remain to check.
-    auto fire = [&](size_t rule, std::vector<Term>& hom, bool prefix_unsat) {
+    auto fire = [&](size_t rule, const std::vector<Term>& hom,
+                    bool prefix_unsat) {
       const Tgd& tgd = tgds[rule];
       if (hit_atom_limit) return;
       // Decide whether this trigger fires.
       if (options.variant == ChaseVariant::kRestricted) {
         // Only the frontier restriction matters for satisfaction;
         // existentials are unbound here by construction.
-        std::vector<VarId> head_trail;
         const bool satisfied =
             prefix_unsat
-                ? HeadSatisfiedSuffix(tgd, instance, view, hom, head_trail)
-                : HeadSatisfied(tgd, instance, /*view=*/nullptr, hom,
-                                head_trail);
+                ? HeadSatisfiedSuffix(tgd, instance, view, hom, head_matcher)
+                : HeadSatisfied(tgd, instance, hom, head_matcher);
         if (satisfied) return;
       } else {
         std::vector<uint64_t> key;
@@ -450,7 +378,7 @@ StatusOr<ChaseResult> RunChase(const Database& database,
       // result(σ, h): frontier variables keep their image, each
       // existential variable gets a fresh labelled null (unique per
       // trigger and variable, per Definition 3.1).
-      std::vector<Term> null_of(tgd.num_vars(), kUnbound);
+      std::vector<Term> null_of(tgd.num_vars(), kUnboundTerm);
       for (const RuleAtom& head_atom : tgd.head()) {
         GroundAtom atom;
         atom.pred = head_atom.pred;
@@ -459,7 +387,7 @@ StatusOr<ChaseResult> RunChase(const Database& database,
           if (tgd.IsUniversal(var)) {
             atom.args.push_back(hom[var]);
           } else {
-            if (null_of[var] == kUnbound) {
+            if (null_of[var] == kUnboundTerm) {
               null_of[var] = MakeNull(instance.NewNullId());
             }
             atom.args.push_back(null_of[var]);
@@ -497,23 +425,25 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     };
 
     if (enum_threads <= 1) {
-      for (size_t rule = 0; rule < tgds.size() && !hit_atom_limit; ++rule) {
-        const Tgd& tgd = tgds[rule];
-        obs::TraceSpan rule_span("chase", "rule", "rule",
-                                 static_cast<int64_t>(rule));
-        h.assign(tgd.num_vars(), kUnbound);
-        trail.clear();
-        ForEachNewBodyHom(tgd, instance, view, h, trail,
-                          [&](std::vector<Term>& hom) {
-                            fire(rule, hom, /*prefix_unsat=*/false);
-                          });
+      // Serial round: drain the threads = 1 plan inline, firing each
+      // homomorphism as the matcher reaches it — no buffering.
+      const std::vector<BodyPartition> parts =
+          PlanBodyPartitions(tgds, view, 1);
+      for (size_t t = 0; t < parts.size() && !hit_atom_limit; ++t) {
+        obs::TraceSpan task_span("chase", "hom_task", "rule",
+                                 static_cast<int64_t>(parts[t].rule), "task",
+                                 static_cast<int64_t>(t));
+        body_matcher.Reset(tgds[parts[t].rule], &instance, view, parts[t]);
+        while (!hit_atom_limit && body_matcher.Next()) {
+          fire(parts[t].rule, body_matcher.hom(), /*prefix_unsat=*/false);
+        }
       }
     } else {
       // Frontier-parallel round: enumerate every trigger of the round
       // against the frozen round-start prefix on the worker pool, apply
       // them here in the exact serial order. The round's homomorphism
-      // space is planned as range fragments whose canonical order replays
-      // the serial stream, and the budgeted protocol slides a window of at
+      // space is planned as range fragments whose canonical order is the
+      // serial trigger order, and the budgeted protocol slides a window of at
       // most `enum_threads` in-flight fragments over them: a worker fills
       // its fragment's bounded buffer and parks, the serial drain applies
       // buffers in fragment order (the first unfinished fragment's prefix
@@ -533,7 +463,7 @@ StatusOr<ChaseResult> RunChase(const Database& database,
       std::vector<std::vector<char>> presat(parts.size());
       pool->RunBudgetedTasks(
           parts.size(),
-          [&](unsigned /*worker*/, size_t t) -> bool {
+          [&](unsigned worker, size_t t) -> bool {
             // One span per resume slice of a (rule, delta)-fragment's
             // homomorphism enumeration — the per-task view of a wave.
             obs::TraceSpan task_span("chase", "hom_task", "rule",
@@ -542,15 +472,15 @@ StatusOr<ChaseResult> RunChase(const Database& database,
             const Tgd& tgd = tgds[parts[t].rule];
             HomEnumerator& e = enums[t];
             if (started[t] == 0) {
-              e.Reset(&tgd, &instance, &view, parts[t]);
+              e.Reset(tgd, &instance, view, parts[t]);
               started[t] = 1;
             }
             while (homs[t].size() < budget) {
               if (!e.Next()) return true;  // fragment exhausted
               if (restricted) {
-                std::vector<VarId> head_trail;
-                presat[t].push_back(
-                    HeadSatisfied(tgd, instance, &view, e.hom(), head_trail));
+                presat[t].push_back(HeadSatisfiedByPrefix(
+                    tgd, instance, view, e.hom(),
+                    worker_head_matchers[worker]));
               }
               homs[t].push_back(e.hom());
             }
@@ -644,29 +574,24 @@ StatusOr<ChaseResult> RunChase(const Database& database,
 }
 
 bool Satisfies(const Instance& instance, const std::vector<Tgd>& tgds) {
+  // One round whose window is the whole instance: every body homomorphism
+  // is a delta-position-0 trigger of the threads = 1 plan.
   RoundView view;
   const size_t num_preds = instance.schema().NumPredicates();
-  view.prev.assign(num_preds, 0);
   view.cur.assign(num_preds, 0);
   for (PredId pred = 0; pred < num_preds; ++pred) {
     view.cur[pred] = instance.AtomsOf(pred).size();
   }
-  std::vector<Term> h;
-  std::vector<VarId> trail;
-  for (const Tgd& tgd : tgds) {
-    h.assign(tgd.num_vars(), kUnbound);
-    trail.clear();
-    bool violated = false;
-    ForEachNewBodyHom(tgd, instance, view, h, trail,
-                      [&](std::vector<Term>& hom) {
-                        if (violated) return;
-                        std::vector<VarId> head_trail;
-                        if (!HeadSatisfied(tgd, instance, /*view=*/nullptr,
-                                           hom, head_trail)) {
-                          violated = true;
-                        }
-                      });
-    if (violated) return false;
+  HomEnumerator body_matcher;
+  HomEnumerator head_matcher;
+  for (const BodyPartition& part : PlanBodyPartitions(tgds, view, 1)) {
+    const Tgd& tgd = tgds[part.rule];
+    body_matcher.Reset(tgd, &instance, view, part);
+    while (body_matcher.Next()) {
+      if (!HeadSatisfied(tgd, instance, body_matcher.hom(), head_matcher)) {
+        return false;
+      }
+    }
   }
   return true;
 }

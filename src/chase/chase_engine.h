@@ -81,7 +81,7 @@ struct ChaseOptions {
   // numbering, rounds, and trigger count are bit-identical to a
   // single-threaded run. Each round's homomorphism space is split into
   // range fragments (chase/body_partition.h) whose canonical concatenation
-  // replays the serial stream; multi-atom bodies, whose fragments can
+  // is the serial trigger order; multi-atom bodies, whose fragments can
   // produce unboundedly many homomorphisms, run under the budgeted
   // enumerate→pause→apply→resume protocol (WorkerPool::RunBudgetedTasks)
   // with at most `hom_budget` buffered homomorphisms per in-flight

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <functional>
 #include <map>
 #include <set>
 #include <utility>
 
 #include "base/status.h"
+#include "chase/body_partition.h"
 #include "chase/chase_engine.h"
 #include "chase/instance.h"
 #include "core/is_chase_finite.h"
@@ -176,47 +176,18 @@ StatusOr<ConjunctiveQuery> ParseQuery(std::string_view text, Schema* schema) {
   return cq;
 }
 
-namespace {
-
-constexpr Term kUnbound = ~Term{0};
-
-void MatchAtoms(const Instance& instance, const ConjunctiveQuery& query,
-                size_t atom_index, std::vector<Term>* assignment,
-                std::set<Answer>* answers) {
-  if (atom_index == query.body.size()) {
-    Answer answer;
-    answer.reserve(query.answer_vars.size());
-    for (VarId v : query.answer_vars) answer.push_back((*assignment)[v]);
-    answers->insert(std::move(answer));
-    return;
-  }
-  const RuleAtom& atom = query.body[atom_index];
-  for (const GroundAtom& candidate : instance.AtomsOf(atom.pred)) {
-    std::vector<std::pair<VarId, Term>> bound;
-    bool ok = true;
-    for (size_t i = 0; i < atom.args.size(); ++i) {
-      const VarId var = atom.args[i];
-      const Term term = candidate.args[i];
-      if ((*assignment)[var] == kUnbound) {
-        (*assignment)[var] = term;
-        bound.emplace_back(var, term);
-      } else if ((*assignment)[var] != term) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) MatchAtoms(instance, query, atom_index + 1, assignment, answers);
-    for (const auto& [var, term] : bound) (*assignment)[var] = kUnbound;
-  }
-}
-
-}  // namespace
-
 std::vector<Answer> Evaluate(const Instance& instance,
                              const ConjunctiveQuery& query) {
   std::set<Answer> answers;
-  std::vector<Term> assignment(query.num_vars, kUnbound);
-  MatchAtoms(instance, query, 0, &assignment, &answers);
+  HomEnumerator matcher;
+  matcher.Reset(query.body, &instance, FullRanges(query.body, instance),
+                std::vector<Term>(query.num_vars, kUnboundTerm));
+  while (matcher.Next()) {
+    Answer answer;
+    answer.reserve(query.answer_vars.size());
+    for (VarId v : query.answer_vars) answer.push_back(matcher.hom()[v]);
+    answers.insert(std::move(answer));
+  }
   return {answers.begin(), answers.end()};
 }
 

@@ -8,7 +8,6 @@
 #include "graph/dependency_graph.h"
 #include "graph/digraph.h"
 #include "graph/dot.h"
-#include "graph/kosaraju.h"
 #include "graph/reachability.h"
 #include "graph/tarjan.h"
 #include "logic/parser.h"
@@ -158,6 +157,69 @@ std::vector<std::vector<uint32_t>> CanonicalSccs(const SccResult& scc) {
   for (auto& [comp, members] : groups) out.push_back(members);
   std::sort(out.begin(), out.end());
   return out;
+}
+
+// Kosaraju–Sharir SCC decomposition, the independent oracle for Tarjan:
+// two passes (finish order on the forward graph, then reverse-graph DFS in
+// decreasing finish order), structurally unlike Tarjan's lowlink stack.
+SccResult KosarajuScc(const Digraph& graph) {
+  const uint32_t n = graph.num_nodes();
+
+  // Pass 1: iterative DFS on the forward graph, recording finish order.
+  std::vector<uint32_t> finish_order;
+  finish_order.reserve(n);
+  std::vector<bool> visited(n, false);
+  struct Frame {
+    uint32_t node;
+    uint32_t arc;
+  };
+  std::vector<Frame> stack;
+  for (uint32_t root = 0; root < n; ++root) {
+    if (visited[root]) continue;
+    visited[root] = true;
+    stack.push_back(Frame{root, 0});
+    while (!stack.empty()) {
+      Frame& frame = stack.back();
+      const auto arcs = graph.OutArcs(frame.node);
+      bool descended = false;
+      while (frame.arc < arcs.size()) {
+        const uint32_t w = arcs[frame.arc].node;
+        ++frame.arc;
+        if (!visited[w]) {
+          visited[w] = true;
+          stack.push_back(Frame{w, 0});
+          descended = true;
+          break;
+        }
+      }
+      if (descended) continue;
+      finish_order.push_back(frame.node);
+      stack.pop_back();
+    }
+  }
+
+  // Pass 2: DFS on the reverse graph in decreasing finish order.
+  SccResult result;
+  constexpr uint32_t kUnassigned = 0xffffffffu;
+  result.component.assign(n, kUnassigned);
+  std::vector<uint32_t> work;
+  for (auto it = finish_order.rbegin(); it != finish_order.rend(); ++it) {
+    if (result.component[*it] != kUnassigned) continue;
+    const uint32_t comp = result.num_components++;
+    work.push_back(*it);
+    result.component[*it] = comp;
+    while (!work.empty()) {
+      const uint32_t v = work.back();
+      work.pop_back();
+      for (const Arc& arc : graph.InArcs(v)) {
+        if (result.component[arc.node] == kUnassigned) {
+          result.component[arc.node] = comp;
+          work.push_back(arc.node);
+        }
+      }
+    }
+  }
+  return result;
 }
 
 TEST(TarjanTest, AgreesWithKosarajuOnRandomGraphs) {

@@ -1,0 +1,423 @@
+// HomEnumerator against an independent reference: a recursive nested-loop
+// join with its own binding trail, kept here as a test-only oracle.
+//
+// The chase's bit-identical-result contract rests on the matcher's output
+// ORDER, not just its output set: a round's triggers are the fragments of
+// PlanBodyPartitions(…, threads) concatenated in plan order, and that
+// concatenation must be the oracle's lexicographic (rule, delta position,
+// row at position 0, row at position 1, …) stream at every thread count.
+// The whole-chase differential sweeps only see that order through its
+// effects; these tests compare the streams themselves — over every
+// non-linear join family, random round windows, a run that pauses after
+// every Next() while other enumerators are reset in between, head-window
+// matches from a partial assignment, and conjunctive-query evaluation.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "base/rng.h"
+#include "chase/body_partition.h"
+#include "chase/instance.h"
+#include "gen/tgd_generator.h"
+#include "logic/atom.h"
+#include "logic/schema.h"
+#include "logic/term.h"
+#include "logic/tgd.h"
+#include "query/conjunctive_query.h"
+
+namespace chase {
+namespace {
+
+constexpr unsigned kThreadSweep[] = {1, 2, 4, 8};
+
+// A (rule, assignment) stream; for non-round matches the rule is 0.
+using Stream = std::vector<std::pair<uint32_t, std::vector<Term>>>;
+
+// ---------------------------------------------------------------------------
+// The oracle: a recursive nested-loop join with its own binding trail.
+
+bool OracleBind(const RuleAtom& pattern, const GroundAtom& atom,
+                std::vector<Term>& h, std::vector<VarId>& trail) {
+  for (size_t i = 0; i < pattern.args.size(); ++i) {
+    const VarId var = pattern.args[i];
+    if (h[var] == kUnboundTerm) {
+      h[var] = atom.args[i];
+      trail.push_back(var);
+    } else if (h[var] != atom.args[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void OracleUndo(std::vector<Term>& h, std::vector<VarId>& trail,
+                size_t mark) {
+  while (trail.size() > mark) {
+    h[trail.back()] = kUnboundTerm;
+    trail.pop_back();
+  }
+}
+
+// Extends `h` over atoms[index..], atom i drawn from rows `ranges[i]`, in
+// lexicographic row order (atom 0 outermost).
+void OracleMatch(const std::vector<RuleAtom>& atoms, const Instance& instance,
+                 const std::vector<RowRange>& ranges, size_t index,
+                 std::vector<Term>& h, std::vector<VarId>& trail,
+                 const std::function<void(const std::vector<Term>&)>& emit) {
+  if (index == atoms.size()) {
+    emit(h);
+    return;
+  }
+  for (size_t row = ranges[index].begin; row < ranges[index].end; ++row) {
+    const size_t mark = trail.size();
+    if (OracleBind(atoms[index], instance.AtomsOf(atoms[index].pred)[row], h,
+                   trail)) {
+      OracleMatch(atoms, instance, ranges, index + 1, h, trail, emit);
+    }
+    OracleUndo(h, trail, mark);
+  }
+}
+
+// The round's trigger stream, spelled out: for each rule and each delta
+// position d, the delta rows at d, only previous-rounds rows before d, the
+// full round-start prefix after it.
+Stream OracleRound(const std::vector<Tgd>& tgds, const Instance& instance,
+                   const RoundView& view) {
+  Stream out;
+  for (uint32_t rule = 0; rule < tgds.size(); ++rule) {
+    const Tgd& tgd = tgds[rule];
+    for (size_t delta_pos = 0; delta_pos < tgd.body().size(); ++delta_pos) {
+      std::vector<RowRange> ranges;
+      for (size_t pos = 0; pos < tgd.body().size(); ++pos) {
+        const PredId pred = tgd.body()[pos].pred;
+        if (pos == delta_pos) {
+          ranges.push_back({view.PrevOf(pred), view.CurOf(pred)});
+        } else if (pos < delta_pos) {
+          ranges.push_back({0, view.PrevOf(pred)});
+        } else {
+          ranges.push_back({0, view.CurOf(pred)});
+        }
+      }
+      std::vector<Term> h(tgd.num_vars(), kUnboundTerm);
+      std::vector<VarId> trail;
+      OracleMatch(tgd.body(), instance, ranges, 0, h, trail,
+                  [&](const std::vector<Term>& hom) {
+                    out.emplace_back(rule, hom);
+                  });
+    }
+  }
+  return out;
+}
+
+Stream OracleStream(const std::vector<RuleAtom>& atoms,
+                    const Instance& instance,
+                    const std::vector<RowRange>& ranges,
+                    std::vector<Term> h) {
+  Stream out;
+  std::vector<VarId> trail;
+  OracleMatch(atoms, instance, ranges, 0, h, trail,
+              [&](const std::vector<Term>& hom) { out.emplace_back(0, hom); });
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// The matcher's streams.
+
+Stream MatcherRound(const std::vector<Tgd>& tgds, const Instance& instance,
+                    const RoundView& view, unsigned threads) {
+  Stream out;
+  HomEnumerator e;
+  for (const BodyPartition& part : PlanBodyPartitions(tgds, view, threads)) {
+    e.Reset(tgds[part.rule], &instance, view, part);
+    while (e.Next()) out.emplace_back(part.rule, e.hom());
+  }
+  return out;
+}
+
+// Every fragment gets its own enumerator, all reset up front; they advance
+// round-robin one Next() at a time, and between any two calls a scratch
+// enumerator is reset onto another fragment and advanced once — so every
+// resume continues from a parked backtracking state.
+Stream MatcherRoundInterleaved(const std::vector<Tgd>& tgds,
+                               const Instance& instance,
+                               const RoundView& view, unsigned threads) {
+  const std::vector<BodyPartition> parts =
+      PlanBodyPartitions(tgds, view, threads);
+  std::vector<HomEnumerator> enums(parts.size());
+  for (size_t t = 0; t < parts.size(); ++t) {
+    enums[t].Reset(tgds[parts[t].rule], &instance, view, parts[t]);
+  }
+  std::vector<Stream> streams(parts.size());
+  std::vector<char> live(parts.size(), 1);
+  HomEnumerator scratch;
+  size_t remaining = parts.size();
+  for (size_t step = 0; remaining > 0; ++step) {
+    for (size_t t = 0; t < parts.size(); ++t) {
+      if (live[t] == 0) continue;
+      if (enums[t].Next()) {
+        streams[t].emplace_back(parts[t].rule, enums[t].hom());
+      } else {
+        live[t] = 0;
+        --remaining;
+      }
+      const size_t other = (t + 1 + step) % parts.size();
+      scratch.Reset(tgds[parts[other].rule], &instance, view, parts[other]);
+      (void)scratch.Next();
+    }
+  }
+  Stream out;
+  for (Stream& stream : streams) {
+    out.insert(out.end(), stream.begin(), stream.end());
+  }
+  return out;
+}
+
+Stream MatcherStream(const std::vector<RuleAtom>& atoms,
+                     const Instance& instance, std::vector<RowRange> ranges,
+                     const std::vector<Term>& h) {
+  Stream out;
+  HomEnumerator e;
+  e.Reset(atoms, &instance, std::move(ranges), h);
+  while (e.Next()) out.emplace_back(0, e.hom());
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Fixtures: a schema of arity-2/3 predicates, a dense random instance over
+// a tiny domain (so joins actually match), random round windows.
+
+struct Fixture {
+  Schema schema;
+  std::vector<PredId> preds;
+};
+
+void DeclareSchema(Fixture* fixture, Rng* rng) {
+  for (int i = 0; i < 4; ++i) {
+    auto pred = fixture->schema.GetOrAddPredicate(
+        "p" + std::to_string(i), 2 + static_cast<uint32_t>(rng->Below(2)));
+    ASSERT_TRUE(pred.ok()) << pred.status();
+    fixture->preds.push_back(*pred);
+  }
+}
+
+Instance MakeInstance(const Fixture& fixture, Rng* rng, uint32_t rows) {
+  Instance instance(&fixture.schema);
+  for (PredId pred : fixture.preds) {
+    for (uint32_t added = 0, tries = 0; added < rows && tries < 10 * rows;
+         ++tries) {
+      std::vector<Term> args(fixture.schema.Arity(pred));
+      for (Term& arg : args) {
+        arg = MakeConstant(static_cast<uint32_t>(rng->Below(4)));
+      }
+      if (instance.AddAtom(GroundAtom(pred, std::move(args)))) ++added;
+    }
+  }
+  return instance;
+}
+
+// Random prev <= cur <= |pred| per predicate, plus the edge windows a
+// chase actually produces: the first round (prev = 0, cur = all) and an
+// empty delta everywhere.
+std::vector<RoundView> MakeViews(const Fixture& fixture,
+                                 const Instance& instance, Rng* rng) {
+  const size_t n = fixture.schema.NumPredicates();
+  std::vector<RoundView> views(5);
+  for (size_t v = 0; v < views.size(); ++v) {
+    views[v].prev.assign(n, 0);
+    views[v].cur.assign(n, 0);
+    for (PredId pred = 0; pred < n; ++pred) {
+      const size_t size = instance.AtomsOf(pred).size();
+      size_t cur = size;
+      size_t prev = 0;
+      if (v == 1) prev = size;  // empty delta
+      if (v >= 2) {
+        cur = static_cast<size_t>(rng->Below(size + 1));
+        prev = static_cast<size_t>(rng->Below(cur + 1));
+      }
+      views[v].prev[pred] = prev;
+      views[v].cur[pred] = cur;
+    }
+  }
+  return views;
+}
+
+std::vector<Tgd> MakeTgds(const Fixture& fixture, NonLinearFamily family,
+                          uint32_t body_atoms, uint64_t seed) {
+  NonLinearGenParams params;
+  params.ssize = static_cast<uint32_t>(fixture.preds.size());
+  params.min_arity = 2;
+  params.max_arity = 3;
+  params.tsize = 5;
+  params.family = family;
+  params.body_atoms = body_atoms;
+  params.existential_percent = 25;
+  params.seed = seed;
+  auto tgds = GenerateNonLinearTgds(fixture.schema, params);
+  EXPECT_TRUE(tgds.ok()) << tgds.status();
+  return tgds.ok() ? std::move(tgds).value() : std::vector<Tgd>{};
+}
+
+constexpr NonLinearFamily kFamilies[] = {
+    NonLinearFamily::kTriangle, NonLinearFamily::kStar,
+    NonLinearFamily::kChain, NonLinearFamily::kCross};
+
+// ---------------------------------------------------------------------------
+
+TEST(HomEnumeratorTest, FragmentStreamsConcatenateToTheOracleRound) {
+  Rng rng(20261017);
+  size_t total_homs = 0;
+  for (NonLinearFamily family : kFamilies) {
+    for (uint32_t body_atoms : {2u, 3u}) {
+      Fixture fixture;
+      DeclareSchema(&fixture, &rng);
+      const Instance instance = MakeInstance(fixture, &rng, /*rows=*/12);
+      const std::vector<Tgd> tgds =
+          MakeTgds(fixture, family, body_atoms, rng.Next());
+      ASSERT_FALSE(tgds.empty());
+      const std::vector<RoundView> views = MakeViews(fixture, instance, &rng);
+      for (size_t v = 0; v < views.size(); ++v) {
+        const Stream oracle = OracleRound(tgds, instance, views[v]);
+        total_homs += oracle.size();
+        for (unsigned threads : kThreadSweep) {
+          const std::string label =
+              std::string("family ") + NonLinearFamilyName(family) +
+              ", body " + std::to_string(body_atoms) + ", view " +
+              std::to_string(v) + ", threads " + std::to_string(threads);
+          EXPECT_EQ(MatcherRound(tgds, instance, views[v], threads), oracle)
+              << label;
+          EXPECT_EQ(
+              MatcherRoundInterleaved(tgds, instance, views[v], threads),
+              oracle)
+              << label << " (interleaved)";
+        }
+      }
+    }
+  }
+  EXPECT_GT(total_homs, 1000u);  // the sweep exercised real joins
+}
+
+TEST(HomEnumeratorTest, HeadWindowMatchesFollowTheOracle) {
+  // Head checks extend the frontier binding of a body homomorphism
+  // (existentials free) under the three windows the restricted chase uses:
+  // every row, the round-start prefix, and a suffix at one position. The
+  // generated heads are single atoms, so each rule's head is followed by
+  // its body atoms: a multi-atom conjunction with free existential and
+  // free non-frontier variables, where the suffix position matters.
+  Rng rng(7);
+  size_t checked = 0;
+  size_t matches = 0;
+  for (NonLinearFamily family : kFamilies) {
+    Fixture fixture;
+    DeclareSchema(&fixture, &rng);
+    const Instance instance = MakeInstance(fixture, &rng, /*rows=*/10);
+    const std::vector<Tgd> tgds = MakeTgds(fixture, family, 2, rng.Next());
+    const RoundView view = MakeViews(fixture, instance, &rng)[2];
+    for (uint32_t rule = 0; rule < tgds.size(); ++rule) {
+      const Tgd& tgd = tgds[rule];
+      std::vector<RuleAtom> atoms = tgd.head();
+      atoms.insert(atoms.end(), tgd.body().begin(), tgd.body().end());
+      std::vector<std::vector<RowRange>> windows;
+      windows.push_back(FullRanges(atoms, instance));
+      std::vector<RowRange> prefix;
+      for (const RuleAtom& atom : atoms) {
+        prefix.push_back({0, view.CurOf(atom.pred)});
+      }
+      windows.push_back(prefix);
+      for (size_t d = 0; d < atoms.size(); ++d) {
+        std::vector<RowRange> suffix = FullRanges(atoms, instance);
+        suffix[d].begin = view.CurOf(atoms[d].pred);
+        windows.push_back(suffix);
+      }
+      std::vector<Term> h(tgd.num_vars(), kUnboundTerm);
+      std::vector<VarId> trail;
+      OracleMatch(tgd.body(), instance, FullRanges(tgd.body(), instance), 0,
+                  h, trail, [&](const std::vector<Term>& body_hom) {
+                    std::vector<Term> frontier(tgd.num_vars(), kUnboundTerm);
+                    for (VarId v : tgd.frontier()) frontier[v] = body_hom[v];
+                    for (const std::vector<RowRange>& window : windows) {
+                      const Stream oracle =
+                          OracleStream(atoms, instance, window, frontier);
+                      EXPECT_EQ(
+                          MatcherStream(atoms, instance, window, frontier),
+                          oracle)
+                          << NonLinearFamilyName(family) << " rule " << rule;
+                      ++checked;
+                      matches += oracle.size();
+                    }
+                  });
+    }
+  }
+  EXPECT_GT(checked, 100u);
+  EXPECT_GT(matches, 100u);
+}
+
+TEST(HomEnumeratorTest, AppendsBetweenNextCallsStayOutsideTheWindows) {
+  // MFA fires triggers while its matcher is parked: rows appended after
+  // Reset (reallocating the per-predicate vectors) must neither be matched
+  // nor disturb the rows inside the windows.
+  Rng rng(11);
+  Fixture fixture;
+  DeclareSchema(&fixture, &rng);
+  Instance instance = MakeInstance(fixture, &rng, /*rows=*/10);
+  const std::vector<Tgd> tgds =
+      MakeTgds(fixture, NonLinearFamily::kChain, 3, rng.Next());
+  for (const Tgd& tgd : tgds) {
+    const std::vector<RowRange> ranges = FullRanges(tgd.body(), instance);
+    const std::vector<Term> unbound(tgd.num_vars(), kUnboundTerm);
+    const Stream oracle = OracleStream(tgd.body(), instance, ranges, unbound);
+    Stream seen;
+    HomEnumerator e;
+    e.Reset(tgd.body(), &instance, ranges, unbound);
+    while (e.Next()) {
+      seen.emplace_back(0, e.hom());
+      for (PredId pred : fixture.preds) {
+        std::vector<Term> args(fixture.schema.Arity(pred));
+        for (Term& arg : args) arg = MakeNull(instance.NewNullId());
+        ASSERT_TRUE(instance.AddAtom(GroundAtom(pred, std::move(args))));
+      }
+    }
+    EXPECT_EQ(seen, oracle);
+  }
+}
+
+TEST(HomEnumeratorTest, QueryEvaluationMatchesTheOracle) {
+  // A query per rule body, answering its frontier: Evaluate's answers are
+  // the oracle's full-window matches projected and deduplicated.
+  Rng rng(13);
+  size_t answers = 0;
+  for (NonLinearFamily family : kFamilies) {
+    Fixture fixture;
+    DeclareSchema(&fixture, &rng);
+    const Instance instance = MakeInstance(fixture, &rng, /*rows=*/12);
+    for (const Tgd& tgd : MakeTgds(fixture, family, 3, rng.Next())) {
+      query::ConjunctiveQuery cq;
+      cq.name = "q";
+      cq.body = tgd.body();
+      cq.num_vars = tgd.num_universal();
+      cq.answer_vars = tgd.frontier();
+      std::set<query::Answer> expected;
+      for (const auto& [rule, hom] :
+           OracleStream(cq.body, instance, FullRanges(cq.body, instance),
+                        std::vector<Term>(cq.num_vars, kUnboundTerm))) {
+        query::Answer answer;
+        for (VarId v : cq.answer_vars) answer.push_back(hom[v]);
+        expected.insert(std::move(answer));
+      }
+      const std::vector<query::Answer> got = query::Evaluate(instance, cq);
+      EXPECT_EQ(got,
+                std::vector<query::Answer>(expected.begin(), expected.end()))
+          << NonLinearFamilyName(family);
+      answers += got.size();
+    }
+  }
+  EXPECT_GT(answers, 0u);
+}
+
+}  // namespace
+}  // namespace chase

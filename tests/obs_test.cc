@@ -569,10 +569,13 @@ TEST_F(ObsTest, ChaseIsBitIdenticalWithTracingOn) {
     }
     EXPECT_GE(names["run"], 1u) << label;
     EXPECT_EQ(names["round"], baseline->rounds) << label;
+    // Serial and parallel rounds both span each fragment they enumerate,
+    // under the same name.
+    EXPECT_GE(names["hom_task"], 1u) << label;
+    EXPECT_EQ(names["rule"], 0u) << label;
     if (threads > 1) {
       // The parallel non-linear engine announces its budgeted windows.
       EXPECT_GE(names["wave"], 1u) << label;
-      EXPECT_GE(names["hom_task"], 1u) << label;
     }
 
     // The registry mirrors the result counters as gauges.

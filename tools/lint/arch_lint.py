@@ -59,6 +59,7 @@ import sys
 import tomllib
 
 from lint_common import (CC_EXTENSIONS, FIXTURE_DIR_MARKER, Finding,
+                         bare_allow_findings, collect_suppressions,
                          rel_to_root, strip_code_noise)
 
 HEADER_EXTENSIONS = (".h",)
@@ -104,10 +105,9 @@ class SourceFile:
         self.code = [strip_code_noise(line) for line in lines]
         self.root = root
         self.includes = []  # (lineno, include_text, resolved_relpath|None)
-        self.suppressions = {}
-        self.bare_allows = []  # (lineno, rule)
         self._parse_includes()
-        self._collect_suppressions()
+        self.suppressions, self.bare_allows = collect_suppressions(
+            lines, SUPPRESS_RE)
 
     @property
     def subsystem(self):
@@ -139,24 +139,6 @@ class SourceFile:
             if match:
                 inc = match.group(1)
                 self.includes.append((i, inc, self._resolve(inc)))
-
-    def _collect_suppressions(self):
-        """Maps 1-based line number -> allowed rule ids; a comment-only
-        suppression also covers the next code line (reason lines may wrap
-        as further comment lines, which are skipped)."""
-        for i, line in enumerate(self.lines, start=1):
-            for match in SUPPRESS_RE.finditer(line):
-                rule = match.group(1)
-                reason = match.group(2).strip()
-                if not reason:
-                    self.bare_allows.append((i, rule))
-                self.suppressions.setdefault(i, set()).add(rule)
-                if line.lstrip().startswith("//"):
-                    target = i + 1
-                    while (target <= len(self.lines) and
-                           self.lines[target - 1].lstrip().startswith("//")):
-                        target += 1
-                    self.suppressions.setdefault(target, set()).add(rule)
 
     def allowed(self, lineno, rule):
         return rule in self.suppressions.get(lineno, set())
@@ -281,11 +263,8 @@ class Analyzer:
         for sf in self.files.values():
             if sf.relpath not in self.listed:
                 continue
-            for lineno, rule in sf.bare_allows:
-                self.findings.append(Finding(
-                    sf.relpath, lineno, "bare-allow",
-                    f"suppression allow({rule}) without a reason — state "
-                    "the invariant that replaces the rule"))
+            self.findings.extend(bare_allow_findings(sf.relpath,
+                                                     sf.bare_allows))
 
     def check_guards(self):
         for sf in self.files.values():

@@ -65,6 +65,7 @@ import re
 import sys
 
 from lint_common import (CC_EXTENSIONS, FIXTURE_DIR_MARKER, Finding,
+                         bare_allow_findings, collect_suppressions,
                          rel_to_root, strip_code_noise)
 
 SUPPRESS_RE = re.compile(r"//\s*chase-lint:\s*allow\(([\w-]+)\)\s*(.*)")
@@ -167,30 +168,9 @@ class FileLinter:
         # unordered members are declared in its header, so name collection
         # must see both.
         self.header_code = list(header_code)
-        self.suppressions = self._collect_suppressions()
+        self.suppressions, self.bare_allows = collect_suppressions(
+            lines, SUPPRESS_RE)
         self.findings = []
-
-    def _collect_suppressions(self):
-        """Maps 1-based line number -> set of allowed rule ids. A
-        suppression comment covers its own line and, when the rest of the
-        line is only the comment, the next code line — the reason may wrap
-        onto continuation comment lines, which are skipped over."""
-        allowed = {}
-        for i, line in enumerate(self.lines, start=1):
-            for match in SUPPRESS_RE.finditer(line):
-                rule = match.group(1)
-                reason = match.group(2).strip()
-                if not reason:
-                    self.findings = getattr(self, "findings", [])
-                    allowed.setdefault(-i, set()).add(rule)  # marker
-                allowed.setdefault(i, set()).add(rule)
-                if line.lstrip().startswith("//"):
-                    target = i + 1
-                    while (target <= len(self.lines) and
-                           self.lines[target - 1].lstrip().startswith("//")):
-                        target += 1
-                    allowed.setdefault(target, set()).add(rule)
-        return allowed
 
     def allowed(self, lineno, rule):
         return rule in self.suppressions.get(lineno, set())
@@ -201,15 +181,8 @@ class FileLinter:
         self.findings.append(Finding(self.relpath, lineno, rule, message))
 
     def check_reasonless_suppressions(self):
-        for neg, rules in self.suppressions.items():
-            if neg >= 0:
-                continue
-            lineno = -neg
-            for rule in rules:
-                self.findings.append(Finding(
-                    self.relpath, lineno, "bare-allow",
-                    f"suppression allow({rule}) without a reason — state "
-                    "the invariant that replaces the rule"))
+        self.findings.extend(bare_allow_findings(self.relpath,
+                                                 self.bare_allows))
 
     # -- rules --------------------------------------------------------------
 

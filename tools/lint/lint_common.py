@@ -66,6 +66,40 @@ def strip_code_noise(line):
     return "".join(out)
 
 
+def collect_suppressions(lines, suppress_re):
+    """Parses the `// <linter>: allow(<rule>) <reason>` comments matched by
+    `suppress_re` (groups: rule id, reason). Returns (allowed_by_line,
+    bare_allows): allowed_by_line maps a 1-based line number to the set of
+    rule ids allowed there — a suppression covers its own line and, when
+    the rest of the line is only the comment, the next code line (the
+    reason may wrap onto continuation comment lines, which are skipped
+    over); bare_allows lists (line, rule) for each suppression without a
+    reason."""
+    allowed = {}
+    bare_allows = []
+    for i, line in enumerate(lines, start=1):
+        for match in suppress_re.finditer(line):
+            rule = match.group(1)
+            if not match.group(2).strip():
+                bare_allows.append((i, rule))
+            allowed.setdefault(i, set()).add(rule)
+            if line.lstrip().startswith("//"):
+                target = i + 1
+                while (target <= len(lines) and
+                       lines[target - 1].lstrip().startswith("//")):
+                    target += 1
+                allowed.setdefault(target, set()).add(rule)
+    return allowed, bare_allows
+
+
+def bare_allow_findings(relpath, bare_allows):
+    """One bare-allow finding per reasonless suppression."""
+    return [Finding(relpath, lineno, "bare-allow",
+                    f"suppression allow({rule}) without a reason — state "
+                    "the invariant that replaces the rule")
+            for lineno, rule in bare_allows]
+
+
 def rel_to_root(path, root):
     try:
         return os.path.relpath(os.path.abspath(path), root)
