@@ -20,10 +20,13 @@
 // (per-depth overhead) measures a condvar cycle instead of the thread
 // spawn+join every depth used to pay.
 //
-// NOTE: this container is single-core, so wall-clock parallel gains don't
-// show here — the expansion counters do (same caveat as
-// ablation_pool_sharding), and the us-depth column is counter-based
-// per-depth overhead, not a parallelism measurement. Every configuration
+// NOTE: wall-clock speedup needs at least as many cores as threads (the
+// 8-thread rows oversubscribe a 4-core machine) and enough work per depth
+// to amortize the barrier; the committed BENCH_frontier_parallel.json rows
+// show parallel runs losing to serial at these sizes. The expansion
+// counters show the frontier being split across workers regardless, and
+// the us-depth column is counter-based per-depth overhead, not a
+// parallelism measurement. Every configuration
 // is checked bit-identical against the serial oracle before its row is
 // emitted.
 

@@ -28,10 +28,10 @@
 // bit-identical against the serial oracle — outcome, rounds, trigger
 // counts, and the instance's insertion order — before its row is emitted.
 //
-// NOTE: this container is single-core, so wall-clock parallel gains don't
-// show here (same caveat as ablation_frontier_parallel); the equivalence
-// checks, the peak-buffer accounting, and the pause/resume overhead trend
-// across budgets are the signal. Also emits BENCH_nonlinear_chase.json
+// NOTE: wall-clock parallel gains need as many cores as threads and
+// enough work per round (same caveat as ablation_frontier_parallel); the
+// equivalence checks, the peak-buffer accounting, and the pause/resume
+// overhead trend across budgets are the signal. Also emits BENCH_nonlinear_chase.json
 // (see WriteBenchJson) for CI to archive.
 
 #include <iostream>

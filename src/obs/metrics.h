@@ -15,10 +15,10 @@
 // relaxed atomic load — so a disabled run does no clock read, no hash, no
 // atomic RMW. When enabled, counters and histograms are sharded padded
 // atomics (one stripe per thread hash), so concurrent publication from
-// scan workers, pool workers, and prefetch threads never serializes on a
-// latch and never false-shares a cache line. Metric objects live for the
-// process: GetCounter/GetHistogram return stable pointers callers may
-// cache, and Reset zeroes values without invalidating them.
+// scan workers and pool workers never serializes on a latch and never
+// false-shares a cache line. Metric objects live for the process:
+// GetCounter/GetHistogram return stable pointers callers may cache, and
+// Reset zeroes values without invalidating them.
 //
 // Naming convention (see README "Observability"): dotted lowercase paths,
 // subsystem first — "chase.rounds", "check.t_shapes_ms", "pool.busy_us",

@@ -9,7 +9,6 @@
 #include "pager/disk_manager.h"
 #include "pager/heap_file.h"
 #include "pager/page.h"
-#include "pager/prefetcher.h"
 #include "storage/shape_source.h"
 
 namespace chase {
@@ -18,13 +17,6 @@ namespace pager {
 std::vector<PredId> DiskShapeSource::NonEmptyRelations() const {
   ++stats_.catalog_queries;
   return db_->NonEmptyPredicates();
-}
-
-const std::vector<PageId>* DiskShapeSource::CachedPageDirectory(
-    PredId pred) const {
-  MutexLock lock(mu_);
-  auto it = directories_.find(pred);
-  return it == directories_.end() ? nullptr : &it->second;
 }
 
 StatusOr<const std::vector<PageId>*> DiskShapeSource::PageDirectory(
@@ -37,14 +29,6 @@ StatusOr<const std::vector<PageId>*> DiskShapeSource::PageDirectory(
   return &directories_.emplace(pred, std::move(pages)).first->second;
 }
 
-Prefetcher* DiskShapeSource::EnsurePrefetcher() const {
-  MutexLock lock(mu_);
-  if (prefetcher_ == nullptr) {
-    prefetcher_ = std::make_unique<Prefetcher>(&db_->buffer_pool());
-  }
-  return prefetcher_.get();
-}
-
 Status DiskShapeSource::ScanRange(PredId pred, uint64_t first_row,
                                   uint64_t num_rows,
                                   const storage::TupleVisitor& visit) const {
@@ -53,99 +37,23 @@ Status DiskShapeSource::ScanRange(PredId pred, uint64_t first_row,
   const uint64_t last = std::min<uint64_t>(rows, begin + num_rows);
   if (begin >= last) return OkStatus();
   const HeapFile& relation = db_->relation(pred);
-  const unsigned depth = read_ahead();
-  const std::vector<PageId>* directory = nullptr;
   if (begin == 0) {
     // Full-prefix scans (the serial scanner and every EXISTS probe) walk
     // straight from the chain head — no directory needed, and early exits
-    // stay cheap. With read-ahead on, a directory some ranged chunk
-    // already built is reused for page-by-page prefetching, but never
-    // built here: CollectPageIds is itself a full cold chain walk, which
-    // would double the physical I/O of the very scan read-ahead is meant
-    // to speed up.
-    if (depth > 0) directory = CachedPageDirectory(pred);
-    if (directory == nullptr) {
-      return relation.ScanFrom(relation.first_page(), 0, last, visit);
-    }
+    // stay cheap.
+    return relation.ScanFrom(relation.first_page(), 0, last, visit);
   }
   const uint32_t per_page = HeapFile::TuplesPerPage(relation.arity());
-  if (directory == nullptr) {
-    CHASE_ASSIGN_OR_RETURN(directory, PageDirectory(pred));
-  }
-  const uint64_t last_page = (last - 1) / per_page;
-  if (last_page >= directory->size()) {
+  CHASE_ASSIGN_OR_RETURN(const std::vector<PageId>* directory,
+                         PageDirectory(pred));
+  if ((last - 1) / per_page >= directory->size()) {
     return InternalError("heap page directory shorter than tuple count");
   }
-  if (depth == 0) {
-    return relation.ScanFrom((*directory)[begin / per_page],
-                             begin % per_page, last - begin, visit);
-  }
-
-  // Read-ahead path: drive the scan page by page so the prefetcher can be
-  // kept `depth` pages in front of the cursor while `visit` hashes the
-  // current page's tuples. Look-ahead extends past this call's range to the
-  // end of the relation: the parallel scanner deals sub-page chunks of the
-  // same heap chain to its workers, and whoever draws the next chunk wants
-  // those pages resident too.
-  Prefetcher* prefetcher = EnsurePrefetcher();
-  // Clamp the look-ahead so the scans in flight can't collectively
-  // prefetch more pages than the pool can hold — past that point
-  // read-ahead evicts its own not-yet-consumed pages and every fault is
-  // paid twice. The budget is divided by the number of concurrently active
-  // ranged scans (the parallel scanner's workers), not just per call.
-  struct ScanCount {
-    std::atomic<unsigned>& count;
-    ~ScanCount() { count.fetch_sub(1, std::memory_order_relaxed); }
-  };
-  const unsigned active =
-      active_scans_.fetch_add(1, std::memory_order_relaxed) + 1;
-  ScanCount scope{active_scans_};
-  const uint64_t effective_depth = std::min<uint64_t>(
-      depth,
-      std::max(1u, db_->buffer_pool().num_frames() / (4 * active)));
-  uint64_t page_index = begin / per_page;
-  uint64_t skip = begin % per_page;
-  uint64_t row = begin;
-  uint64_t enqueued = page_index;  // directory index after the last request
-  bool stopped = false;
-  while (row < last && !stopped) {
-    const uint64_t want = std::min<uint64_t>(
-        directory->size(), page_index + 1 + effective_depth);
-    if (enqueued <= page_index) enqueued = page_index + 1;
-    if (enqueued < want) {
-      prefetcher->Enqueue(std::span<const PageId>(
-          directory->data() + enqueued, want - enqueued));
-      enqueued = want;
-    }
-    const uint64_t rows_here =
-        std::min<uint64_t>(per_page - skip, last - row);
-    CHASE_RETURN_IF_ERROR(relation.ScanFrom(
-        (*directory)[page_index], skip, rows_here,
-        [&](std::span<const uint32_t> tuple) {
-          if (!visit(tuple)) {
-            stopped = true;
-            return false;
-          }
-          return true;
-        }));
-    row += rows_here;
-    skip = 0;
-    ++page_index;
-  }
-  return OkStatus();
+  return relation.ScanFrom((*directory)[begin / per_page], begin % per_page,
+                           last - begin, visit);
 }
 
 storage::IoCounters DiskShapeSource::Io() const {
-  // Quiesce tail read-ahead first: the workers drain on their own
-  // schedule, and a snapshot taken mid-drain would report nondeterministic
-  // prefetch and page-read counts (and bleed one run's tail I/O into the
-  // next run's delta).
-  Prefetcher* prefetcher = nullptr;
-  {
-    MutexLock lock(mu_);
-    prefetcher = prefetcher_.get();
-  }
-  if (prefetcher != nullptr) prefetcher->Drain();
   const IoStats& io = db_->disk().stats();
   const BufferPoolStats pool = db_->buffer_pool().stats();
   storage::IoCounters out;
@@ -153,7 +61,6 @@ storage::IoCounters DiskShapeSource::Io() const {
   out.pages_written = io.pages_written.load(std::memory_order_relaxed);
   out.pool_hits = pool.hits;
   out.pool_misses = pool.misses;
-  out.pool_prefetches = pool.prefetches;
   return out;
 }
 

@@ -9,19 +9,12 @@
 // r / TuplesPerPage, offset r % TuplesPerPage. The directory is built once
 // per relation on first ranged access and shared by all workers.
 //
-// With ConfigureReadAhead(depth > 0), ScanRange additionally feeds the next
-// `depth` pages of its range to a background Prefetcher while hashing the
-// current page, so cold-pool scans overlap their I/O stalls with compute.
-// Read-ahead is best-effort and does not change scan results.
-//
 // I/O metering maps onto the DiskManager page counters and BufferPool
-// hit/miss/prefetch counters, giving the exact physical cost of each plan.
+// hit/miss counters, giving the exact physical cost of each plan.
 
 #ifndef CHASE_PAGER_DISK_SHAPE_SOURCE_H_
 #define CHASE_PAGER_DISK_SHAPE_SOURCE_H_
 
-#include <atomic>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -30,7 +23,6 @@
 #include "logic/schema.h"
 #include "pager/disk_database.h"
 #include "pager/page.h"
-#include "pager/prefetcher.h"
 #include "storage/catalog.h"
 #include "storage/shape_source.h"
 
@@ -39,11 +31,8 @@ namespace pager {
 
 class DiskShapeSource final : public storage::ShapeSource {
  public:
-  // `db` must outlive the source. `read_ahead` is the initial prefetch
-  // depth in pages (0 = off); FindShapesOptions::prefetch overrides it per
-  // run through ConfigureReadAhead.
-  explicit DiskShapeSource(const DiskDatabase* db, unsigned read_ahead = 0)
-      : db_(db), read_ahead_(read_ahead) {}
+  // `db` must outlive the source.
+  explicit DiskShapeSource(const DiskDatabase* db) : db_(db) {}
 
   const char* Name() const override { return "disk"; }
   const Schema& schema() const override { return db_->schema(); }
@@ -56,36 +45,17 @@ class DiskShapeSource final : public storage::ShapeSource {
                    const storage::TupleVisitor& visit) const override;
   storage::AccessStats& stats() const override { return stats_; }
   storage::IoCounters Io() const override;
-  void ConfigureReadAhead(unsigned depth) const override {
-    read_ahead_.store(depth, std::memory_order_relaxed);
-  }
-
-  unsigned read_ahead() const {
-    return read_ahead_.load(std::memory_order_relaxed);
-  }
 
  private:
   // Returns the page directory of `pred`, building it on first use.
   [[nodiscard]]
   StatusOr<const std::vector<PageId>*> PageDirectory(PredId pred) const;
 
-  // The directory if some ranged access already built it, else nullptr —
-  // lets full-prefix scans opt into read-ahead without paying a build.
-  const std::vector<PageId>* CachedPageDirectory(PredId pred) const;
-
-  // Lazily started background read-ahead workers (guarded by mu_).
-  Prefetcher* EnsurePrefetcher() const;
-
   const DiskDatabase* db_;
   mutable storage::AccessStats stats_;
-  mutable std::atomic<unsigned> read_ahead_;
-  // Ranged scans currently inside the read-ahead path; divides the
-  // look-ahead budget so concurrent workers don't overrun the pool.
-  mutable std::atomic<unsigned> active_scans_{0};
-  mutable Mutex mu_;  // guards directories_ and prefetcher_ creation
+  mutable Mutex mu_;  // guards directories_
   mutable std::unordered_map<PredId, std::vector<PageId>> directories_
       GUARDED_BY(mu_);
-  mutable std::unique_ptr<Prefetcher> prefetcher_ GUARDED_BY(mu_);
 };
 
 }  // namespace pager

@@ -172,12 +172,6 @@ StatusOr<std::vector<Shape>> FindShapes(const ShapeSource& source,
   // Mirror this run's access-stats delta into the metrics registry on
   // every exit path.
   ScopedAccessStatsMirror stats_mirror(source);
-  // Read-ahead pays off only for plans that consume whole ranges (scan and
-  // the index build). The exists plan's probes early-exit — usually within
-  // the first page — so read-ahead there would trade the cheap chain-head
-  // walk for a full page-directory build plus faults past the exit point.
-  source.ConfigureReadAhead(
-      options.mode == ShapeFinderMode::kExists ? 0 : options.prefetch);
   if (options.mode == ShapeFinderMode::kIndex) {
     // The index-backed plan lives one layer up (index::FindShapes in
     // index/find_shapes.h): storage sits below index/ in the layer DAG,

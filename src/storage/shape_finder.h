@@ -54,13 +54,6 @@ struct FindShapesOptions {
   ShapeFinderMode mode = ShapeFinderMode::kScan;
   unsigned threads = 1;     // <= 1 runs serially
   unsigned index_shards = 0;  // kIndex only: shard count (0 = default)
-  // Scan read-ahead depth in pages, applied to the source via
-  // ConfigureReadAhead for the run (0 = off). Only backends with physical
-  // I/O (pager::DiskShapeSource) act on it, and only the range-consuming
-  // plans (kScan, kIndex) use it — the exists plan's early-exit probes
-  // ignore it. Overlaps cold-pool page faults with tuple hashing; never
-  // changes results.
-  unsigned prefetch = 0;
   // When non-null and the exists plan runs frontier-parallel (threads > 1),
   // receives the engine's depth/expansion counters — per-worker expansion
   // counts included, which is how bench/ablation_frontier_parallel.cc shows

@@ -25,11 +25,19 @@ std::string TempDir() {
 
 // Runs `chasectl <args>`, asserting the process exited (as opposed to
 // dying by signal — an uncaught exception aborts) and returning its exit
-// code.
-int RunChasectl(const std::string& args) {
+// code. When `err` is non-null it receives the process's stderr.
+int RunChasectl(const std::string& args, std::string* err = nullptr) {
+  const std::string err_path = TempDir() + "/chasectl_cli_test.stderr";
   const std::string command =
-      std::string(CHASECTL_PATH) + " " + args + " >/dev/null 2>&1";
+      std::string(CHASECTL_PATH) + " " + args + " >/dev/null 2>" +
+      (err != nullptr ? err_path : "&1");
   const int raw = std::system(command.c_str());
+  if (err != nullptr) {
+    std::ifstream in(err_path);
+    err->assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+    std::remove(err_path.c_str());
+  }
   EXPECT_TRUE(WIFEXITED(raw)) << "chasectl died by signal on: " << args;
   return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
 }
@@ -67,7 +75,6 @@ TEST_F(ChasectlCliTest, MalformedNumericFlagsExitTwo) {
       "findshapes " + file + " --threads=%s",
       "findshapes " + file + " --shards=%s",
       "findshapes " + file + " --pool-shards=%s",
-      "findshapes " + file + " --prefetch=%s",
       "index build " + file + " " + out_idx + " --threads=%s",
       "index build " + file + " " + out_idx + " --shards=%s",
       "generate " + out_gen + " --preds=%s",
@@ -151,6 +158,11 @@ TEST_F(ChasectlCliTest, UnknownFlagsExitTwo) {
             2);
   EXPECT_EQ(RunChasectl("check " + file + " --mode=l --threds=4"), 2);
   EXPECT_EQ(RunChasectl("stats " + file + " --threads=2"), 2);
+  // A removed flag is unknown too: old scripts fail instead of running
+  // without it.
+  std::string err;
+  EXPECT_EQ(RunChasectl("findshapes " + file + " --prefetch=8", &err), 2);
+  EXPECT_NE(err.find("unknown flag --prefetch"), std::string::npos) << err;
 }
 
 TEST_F(ChasectlCliTest, MalformedObservabilityFlagsExitTwo) {

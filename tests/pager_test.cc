@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -15,7 +14,6 @@
 #include "pager/disk_shape_source.h"
 #include "pager/heap_file.h"
 #include "pager/page.h"
-#include "pager/prefetcher.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
 #include "storage/shape_source.h"
@@ -463,192 +461,34 @@ TEST(BufferPoolShardingTest, StressMoreThreadsThanFrames) {
 }
 
 // ---------------------------------------------------------------------------
-// Prefetch
+// DiskShapeSource
 
-TEST(PrefetchTest, PrefetchFaultsPagesWithoutPinning) {
-  const std::string path = TempPath("pf_nopin.db");
-  PageId id = kInvalidPageId;
-  {
-    auto manager = DiskManager::Create(path);
-    ASSERT_TRUE(manager.ok());
-    BufferPool pool(&manager.value(), 4);
-    auto guard = pool.Allocate();
-    ASSERT_TRUE(guard.ok());
-    id = guard->page_id();
-    Page& page = guard->MutablePage();
-    WritePageHeader(&page, PageHeader{});
-    page.WriteU32(kPageHeaderSize, 4242);
-    guard->Release();
-    ASSERT_TRUE(pool.Flush().ok());
-  }
-  auto manager = DiskManager::Open(path);
-  ASSERT_TRUE(manager.ok());
-  BufferPool pool(&manager.value(), 4);  // cold
-  ASSERT_TRUE(pool.Prefetch(id).ok());
-  EXPECT_EQ(pool.pinned_frames(), 0u);
-  EXPECT_EQ(pool.stats().prefetches, 1u);
-  EXPECT_EQ(pool.stats().misses, 0u);
-
-  auto guard = pool.Fetch(id);
-  ASSERT_TRUE(guard.ok());
-  EXPECT_EQ(guard->page().ReadU32(kPageHeaderSize), 4242u);
-  EXPECT_EQ(pool.stats().hits, 1u);
-  EXPECT_EQ(pool.stats().misses, 0u);
-
-  // Re-prefetching a resident page is a cheap no-op.
-  ASSERT_TRUE(pool.Prefetch(id).ok());
-  EXPECT_EQ(pool.stats().prefetches, 1u);
-  EXPECT_EQ(pool.stats().prefetch_drops, 1u);
-}
-
-TEST(PrefetchTest, BackgroundPrefetcherWarmsColdPool) {
-  const std::string path = TempPath("pf_warm.db");
-  std::vector<PageId> pages;
-  {
-    auto manager = DiskManager::Create(path);
-    ASSERT_TRUE(manager.ok());
-    BufferPool pool(&manager.value(), 8);
-    for (int i = 0; i < 6; ++i) {
-      auto guard = pool.Allocate();
-      ASSERT_TRUE(guard.ok());
-      WritePageHeader(&guard->MutablePage(), PageHeader{});
-      pages.push_back(guard->page_id());
-    }
-    ASSERT_TRUE(pool.Flush().ok());
-  }
-  auto manager = DiskManager::Open(path);
-  ASSERT_TRUE(manager.ok());
-  BufferPool pool(&manager.value(), 16, 4);
-  {
-    Prefetcher prefetcher(&pool, /*threads=*/2);
-    prefetcher.Enqueue(pages);
-    // Wait for the queue to drain: every page either prefetched or dropped.
-    while (pool.stats().prefetches + pool.stats().prefetch_drops <
-           pages.size()) {
-      std::this_thread::yield();
-    }
-  }  // destructor joins the workers
-  EXPECT_EQ(pool.stats().prefetches, pages.size());
-  for (PageId id : pages) {
-    ASSERT_TRUE(pool.Fetch(id).ok());
-  }
-  const BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.hits, pages.size());
-  EXPECT_EQ(stats.misses, 0u);
-}
-
-// Regression for the Enqueue wakeup path: per-page enqueues (the shape of
-// every ranged scan's read-ahead, which now wake one worker per admitted
-// page instead of notify_all), a full queue (admits nothing, wakes nobody,
-// counts drops), and the Drain handshake must all keep working.
-TEST(PrefetchTest, PerPageEnqueueAndFullQueueDrops) {
-  const std::string path = TempPath("pf_notify.db");
-  std::vector<PageId> pages;
-  {
-    auto manager = DiskManager::Create(path);
-    ASSERT_TRUE(manager.ok());
-    BufferPool pool(&manager.value(), 8);
-    for (int i = 0; i < 6; ++i) {
-      auto guard = pool.Allocate();
-      ASSERT_TRUE(guard.ok());
-      WritePageHeader(&guard->MutablePage(), PageHeader{});
-      pages.push_back(guard->page_id());
-    }
-    ASSERT_TRUE(pool.Flush().ok());
-  }
-  auto manager = DiskManager::Open(path);
-  ASSERT_TRUE(manager.ok());
-  BufferPool pool(&manager.value(), 16, 4);
-  Prefetcher prefetcher(&pool, /*threads=*/2);
-  for (PageId id : pages) prefetcher.Enqueue(id);  // one wakeup per page
-  prefetcher.Drain();
-  EXPECT_EQ(pool.stats().prefetches + pool.stats().prefetch_drops,
-            pages.size());
-  EXPECT_EQ(prefetcher.dropped(), 0u);
-  for (PageId id : pages) {
-    ASSERT_TRUE(pool.Fetch(id).ok());
-  }
-
-  // Flood past kMaxQueue in one call: the excess is counted as dropped and
-  // the drain handshake still completes (the admitted prefix is best-effort
-  // work the workers chew through; duplicates collapse inside the pool).
-  std::vector<PageId> flood(Prefetcher::kMaxQueue + 100, pages[0]);
-  prefetcher.Enqueue(flood);
-  prefetcher.Drain();
-  EXPECT_GE(prefetcher.dropped(), 100u);
-}
-
-// Cold-pool scans must return identical results and tuple counts with
-// read-ahead on and off, at every thread count.
-TEST(PrefetchTest, ScanWithReadAheadMatchesPrefetchOff) {
+// Cold-pool scans must return the memory scan's shape(D) and tuple count at
+// every thread count. Each 20,000-row relation is split into several
+// chunks at threads > 1, so ranged chunks seek through the page directory
+// while the chunk at row 0 walks from the chain head.
+TEST(DiskShapeSourceTest, ColdPoolChunkedScanMatchesMemory) {
   // Relations several times larger than the pool, so pages cannot stay
   // resident between the directory build and the scan — every page is a
-  // real fault the prefetcher can take over.
+  // real fault.
   GeneratedData data = MakeData(3, 20000, 77);
   storage::Catalog catalog(data.database.get());
   const std::vector<Shape> expected = MemoryScanShapes(catalog);
 
-  const std::string path = TempPath("pf_scan_equality.db");
+  const std::string path = TempPath("cold_chunked_scan.db");
   ASSERT_TRUE(DiskDatabase::Create(path, *data.database).ok());
   for (unsigned threads : {1u, 4u, 8u}) {
-    for (unsigned prefetch : {0u, 8u}) {
-      // Fresh open per run: the pool starts cold.
-      auto disk_db = DiskDatabase::Open(path, /*num_frames=*/32,
-                                        /*pool_shards=*/4);
-      ASSERT_TRUE(disk_db.ok()) << disk_db.status();
-      DiskShapeSource source(disk_db->get());
-      auto shapes = storage::FindShapes(
-          source, {storage::ShapeFinderMode::kScan, threads, 0, prefetch});
-      ASSERT_TRUE(shapes.ok()) << shapes.status();
-      EXPECT_EQ(*shapes, expected)
-          << "threads " << threads << ", prefetch " << prefetch;
-      EXPECT_EQ(source.stats().tuples_scanned, data.database->TotalFacts());
-      if (prefetch > 0) {
-        // The scan enqueued read-ahead; the background workers drain it on
-        // their own schedule (on a loaded single-core machine possibly only
-        // once we yield here), and every request either faults a page or
-        // collapses against a resident one.
-        const BufferPool& pool = (*disk_db)->buffer_pool();
-        const auto processed = [&] {
-          const BufferPoolStats stats = pool.stats();
-          return stats.prefetches + stats.prefetch_drops;
-        };
-        const auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(30);
-        while (processed() == 0 &&
-               std::chrono::steady_clock::now() < deadline) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        EXPECT_GT(processed(), 0u)
-            << "threads " << threads << ": no read-ahead was processed";
-      } else {
-        EXPECT_EQ(source.Io().pool_prefetches, 0u);
-      }
-    }
+    // Fresh open per run: the pool starts cold.
+    auto disk_db = DiskDatabase::Open(path, /*num_frames=*/32,
+                                      /*pool_shards=*/4);
+    ASSERT_TRUE(disk_db.ok()) << disk_db.status();
+    DiskShapeSource source(disk_db->get());
+    auto shapes = storage::FindShapes(
+        source, {storage::ShapeFinderMode::kScan, threads});
+    ASSERT_TRUE(shapes.ok()) << shapes.status();
+    EXPECT_EQ(*shapes, expected) << "threads " << threads;
+    EXPECT_EQ(source.stats().tuples_scanned, data.database->TotalFacts());
   }
-  std::remove(path.c_str());
-}
-
-TEST(PrefetchTest, FindShapesOwnsTheReadAheadKnob) {
-  GeneratedData data = MakeData(2, 50, 5);
-  const std::string path = TempPath("pf_knob.db");
-  auto disk_db = DiskDatabase::Create(path, *data.database);
-  ASSERT_TRUE(disk_db.ok());
-  DiskShapeSource source(disk_db->get(), /*read_ahead=*/16);
-  EXPECT_EQ(source.read_ahead(), 16u);
-  // A run with prefetch unset turns read-ahead off for that run (and
-  // leaves the source with the run's setting, by design).
-  ASSERT_TRUE(storage::FindShapes(source, {}).ok());
-  EXPECT_EQ(source.read_ahead(), 0u);
-  ASSERT_TRUE(storage::FindShapes(
-                  source, {storage::ShapeFinderMode::kScan, 2, 0, 4})
-                  .ok());
-  EXPECT_EQ(source.read_ahead(), 4u);
-  // The exists plan's probes early-exit; its runs never enable read-ahead.
-  ASSERT_TRUE(storage::FindShapes(
-                  source, {storage::ShapeFinderMode::kExists, 1, 0, 8})
-                  .ok());
-  EXPECT_EQ(source.read_ahead(), 0u);
   std::remove(path.c_str());
 }
 

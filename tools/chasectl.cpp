@@ -14,8 +14,8 @@
 //   query <file> "<q(X) :- ...>"                   certain answers
 //   findshapes <file> [--backend=memory|disk|index]
 //              [--mode=scan|exists|index] [--threads=N]
-//              [--pool-shards=N] [--prefetch=K]
-//              [--snapshot=path.chidx]             shape(D) via ShapeSource
+//              [--pool-shards=N] [--snapshot=path.chidx]
+//                                                  shape(D) via ShapeSource
 //   index build <file> <out.chidx> [--backend=memory|disk] [--threads=N]
 //              [--shards=N]                        materialize shape(D)
 //   index stat <snapshot.chidx>                    snapshot diagnostics
@@ -189,11 +189,6 @@ uint32_t DiskPoolFrames(unsigned threads, unsigned pool_shards) {
       {64, 8ull * std::max(1u, threads),
        static_cast<uint64_t>(std::max(1u, threads)) * shards});
   return static_cast<uint32_t>(std::min<uint64_t>(frames, 1u << 16));
-}
-
-// Read-ahead depth in pages; 0 = off.
-bool ParsePrefetch(const Args& args, unsigned* prefetch) {
-  return ParseBoundedFlag(args, "prefetch", 0, 0, 1u << 16, prefetch);
 }
 
 // --mode=scan|exists|index -> the FindShapes query plan.
@@ -734,7 +729,7 @@ int CmdFindShapes(const Args& args) {
     std::cerr << "usage: chasectl findshapes <file> "
                  "[--backend=memory|disk|index] [--mode=scan|exists|index] "
                  "[--threads=N] [--shards=N] [--pool-shards=N] "
-                 "[--prefetch=K] [--snapshot=path.chidx] [--store=path.db] "
+                 "[--snapshot=path.chidx] [--store=path.db] "
                  "[--trace=FILE] [--metrics=FILE] [--print]\n";
     return 2;
   }
@@ -768,7 +763,6 @@ int CmdFindShapes(const Args& args) {
 
   storage::FindShapesOptions options;
   if (!ParseShards(args, &options.index_shards)) return 2;
-  if (!ParsePrefetch(args, &options.prefetch)) return 2;
   unsigned pool_shards = 0;
   if (!ParsePoolShards(args, &pool_shards)) return 2;
   if (!ParseFinderMode(args, &options.mode)) return 2;
@@ -833,8 +827,6 @@ int CmdFindShapes(const Args& args) {
   obs::SetGauge("findshapes.pool_hits", static_cast<double>(io.pool_hits));
   obs::SetGauge("findshapes.pool_misses",
                 static_cast<double>(io.pool_misses));
-  obs::SetGauge("findshapes.pool_prefetches",
-                static_cast<double>(io.pool_prefetches));
   std::cout << shapes->size() << " shape(s) over "
             << program->database->TotalFacts() << " tuples\n"
             << "  backend: " << source->Name() << ", plan: "
@@ -845,15 +837,14 @@ int CmdFindShapes(const Args& args) {
             << access.relations_loaded << " relation loads, "
             << access.tuples_scanned << " tuples scanned\n"
             << "  io: " << io.pages_read << " pages read, " << io.pool_hits
-            << " pool hits / " << io.pool_misses << " misses, "
-            << io.pool_prefetches << " prefetched\n";
+            << " pool hits / " << io.pool_misses << " misses\n";
   if (args.Has("print")) {
     for (const Shape& shape : *shapes) {
       std::cout << ShapeName(*program->schema, shape) << "\n";
     }
   }
   // Close the pager (flush + stats quiesce) before the trace is written so
-  // fault/prefetch spans from pool teardown are in the artifact.
+  // fault spans from pool teardown are in the artifact.
   const bool had_disk = disk_db != nullptr;
   disk_source.reset();
   disk_db.reset();
@@ -1157,8 +1148,8 @@ int Usage() {
       "  chasectl query <file> \"q(X) :- r(X, Y).\"\n"
       "  chasectl findshapes <file> [--backend=memory|disk|index] "
       "[--mode=scan|exists|index] [--threads=N] [--shards=N] "
-      "[--pool-shards=N] [--prefetch=K] [--snapshot=path.chidx] "
-      "[--store=path.db] [--print]\n"
+      "[--pool-shards=N] [--snapshot=path.chidx] [--store=path.db] "
+      "[--print]\n"
       "  chasectl index build <file> <out.chidx> [--backend=memory|disk] "
       "[--threads=N] [--shards=N]\n"
       "  chasectl index stat <snapshot.chidx>\n"
@@ -1207,8 +1198,8 @@ int main(int argc, char** argv) try {
        {"mode", "threads", "print", "trace", "metrics"}},
       {"query", CmdQuery, {}},
       {"findshapes", CmdFindShapes,
-       {"backend", "mode", "threads", "shards", "pool-shards", "prefetch",
-        "snapshot", "store", "print", "trace", "metrics"}},
+       {"backend", "mode", "threads", "shards", "pool-shards", "snapshot",
+        "store", "print", "trace", "metrics"}},
       {"index", CmdIndex, {"backend", "threads", "shards", "store"}},
       {"stats", CmdStats, {}},
       {"zoo", CmdZoo, {}},

@@ -26,10 +26,9 @@ patterns that protect it, on every file, in CI:
                    ParseU64Flag: strtoull + errno + end-pointer checks).
 
   naked-thread     std::thread creation outside the sanctioned spawners
-                   (WorkerPool in src/exec/frontier_pool, Prefetcher in
-                   src/pager/prefetcher, ProgressReporter/MetricsDumper in
-                   src/obs/progress). One pool, one read-ahead crew, one
-                   reporter tick — nothing else spawns.
+                   (WorkerPool in src/exec/frontier_pool,
+                   ProgressReporter/MetricsDumper in src/obs/progress).
+                   One pool, one reporter tick — nothing else spawns.
 
   envelope-io      Binary envelope magics ("CHBN", "CHSI", "CHCK") outside
                    src/io/binary_io.{h,cc}. Envelope bytes are written only
@@ -110,8 +109,6 @@ RAW_STO_RE = re.compile(r"\b(?:std::sto(?:i|l|ll|ul|ull|f|d|ld)"
 THREAD_SPAWNERS = (
     os.path.join("src", "exec", "frontier_pool.h"),
     os.path.join("src", "exec", "frontier_pool.cc"),
-    os.path.join("src", "pager", "prefetcher.h"),
-    os.path.join("src", "pager", "prefetcher.cc"),
     os.path.join("src", "obs", "progress.h"),
     os.path.join("src", "obs", "progress.cc"),
 )
@@ -274,8 +271,8 @@ class FileLinter:
                 self.report(
                     i, "naked-thread",
                     "std::thread outside the sanctioned spawners "
-                    "(WorkerPool, Prefetcher, ProgressReporter/"
-                    "MetricsDumper); run work on a WorkerPool")
+                    "(WorkerPool, ProgressReporter/MetricsDumper); "
+                    "run work on a WorkerPool")
 
     def check_envelope_io(self):
         if self.relpath in ENVELOPE_HOME:
