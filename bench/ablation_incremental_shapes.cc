@@ -17,9 +17,9 @@
 #include <iostream>
 
 #include "common.h"
+#include "index/shape_index.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
-#include "storage/shape_index.h"
 
 using namespace chase;
 using namespace chase::bench;
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
       // Build the index once (write-time cost, amortized over the
       // database's lifetime, not charged to either side below).
-      storage::ShapeIndex index = storage::ShapeIndex::Build(db);
+      index::ShapeIndex index = index::ShapeIndex::Build(db);
 
       // Apply the update batch to both the database and the index, timing
       // only the index maintenance.

@@ -1,19 +1,17 @@
-// Ablation: the sharded shape index (src/index/) — build scaling and
+// Ablation: the shape index (src/index/) — build scaling and
 // maintain-vs-rebuild.
 //
 // Two tables, with the uniform access/I-O metering columns of the other
 // FindShapes benches:
 //
-//  * build scaling: ShardedShapeIndex::Build over the in-memory source,
-//    sweeping (threads, shards); speedup is against the 1-thread build.
-//    Shards beyond the thread count cost nothing at build time (workers
-//    fold thread-local counters, one latch acquisition per shard), so this
-//    mostly shows the range-partitioned scan scaling of PR 1 carried over
-//    to index construction.
+//  * build scaling: ShapeIndex::Build over the in-memory source, sweeping
+//    threads; speedup is against the 1-thread build. Workers fold
+//    thread-local counters into the index once each, so this shows the
+//    range-partitioned scan scaling carried over to index construction.
 //
 //  * maintain vs rebuild: after a batch of updates, compare per-update
-//    write-through maintenance (timed across `threads` concurrent writers —
-//    the case sharding exists for) against recomputing shape(D) with a
+//    write-through maintenance (timed across `threads` concurrent writers
+//    sharing the index's one latch) against recomputing shape(D) with a
 //    parallel scan. The incremental path depends only on the batch size,
 //    the rebuild on the database size, so the speedup grows with the data.
 
@@ -21,7 +19,7 @@
 #include <thread>
 
 #include "common.h"
-#include "index/sharded_shape_index.h"
+#include "index/shape_index.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
 #include "storage/shape_source.h"
@@ -60,7 +58,7 @@ int main(int argc, char** argv) {
   storage::Catalog catalog(data->database.get());
   storage::MemoryShapeSource source(&catalog);
 
-  std::vector<std::string> build_columns = {"threads", "shards", "n-tuples",
+  std::vector<std::string> build_columns = {"threads", "n-tuples",
                                             "n-shapes", "t-build-ms",
                                             "speedup"};
   for (const std::string& name : AccessColumnNames()) {
@@ -69,37 +67,32 @@ int main(int argc, char** argv) {
   TablePrinter build_table(build_columns);
   double serial_ms = 0;
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    for (unsigned shards : {1u, 16u, 64u}) {
-      double best_ms = 0;
-      size_t n_shapes = 0;
-      for (uint32_t rep = 0; rep < reps; ++rep) {
-        catalog.stats().Reset();
-        Timer timer;
-        auto built = index::ShardedShapeIndex::Build(source,
-                                                     {shards, threads});
-        const double ms = timer.ElapsedMillis();
-        if (!built.ok()) {
-          std::cerr << built.status() << "\n";
-          return 1;
-        }
-        n_shapes = built->NumShapes();
-        best_ms = rep == 0 ? ms : std::min(best_ms, ms);
+    double best_ms = 0;
+    size_t n_shapes = 0;
+    for (uint32_t rep = 0; rep < reps; ++rep) {
+      catalog.stats().Reset();
+      Timer timer;
+      auto built = index::ShapeIndex::Build(source, {threads});
+      const double ms = timer.ElapsedMillis();
+      if (!built.ok()) {
+        std::cerr << built.status() << "\n";
+        return 1;
       }
-      if (threads == 1 && shards == 1) serial_ms = best_ms;
-      std::vector<std::string> row = {
-          std::to_string(threads), std::to_string(shards),
-          std::to_string(data->database->TotalFacts()),
-          std::to_string(n_shapes), FmtMs(best_ms),
-          Fmt(serial_ms / std::max(best_ms, 1e-6), 1) + "x"};
-      for (const std::string& value :
-           AccessColumnValues(catalog.stats(), source.Io())) {
-        row.push_back(value);
-      }
-      build_table.AddRow(row);
+      n_shapes = built->NumShapes();
+      best_ms = rep == 0 ? ms : std::min(best_ms, ms);
     }
+    if (threads == 1) serial_ms = best_ms;
+    std::vector<std::string> row = {
+        std::to_string(threads), std::to_string(data->database->TotalFacts()),
+        std::to_string(n_shapes), FmtMs(best_ms),
+        Fmt(serial_ms / std::max(best_ms, 1e-6), 1) + "x"};
+    for (const std::string& value :
+         AccessColumnValues(catalog.stats(), source.Io())) {
+      row.push_back(value);
+    }
+    build_table.AddRow(row);
   }
-  Emit(flags, "Ablation: sharded shape index build (thread x shard sweep)",
-       build_table);
+  Emit(flags, "Ablation: shape index build (thread sweep)", build_table);
 
   // -------------------------------------------------------------------------
   // Maintain vs rebuild.
@@ -128,8 +121,7 @@ int main(int argc, char** argv) {
         Database& db = *grown->database;
         const Schema& schema = db.schema();
         n_tuples = db.TotalFacts();
-        index::ShardedShapeIndex index =
-            index::ShardedShapeIndex::Build(db);
+        index::ShapeIndex index = index::ShapeIndex::Build(db);
 
         // Pre-generate the update batch, dealt round-robin to writers.
         std::vector<std::pair<PredId, std::vector<uint32_t>>> batch;
@@ -166,8 +158,7 @@ int main(int argc, char** argv) {
         storage::Catalog grown_catalog(&db);
         storage::MemoryShapeSource grown_source(&grown_catalog);
         timer.Restart();
-        auto rebuilt = index::ShardedShapeIndex::Build(
-            grown_source, {0, threads});
+        auto rebuilt = index::ShapeIndex::Build(grown_source, {threads});
         rebuild_ms += timer.ElapsedMillis();
         if (!rebuilt.ok()) {
           std::cerr << rebuilt.status() << "\n";
@@ -191,7 +182,7 @@ int main(int argc, char** argv) {
        maint_table);
   // Two tables, one artifact: {"build": [...], "maintain": [...]} — two
   // plain WriteBenchJson calls would fight over a single --json-out path.
-  if (!WriteBenchJsonSections(flags, "sharded_index",
+  if (!WriteBenchJsonSections(flags, "shape_index",
                               {{"build", &build_table},
                                {"maintain", &maint_table}})) {
     return 1;

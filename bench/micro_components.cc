@@ -17,7 +17,7 @@
 #include "gen/tgd_generator.h"
 #include "graph/dependency_graph.h"
 #include "graph/tarjan.h"
-#include "index/sharded_shape_index.h"
+#include "index/shape_index.h"
 #include "io/binary_io.h"
 #include "logic/parser.h"
 #include "logic/printer.h"
@@ -26,7 +26,6 @@
 #include "query/conjunctive_query.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
-#include "storage/shape_index.h"
 
 namespace chase {
 namespace {
@@ -167,7 +166,7 @@ BENCHMARK(BM_ChaseStepRate);
 
 void BM_ShapeIndexInsert(benchmark::State& state) {
   const Fixture& f = Fixture::Get(1000);
-  storage::ShapeIndex index = storage::ShapeIndex::Build(*f.database);
+  index::ShapeIndex index = index::ShapeIndex::Build(*f.database);
   Rng rng(3);
   std::vector<uint32_t> tuple;
   const uint32_t num_preds =
@@ -180,26 +179,6 @@ void BM_ShapeIndexInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ShapeIndexInsert);
-
-// Single-threaded insert cost of the sharded index: the per-shard latch is
-// uncontended here, so the delta vs BM_ShapeIndexInsert is the latching
-// overhead the sharding pays for multi-threaded maintenance.
-void BM_ShardedShapeIndexInsert(benchmark::State& state) {
-  const Fixture& f = Fixture::Get(1000);
-  index::ShardedShapeIndex index =
-      index::ShardedShapeIndex::Build(*f.database);
-  Rng rng(3);
-  std::vector<uint32_t> tuple;
-  const uint32_t num_preds =
-      static_cast<uint32_t>(f.schema->NumPredicates());
-  for (auto _ : state) {
-    const PredId pred = static_cast<PredId>(rng.Below(num_preds));
-    GenerateShapedTuple(f.schema->Arity(pred), 10000, &rng, &tuple);
-    index.Insert(pred, tuple);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ShardedShapeIndexInsert);
 
 void BM_JointAcyclicity(benchmark::State& state) {
   const Fixture& f = Fixture::Get(state.range(0));

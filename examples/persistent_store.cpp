@@ -12,10 +12,10 @@
 #include "core/is_chase_finite.h"
 #include "gen/data_generator.h"
 #include "gen/tgd_generator.h"
+#include "index/shape_index.h"
 #include "pager/disk_database.h"
 #include "pager/disk_shape_source.h"
 #include "storage/shape_finder.h"
-#include "storage/shape_index.h"
 
 int main(int argc, char** argv) {
   using namespace chase;
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     std::cerr << loaded.status() << "\n";
     return 1;
   }
-  storage::ShapeIndex index = storage::ShapeIndex::Build(*loaded);
+  index::ShapeIndex index = index::ShapeIndex::Build(*loaded);
   Rng rng(7);
   std::vector<uint32_t> tuple;
   size_t new_shapes = 0;

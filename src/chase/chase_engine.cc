@@ -11,7 +11,7 @@
 #include "chase/body_partition.h"
 #include "chase/instance.h"
 #include "exec/frontier_pool.h"
-#include "index/sharded_shape_index.h"
+#include "index/shape_index.h"
 #include "io/binary_io.h"
 #include "logic/atom.h"
 #include "logic/database.h"

@@ -34,7 +34,7 @@
 namespace chase {
 
 namespace index {
-class ShardedShapeIndex;
+class ShapeIndex;
 }  // namespace index
 
 namespace io {
@@ -70,8 +70,8 @@ struct ChaseOptions {
   // materialized shape(chase_i(D)) stays current round by round and a
   // repeated IsChaseFinite[L] check reads the index instead of scanning.
   // The index must already reflect `database` when RunChase is called
-  // (e.g. index::ShardedShapeIndex::Build) and must outlive the run.
-  index::ShardedShapeIndex* shape_index = nullptr;
+  // (e.g. index::ShapeIndex::Build) and must outlive the run.
+  index::ShapeIndex* shape_index = nullptr;
   // Worker threads for per-round trigger enumeration (<= 1 enumerates
   // inline). A round is a frontier: bodies only match against atoms from
   // earlier rounds, so all three variants — over any rule set, linear or

@@ -10,7 +10,7 @@
 #include "graph/dependency_graph.h"
 #include "graph/tarjan.h"
 #include "index/find_shapes.h"
-#include "index/sharded_shape_index.h"
+#include "index/shape_index.h"
 #include "logic/database.h"
 #include "logic/shape.h"
 #include "logic/tgd.h"
@@ -105,7 +105,7 @@ StatusOr<bool> IsChaseFiniteL(const Database& database,
 
   // The db-dependent component: FindShapes (Section 8's t-shapes), unless
   // the caller maintains the shapes incrementally (Section 10) — either as
-  // a pre-extracted vector or as a live sharded index.
+  // a pre-extracted vector or as a live index.
   Timer timer;
   storage::Catalog catalog(&database);
   std::vector<Shape> computed;

@@ -28,7 +28,7 @@
 namespace chase {
 
 namespace index {
-class ShardedShapeIndex;
+class ShapeIndex;
 }  // namespace index
 
 struct SlCheckStats {
@@ -57,12 +57,12 @@ struct LCheckOptions {
   // wall-clock, never the verdict or the stats.
   unsigned simplify_threads = 1;
   // When set, shape(D) is extracted from this incrementally maintained
-  // index (index::ShardedShapeIndex::CurrentShapes) instead of scanning
+  // index (index::ShapeIndex::CurrentShapes) instead of scanning
   // the database — the Section 10 "materialize the shapes" deployment with
   // write-through maintenance. Must outlive the call.
-  const index::ShardedShapeIndex* shape_index = nullptr;
+  const index::ShapeIndex* shape_index = nullptr;
   // When set, shape(D) is taken from here (sorted by (pred, id), the
-  // contract of storage::FindShapes and storage::ShapeIndex::CurrentShapes)
+  // contract of storage::FindShapes and index::ShapeIndex::CurrentShapes)
   // and the db-dependent component is skipped entirely. Takes precedence
   // over shape_index. Must outlive the call.
   const std::vector<Shape>* precomputed_shapes = nullptr;

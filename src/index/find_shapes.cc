@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "base/status.h"
-#include "index/sharded_shape_index.h"
+#include "index/shape_index.h"
 #include "logic/shape.h"
 #include "obs/trace.h"
 #include "storage/shape_finder.h"
@@ -28,9 +28,7 @@ StatusOr<std::vector<Shape>> FindShapes(
   // delta on every exit path.
   storage::ScopedAccessStatsMirror stats_mirror(source);
   CHASE_ASSIGN_OR_RETURN(
-      ShardedShapeIndex idx,
-      ShardedShapeIndex::Build(source,
-                               {options.index_shards, threads, options.pool}));
+      ShapeIndex idx, ShapeIndex::Build(source, {threads, options.pool}));
   return idx.CurrentShapes();
 }
 

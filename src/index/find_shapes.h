@@ -3,9 +3,9 @@
 //
 // storage::FindShapes implements the paper's two query plans (scan and
 // exists) but sits below index/ in the layer DAG (tools/lint/layers.toml),
-// so it cannot build a ShardedShapeIndex. This entry point completes the
-// dispatch one layer up: kIndex builds (or reuses) the sharded materialized
-// index over the source and extracts shape(D) from it; every other mode
+// so it cannot build a ShapeIndex. This entry point completes the
+// dispatch one layer up: kIndex builds the materialized index over the
+// source and extracts shape(D) from it; every other mode
 // delegates straight to storage::FindShapes. Callers that may ever request
 // kIndex — the termination checkers, the CLI, the differential sweeps —
 // call this one; callers pinned to scan/exists may keep calling storage.

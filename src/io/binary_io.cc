@@ -260,9 +260,8 @@ StatusOr<ShapeSnapshot> DeserializeShapeSnapshot(
   ByteReader reader(payload);
   ShapeSnapshot snapshot;
   CHASE_ASSIGN_OR_RETURN(snapshot.num_shards, reader.GetU32());
-  // Writers only produce shard counts in [1, kMaxSnapshotShards]; loading
-  // stays equally strict so a load/save round-trip never rewrites the
-  // header (canonical bytes).
+  // The reserved field: every writer stored a value in
+  // [1, kMaxSnapshotShards], so anything else is a malformed file.
   if (snapshot.num_shards == 0 ||
       snapshot.num_shards > kMaxSnapshotShards) {
     return FailedPreconditionError(

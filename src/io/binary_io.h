@@ -16,7 +16,7 @@
 //   facts    : per predicate, the flat arity-strided tuple array
 //   tgds     : per TGD, body and head atom lists (pred + variable ids)
 //
-// Shape-snapshot payload (magic "CHSI", version 2): shard count, the
+// Shape-snapshot payload (magic "CHSI", version 2): a reserved u32, the
 // order-independent content fingerprint of the indexed tuples (the
 // staleness guard of `chasectl check --shapes=index --snapshot`, maintained
 // by the write-through paths), then the (pred, id-tuple, counter) entries
@@ -64,13 +64,11 @@ StatusOr<Program> DeserializeProgram(std::span<const uint8_t> bytes);
 [[nodiscard]] StatusOr<Program> LoadProgram(const std::string& path);
 
 // ---------------------------------------------------------------------------
-// Shape-index snapshots (index/sharded_shape_index.h): the materialized
+// Shape-index snapshots (index/shape_index.h): the materialized
 // shape(D) multiset, persisted so a front end builds the index once and
 // reuses it across runs.
 
-// Largest shard count a well-formed snapshot may declare; kept equal to
-// index::ShardedShapeIndex::kMaxShards (static_assert'd there) so strict
-// loading never has to clamp.
+// Largest value a well-formed snapshot may carry in its reserved field.
 inline constexpr uint32_t kMaxSnapshotShards = 4096;
 
 struct ShapeCount {
@@ -79,7 +77,10 @@ struct ShapeCount {
 };
 
 struct ShapeSnapshot {
-  uint32_t num_shards = 0;
+  // Reserved. Older writers stored the index's shard count here, so
+  // loading accepts any value in [1, kMaxSnapshotShards]; current writers
+  // store 1 and readers ignore it.
+  uint32_t num_shards = 1;
   // Sum of index::TupleFingerprint over the indexed tuples.
   uint64_t fingerprint = 0;
   // Sorted strictly by shape (enforced on load); counts are positive.

@@ -1,6 +1,5 @@
 #include "storage/catalog.h"
 
-#include "base/status.h"
 #include "logic/schema.h"
 
 namespace chase {
@@ -9,15 +8,6 @@ namespace storage {
 std::vector<PredId> Catalog::ListNonEmptyRelations() const {
   ++stats_.catalog_queries;
   return database_->NonEmptyPredicates();
-}
-
-Status Catalog::InsertFact(PredId pred, std::span<const uint32_t> tuple) {
-  if (mutable_database_ == nullptr) {
-    return FailedPreconditionError("InsertFact on a read-only catalog");
-  }
-  CHASE_RETURN_IF_ERROR(mutable_database_->AddFact(pred, tuple));
-  if (shape_index_ != nullptr) shape_index_->Insert(pred, tuple);
-  return OkStatus();
 }
 
 }  // namespace storage

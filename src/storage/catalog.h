@@ -4,41 +4,18 @@
 // queries (Section 5.4). Catalog reproduces that interface over the
 // in-memory row store and meters the work performed, so benches can report
 // query counts and scanned-tuple counts.
-//
-// A catalog built over a mutable Database additionally offers the
-// transactional write path (InsertFact) with write-through maintenance of
-// an attached ShapeWriteThrough sink — the Section 10 deployment where
-// the materialized shape(D) is kept current by the update stream instead
-// of being recomputed per termination check. The sink is an abstract
-// seam on purpose: index::ShardedShapeIndex implements it one layer up,
-// so storage never depends on index/ (the layer DAG in
-// tools/lint/layers.toml points the other way).
 
 #ifndef CHASE_STORAGE_CATALOG_H_
 #define CHASE_STORAGE_CATALOG_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "base/status.h"
 #include "logic/database.h"
 #include "logic/schema.h"
 
 namespace chase {
 namespace storage {
-
-// Observer of the catalog's write path: receives every fact appended
-// through InsertFact. Implementations must be safe against concurrent
-// Insert calls if the catalog is written from several threads (the
-// sharded shape index is; see index/sharded_shape_index.h).
-class ShapeWriteThrough {
- public:
-  virtual ~ShapeWriteThrough() = default;
-
-  // Records one inserted tuple of `pred`.
-  virtual void Insert(PredId pred, std::span<const uint32_t> tuple) = 0;
-};
 
 struct AccessStats {
   uint64_t catalog_queries = 0;
@@ -60,13 +37,8 @@ struct AccessStats {
 
 class Catalog {
  public:
-  // Read-only catalog. `database` must outlive the catalog.
+  // `database` must outlive the catalog.
   explicit Catalog(const Database* database) : database_(database) {}
-
-  // Writable catalog: InsertFact becomes available. `database` must outlive
-  // the catalog.
-  explicit Catalog(Database* database)
-      : database_(database), mutable_database_(database) {}
 
   const Database& database() const { return *database_; }
 
@@ -74,26 +46,10 @@ class Catalog {
   // answered from metadata only (no tuple access).
   std::vector<PredId> ListNonEmptyRelations() const;
 
-  // Attaches a write-through shape sink (in practice the materialized
-  // index::ShardedShapeIndex): every InsertFact also records the tuple's
-  // shape there, keeping the materialized shape(D) current. The sink must
-  // outlive the catalog (pass nullptr to detach) and must already reflect
-  // the database's current contents.
-  void AttachShapeIndex(ShapeWriteThrough* shape_index) {
-    shape_index_ = shape_index;
-  }
-  ShapeWriteThrough* shape_index() const { return shape_index_; }
-
-  // The metered write path: appends the fact and maintains the attached
-  // shape index. Fails with kFailedPrecondition on a read-only catalog.
-  [[nodiscard]] Status InsertFact(PredId pred, std::span<const uint32_t> tuple);
-
   AccessStats& stats() const { return stats_; }
 
  private:
   const Database* database_;
-  Database* mutable_database_ = nullptr;
-  ShapeWriteThrough* shape_index_ = nullptr;
   mutable AccessStats stats_;
 };
 

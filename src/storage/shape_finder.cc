@@ -26,7 +26,7 @@ std::vector<Shape> Sorted(ShapeSet shapes) {
 // ---------------------------------------------------------------------------
 // Scan plan: full strided scans, hashing every tuple's id-tuple. The scan
 // driver (chunking, worker pool, metering) is ParallelTupleScan in the
-// ShapeSource layer, shared with the sharded-index build.
+// ShapeSource layer, shared with the shape-index build.
 
 Status ScanShapes(const ShapeSource& source,
                   const std::vector<PredId>& preds, unsigned threads,
@@ -175,7 +175,7 @@ StatusOr<std::vector<Shape>> FindShapes(const ShapeSource& source,
   if (options.mode == ShapeFinderMode::kIndex) {
     // The index-backed plan lives one layer up (index::FindShapes in
     // index/find_shapes.h): storage sits below index/ in the layer DAG,
-    // so this dispatcher cannot name ShardedShapeIndex.
+    // so this dispatcher cannot name index::ShapeIndex.
     return InvalidArgumentError(
         "ShapeFinderMode::kIndex is dispatched by index::FindShapes "
         "(include index/find_shapes.h); storage::FindShapes serves only "

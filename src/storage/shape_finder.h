@@ -39,8 +39,8 @@ namespace chase {
 namespace storage {
 
 // The query plans. kScan and kExists are the paper's two; kIndex is the
-// Section 10 deployment — build (or reuse) a sharded materialized shape
-// index over the source and extract shape(D) from it, so repeated checks
+// Section 10 deployment — build a materialized shape index over the
+// source and extract shape(D) from it, so repeated checks
 // pay a dictionary extraction instead of a scan.
 enum class ShapeFinderMode {
   kScan,
@@ -53,7 +53,6 @@ const char* ShapeFinderModeName(ShapeFinderMode mode);
 struct FindShapesOptions {
   ShapeFinderMode mode = ShapeFinderMode::kScan;
   unsigned threads = 1;     // <= 1 runs serially
-  unsigned index_shards = 0;  // kIndex only: shard count (0 = default)
   // When non-null and the exists plan runs frontier-parallel (threads > 1),
   // receives the engine's depth/expansion counters — per-worker expansion
   // counts included, which is how bench/ablation_frontier_parallel.cc shows
@@ -95,7 +94,7 @@ class ScopedAccessStatsMirror {
 // fails. The kIndex plan is dispatched one layer up by index::FindShapes
 // (index/find_shapes.h) — passing it here is an InvalidArgument error,
 // because storage/ sits below index/ in the layer DAG and cannot name the
-// sharded index.
+// shape index.
 [[nodiscard]] StatusOr<std::vector<Shape>> FindShapes(
     const ShapeSource& source, const FindShapesOptions& options = {});
 

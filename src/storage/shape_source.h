@@ -107,7 +107,7 @@ class ShapeSource {
 // callers accumulate into thread-local state without synchronization.
 // Meters one relation load per predicate and every scanned tuple into
 // source.stats() — the scan-plan FindShapes convention. This is the one
-// scan driver behind both the scan-mode shape finder and the sharded-index
+// scan driver behind both the scan-mode shape finder and the shape-index
 // build.
 //
 // When `pool` is non-null the chunks run on that caller-owned persistent

@@ -23,21 +23,29 @@ std::string TempDir() {
   return dir != nullptr ? dir : "/tmp";
 }
 
+// Moves the file at `path` into `*text` and deletes it.
+void TakeFile(const std::string& path, std::string* text) {
+  std::ifstream in(path);
+  text->assign(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+}
+
 // Runs `chasectl <args>`, asserting the process exited (as opposed to
 // dying by signal — an uncaught exception aborts) and returning its exit
-// code. When `err` is non-null it receives the process's stderr.
-int RunChasectl(const std::string& args, std::string* err = nullptr) {
+// code. When `err` / `out` are non-null they receive the process's stderr
+// / stdout.
+int RunChasectl(const std::string& args, std::string* err = nullptr,
+                std::string* out = nullptr) {
   const std::string err_path = TempDir() + "/chasectl_cli_test.stderr";
+  const std::string out_path = TempDir() + "/chasectl_cli_test.stdout";
   const std::string command =
-      std::string(CHASECTL_PATH) + " " + args + " >/dev/null 2>" +
+      std::string(CHASECTL_PATH) + " " + args + " >" +
+      (out != nullptr ? out_path : "/dev/null") + " 2>" +
       (err != nullptr ? err_path : "&1");
   const int raw = std::system(command.c_str());
-  if (err != nullptr) {
-    std::ifstream in(err_path);
-    err->assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-    std::remove(err_path.c_str());
-  }
+  if (err != nullptr) TakeFile(err_path, err);
+  if (out != nullptr) TakeFile(out_path, out);
   EXPECT_TRUE(WIFEXITED(raw)) << "chasectl died by signal on: " << args;
   return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
 }
@@ -73,10 +81,8 @@ TEST_F(ChasectlCliTest, MalformedNumericFlagsExitTwo) {
           "/chasectl_cli_test.chck --checkpoint-every=%s",
       "simplify " + file + " --threads=%s",
       "findshapes " + file + " --threads=%s",
-      "findshapes " + file + " --shards=%s",
       "findshapes " + file + " --pool-shards=%s",
       "index build " + file + " " + out_idx + " --threads=%s",
-      "index build " + file + " " + out_idx + " --shards=%s",
       "generate " + out_gen + " --preds=%s",
       "generate " + out_gen + " --arity=%s",
       "generate " + out_gen + " --domain=%s",
@@ -163,6 +169,67 @@ TEST_F(ChasectlCliTest, UnknownFlagsExitTwo) {
   std::string err;
   EXPECT_EQ(RunChasectl("findshapes " + file + " --prefetch=8", &err), 2);
   EXPECT_NE(err.find("unknown flag --prefetch"), std::string::npos) << err;
+  EXPECT_EQ(RunChasectl("findshapes " + file + " --shards=4", &err), 2);
+  EXPECT_NE(err.find("unknown flag --shards"), std::string::npos) << err;
+  EXPECT_EQ(RunChasectl("index build " + file + " " + scratch +
+                            ".chidx --shards=4",
+                        &err),
+            2);
+  EXPECT_NE(err.find("unknown flag --shards"), std::string::npos) << err;
+  // `--backend=index` was an alias of `--mode=index`; it is gone.
+  EXPECT_EQ(RunChasectl("findshapes " + file + " --backend=index", &err), 2);
+  EXPECT_NE(err.find("unknown --backend=index"), std::string::npos) << err;
+}
+
+TEST_F(ChasectlCliTest, SnapshotMustIndexTheProgramsDatabase) {
+  const std::string dir = TempDir() + "/chasectl_cli_test_snapshot";
+  const std::string own = dir + "_own.chidx";
+  const std::string other_program = dir + "_other.dlgp";
+  const std::string other = dir + "_other.chidx";
+  // A 50-predicate program's snapshot names predicate ids the 2-predicate
+  // test program does not have.
+  ASSERT_EQ(RunChasectl("generate " + other_program +
+                        " --preds=50 --tuples=200"),
+            0);
+  ASSERT_EQ(RunChasectl("index build " + other_program + " " + other), 0);
+  // Same tuple count as the test program, different tuples: only the
+  // content fingerprint tells them apart.
+  const std::string twin_program = dir + "_twin.dlgp";
+  const std::string twin = dir + "_twin.chidx";
+  {
+    std::ofstream out(twin_program);
+    out << "r(a,b). r(c,c). s(b).\n";
+  }
+  ASSERT_EQ(RunChasectl("index build " + twin_program + " " + twin), 0);
+
+  for (const std::string& snapshot : {other, twin}) {
+    for (const std::string& invocation :
+         {"findshapes " + program_path_ + " --print --snapshot=" + snapshot,
+          "check " + program_path_ +
+              " --mode=l --shapes=index --snapshot=" + snapshot}) {
+      std::string err;
+      EXPECT_EQ(RunChasectl(invocation, &err), 1) << invocation;
+      EXPECT_NE(err.find("stale or mismatched snapshot"), std::string::npos)
+          << invocation << ": " << err;
+    }
+  }
+
+  // The program's own snapshot still serves its shapes.
+  ASSERT_EQ(RunChasectl("index build " + program_path_ + " " + own), 0);
+  std::string out;
+  EXPECT_EQ(RunChasectl("findshapes " + program_path_ +
+                            " --print --snapshot=" + own,
+                        nullptr, &out),
+            0);
+  EXPECT_NE(out.find("3 shape(s) over 3 indexed tuples"), std::string::npos)
+      << out;
+  for (const char* shape : {"r_[1,1]", "r_[1,2]", "s_[1]"}) {
+    EXPECT_NE(out.find(shape), std::string::npos) << shape << " in " << out;
+  }
+  for (const std::string& path :
+       {own, other, other_program, twin, twin_program}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST_F(ChasectlCliTest, MalformedObservabilityFlagsExitTwo) {

@@ -17,6 +17,7 @@
 #include "core/normalize.h"
 #include "gen/data_generator.h"
 #include "gen/tgd_generator.h"
+#include "index/shape_index.h"
 #include "io/binary_io.h"
 #include "logic/parser.h"
 #include "pager/disk_database.h"
@@ -25,7 +26,6 @@
 #include "query/rewriting.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
-#include "storage/shape_index.h"
 #include "storage/shape_source.h"
 
 namespace chase {
@@ -76,7 +76,7 @@ TEST(ExtensionIntegrationTest, GeneratedWorkloadFullPipeline) {
   EXPECT_EQ(*disk_shapes, *memory_shapes);
 
   // 4. Index-fed termination check agrees with both scanning modes.
-  storage::ShapeIndex index = storage::ShapeIndex::Build(*loaded->database);
+  index::ShapeIndex index = index::ShapeIndex::Build(*loaded->database);
   std::vector<Shape> shapes = index.CurrentShapes();
   EXPECT_EQ(shapes, *disk_shapes);
   LCheckOptions indexed;

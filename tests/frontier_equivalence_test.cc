@@ -49,7 +49,7 @@
 #include "gen/data_generator.h"
 #include "gen/tgd_generator.h"
 #include "index/find_shapes.h"
-#include "index/sharded_shape_index.h"
+#include "index/shape_index.h"
 #include "io/binary_io.h"
 #include "logic/parser.h"
 #include "pager/disk_database.h"
@@ -560,8 +560,8 @@ TEST(FrontierEquivalenceTest, CheckpointResumeSweepMatchesUninterruptedRun) {
         [&](const GroundAtom& atom) { oracle_atoms.push_back(atom); });
 
     // The index write-through oracle: the shapes a straight run leaves.
-    index::ShardedShapeIndex oracle_index =
-        index::ShardedShapeIndex::Build(*program->database, /*shards=*/4);
+    index::ShapeIndex oracle_index =
+        index::ShapeIndex::Build(*program->database);
     ChaseOptions oracle_index_options = oracle_options;
     oracle_index_options.shape_index = &oracle_index;
     ASSERT_TRUE(
@@ -591,10 +591,9 @@ TEST(FrontierEquivalenceTest, CheckpointResumeSweepMatchesUninterruptedRun) {
           leg1_options.frontier_threads = threads;
           leg1_options.checkpoint_path = ck_path;
           leg1_options.checkpoint_every_rounds = cut;
-          index::ShardedShapeIndex leg1_index(4);
+          index::ShapeIndex leg1_index;
           if (write_through) {
-            leg1_index = index::ShardedShapeIndex::Build(*program->database,
-                                                         /*shards=*/4);
+            leg1_index = index::ShapeIndex::Build(*program->database);
             leg1_options.shape_index = &leg1_index;
           }
           auto leg1 =
@@ -638,7 +637,7 @@ TEST(FrontierEquivalenceTest, CheckpointResumeSweepMatchesUninterruptedRun) {
           leg2_options.max_rounds = kRounds;
           leg2_options.frontier_threads = threads;
           leg2_options.resume = &*ckpt;
-          index::ShardedShapeIndex leg2_index(4);
+          index::ShapeIndex leg2_index;
           if (write_through) {
             // The resume contract: the caller hands in an index reflecting
             // the checkpoint's instance, here replayed from leg 1's result.

@@ -9,10 +9,10 @@
 #include "core/is_chase_finite.h"
 #include "core/weak_acyclicity.h"
 #include "gen/scenario.h"
+#include "index/shape_index.h"
 #include "query/rewriting.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
-#include "storage/shape_index.h"
 #include "storage/shape_source.h"
 
 namespace chase {
@@ -40,7 +40,7 @@ TEST(ScenarioExtensionTest, ShapeIndexMatchesFindShapesOnLubm) {
   ASSERT_TRUE(scenario.ok()) << scenario.status();
   const Program& p = scenario->program;
   storage::Catalog catalog(p.database.get());
-  storage::ShapeIndex index = storage::ShapeIndex::Build(*p.database);
+  index::ShapeIndex index = index::ShapeIndex::Build(*p.database);
   auto scanned_shapes =
       storage::FindShapes(storage::MemoryShapeSource(&catalog));
   ASSERT_TRUE(scanned_shapes.ok()) << scanned_shapes.status();

@@ -1,54 +1,76 @@
-#include <vector>
+// ShapeIndex maintenance: insert and remove keep per-shape tuple counts, and
+// any interleaving of inserts and removes leaves the index equal to a
+// recomputation over the surviving tuples. The parallel build, concurrency,
+// persistence and write-through suites live in sharded_shape_index_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "base/rng.h"
-#include "core/is_chase_finite.h"
-#include "gen/data_generator.h"
-#include "gen/tgd_generator.h"
+#include "index/find_shapes.h"
+#include "index/shape_index.h"
+#include "logic/shape.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
-#include "storage/shape_index.h"
 #include "storage/shape_source.h"
 
 namespace chase {
-namespace storage {
 namespace {
 
-// The scan plan over the row store: the reference the index must match.
-std::vector<Shape> ScanShapes(const Catalog& catalog) {
-  auto shapes = FindShapes(MemoryShapeSource(&catalog));
+using index::ShapeIndex;
+using storage::ShapeFinderMode;
+
+using ShapeCounts = std::map<Shape, uint64_t>;
+
+// The scan plan over the row store: an independent algorithm the index's
+// shape set must match.
+std::vector<Shape> ScanShapes(const Database& db) {
+  storage::Catalog catalog(&db);
+  auto shapes = storage::FindShapes(storage::MemoryShapeSource(&catalog),
+                                    {ShapeFinderMode::kScan, 1});
   EXPECT_TRUE(shapes.ok()) << shapes.status();
   return shapes.ok() ? std::move(shapes).value() : std::vector<Shape>{};
 }
 
-GeneratedData MakeData(uint32_t preds, uint64_t rsize, uint64_t seed) {
-  DataGenParams params;
-  params.preds = preds;
-  params.min_arity = 1;
-  params.max_arity = 5;
-  params.dsize = 100;
-  params.rsize = rsize;
-  params.seed = seed;
-  auto data = GenerateData(params);
-  EXPECT_TRUE(data.ok()) << data.status();
-  return std::move(data).value();
+// Per-shape multiplicities counted straight off the database rows.
+ShapeCounts CountShapes(const Database& db) {
+  ShapeCounts counts;
+  for (PredId pred : db.NonEmptyPredicates()) {
+    const uint32_t arity = db.schema().Arity(pred);
+    const auto tuples = db.Tuples(pred);
+    for (size_t row = 0; row < tuples.size() / arity; ++row) {
+      ++counts[ShapeOfTuple(pred, tuples.subspan(row * arity, arity))];
+    }
+  }
+  return counts;
+}
+
+// The index's shapes, multiplicities and tuple total equal `expected`.
+void ExpectCounts(const ShapeIndex& index, const ShapeCounts& expected) {
+  std::vector<Shape> shapes;
+  uint64_t tuples = 0;
+  for (const auto& [shape, count] : expected) {
+    shapes.push_back(shape);
+    tuples += count;
+    EXPECT_EQ(index.Count(shape), count);
+  }
+  EXPECT_EQ(index.CurrentShapes(), shapes);
+  EXPECT_EQ(index.NumShapes(), shapes.size());
+  EXPECT_EQ(index.NumIndexedTuples(), tuples);
 }
 
 TEST(ShapeIndexTest, EmptyIndexHasNoShapes) {
   ShapeIndex index;
   EXPECT_EQ(index.NumShapes(), 0u);
+  EXPECT_EQ(index.NumIndexedTuples(), 0u);
   EXPECT_TRUE(index.CurrentShapes().empty());
 }
 
-TEST(ShapeIndexTest, BuildMatchesFindShapes) {
-  GeneratedData data = MakeData(6, 80, 99);
-  ShapeIndex index = ShapeIndex::Build(*data.database);
-  Catalog catalog(data.database.get());
-  EXPECT_EQ(index.CurrentShapes(), ScanShapes(catalog));
-}
-
-TEST(ShapeIndexTest, InsertAddsShapeOnce) {
+TEST(ShapeIndexTest, InsertCountsTuplesPerShape) {
   Schema schema;
   auto pred = schema.AddPredicate("r", 3);
   ASSERT_TRUE(pred.ok());
@@ -59,6 +81,7 @@ TEST(ShapeIndexTest, InsertAddsShapeOnce) {
   index.Insert(*pred, t2);
   EXPECT_EQ(index.NumShapes(), 1u);
   EXPECT_EQ(index.Count(Shape(*pred, {1, 1, 2})), 2u);
+  EXPECT_EQ(index.NumIndexedTuples(), 2u);
 }
 
 TEST(ShapeIndexTest, RemoveKeepsShapeWhileTuplesRemain) {
@@ -75,6 +98,7 @@ TEST(ShapeIndexTest, RemoveKeepsShapeWhileTuplesRemain) {
   ASSERT_TRUE(index.Remove(*pred, t2).ok());
   EXPECT_FALSE(index.Contains(Shape(*pred, {1, 2})));
   EXPECT_EQ(index.NumShapes(), 0u);
+  EXPECT_EQ(index.NumIndexedTuples(), 0u);
 }
 
 TEST(ShapeIndexTest, RemoveUnindexedShapeFails) {
@@ -85,6 +109,8 @@ TEST(ShapeIndexTest, RemoveUnindexedShapeFails) {
   std::vector<uint32_t> tuple = {1, 2};
   EXPECT_EQ(index.Remove(*pred, tuple).code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_EQ(index.NumIndexedTuples(), 0u);
+  EXPECT_EQ(index.ContentFingerprint(), 0u);
 }
 
 // Property: after any interleaving of inserts and removes, the index equals
@@ -134,48 +160,13 @@ TEST_P(ShapeIndexPropertyTest, MatchesRecomputationUnderChurn) {
       ASSERT_TRUE(db.AddFact(preds[which], tuple).ok());
     }
   }
-  Catalog catalog(&db);
-  EXPECT_EQ(index.CurrentShapes(), ScanShapes(catalog));
+  EXPECT_EQ(index.CurrentShapes(), ScanShapes(db));
+  ExpectCounts(index, CountShapes(db));
+  EXPECT_EQ(index.ContentFingerprint(), index::DatabaseFingerprint(db));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShapeIndexPropertyTest,
                          testing::Values(11, 22, 33, 44, 55, 66));
 
-// IsChaseFinite[L] fed from the index (Section 10 deployment) agrees with
-// the scanning implementation, and reports zero shape-finding work.
-class IndexFedCheckTest : public testing::TestWithParam<uint64_t> {};
-
-TEST_P(IndexFedCheckTest, PrecomputedShapesMatchScanningVerdict) {
-  Rng rng(GetParam());
-  GeneratedData data = MakeData(6, 50, rng.Next());
-  TgdGenParams params;
-  params.ssize = 6;
-  params.min_arity = 1;
-  params.max_arity = 5;
-  params.tsize = 20;
-  params.tclass = TgdClass::kLinear;
-  params.seed = rng.Next();
-  auto tgds = GenerateTgds(*data.schema, params);
-  ASSERT_TRUE(tgds.ok()) << tgds.status();
-
-  auto scanned = IsChaseFiniteL(*data.database, tgds.value());
-  ASSERT_TRUE(scanned.ok()) << scanned.status();
-
-  ShapeIndex index = ShapeIndex::Build(*data.database);
-  std::vector<Shape> shapes = index.CurrentShapes();
-  LCheckOptions options;
-  options.precomputed_shapes = &shapes;
-  LCheckStats stats;
-  auto indexed = IsChaseFiniteL(*data.database, tgds.value(), options,
-                                &stats);
-  ASSERT_TRUE(indexed.ok()) << indexed.status();
-  EXPECT_EQ(indexed.value(), scanned.value());
-  EXPECT_EQ(stats.access.tuples_scanned, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IndexFedCheckTest,
-                         testing::Values(3, 5, 8, 13, 21, 34));
-
 }  // namespace
-}  // namespace storage
 }  // namespace chase

@@ -65,7 +65,7 @@ TEST(ShapeSourceTest, AllBackendModeThreadCombinationsAgree) {
 
     for (const storage::ShapeSource* source :
          std::initializer_list<const storage::ShapeSource*>{&memory, &disk}) {
-      // The layer split: storage/ cannot name the sharded index, so the
+      // The layer split: storage/ cannot name the shape index, so the
       // index plan is only reachable through index::FindShapes, which
       // dispatches it before falling through to storage::FindShapes.
       EXPECT_EQ(storage::FindShapes(*source, {ShapeFinderMode::kIndex})

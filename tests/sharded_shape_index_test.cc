@@ -1,22 +1,26 @@
-// ShardedShapeIndex: the sharded, persistent, write-through materialization
-// of shape(D).
+// ShapeIndex at scale: the parallel (formerly sharded) build, concurrent
+// writers, snapshots and write-through of the one index::ShapeIndex.
 //
 //  * equivalence: parallel builds over both ShapeSource backends and the
-//    `index` FindShapes mode return exactly the serial oracle's shapes;
-//  * concurrency: a multi-threaded insert/remove stress run must land in
-//    the same state as a serial storage::ShapeIndex replay (run under
-//    ThreadSanitizer in CI);
-//  * persistence: snapshots round-trip bit-exactly and corrupt or truncated
-//    snapshots are rejected;
-//  * write-through: the Catalog insert path and the chase engine keep the
-//    index current, and IsChaseFinite[L] fed from the index agrees with the
-//    scanning implementation.
+//    `index` FindShapes mode return exactly the scan plan's shapes, with
+//    per-shape multiplicities equal to counts over the database rows;
+//  * concurrency: a multi-threaded insert/remove stress run lands in the
+//    same state as a serial replay (run under ThreadSanitizer in CI);
+//  * persistence: snapshots round-trip bit-exactly, snapshots written with
+//    a shard count in the reserved field still load, and corrupt or
+//    truncated snapshots are rejected;
+//  * write-through: the chase engine keeps the index current, and
+//    IsChaseFinite[L] fed from the index agrees with the scanning
+//    implementation.
+//
+// Insert/remove semantics and the churn property are in shape_index_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,22 +31,23 @@
 #include "gen/data_generator.h"
 #include "gen/tgd_generator.h"
 #include "index/find_shapes.h"
-#include "index/sharded_shape_index.h"
+#include "index/shape_index.h"
 #include "io/binary_io.h"
 #include "logic/parser.h"
+#include "logic/shape.h"
 #include "pager/disk_database.h"
 #include "pager/disk_shape_source.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
-#include "storage/shape_index.h"
 #include "storage/shape_source.h"
 
 namespace chase {
 namespace {
 
-using index::IndexBuildOptions;
-using index::ShardedShapeIndex;
+using index::ShapeIndex;
 using storage::ShapeFinderMode;
+
+using ShapeCounts = std::map<Shape, uint64_t>;
 
 std::string TempPath(const std::string& name) {
   const char* dir = std::getenv("TMPDIR");
@@ -64,50 +69,53 @@ GeneratedData MakeRandomData(Rng* rng) {
   return std::move(data).value();
 }
 
-TEST(ShardedShapeIndexTest, EmptyIndexHasNoShapes) {
-  ShardedShapeIndex index(4);
-  EXPECT_EQ(index.num_shards(), 4u);
-  EXPECT_EQ(index.NumShapes(), 0u);
-  EXPECT_EQ(index.NumIndexedTuples(), 0u);
-  EXPECT_TRUE(index.CurrentShapes().empty());
+// The scan plan over the row store: an independent algorithm the index's
+// shape set must match.
+std::vector<Shape> ScanShapes(const Database& db) {
+  storage::Catalog catalog(&db);
+  auto shapes = storage::FindShapes(storage::MemoryShapeSource(&catalog),
+                                    {ShapeFinderMode::kScan, 1});
+  EXPECT_TRUE(shapes.ok()) << shapes.status();
+  return shapes.ok() ? std::move(shapes).value() : std::vector<Shape>{};
 }
 
-TEST(ShardedShapeIndexTest, ZeroShardsFallsBackToDefault) {
-  ShardedShapeIndex index(0);
-  EXPECT_EQ(index.num_shards(), ShardedShapeIndex::kDefaultShards);
+// Per-shape multiplicities counted straight off the database rows.
+ShapeCounts CountShapes(const Database& db) {
+  ShapeCounts counts;
+  for (PredId pred : db.NonEmptyPredicates()) {
+    const uint32_t arity = db.schema().Arity(pred);
+    const auto tuples = db.Tuples(pred);
+    for (size_t row = 0; row < tuples.size() / arity; ++row) {
+      ++counts[ShapeOfTuple(pred, tuples.subspan(row * arity, arity))];
+    }
+  }
+  return counts;
 }
 
-TEST(ShardedShapeIndexTest, CountsAndRemovalMatchSerialSemantics) {
-  Schema schema;
-  auto pred = schema.AddPredicate("r", 3);
-  ASSERT_TRUE(pred.ok());
-  ShardedShapeIndex index(8);
-  std::vector<uint32_t> t1 = {1, 1, 2};
-  std::vector<uint32_t> t2 = {5, 5, 9};  // same shape (1,1,2)
-  index.Insert(*pred, t1);
-  index.Insert(*pred, t2);
-  EXPECT_EQ(index.NumShapes(), 1u);
-  EXPECT_EQ(index.Count(Shape(*pred, {1, 1, 2})), 2u);
-  EXPECT_EQ(index.NumIndexedTuples(), 2u);
-
-  ASSERT_TRUE(index.Remove(*pred, t1).ok());
-  EXPECT_TRUE(index.Contains(Shape(*pred, {1, 1, 2})));
-  ASSERT_TRUE(index.Remove(*pred, t2).ok());
-  EXPECT_FALSE(index.Contains(Shape(*pred, {1, 1, 2})));
-  EXPECT_EQ(index.Remove(*pred, t1).code(), StatusCode::kFailedPrecondition);
+// The index's shapes, multiplicities and tuple total equal `expected`.
+void ExpectCounts(const ShapeIndex& index, const ShapeCounts& expected) {
+  std::vector<Shape> shapes;
+  uint64_t tuples = 0;
+  for (const auto& [shape, count] : expected) {
+    shapes.push_back(shape);
+    tuples += count;
+    EXPECT_EQ(index.Count(shape), count);
+  }
+  EXPECT_EQ(index.CurrentShapes(), shapes);
+  EXPECT_EQ(index.NumShapes(), shapes.size());
+  EXPECT_EQ(index.NumIndexedTuples(), tuples);
 }
 
-// Build over both backends, every (shards, threads) combination, must equal
-// the serial single-map oracle — and so must the kIndex FindShapes mode.
-TEST(ShardedShapeIndexTest, BuildMatchesSerialOracleOnBothBackends) {
+// Build over both backends at every thread count must equal the scan
+// plan — and so must the kIndex FindShapes mode.
+TEST(ShapeIndexTest, BuildMatchesScanPlanOnBothBackends) {
   Rng rng(20260728);
   for (int trial = 0; trial < 6; ++trial) {
     GeneratedData data = MakeRandomData(&rng);
-    const std::vector<Shape> expected =
-        storage::ShapeIndex::Build(*data.database).CurrentShapes();
+    const std::vector<Shape> expected = ScanShapes(*data.database);
 
     const std::string path =
-        TempPath("chase_sharded_index_build_" + std::to_string(trial) +
+        TempPath("chase_shape_index_build_" + std::to_string(trial) +
                  ".db");
     auto disk_db = pager::DiskDatabase::Create(path, *data.database,
                                                /*num_frames=*/16);
@@ -119,16 +127,13 @@ TEST(ShardedShapeIndexTest, BuildMatchesSerialOracleOnBothBackends) {
     for (const storage::ShapeSource* source :
          {static_cast<const storage::ShapeSource*>(&memory),
           static_cast<const storage::ShapeSource*>(&disk)}) {
-      for (unsigned shards : {1u, 3u, 16u}) {
-        for (unsigned threads : {1u, 4u}) {
-          auto built = ShardedShapeIndex::Build(*source, {shards, threads});
-          ASSERT_TRUE(built.ok()) << built.status();
-          EXPECT_EQ(built->num_shards(), shards);
-          EXPECT_EQ(built->CurrentShapes(), expected)
-              << "trial " << trial << ", backend " << source->Name()
-              << ", shards " << shards << ", threads " << threads;
-          EXPECT_EQ(built->NumIndexedTuples(), data.database->TotalFacts());
-        }
+      for (unsigned threads : {1u, 4u}) {
+        auto built = ShapeIndex::Build(*source, {threads});
+        ASSERT_TRUE(built.ok()) << built.status();
+        EXPECT_EQ(built->CurrentShapes(), expected)
+            << "trial " << trial << ", backend " << source->Name()
+            << ", threads " << threads;
+        EXPECT_EQ(built->NumIndexedTuples(), data.database->TotalFacts());
       }
       auto via_finder =
           index::FindShapes(*source, {ShapeFinderMode::kIndex, /*threads=*/4});
@@ -139,24 +144,25 @@ TEST(ShardedShapeIndexTest, BuildMatchesSerialOracleOnBothBackends) {
   }
 }
 
-// Per-shape multiplicities (not just the distinct set) must match the
-// serial oracle after a parallel build.
-TEST(ShardedShapeIndexTest, BuildPreservesMultiplicities) {
+// Per-shape multiplicities (not just the distinct set) must match counts
+// over the database rows, after the serial and the parallel build.
+TEST(ShapeIndexTest, BuildPreservesMultiplicities) {
   Rng rng(7311);
   GeneratedData data = MakeRandomData(&rng);
-  storage::ShapeIndex oracle = storage::ShapeIndex::Build(*data.database);
-  ShardedShapeIndex sharded =
-      ShardedShapeIndex::Build(*data.database, /*shards=*/8);
-  for (const Shape& shape : oracle.CurrentShapes()) {
-    EXPECT_EQ(sharded.Count(shape), oracle.Count(shape));
-  }
-  EXPECT_EQ(sharded.NumShapes(), oracle.NumShapes());
+  const ShapeCounts expected = CountShapes(*data.database);
+  ExpectCounts(ShapeIndex::Build(*data.database), expected);
+
+  storage::Catalog catalog(data.database.get());
+  storage::MemoryShapeSource memory(&catalog);
+  auto built = ShapeIndex::Build(memory, {/*threads=*/4});
+  ASSERT_TRUE(built.ok()) << built.status();
+  ExpectCounts(*built, expected);
 }
 
 // The multi-threaded stress test: writers hammer one index concurrently;
-// the final state must equal a serial replay. Exercises the per-shard
-// latches and the concurrent read paths; run under TSan in CI.
-TEST(ShardedShapeIndexTest, ConcurrentInsertRemoveMatchesSerialReplay) {
+// the final state must equal a serial replay. Exercises the latch and the
+// concurrent read paths; run under TSan in CI.
+TEST(ShapeIndexTest, ConcurrentInsertRemoveMatchesSerialReplay) {
   constexpr unsigned kThreads = 8;
   constexpr int kOpsPerThread = 4000;
 
@@ -175,7 +181,7 @@ TEST(ShardedShapeIndexTest, ConcurrentInsertRemoveMatchesSerialReplay) {
     std::vector<uint32_t> tuple;
   };
 
-  ShardedShapeIndex sharded(16);
+  ShapeIndex shared;
   std::vector<std::vector<Op>> logs(kThreads);
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
@@ -190,7 +196,7 @@ TEST(ShardedShapeIndexTest, ConcurrentInsertRemoveMatchesSerialReplay) {
         if (remove) {
           const size_t victim = rng.Below(live.size());
           auto [pred, tuple] = live[victim];
-          ASSERT_TRUE(sharded.Remove(pred, tuple).ok());
+          ASSERT_TRUE(shared.Remove(pred, tuple).ok());
           logs[t].push_back({true, pred, std::move(tuple)});
           live.erase(live.begin() + static_cast<ptrdiff_t>(victim));
         } else {
@@ -200,52 +206,48 @@ TEST(ShardedShapeIndexTest, ConcurrentInsertRemoveMatchesSerialReplay) {
           for (uint32_t& v : tuple) {
             v = static_cast<uint32_t>(rng.Below(5));  // small → collisions
           }
-          sharded.Insert(pred, tuple);
+          shared.Insert(pred, tuple);
           logs[t].push_back({false, pred, tuple});
           live.emplace_back(pred, std::move(tuple));
         }
         if (op % 512 == 0) {
           // Concurrent readers: must be data-race-free with the writers.
-          (void)sharded.NumShapes();
-          (void)sharded.Contains(Shape(preds[0], {1}));
+          (void)shared.NumShapes();
+          (void)shared.Contains(Shape(preds[0], {1}));
         }
       }
     });
   }
   for (std::thread& worker : workers) worker.join();
 
-  // Serial replay, thread by thread: each per-thread log is individually
-  // valid, and threads only remove their own inserts, so any thread order
-  // replays cleanly and all orders end in the same counter state.
-  storage::ShapeIndex oracle;
+  // Serial replay, thread by thread, into plain per-shape counters: each
+  // per-thread log is individually valid, and threads only remove their own
+  // inserts, so any thread order replays cleanly and all orders end in the
+  // same counter state.
+  ShapeCounts replay;
   for (const auto& log : logs) {
     for (const Op& op : log) {
-      if (op.remove) {
-        ASSERT_TRUE(oracle.Remove(op.pred, op.tuple).ok());
-      } else {
-        oracle.Insert(op.pred, op.tuple);
+      const Shape shape = ShapeOfTuple(op.pred, op.tuple);
+      if (!op.remove) {
+        ++replay[shape];
+      } else if (--replay[shape] == 0) {
+        replay.erase(shape);
       }
     }
   }
-
-  EXPECT_EQ(sharded.CurrentShapes(), oracle.CurrentShapes());
-  for (const Shape& shape : oracle.CurrentShapes()) {
-    EXPECT_EQ(sharded.Count(shape), oracle.Count(shape));
-  }
+  ExpectCounts(shared, replay);
 }
 
-TEST(ShardedShapeIndexTest, SnapshotRoundTrips) {
+TEST(ShapeIndexTest, SnapshotRoundTrips) {
   Rng rng(555);
   GeneratedData data = MakeRandomData(&rng);
-  ShardedShapeIndex built =
-      ShardedShapeIndex::Build(*data.database, /*shards=*/12);
+  ShapeIndex built = ShapeIndex::Build(*data.database);
 
-  const std::string path = TempPath("chase_sharded_index_snapshot.chidx");
+  const std::string path = TempPath("chase_shape_index_snapshot.chidx");
   ASSERT_TRUE(built.Save(path).ok());
-  auto loaded = ShardedShapeIndex::Load(path);
+  auto loaded = ShapeIndex::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
-  EXPECT_EQ(loaded->num_shards(), 12u);
   EXPECT_EQ(loaded->CurrentShapes(), built.CurrentShapes());
   EXPECT_EQ(loaded->NumIndexedTuples(), built.NumIndexedTuples());
   for (const Shape& shape : built.CurrentShapes()) {
@@ -255,7 +257,7 @@ TEST(ShardedShapeIndexTest, SnapshotRoundTrips) {
   // Snapshot bytes are canonical: saving the loaded index reproduces them.
   auto first = io::LoadShapeSnapshot(path);
   ASSERT_TRUE(first.ok());
-  const std::string path2 = TempPath("chase_sharded_index_snapshot2.chidx");
+  const std::string path2 = TempPath("chase_shape_index_snapshot2.chidx");
   ASSERT_TRUE(loaded->Save(path2).ok());
   auto second = io::LoadShapeSnapshot(path2);
   ASSERT_TRUE(second.ok());
@@ -265,16 +267,44 @@ TEST(ShardedShapeIndexTest, SnapshotRoundTrips) {
   std::remove(path2.c_str());
 }
 
-TEST(ShardedShapeIndexTest, CorruptAndTruncatedSnapshotsAreRejected) {
+// Snapshots written when the index was sharded carry the shard count in
+// what is now a reserved field; they load with the same contents, and
+// saving them again writes the reserved value 1.
+TEST(ShapeIndexTest, SnapshotWithShardCountLoads) {
+  Rng rng(556);
+  GeneratedData data = MakeRandomData(&rng);
+  const ShapeCounts expected = CountShapes(*data.database);
+
+  io::ShapeSnapshot snapshot;
+  snapshot.num_shards = 12;
+  snapshot.fingerprint = index::DatabaseFingerprint(*data.database);
+  for (const auto& [shape, count] : expected) {
+    snapshot.counts.push_back({shape, count});
+  }
+  const std::string path = TempPath("chase_shape_index_sharded.chidx");
+  ASSERT_TRUE(io::SaveShapeSnapshot(snapshot, path).ok());
+  auto loaded = ShapeIndex::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ExpectCounts(*loaded, expected);
+  EXPECT_EQ(loaded->ContentFingerprint(), snapshot.fingerprint);
+
+  ASSERT_TRUE(loaded->Save(path).ok());
+  auto resaved = io::LoadShapeSnapshot(path);
+  ASSERT_TRUE(resaved.ok()) << resaved.status();
+  EXPECT_EQ(resaved->num_shards, 1u);
+  EXPECT_EQ(resaved->fingerprint, snapshot.fingerprint);
+  std::remove(path.c_str());
+}
+
+TEST(ShapeIndexTest, CorruptAndTruncatedSnapshotsAreRejected) {
   Schema schema;
   auto pred = schema.AddPredicate("r", 2);
   ASSERT_TRUE(pred.ok());
-  ShardedShapeIndex index(2);
+  ShapeIndex index;
   std::vector<uint32_t> tuple = {3, 3};
   index.Insert(*pred, tuple);
 
   io::ShapeSnapshot snapshot;
-  snapshot.num_shards = index.num_shards();
   for (const Shape& shape : index.CurrentShapes()) {
     snapshot.counts.push_back({shape, index.Count(shape)});
   }
@@ -303,19 +333,31 @@ TEST(ShardedShapeIndexTest, CorruptAndTruncatedSnapshotsAreRejected) {
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);
+
+  // The reserved field outside [1, kMaxSnapshotShards].
+  for (uint32_t reserved : {0u, io::kMaxSnapshotShards + 1}) {
+    io::ShapeSnapshot out_of_range = snapshot;
+    out_of_range.num_shards = reserved;
+    EXPECT_EQ(io::DeserializeShapeSnapshot(
+                  io::SerializeShapeSnapshot(out_of_range))
+                  .status()
+                  .code(),
+              StatusCode::kFailedPrecondition)
+        << reserved;
+  }
 }
 
 // The `index` FindShapes mode agrees byte-for-byte with the scan and exists
 // plans on memory and disk across generated scenarios (the cross-backend
 // property the scan/exists plans already maintain, extended to the index).
-TEST(ShardedShapeIndexTest, IndexModeAgreesWithScanAndExistsEverywhere) {
+TEST(ShapeIndexTest, IndexModeAgreesWithScanAndExistsEverywhere) {
   Rng rng(31415);
   for (int trial = 0; trial < 6; ++trial) {
     GeneratedData data = MakeRandomData(&rng);
     storage::Catalog catalog(data.database.get());
     storage::MemoryShapeSource memory(&catalog);
     const std::string path =
-        TempPath("chase_sharded_index_agree_" + std::to_string(trial) +
+        TempPath("chase_shape_index_agree_" + std::to_string(trial) +
                  ".db");
     auto disk_db = pager::DiskDatabase::Create(path, *data.database,
                                                /*num_frames=*/8);
@@ -344,47 +386,9 @@ TEST(ShardedShapeIndexTest, IndexModeAgreesWithScanAndExistsEverywhere) {
   }
 }
 
-// Write-through via the Catalog insert path: the index stays equal to a
-// recomputation as facts stream in.
-TEST(ShardedShapeIndexTest, CatalogInsertFactWritesThrough) {
-  Rng rng(99);
-  Schema schema;
-  std::vector<PredId> preds;
-  for (int i = 0; i < 3; ++i) {
-    auto pred = schema.AddPredicate("p" + std::to_string(i),
-                                    1 + static_cast<uint32_t>(rng.Below(4)));
-    ASSERT_TRUE(pred.ok());
-    preds.push_back(*pred);
-  }
-  Database db(&schema);
-  db.EnsureAnonymousDomain(16);
-
-  ShardedShapeIndex index(4);
-  storage::Catalog catalog(&db);
-  catalog.AttachShapeIndex(&index);
-  ASSERT_EQ(catalog.shape_index(), &index);
-
-  for (int i = 0; i < 400; ++i) {
-    const size_t which = rng.Below(preds.size());
-    std::vector<uint32_t> tuple(schema.Arity(preds[which]));
-    for (uint32_t& v : tuple) v = static_cast<uint32_t>(rng.Below(6));
-    ASSERT_TRUE(catalog.InsertFact(preds[which], tuple).ok());
-  }
-  EXPECT_EQ(db.TotalFacts(), 400u);
-  EXPECT_EQ(index.NumIndexedTuples(), 400u);
-  EXPECT_EQ(index.CurrentShapes(),
-            storage::ShapeIndex::Build(db).CurrentShapes());
-
-  // A read-only catalog refuses the write path.
-  storage::Catalog read_only(static_cast<const Database*>(&db));
-  std::vector<uint32_t> tuple(schema.Arity(preds[0]), 1);
-  EXPECT_EQ(read_only.InsertFact(preds[0], tuple).code(),
-            StatusCode::kFailedPrecondition);
-}
-
 // Write-through via the chase engine: after a run, the index holds exactly
 // the shapes of the chased instance, nulls included.
-TEST(ShardedShapeIndexTest, ChaseWriteThroughTracksInstanceShapes) {
+TEST(ShapeIndexTest, ChaseWriteThroughTracksInstanceShapes) {
   auto program = ParseProgram(R"(
     e(a, b). e(b, c). r(a, a).
     e(X, Y) -> e(Y, Z).
@@ -392,8 +396,7 @@ TEST(ShardedShapeIndexTest, ChaseWriteThroughTracksInstanceShapes) {
   )");
   ASSERT_TRUE(program.ok()) << program.status();
 
-  ShardedShapeIndex index =
-      ShardedShapeIndex::Build(*program->database, /*shards=*/4);
+  ShapeIndex index = ShapeIndex::Build(*program->database);
   ChaseOptions options;
   options.max_atoms = 200;
   options.shape_index = &index;
@@ -411,8 +414,8 @@ TEST(ShardedShapeIndexTest, ChaseWriteThroughTracksInstanceShapes) {
   EXPECT_EQ(index.CurrentShapes(), expected);
 }
 
-// IsChaseFinite[L] fed from a live sharded index: same verdict as the
-// scanning implementation, zero db-dependent work.
+// IsChaseFinite[L] fed from a live index: same verdict as the scanning
+// implementation, zero db-dependent work.
 class IndexFedLCheckTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(IndexFedLCheckTest, AgreesWithScanAndSkipsShapeFinding) {
@@ -431,7 +434,7 @@ TEST_P(IndexFedLCheckTest, AgreesWithScanAndSkipsShapeFinding) {
   auto scanned = IsChaseFiniteL(*data.database, tgds.value());
   ASSERT_TRUE(scanned.ok()) << scanned.status();
 
-  ShardedShapeIndex index = ShardedShapeIndex::Build(*data.database);
+  ShapeIndex index = ShapeIndex::Build(*data.database);
   LCheckOptions options;
   options.shape_index = &index;
   LCheckStats stats;
@@ -446,6 +449,49 @@ TEST_P(IndexFedLCheckTest, AgreesWithScanAndSkipsShapeFinding) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexFedLCheckTest,
                          testing::Values(2, 4, 6, 10, 12, 14));
 
+// The same check fed shapes extracted from the index up front
+// (LCheckOptions::precomputed_shapes): same verdict, no shape-finding work.
+class IndexFedCheckTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(IndexFedCheckTest, PrecomputedShapesMatchScanningVerdict) {
+  Rng rng(GetParam());
+  DataGenParams data_params;
+  data_params.preds = 6;
+  data_params.min_arity = 1;
+  data_params.max_arity = 5;
+  data_params.dsize = 100;
+  data_params.rsize = 50;
+  data_params.seed = rng.Next();
+  auto data = GenerateData(data_params);
+  ASSERT_TRUE(data.ok()) << data.status();
+  TgdGenParams params;
+  params.ssize = 6;
+  params.min_arity = 1;
+  params.max_arity = 5;
+  params.tsize = 20;
+  params.tclass = TgdClass::kLinear;
+  params.seed = rng.Next();
+  auto tgds = GenerateTgds(*data->schema, params);
+  ASSERT_TRUE(tgds.ok()) << tgds.status();
+
+  auto scanned = IsChaseFiniteL(*data->database, tgds.value());
+  ASSERT_TRUE(scanned.ok()) << scanned.status();
+
+  std::vector<Shape> shapes =
+      ShapeIndex::Build(*data->database).CurrentShapes();
+  LCheckOptions options;
+  options.precomputed_shapes = &shapes;
+  LCheckStats stats;
+  auto indexed = IsChaseFiniteL(*data->database, tgds.value(), options,
+                                &stats);
+  ASSERT_TRUE(indexed.ok()) << indexed.status();
+  EXPECT_EQ(indexed.value(), scanned.value());
+  EXPECT_EQ(stats.access.tuples_scanned, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexFedCheckTest,
+                         testing::Values(3, 5, 8, 13, 21, 34));
+
 // ---------------------------------------------------------------------------
 // Content fingerprint: the order-independent digest behind the snapshot
 // staleness guard.
@@ -457,13 +503,13 @@ TEST(ShapeFingerprintTest, EveryBuildPathAgreesWithDatabaseFingerprint) {
     const uint64_t expected = index::DatabaseFingerprint(*data.database);
 
     // Serial convenience build.
-    EXPECT_EQ(ShardedShapeIndex::Build(*data.database).ContentFingerprint(),
+    EXPECT_EQ(ShapeIndex::Build(*data.database).ContentFingerprint(),
               expected);
 
     // Parallel source build over memory and disk.
     storage::Catalog catalog(data.database.get());
     storage::MemoryShapeSource memory(&catalog);
-    auto built = ShardedShapeIndex::Build(memory, {8, 4});
+    auto built = ShapeIndex::Build(memory, {/*threads=*/4});
     ASSERT_TRUE(built.ok()) << built.status();
     EXPECT_EQ(built->ContentFingerprint(), expected);
 
@@ -473,7 +519,7 @@ TEST(ShapeFingerprintTest, EveryBuildPathAgreesWithDatabaseFingerprint) {
                                                /*num_frames=*/16);
     ASSERT_TRUE(disk_db.ok()) << disk_db.status();
     pager::DiskShapeSource disk(disk_db->get());
-    auto disk_built = ShardedShapeIndex::Build(disk, {4, 4});
+    auto disk_built = ShapeIndex::Build(disk, {/*threads=*/4});
     ASSERT_TRUE(disk_built.ok()) << disk_built.status();
     EXPECT_EQ(disk_built->ContentFingerprint(), expected);
     std::remove(path.c_str());
@@ -488,13 +534,12 @@ TEST(ShapeFingerprintTest, WriteThroughMaintainsFingerprint) {
   Database db(&schema);
   db.EnsureAnonymousDomain(8);
 
-  ShardedShapeIndex index(4);
-  storage::Catalog catalog(&db);
-  catalog.AttachShapeIndex(&index);
+  ShapeIndex index;
   for (int i = 0; i < 200; ++i) {
     std::vector<uint32_t> tuple(3);
     for (uint32_t& v : tuple) v = static_cast<uint32_t>(rng.Below(5));
-    ASSERT_TRUE(catalog.InsertFact(*pred, tuple).ok());
+    ASSERT_TRUE(db.AddFact(*pred, tuple).ok());
+    index.Insert(*pred, tuple);
   }
   EXPECT_EQ(index.ContentFingerprint(), index::DatabaseFingerprint(db));
 
@@ -525,8 +570,8 @@ TEST(ShapeFingerprintTest, CatchesRemoveInsertPairThatPreservesCounts) {
   ASSERT_TRUE(b.AddFact(*pred, t2).ok());
   ASSERT_TRUE(b.AddFact(*pred, shared).ok());
 
-  const ShardedShapeIndex ia = ShardedShapeIndex::Build(a);
-  const ShardedShapeIndex ib = ShardedShapeIndex::Build(b);
+  const ShapeIndex ia = ShapeIndex::Build(a);
+  const ShapeIndex ib = ShapeIndex::Build(b);
   EXPECT_EQ(ia.NumIndexedTuples(), ib.NumIndexedTuples());
   EXPECT_EQ(ia.CurrentShapes(), ib.CurrentShapes());
   EXPECT_NE(ia.ContentFingerprint(), ib.ContentFingerprint());
@@ -536,10 +581,10 @@ TEST(ShapeFingerprintTest, CatchesRemoveInsertPairThatPreservesCounts) {
 TEST(ShapeFingerprintTest, SnapshotPersistsFingerprint) {
   Rng rng(1010);
   GeneratedData data = MakeRandomData(&rng);
-  ShardedShapeIndex built = ShardedShapeIndex::Build(*data.database, 6);
+  ShapeIndex built = ShapeIndex::Build(*data.database);
   const std::string path = TempPath("chase_fingerprint_snapshot.chidx");
   ASSERT_TRUE(built.Save(path).ok());
-  auto loaded = ShardedShapeIndex::Load(path);
+  auto loaded = ShapeIndex::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->ContentFingerprint(), built.ContentFingerprint());
   EXPECT_EQ(loaded->ContentFingerprint(),

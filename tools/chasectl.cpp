@@ -12,12 +12,12 @@
 //                                                  frontier-parallel
 //                                                  worklist
 //   query <file> "<q(X) :- ...>"                   certain answers
-//   findshapes <file> [--backend=memory|disk|index]
+//   findshapes <file> [--backend=memory|disk]
 //              [--mode=scan|exists|index] [--threads=N]
 //              [--pool-shards=N] [--snapshot=path.chidx]
 //                                                  shape(D) via ShapeSource
 //   index build <file> <out.chidx> [--backend=memory|disk] [--threads=N]
-//              [--shards=N]                        materialize shape(D)
+//                                                  materialize shape(D)
 //   index stat <snapshot.chidx>                    snapshot diagnostics
 //   stats <file>                                   Table-1-style statistics
 //   zoo <file>                                     acyclicity zoo verdicts
@@ -28,7 +28,7 @@
 //                                                  extension: .chbin)
 //
 // Files ending in .chbin are read/written with the binary format
-// (io/binary_io.h); .chidx files are sharded-shape-index snapshots;
+// (io/binary_io.h); .chidx files are shape-index snapshots;
 // anything else uses the Datalog± text syntax. Every subcommand rejects a
 // flag it does not read (exit code 2).
 //
@@ -72,9 +72,10 @@
 #include "graph/dependency_graph.h"
 #include "graph/dot.h"
 #include "index/find_shapes.h"
-#include "index/sharded_shape_index.h"
+#include "index/shape_index.h"
 #include "io/binary_io.h"
 #include "logic/atom.h"
+#include "logic/database.h"
 #include "logic/parser.h"
 #include "logic/printer.h"
 #include "logic/schema.h"
@@ -165,12 +166,6 @@ bool ParseThreads(const Args& args, unsigned* threads) {
   return ParseBoundedFlag(args, "threads", 1, 1, 1024, threads);
 }
 
-// 0 = the index's default shard count.
-bool ParseShards(const Args& args, unsigned* shards) {
-  return ParseBoundedFlag(args, "shards", 0, 0,
-                          index::ShardedShapeIndex::kMaxShards, shards);
-}
-
 // 0 = auto (the buffer pool splits only when large enough).
 bool ParsePoolShards(const Args& args, unsigned* pool_shards) {
   return ParseBoundedFlag(args, "pool-shards", 0, 0, 256, pool_shards);
@@ -235,6 +230,31 @@ Status SaveAnyProgram(const Program& program, const std::string& path) {
 int Fail(const Status& status) {
   std::cerr << "error: " << status << "\n";
   return 1;
+}
+
+// Loads the shape-index snapshot at `path` and checks that it indexes
+// exactly `db`: the tuple count first (cheap), then the content
+// fingerprint, so a remove+insert pair that preserves counts is still
+// caught. A snapshot of another program fails here, before any of its
+// shapes is read against the wrong schema.
+StatusOr<index::ShapeIndex> LoadSnapshotOf(const std::string& path,
+                                           const Database& db) {
+  CHASE_ASSIGN_OR_RETURN(index::ShapeIndex loaded,
+                         index::ShapeIndex::Load(path));
+  if (loaded.NumIndexedTuples() != db.TotalFacts()) {
+    return FailedPreconditionError(
+        "snapshot indexes " + std::to_string(loaded.NumIndexedTuples()) +
+        " tuples but the database holds " + std::to_string(db.TotalFacts()) +
+        " — stale or mismatched snapshot; rebuild with "
+        "`chasectl index build`");
+  }
+  if (loaded.ContentFingerprint() != index::DatabaseFingerprint(db)) {
+    return FailedPreconditionError(
+        "snapshot content fingerprint does not match the database "
+        "(same tuple count, different tuples) — stale or mismatched "
+        "snapshot; rebuild with `chasectl index build`");
+  }
+  return loaded;
 }
 
 // ---------------------------------------------------------------------------
@@ -385,41 +405,19 @@ int CmdCheck(const Args& args) {
     options.shape_threads = threads;
     options.simplify_threads = threads;
     const std::string shapes_flag = args.Get("shapes", "mem");
-    std::optional<index::ShardedShapeIndex> shape_index;
+    std::optional<index::ShapeIndex> shape_index;
     if (shapes_flag == "db") {
       options.shape_finder = storage::ShapeFinderMode::kExists;
     } else if (shapes_flag == "index") {
       // The Section 10 deployment: shape(D) comes from the materialized
       // index — loaded from a snapshot when given, built once otherwise.
       if (args.Has("snapshot")) {
-        auto loaded = index::ShardedShapeIndex::Load(args.Get("snapshot", ""));
+        auto loaded =
+            LoadSnapshotOf(args.Get("snapshot", ""), *program->database);
         if (!loaded.ok()) return Fail(loaded.status());
-        // Staleness guard: a snapshot of this database indexes exactly its
-        // tuples (cheap count check first), and its content fingerprint
-        // matches the database's — so a remove+insert pair that preserves
-        // counts is still caught. (Library callers of precomputed shapes
-        // have a documented contract; CLI users get a check.)
-        if (loaded->NumIndexedTuples() !=
-            program->database->TotalFacts()) {
-          return Fail(FailedPreconditionError(
-              "snapshot indexes " +
-              std::to_string(loaded->NumIndexedTuples()) +
-              " tuples but the database holds " +
-              std::to_string(program->database->TotalFacts()) +
-              " — stale or mismatched snapshot; rebuild with "
-              "`chasectl index build`"));
-        }
-        if (loaded->ContentFingerprint() !=
-            index::DatabaseFingerprint(*program->database)) {
-          return Fail(FailedPreconditionError(
-              "snapshot content fingerprint does not match the database "
-              "(same tuple count, different tuples) — stale or mismatched "
-              "snapshot; rebuild with `chasectl index build`"));
-        }
         shape_index.emplace(std::move(loaded).value());
       } else {
-        shape_index.emplace(
-            index::ShardedShapeIndex::Build(*program->database));
+        shape_index.emplace(index::ShapeIndex::Build(*program->database));
       }
       options.shape_index = &*shape_index;
     } else if (shapes_flag == "mem") {
@@ -727,8 +725,8 @@ int CmdStats(const Args& args) {
 int CmdFindShapes(const Args& args) {
   if (args.positional.empty()) {
     std::cerr << "usage: chasectl findshapes <file> "
-                 "[--backend=memory|disk|index] [--mode=scan|exists|index] "
-                 "[--threads=N] [--shards=N] [--pool-shards=N] "
+                 "[--backend=memory|disk] [--mode=scan|exists|index] "
+                 "[--threads=N] [--pool-shards=N] "
                  "[--snapshot=path.chidx] [--store=path.db] "
                  "[--trace=FILE] [--metrics=FILE] [--print]\n";
     return 2;
@@ -736,21 +734,22 @@ int CmdFindShapes(const Args& args) {
   ObsSession obs_session;
   if (int rc = obs_session.Begin(args); rc != 0) return rc;
 
-  // Snapshot fast path: shape(D) straight out of a persisted index, no
-  // database access at all.
+  auto program = LoadAnyProgram(args.positional[0]);
+  if (!program.ok()) return Fail(program.status());
+
+  // Snapshot fast path: shape(D) straight out of a persisted index of this
+  // program's database, no tuple scan.
   if (args.Has("snapshot")) {
-    auto loaded = index::ShardedShapeIndex::Load(args.Get("snapshot", ""));
+    auto loaded =
+        LoadSnapshotOf(args.Get("snapshot", ""), *program->database);
     if (!loaded.ok()) return Fail(loaded.status());
     Timer timer;
     const std::vector<Shape> shapes = loaded->CurrentShapes();
     std::cout << shapes.size() << " shape(s) over "
               << loaded->NumIndexedTuples() << " indexed tuples\n"
-              << "  backend: snapshot (" << loaded->num_shards()
-              << " shards), plan: index\n"
+              << "  backend: snapshot, plan: index\n"
               << "  t-shapes: " << timer.ElapsedMillis() << " ms\n";
     if (args.Has("print")) {
-      auto program = LoadAnyProgram(args.positional[0]);
-      if (!program.ok()) return Fail(program.status());
       for (const Shape& shape : shapes) {
         std::cout << ShapeName(*program->schema, shape) << "\n";
       }
@@ -758,29 +757,13 @@ int CmdFindShapes(const Args& args) {
     return obs_session.End();
   }
 
-  auto program = LoadAnyProgram(args.positional[0]);
-  if (!program.ok()) return Fail(program.status());
-
   storage::FindShapesOptions options;
-  if (!ParseShards(args, &options.index_shards)) return 2;
   unsigned pool_shards = 0;
   if (!ParsePoolShards(args, &pool_shards)) return 2;
   if (!ParseFinderMode(args, &options.mode)) return 2;
   if (!ParseThreads(args, &options.threads)) return 2;
 
-  std::string backend = args.Get("backend", "memory");
-  if (backend == "index") {
-    // "index" as a backend: the row store behind the materialized-index
-    // plan, matching `chasectl index build --backend=memory`.
-    if (args.Has("mode") &&
-        options.mode != storage::ShapeFinderMode::kIndex) {
-      std::cerr << "--backend=index runs the index plan; it cannot be "
-                   "combined with --mode=" << args.Get("mode", "") << "\n";
-      return 2;
-    }
-    backend = "memory";
-    options.mode = storage::ShapeFinderMode::kIndex;
-  }
+  const std::string backend = args.Get("backend", "memory");
   storage::Catalog catalog(program->database.get());
   storage::MemoryShapeSource memory_source(&catalog);
   std::unique_ptr<pager::DiskDatabase> disk_db;
@@ -799,7 +782,7 @@ int CmdFindShapes(const Args& args) {
     source = disk_source.get();
   } else if (backend != "memory") {
     std::cerr << "unknown --backend=" << backend
-              << " (want memory, disk, or index)\n";
+              << " (want memory or disk)\n";
     return 2;
   }
 
@@ -858,7 +841,7 @@ int CmdFindShapes(const Args& args) {
 int CmdIndex(const Args& args) {
   const std::string usage =
       "usage: chasectl index build <file> <out.chidx> "
-      "[--backend=memory|disk] [--threads=N] [--shards=N] [--store=path.db]\n"
+      "[--backend=memory|disk] [--threads=N] [--store=path.db]\n"
       "       chasectl index stat <snapshot.chidx>\n";
   if (args.positional.empty()) {
     std::cerr << usage;
@@ -871,20 +854,10 @@ int CmdIndex(const Args& args) {
       std::cerr << usage;
       return 2;
     }
-    auto loaded = index::ShardedShapeIndex::Load(args.positional[1]);
+    auto loaded = index::ShapeIndex::Load(args.positional[1]);
     if (!loaded.ok()) return Fail(loaded.status());
-    const size_t num_shapes = loaded->NumShapes();
-    size_t min_shard = SIZE_MAX, max_shard = 0;
-    for (unsigned s = 0; s < loaded->num_shards(); ++s) {
-      const size_t n = loaded->ShardNumShapes(s);
-      min_shard = std::min(min_shard, n);
-      max_shard = std::max(max_shard, n);
-    }
-    std::cout << "shards:        " << loaded->num_shards() << "\n"
-              << "shapes:        " << num_shapes << "\n"
-              << "tuples:        " << loaded->NumIndexedTuples() << "\n"
-              << "shard shapes:  [" << (num_shapes == 0 ? 0 : min_shard)
-              << ", " << max_shard << "]\n";
+    std::cout << "shapes:        " << loaded->NumShapes() << "\n"
+              << "tuples:        " << loaded->NumIndexedTuples() << "\n";
     return 0;
   }
 
@@ -897,7 +870,6 @@ int CmdIndex(const Args& args) {
 
   index::IndexBuildOptions options;
   if (!ParseThreads(args, &options.threads)) return 2;
-  if (!ParseShards(args, &options.shards)) return 2;
 
   storage::Catalog catalog(program->database.get());
   storage::MemoryShapeSource memory_source(&catalog);
@@ -928,7 +900,7 @@ int CmdIndex(const Args& args) {
   };
 
   Timer timer;
-  auto built = index::ShardedShapeIndex::Build(*source, options);
+  auto built = index::ShapeIndex::Build(*source, options);
   const double build_ms = timer.ElapsedMillis();
   if (!built.ok()) {
     cleanup_store();
@@ -939,8 +911,7 @@ int CmdIndex(const Args& args) {
     return Fail(status);
   }
   std::cout << "indexed " << built->NumIndexedTuples() << " tuples ("
-            << built->NumShapes() << " shapes) into "
-            << built->num_shards() << " shards in " << build_ms << " ms ("
+            << built->NumShapes() << " shapes) in " << build_ms << " ms ("
             << source->Name() << " backend, " << options.threads
             << " threads)\n"
             << "wrote " << args.positional[2] << "\n";
@@ -1146,12 +1117,12 @@ int Usage() {
       "  chasectl simplify <file> [--mode=scan|exists|index] [--threads=N] "
       "[--print]\n"
       "  chasectl query <file> \"q(X) :- r(X, Y).\"\n"
-      "  chasectl findshapes <file> [--backend=memory|disk|index] "
-      "[--mode=scan|exists|index] [--threads=N] [--shards=N] "
+      "  chasectl findshapes <file> [--backend=memory|disk] "
+      "[--mode=scan|exists|index] [--threads=N] "
       "[--pool-shards=N] [--snapshot=path.chidx] [--store=path.db] "
       "[--print]\n"
       "  chasectl index build <file> <out.chidx> [--backend=memory|disk] "
-      "[--threads=N] [--shards=N]\n"
+      "[--threads=N]\n"
       "  chasectl index stat <snapshot.chidx>\n"
       "  chasectl stats <file>\n"
       "  chasectl zoo <file>\n"
@@ -1162,7 +1133,7 @@ int Usage() {
       "  chasectl convert <in> <out>\n"
       "\n"
       "Files ending in .chbin use the binary snapshot format, .chidx files\n"
-      "are sharded-shape-index snapshots; everything else is Datalog± text\n"
+      "are shape-index snapshots; everything else is Datalog± text\n"
       "(see README).\n"
       "\n"
       "check, chase, simplify, and findshapes also take --trace=FILE\n"
@@ -1198,9 +1169,9 @@ int main(int argc, char** argv) try {
        {"mode", "threads", "print", "trace", "metrics"}},
       {"query", CmdQuery, {}},
       {"findshapes", CmdFindShapes,
-       {"backend", "mode", "threads", "shards", "pool-shards", "snapshot",
-        "store", "print", "trace", "metrics"}},
-      {"index", CmdIndex, {"backend", "threads", "shards", "store"}},
+       {"backend", "mode", "threads", "pool-shards", "snapshot", "store",
+        "print", "trace", "metrics"}},
+      {"index", CmdIndex, {"backend", "threads", "store"}},
       {"stats", CmdStats, {}},
       {"zoo", CmdZoo, {}},
       {"generate", CmdGenerate,
