@@ -22,8 +22,8 @@
 //
 // NOTE: wall-clock speedup needs at least as many cores as threads (the
 // 8-thread rows oversubscribe a 4-core machine) and enough work per depth
-// to amortize the barrier; the committed BENCH_frontier_parallel.json rows
-// show parallel runs losing to serial at these sizes. The expansion
+// to amortize the barrier; at these sizes parallel runs can lose to
+// serial. The expansion
 // counters show the frontier being split across workers regardless, and
 // the us-depth column is counter-based per-depth overhead, not a
 // parallelism measurement. Every configuration

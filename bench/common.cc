@@ -33,14 +33,12 @@ BenchFlags BenchFlags::Parse(int argc, char** argv) {
       flags.csv = true;
     } else if (const char* v = value_of("--reps=")) {
       flags.reps = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (const char* v = value_of("--query-overhead-us=")) {
-      flags.query_overhead_us = std::atof(v);
     } else if (const char* v = value_of("--json-out=")) {
       flags.json_out = v;
     } else {
       std::cerr << "unknown flag: " << arg << "\n"
                 << "flags: --scale=F --full --seed=N --csv --reps=N "
-                   "--query-overhead-us=F --json-out=PATH\n";
+                   "--json-out=PATH\n";
       std::exit(2);
     }
   }
@@ -81,6 +79,9 @@ std::unique_ptr<Schema> MakeBaseSchema(Rng* rng) {
   return schema;
 }
 
+namespace {
+
+// D_Σ (Remark 1): one all-distinct fact per predicate of `schema`.
 void PopulateInducedDatabase(const Schema& schema, Database* db) {
   db->EnsureAnonymousDomain(64);
   std::vector<uint32_t> tuple;
@@ -90,6 +91,8 @@ void PopulateInducedDatabase(const Schema& schema, Database* db) {
     (void)db->AddFact(pred, tuple);
   }
 }
+
+}  // namespace
 
 StatusOr<SlRun> RunSlExperiment(const Schema& base_schema,
                                 const std::vector<Tgd>& tgds) {
@@ -118,8 +121,7 @@ StatusOr<SlRun> RunSlExperiment(const Schema& base_schema,
 StatusOr<LRun> RunLExperiment(const Schema& base_schema,
                               const Database& database,
                               const std::vector<Tgd>& tgds,
-                              storage::ShapeFinderMode mode,
-                              double query_overhead_us) {
+                              storage::ShapeFinderMode mode) {
   LRun run;
   run.n_rules = tgds.size();
   run.n_tuples = database.TotalFacts();
@@ -140,14 +142,7 @@ StatusOr<LRun> RunLExperiment(const Schema& base_schema,
   CHASE_ASSIGN_OR_RETURN(bool finite,
                          IsChaseFiniteL(database, tgds, options, &stats));
   run.finite = finite;
-  // Simulated DBMS dispatch overhead: one unit per issued query (in-db) or
-  // per relation load statement (in-memory), standing in for the
-  // PostgreSQL round trip each one costs in the paper's setup.
-  const double overhead_ms =
-      query_overhead_us * 1e-3 *
-      static_cast<double>(stats.access.exists_queries +
-                          stats.access.relations_loaded);
-  run.times.shapes_ms = stats.shapes_ms + overhead_ms;
+  run.times.shapes_ms = stats.shapes_ms;
   run.times.graph_ms = stats.graph_ms;
   run.times.comp_ms = stats.comp_ms;
   run.n_shapes = stats.num_initial_shapes;

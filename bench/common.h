@@ -10,10 +10,6 @@
 //   --seed=<n>      RNG seed
 //   --csv           emit CSV instead of an aligned table
 //   --reps=<n>      sets / repetitions per configuration
-//   --query-overhead-us=<n>  simulated DBMS per-query dispatch cost added to
-//                   in-database FindShapes timings (PostgreSQL parse/plan/
-//                   execute overhead, which the row-store probes here do
-//                   not pay). Default 25.
 //   --json-out=<path>  where WriteBenchJson-emitting benches write their
 //                   machine-readable BENCH_<name>.json artifact (default:
 //                   BENCH_<name>.json in the working directory)
@@ -46,7 +42,6 @@ struct BenchFlags {
   uint64_t seed = 20230322;
   bool csv = false;
   uint32_t reps = 0;  // 0 = per-bench default
-  double query_overhead_us = 25.0;
   std::string json_out;  // empty = BENCH_<name>.json in the working dir
 
   static BenchFlags Parse(int argc, char** argv);
@@ -73,9 +68,6 @@ std::vector<TgdProfile> TgdProfiles(uint64_t max_rules);
 
 // The Section 7/8 base schema: 1000 predicates of arity in [1,5].
 std::unique_ptr<Schema> MakeBaseSchema(Rng* rng);
-
-// D_Σ (Remark 1): one all-distinct fact per predicate of `schema`.
-void PopulateInducedDatabase(const Schema& schema, Database* db);
 
 // One Figure-1-style run: serialize the TGDs, parse them back (t-parse),
 // then run Algorithm 1 on (D_Σ, Σ).
@@ -114,8 +106,7 @@ struct LRun {
 StatusOr<LRun> RunLExperiment(const Schema& base_schema,
                               const Database& database,
                               const std::vector<Tgd>& tgds,
-                              storage::ShapeFinderMode mode,
-                              double query_overhead_us);
+                              storage::ShapeFinderMode mode);
 
 // Formatting helpers.
 std::string Fmt(double value, int decimals = 2);

@@ -32,7 +32,7 @@ struct Row {
   }
 };
 
-Row RunScenario(const Scenario& scenario, double query_overhead_us) {
+Row RunScenario(const Scenario& scenario) {
   Row row;
   row.name = scenario.name;
   const Program& p = scenario.program;
@@ -59,14 +59,10 @@ Row RunScenario(const Scenario& scenario, double query_overhead_us) {
       std::exit(1);
     }
     row.finite = finite.value();
-    const double overhead_ms =
-        query_overhead_us * 1e-3 *
-        static_cast<double>(stats.access.exists_queries +
-                            stats.access.relations_loaded);
     if (mode == storage::ShapeFinderMode::kExists) {
-      row.shapes_indb_ms = stats.shapes_ms + overhead_ms;
+      row.shapes_indb_ms = stats.shapes_ms;
     } else {
-      row.shapes_inmem_ms = stats.shapes_ms + overhead_ms;
+      row.shapes_inmem_ms = stats.shapes_ms;
       // t-graph/t-comp are db-independent; keep the in-memory run's values.
       row.graph_ms = stats.graph_ms;
       row.comp_ms = stats.comp_ms;
@@ -75,13 +71,12 @@ Row RunScenario(const Scenario& scenario, double query_overhead_us) {
   return row;
 }
 
-void AddRow(TablePrinter& table, const StatusOr<Scenario>& scenario,
-            double query_overhead_us) {
+void AddRow(TablePrinter& table, const StatusOr<Scenario>& scenario) {
   if (!scenario.ok()) {
     std::cerr << scenario.status() << "\n";
     std::exit(1);
   }
-  Row row = RunScenario(scenario.value(), query_overhead_us);
+  Row row = RunScenario(scenario.value());
   const bool indb_best = row.TotalIndb() <= row.TotalInmem();
   table.AddRow({row.name, FmtMs(row.parse_ms), FmtMs(row.graph_ms),
                 FmtMs(row.comp_ms), FmtMs(row.shapes_indb_ms),
@@ -102,34 +97,23 @@ int main(int argc, char** argv) {
                       "t-shapes(in-db)", "t-total(in-db)",
                       "t-shapes(in-mem)", "t-total(in-mem)", "best",
                       "finite"});
-  AddRow(table, MakeDeepScenario(4241, flags.seed), flags.query_overhead_us);
-  AddRow(table, MakeDeepScenario(4541, flags.seed + 1),
-         flags.query_overhead_us);
-  AddRow(table, MakeDeepScenario(4841, flags.seed + 2),
-         flags.query_overhead_us);
-  AddRow(table,
-         MakeLubmScenario("LUBM-1",
-                          static_cast<uint64_t>(99547 * lubm_scale),
-                          flags.seed + 3),
-         flags.query_overhead_us);
-  AddRow(table,
-         MakeLubmScenario("LUBM-10",
-                          static_cast<uint64_t>(1272575 * lubm_scale),
-                          flags.seed + 4),
-         flags.query_overhead_us);
-  AddRow(table,
-         MakeLubmScenario("LUBM-100",
-                          static_cast<uint64_t>(13405381 * lubm_scale),
-                          flags.seed + 5),
-         flags.query_overhead_us);
+  AddRow(table, MakeDeepScenario(4241, flags.seed));
+  AddRow(table, MakeDeepScenario(4541, flags.seed + 1));
+  AddRow(table, MakeDeepScenario(4841, flags.seed + 2));
+  AddRow(table, MakeLubmScenario("LUBM-1",
+                                 static_cast<uint64_t>(99547 * lubm_scale),
+                                 flags.seed + 3));
+  AddRow(table, MakeLubmScenario("LUBM-10",
+                                 static_cast<uint64_t>(1272575 * lubm_scale),
+                                 flags.seed + 4));
+  AddRow(table, MakeLubmScenario("LUBM-100",
+                                 static_cast<uint64_t>(13405381 * lubm_scale),
+                                 flags.seed + 5));
   if (flags.full) {
-    AddRow(table, MakeLubmScenario("LUBM-1K", 133573854, flags.seed + 6),
-           flags.query_overhead_us);
+    AddRow(table, MakeLubmScenario("LUBM-1K", 133573854, flags.seed + 6));
   }
-  AddRow(table, MakeStb128Scenario(ibench_scale, flags.seed + 7),
-         flags.query_overhead_us);
-  AddRow(table, MakeOnt256Scenario(ibench_scale, flags.seed + 8),
-         flags.query_overhead_us);
+  AddRow(table, MakeStb128Scenario(ibench_scale, flags.seed + 7));
+  AddRow(table, MakeOnt256Scenario(ibench_scale, flags.seed + 8));
   Emit(flags, "Table 2: IsChaseFinite[L] on the validation scenarios (ms)",
        table);
   return 0;

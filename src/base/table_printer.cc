@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <iterator>
+#include <string_view>
 
 namespace chase {
 
@@ -54,34 +59,70 @@ void TablePrinter::PrintCsv(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-void TablePrinter::PrintJson(std::ostream& os) const {
-  auto escaped = [](const std::string& value) {
-    std::string out;
-    out.reserve(value.size() + 2);
-    for (char c : value) {
-      switch (c) {
-        case '"':
-          out += "\\\"";
-          break;
-        case '\\':
-          out += "\\\\";
-          break;
-        case '\n':
-          out += "\\n";
-          break;
-        default:
-          out += c;
-      }
+namespace {
+
+void WriteJsonString(std::ostream& os, std::string_view value) {
+  os << '"';
+  for (char c : value) {
+    if (c == '"' || c == '\\') {
+      os << '\\' << c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char escape[8];
+      std::snprintf(escape, sizeof(escape), "\\u%04x",
+                    static_cast<unsigned>(c));
+      os << escape;
+    } else {
+      os << c;
     }
-    return out;
-  };
+  }
+  os << '"';
+}
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+// A cell that parses entirely as a finite number is written as a number:
+// verbatim when JSON allows its spelling, else in shortest round-trip form
+// (from_chars also takes "007", ".5" and "5.", which JSON does not). "-",
+// the tables' not-applicable marker, is null; anything else is a string.
+void WriteJsonCell(std::ostream& os, const std::string& cell) {
+  if (cell == "-") {
+    os << "null";
+    return;
+  }
+  double value = 0;
+  const char* end = cell.data() + cell.size();
+  const auto [ptr, ec] = std::from_chars(cell.data(), end, value);
+  if (cell.empty() || ec != std::errc() || ptr != end ||
+      !std::isfinite(value)) {
+    WriteJsonString(os, cell);
+    return;
+  }
+  const std::string_view number =
+      std::string_view(cell).substr(cell[0] == '-' ? 1 : 0);
+  const size_t dot = number.find('.');
+  if (IsDigit(number[0]) &&
+      !(number[0] == '0' && number.size() > 1 && IsDigit(number[1])) &&
+      (dot == std::string_view::npos ||
+       (dot + 1 < number.size() && IsDigit(number[dot + 1])))) {
+    os << cell;
+  } else {
+    char buffer[32];
+    os.write(buffer, std::to_chars(buffer, std::end(buffer), value).ptr -
+                         buffer);
+  }
+}
+
+}  // namespace
+
+void TablePrinter::PrintJson(std::ostream& os) const {
   os << "[\n";
   for (size_t r = 0; r < rows_.size(); ++r) {
     os << "  {";
     for (size_t i = 0; i < columns_.size(); ++i) {
       if (i > 0) os << ", ";
-      os << '"' << escaped(columns_[i]) << "\": \"" << escaped(rows_[r][i])
-         << '"';
+      WriteJsonString(os, columns_[i]);
+      os << ": ";
+      WriteJsonCell(os, rows_[r][i]);
     }
     os << (r + 1 < rows_.size() ? "},\n" : "}\n");
   }

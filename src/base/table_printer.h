@@ -24,9 +24,10 @@ class TablePrinter {
   void PrintCsv(std::ostream& os) const;
 
   // Renders the same content as a JSON array of row objects keyed by the
-  // column names (all values emitted as strings, exactly as printed). The
-  // machine-readable BENCH_<name>.json artifacts the ablations publish go
-  // through this.
+  // column names. A cell that parses entirely as a finite number becomes a
+  // JSON number, a "-" cell becomes null, and every other cell an escaped
+  // string. The machine-readable BENCH_<name>.json files the ablations
+  // write go through this.
   void PrintJson(std::ostream& os) const;
 
   size_t num_rows() const { return rows_.size(); }

@@ -22,13 +22,12 @@ constexpr uint32_t kCatalogPayload = kPageSize - kPageHeaderSize;
 }  // namespace
 
 StatusOr<std::unique_ptr<DiskDatabase>> DiskDatabase::Create(
-    const std::string& path, const Database& db, uint32_t num_frames,
-    uint32_t pool_shards) {
+    const std::string& path, const Database& db, uint32_t num_frames) {
   CHASE_ASSIGN_OR_RETURN(DiskManager manager, DiskManager::Create(path));
   auto disk_db = std::unique_ptr<DiskDatabase>(new DiskDatabase());
   disk_db->disk_ = std::make_unique<DiskManager>(std::move(manager));
-  disk_db->pool_ = std::make_unique<BufferPool>(disk_db->disk_.get(),
-                                                num_frames, pool_shards);
+  disk_db->pool_ =
+      std::make_unique<BufferPool>(disk_db->disk_.get(), num_frames);
 
   const Schema& schema = db.schema();
   for (PredId pred = 0; pred < schema.NumPredicates(); ++pred) {
@@ -60,12 +59,12 @@ StatusOr<std::unique_ptr<DiskDatabase>> DiskDatabase::Create(
 }
 
 StatusOr<std::unique_ptr<DiskDatabase>> DiskDatabase::Open(
-    const std::string& path, uint32_t num_frames, uint32_t pool_shards) {
+    const std::string& path, uint32_t num_frames) {
   CHASE_ASSIGN_OR_RETURN(DiskManager manager, DiskManager::Open(path));
   auto disk_db = std::unique_ptr<DiskDatabase>(new DiskDatabase());
   disk_db->disk_ = std::make_unique<DiskManager>(std::move(manager));
-  disk_db->pool_ = std::make_unique<BufferPool>(disk_db->disk_.get(),
-                                                num_frames, pool_shards);
+  disk_db->pool_ =
+      std::make_unique<BufferPool>(disk_db->disk_.get(), num_frames);
   CHASE_RETURN_IF_ERROR(disk_db->LoadCatalog());
   return disk_db;
 }

@@ -33,16 +33,13 @@ namespace pager {
 class DiskDatabase {
  public:
   // Materializes `db` into a new file at `path` (truncates any existing
-  // file) and leaves it open. `pool_shards` is forwarded to the BufferPool
-  // (0 = auto: split only when the pool is large enough).
+  // file) and leaves it open.
   [[nodiscard]] static StatusOr<std::unique_ptr<DiskDatabase>> Create(
-      const std::string& path, const Database& db, uint32_t num_frames = 64,
-      uint32_t pool_shards = 0);
+      const std::string& path, const Database& db, uint32_t num_frames = 64);
 
   // Opens an existing file and loads its catalog.
   [[nodiscard]] static StatusOr<std::unique_ptr<DiskDatabase>> Open(
-      const std::string& path, uint32_t num_frames = 64,
-      uint32_t pool_shards = 0);
+      const std::string& path, uint32_t num_frames = 64);
 
   const Schema& schema() const { return schema_; }
 

@@ -4,7 +4,6 @@
 
 #include "base/rng.h"
 #include "base/status.h"
-#include "base/strings.h"
 #include "base/table_printer.h"
 #include "base/timer.h"
 #include "obs/metrics.h"
@@ -146,54 +145,6 @@ TEST(RngTest, ForkIsIndependent) {
   (void)child;
 }
 
-TEST(StringsTest, StrSplitBasic) {
-  auto pieces = StrSplit("a,b,,c", ',');
-  ASSERT_EQ(pieces.size(), 4u);
-  EXPECT_EQ(pieces[0], "a");
-  EXPECT_EQ(pieces[1], "b");
-  EXPECT_EQ(pieces[2], "");
-  EXPECT_EQ(pieces[3], "c");
-}
-
-TEST(StringsTest, StrSplitNoSeparator) {
-  auto pieces = StrSplit("abc", ',');
-  ASSERT_EQ(pieces.size(), 1u);
-  EXPECT_EQ(pieces[0], "abc");
-}
-
-TEST(StringsTest, StripWhitespace) {
-  EXPECT_EQ(StripWhitespace("  a b \t\n"), "a b");
-  EXPECT_EQ(StripWhitespace(""), "");
-  EXPECT_EQ(StripWhitespace(" \t "), "");
-}
-
-TEST(StringsTest, StartsWith) {
-  EXPECT_TRUE(StartsWith("foobar", "foo"));
-  EXPECT_FALSE(StartsWith("foobar", "bar"));
-  EXPECT_TRUE(StartsWith("foo", ""));
-  EXPECT_FALSE(StartsWith("f", "foo"));
-}
-
-TEST(StringsTest, StrJoin) {
-  EXPECT_EQ(StrJoin({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(StrJoin({}, ","), "");
-  EXPECT_EQ(StrJoin({"solo"}, ","), "solo");
-}
-
-TEST(StringsTest, FormatWithCommas) {
-  EXPECT_EQ(FormatWithCommas(0), "0");
-  EXPECT_EQ(FormatWithCommas(999), "999");
-  EXPECT_EQ(FormatWithCommas(1000), "1,000");
-  EXPECT_EQ(FormatWithCommas(1234567), "1,234,567");
-  EXPECT_EQ(FormatWithCommas(-1234), "-1,234");
-}
-
-TEST(StringsTest, FormatMillis) {
-  EXPECT_EQ(FormatMillis(0.5), "500 us");
-  EXPECT_EQ(FormatMillis(12.345), "12.35 ms");
-  EXPECT_EQ(FormatMillis(2500), "2.50 s");
-}
-
 TEST(TimerTest, MeasuresElapsedTime) {
   Timer timer;
   volatile uint64_t sink = 0;
@@ -231,6 +182,24 @@ TEST(TablePrinterTest, CsvOutput) {
   std::ostringstream os;
   table.PrintCsv(os);
   EXPECT_EQ(os.str(), "x,y\n1,2\n");
+}
+
+TEST(TablePrinterTest, JsonOutput) {
+  TablePrinter table({"name", "n", "ms", "ratio", "na"});
+  table.AddRow({"a \"b\"\\c", "42", "-1.50", "2.0x", "-"});
+  table.AddRow({"tab\t", "1e3", ".5", "98.5%", "inf"});
+  table.AddRow({"007", "1e999", "nan", "", "18446744073709551615"});
+  std::ostringstream os;
+  table.PrintJson(os);
+  EXPECT_EQ(os.str(),
+            "[\n"
+            "  {\"name\": \"a \\\"b\\\"\\\\c\", \"n\": 42, \"ms\": -1.50, "
+            "\"ratio\": \"2.0x\", \"na\": null},\n"
+            "  {\"name\": \"tab\\u0009\", \"n\": 1e3, \"ms\": 0.5, "
+            "\"ratio\": \"98.5%\", \"na\": \"inf\"},\n"
+            "  {\"name\": 7, \"n\": \"1e999\", \"ms\": \"nan\", "
+            "\"ratio\": \"\", \"na\": 18446744073709551615}\n"
+            "]\n");
 }
 
 }  // namespace

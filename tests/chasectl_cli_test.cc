@@ -81,7 +81,6 @@ TEST_F(ChasectlCliTest, MalformedNumericFlagsExitTwo) {
           "/chasectl_cli_test.chck --checkpoint-every=%s",
       "simplify " + file + " --threads=%s",
       "findshapes " + file + " --threads=%s",
-      "findshapes " + file + " --pool-shards=%s",
       "index build " + file + " " + out_idx + " --threads=%s",
       "generate " + out_gen + " --preds=%s",
       "generate " + out_gen + " --arity=%s",
@@ -169,6 +168,9 @@ TEST_F(ChasectlCliTest, UnknownFlagsExitTwo) {
   std::string err;
   EXPECT_EQ(RunChasectl("findshapes " + file + " --prefetch=8", &err), 2);
   EXPECT_NE(err.find("unknown flag --prefetch"), std::string::npos) << err;
+  EXPECT_EQ(RunChasectl("findshapes " + file + " --pool-shards=8", &err), 2);
+  EXPECT_NE(err.find("unknown flag --pool-shards"), std::string::npos)
+      << err;
   EXPECT_EQ(RunChasectl("findshapes " + file + " --shards=4", &err), 2);
   EXPECT_NE(err.find("unknown flag --shards"), std::string::npos) << err;
   EXPECT_EQ(RunChasectl("index build " + file + " " + scratch +

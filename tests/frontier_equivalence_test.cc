@@ -319,7 +319,8 @@ TEST(FrontierEquivalenceTest, ParallelNonLinearChaseMatchesSerial) {
           [&](const GroundAtom& atom) { serial_atoms.push_back(atom); });
 
       for (unsigned threads : kThreadSweep) {
-        for (uint64_t budget : {uint64_t{1}, uint64_t{7}, uint64_t{4096}}) {
+        for (uint64_t budget :
+             {uint64_t{1}, uint64_t{7}, uint64_t{64}, uint64_t{4096}}) {
           ChaseOptions parallel_options = serial_options;
           parallel_options.frontier_threads = threads;
           parallel_options.hom_budget = budget;

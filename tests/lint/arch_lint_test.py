@@ -12,11 +12,13 @@ Usage: arch_lint_test.py  (paths are inferred from this file's location)
 """
 
 import os
-import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.abspath(os.path.join(HERE, "..", ".."))
+sys.path.insert(0, os.path.join(REPO, "tools", "lint"))
+import lint_common  # noqa: E402
+
 LINTER = os.path.join(REPO, "tools", "lint", "arch_lint.py")
 ARCH_FIXTURES = os.path.join(HERE, "fixtures", "arch")
 MANIFEST = os.path.join(ARCH_FIXTURES, "layers.toml")
@@ -34,18 +36,6 @@ CASES = {
 }
 
 
-def run_linter(args):
-    proc = subprocess.run(
-        [sys.executable, LINTER] + args,
-        capture_output=True, text=True, check=False)
-    rules = []
-    for line in proc.stdout.splitlines():
-        # "path:line: [rule] message"
-        if "] " in line and "[" in line:
-            rules.append(line.split("[", 1)[1].split("]", 1)[0])
-    return proc.returncode, sorted(rules), proc.stdout + proc.stderr
-
-
 def main():
     failures = []
     for case, expected in sorted(CASES.items()):
@@ -53,43 +43,20 @@ def main():
         if not os.path.isdir(case_dir):
             failures.append(f"{case}: fixture directory missing")
             continue
-        code, rules, output = run_linter(
-            ["--root", case_dir, "--manifest", MANIFEST])
-        want_code = 1 if expected else 0
-        if code != want_code:
-            failures.append(
-                f"{case}: exit {code}, want {want_code}\n{output}")
-        if rules != sorted(expected):
-            failures.append(
-                f"{case}: findings {rules}, want {sorted(expected)}\n"
-                f"{output}")
-
-    # Directory walks of the real repo must skip the fixture tree: linting
-    # tests/ stays clean despite every known-bad snippet above.
-    code, rules, output = run_linter(
-        ["--root", REPO, os.path.join(REPO, "tests")])
-    if code != 0 or rules:
-        failures.append(
-            f"tests/ walk should skip fixtures but found {rules} "
-            f"(exit {code})\n{output}")
-
-    # Usage errors are exit 2, distinct from findings: a nonexistent path
-    # and a missing manifest.
-    code, _, _ = run_linter([os.path.join(ARCH_FIXTURES, "no_such_dir")])
-    if code != 2:
-        failures.append(f"nonexistent path: exit {code}, want 2")
-    code, _, _ = run_linter(
+        lint_common.check_case(failures, case, LINTER,
+                               ["--root", case_dir, "--manifest", MANIFEST],
+                               expected)
+    lint_common.check_walk_skips_fixtures(failures, LINTER, REPO)
+    # Usage errors: a nonexistent path and a missing manifest.
+    lint_common.check_usage_error(
+        failures, "nonexistent path", LINTER,
+        [os.path.join(ARCH_FIXTURES, "no_such_dir")])
+    lint_common.check_usage_error(
+        failures, "missing manifest", LINTER,
         ["--manifest", os.path.join(ARCH_FIXTURES, "no_such.toml")])
-    if code != 2:
-        failures.append(f"missing manifest: exit {code}, want 2")
-
-    if failures:
-        print("arch_lint_test: FAILED")
-        for failure in failures:
-            print(" -", failure)
-        return 1
-    print(f"arch_lint_test: OK ({len(CASES)} cases + walk/usage checks)")
-    return 0
+    return lint_common.report(
+        "arch_lint_test", failures,
+        f"{len(CASES)} cases + walk/usage checks")
 
 
 if __name__ == "__main__":

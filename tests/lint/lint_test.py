@@ -13,11 +13,13 @@ Usage: lint_test.py  (paths are inferred from this file's location)
 """
 
 import os
-import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.abspath(os.path.join(HERE, "..", ".."))
+sys.path.insert(0, os.path.join(REPO, "tools", "lint"))
+import lint_common  # noqa: E402
+
 LINTER = os.path.join(REPO, "tools", "lint", "chase_lint.py")
 FIXTURES = os.path.join(HERE, "fixtures")
 
@@ -49,18 +51,6 @@ CASES = {
 }
 
 
-def run_linter(args):
-    proc = subprocess.run(
-        [sys.executable, LINTER] + args,
-        capture_output=True, text=True, check=False)
-    rules = []
-    for line in proc.stdout.splitlines():
-        # "path:line: [rule] message"
-        if "] " in line and "[" in line:
-            rules.append(line.split("[", 1)[1].split("]", 1)[0])
-    return proc.returncode, sorted(rules), proc.stdout + proc.stderr
-
-
 def main():
     failures = []
     for relpath, expected in sorted(CASES.items()):
@@ -68,39 +58,15 @@ def main():
         if not os.path.isfile(fixture):
             failures.append(f"{relpath}: fixture file missing")
             continue
-        code, rules, output = run_linter(
-            ["--root", FIXTURES, fixture])
-        want_code = 1 if expected else 0
-        if code != want_code:
-            failures.append(
-                f"{relpath}: exit {code}, want {want_code}\n{output}")
-        if rules != sorted(expected):
-            failures.append(
-                f"{relpath}: findings {rules}, want {sorted(expected)}\n"
-                f"{output}")
-
-    # Directory walks must skip the fixture tree: linting the enclosing
-    # tests/ directory of the real repo stays clean even though it contains
-    # every known-bad snippet above.
-    code, rules, output = run_linter(
-        ["--root", REPO, os.path.join(REPO, "tests")])
-    if code != 0 or rules:
-        failures.append(
-            f"tests/ walk should skip fixtures but found {rules} "
-            f"(exit {code})\n{output}")
-
-    # A usage error (nonexistent path) is exit 2, distinct from findings.
-    code, _, _ = run_linter([os.path.join(FIXTURES, "no_such_file.cc")])
-    if code != 2:
-        failures.append(f"nonexistent path: exit {code}, want 2")
-
-    if failures:
-        print("lint_test: FAILED")
-        for failure in failures:
-            print(" -", failure)
-        return 1
-    print(f"lint_test: OK ({len(CASES)} fixtures + walk/usage checks)")
-    return 0
+        lint_common.check_case(failures, relpath, LINTER,
+                               ["--root", FIXTURES, fixture], expected)
+    lint_common.check_walk_skips_fixtures(failures, LINTER, REPO)
+    lint_common.check_usage_error(
+        failures, "nonexistent path", LINTER,
+        [os.path.join(FIXTURES, "no_such_file.cc")])
+    return lint_common.report(
+        "lint_test", failures,
+        f"{len(CASES)} fixtures + walk/usage checks")
 
 
 if __name__ == "__main__":

@@ -478,10 +478,10 @@ TEST(DiskShapeSourceTest, ColdPoolChunkedScanMatchesMemory) {
   const std::string path = TempPath("cold_chunked_scan.db");
   ASSERT_TRUE(DiskDatabase::Create(path, *data.database).ok());
   for (unsigned threads : {1u, 4u, 8u}) {
-    // Fresh open per run: the pool starts cold.
-    auto disk_db = DiskDatabase::Open(path, /*num_frames=*/32,
-                                      /*pool_shards=*/4);
+    // Fresh open per run: the pool starts cold. 32 frames auto-shard 4 ways.
+    auto disk_db = DiskDatabase::Open(path, /*num_frames=*/32);
     ASSERT_TRUE(disk_db.ok()) << disk_db.status();
+    ASSERT_EQ((*disk_db)->buffer_pool().num_shards(), 4u);
     DiskShapeSource source(disk_db->get());
     auto shapes = storage::FindShapes(
         source, {storage::ShapeFinderMode::kScan, threads});

@@ -1,5 +1,5 @@
 // Cross-module checks on the Section 9 scenario families: the extension
-// modules (acyclicity zoo, shape index, rewriting) run on realistic rule
+// modules (acyclicity zoo, shape index) run on realistic rule
 // sets, not only on the synthetic generator output.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "core/weak_acyclicity.h"
 #include "gen/scenario.h"
 #include "index/shape_index.h"
-#include "query/rewriting.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
 #include "storage/shape_source.h"
@@ -55,31 +54,6 @@ TEST(ScenarioExtensionTest, ShapeIndexMatchesFindShapesOnLubm) {
   ASSERT_TRUE(indexed.ok());
   ASSERT_TRUE(scanned.ok());
   EXPECT_EQ(indexed.value(), scanned.value());
-}
-
-TEST(ScenarioExtensionTest, LubmAtomicQueriesRewriteFinitely) {
-  auto scenario = MakeLubmScenario("LUBM-t", /*atoms=*/10'000, /*seed=*/3);
-  ASSERT_TRUE(scenario.ok()) << scenario.status();
-  Program& p = scenario->program;
-  // Rewrite an atomic query per unary predicate; DL-Lite-style rule sets
-  // always admit small finite rewritings.
-  size_t rewritten = 0;
-  for (PredId pred = 0; pred < p.schema->NumPredicates() && rewritten < 10;
-       ++pred) {
-    if (p.schema->Arity(pred) != 1) continue;
-    query::ConjunctiveQuery cq;
-    cq.name = "q";
-    cq.num_vars = 1;
-    cq.answer_vars = {0};
-    cq.body.emplace_back(pred, std::vector<VarId>{0});
-    query::RewriteOptions options;
-    options.max_queries = 5'000;
-    auto rewriting = query::RewriteUnderTgds(cq, p.tgds, options);
-    ASSERT_TRUE(rewriting.ok()) << rewriting.status();
-    EXPECT_GE(rewriting->disjuncts.size(), 1u);
-    ++rewritten;
-  }
-  EXPECT_GT(rewritten, 0u);
 }
 
 TEST(ScenarioExtensionTest, IBenchShapeFindersAgree) {

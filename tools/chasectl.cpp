@@ -14,7 +14,7 @@
 //   query <file> "<q(X) :- ...>"                   certain answers
 //   findshapes <file> [--backend=memory|disk]
 //              [--mode=scan|exists|index] [--threads=N]
-//              [--pool-shards=N] [--snapshot=path.chidx]
+//              [--snapshot=path.chidx]
 //                                                  shape(D) via ShapeSource
 //   index build <file> <out.chidx> [--backend=memory|disk] [--threads=N]
 //                                                  materialize shape(D)
@@ -166,23 +166,15 @@ bool ParseThreads(const Args& args, unsigned* threads) {
   return ParseBoundedFlag(args, "threads", 1, 1, 1024, threads);
 }
 
-// 0 = auto (the buffer pool splits only when large enough).
-bool ParsePoolShards(const Args& args, unsigned* pool_shards) {
-  return ParseBoundedFlag(args, "pool-shards", 0, 0, 256, pool_shards);
-}
-
 // Pool size for a disk-backend run: per-shard capacity must cover one
 // pinned page per scan worker even if every worker's pin lands in one
 // shard, i.e. frames >= threads x shards (auto-sharding splits into at
-// most BufferPool::kDefaultShards). Capped so pathological flag
-// combinations don't balloon memory — past the cap the pool falls back on
-// its bounded pin-wait.
-uint32_t DiskPoolFrames(unsigned threads, unsigned pool_shards) {
-  const unsigned shards =
-      pool_shards == 0 ? pager::BufferPool::kDefaultShards : pool_shards;
+// most BufferPool::kDefaultShards). Capped so pathological thread counts
+// don't balloon memory — past the cap the pool falls back on its bounded
+// pin-wait.
+uint32_t DiskPoolFrames(unsigned threads) {
   const uint64_t frames = std::max<uint64_t>(
-      {64, 8ull * std::max(1u, threads),
-       static_cast<uint64_t>(std::max(1u, threads)) * shards});
+      64, uint64_t{std::max(1u, threads)} * pager::BufferPool::kDefaultShards);
   return static_cast<uint32_t>(std::min<uint64_t>(frames, 1u << 16));
 }
 
@@ -726,8 +718,7 @@ int CmdFindShapes(const Args& args) {
   if (args.positional.empty()) {
     std::cerr << "usage: chasectl findshapes <file> "
                  "[--backend=memory|disk] [--mode=scan|exists|index] "
-                 "[--threads=N] [--pool-shards=N] "
-                 "[--snapshot=path.chidx] [--store=path.db] "
+                 "[--threads=N] [--snapshot=path.chidx] [--store=path.db] "
                  "[--trace=FILE] [--metrics=FILE] [--print]\n";
     return 2;
   }
@@ -758,8 +749,6 @@ int CmdFindShapes(const Args& args) {
   }
 
   storage::FindShapesOptions options;
-  unsigned pool_shards = 0;
-  if (!ParsePoolShards(args, &pool_shards)) return 2;
   if (!ParseFinderMode(args, &options.mode)) return 2;
   if (!ParseThreads(args, &options.threads)) return 2;
 
@@ -774,8 +763,7 @@ int CmdFindShapes(const Args& args) {
       ScratchStorePath(args, "chasectl_findshapes");
   if (backend == "disk") {
     auto created = pager::DiskDatabase::Create(
-        store_path, *program->database,
-        DiskPoolFrames(options.threads, pool_shards), pool_shards);
+        store_path, *program->database, DiskPoolFrames(options.threads));
     if (!created.ok()) return Fail(created.status());
     disk_db = std::move(created).value();
     disk_source = std::make_unique<pager::DiskShapeSource>(disk_db.get());
@@ -881,8 +869,7 @@ int CmdIndex(const Args& args) {
   const std::string store_path = ScratchStorePath(args, "chasectl_index");
   if (backend == "disk") {
     auto created = pager::DiskDatabase::Create(
-        store_path, *program->database,
-        DiskPoolFrames(options.threads, /*pool_shards=*/0));
+        store_path, *program->database, DiskPoolFrames(options.threads));
     if (!created.ok()) return Fail(created.status());
     disk_db = std::move(created).value();
     disk_source = std::make_unique<pager::DiskShapeSource>(disk_db.get());
@@ -1119,8 +1106,7 @@ int Usage() {
       "  chasectl query <file> \"q(X) :- r(X, Y).\"\n"
       "  chasectl findshapes <file> [--backend=memory|disk] "
       "[--mode=scan|exists|index] [--threads=N] "
-      "[--pool-shards=N] [--snapshot=path.chidx] [--store=path.db] "
-      "[--print]\n"
+      "[--snapshot=path.chidx] [--store=path.db] [--print]\n"
       "  chasectl index build <file> <out.chidx> [--backend=memory|disk] "
       "[--threads=N]\n"
       "  chasectl index stat <snapshot.chidx>\n"
@@ -1169,8 +1155,8 @@ int main(int argc, char** argv) try {
        {"mode", "threads", "print", "trace", "metrics"}},
       {"query", CmdQuery, {}},
       {"findshapes", CmdFindShapes,
-       {"backend", "mode", "threads", "pool-shards", "snapshot", "store",
-        "print", "trace", "metrics"}},
+       {"backend", "mode", "threads", "snapshot", "store", "print", "trace",
+        "metrics"}},
       {"index", CmdIndex, {"backend", "threads", "store"}},
       {"stats", CmdStats, {}},
       {"zoo", CmdZoo, {}},

@@ -1,10 +1,13 @@
 """Helpers shared by the repo's linters (chase_lint.py, arch_lint.py).
 
 Stdlib-only, like the linters themselves; each script imports this module
-from its own directory.
+from its own directory. The fixture suites under tests/lint import its
+test driver (run_linter and the shared checks at the bottom) too.
 """
 
 import os
+import subprocess
+import sys
 
 CC_EXTENSIONS = (".h", ".cc", ".cpp")
 # Directory walks skip the lint fixtures (known-bad snippets); explicitly
@@ -105,3 +108,55 @@ def rel_to_root(path, root):
         return os.path.relpath(os.path.abspath(path), root)
     except ValueError:
         return path
+
+
+# ---------------------------------------------------------------------------
+# Golden-fixture test driver for tests/lint/lint_test.py and
+# tests/lint/arch_lint_test.py.
+
+def run_linter(linter, args):
+    """Runs the linter script with `args`. Returns (exit code, sorted rule
+    ids of the findings it printed, combined stdout+stderr)."""
+    proc = subprocess.run(
+        [sys.executable, linter] + args,
+        capture_output=True, text=True, check=False)
+    rules = []
+    for line in proc.stdout.splitlines():
+        # "path:line: [rule] message"
+        if "] " in line and "[" in line:
+            rules.append(line.split("[", 1)[1].split("]", 1)[0])
+    return proc.returncode, sorted(rules), proc.stdout + proc.stderr
+
+
+def check_case(failures, label, linter, args, expected):
+    """Exactly the `expected` rule ids (a multiset) must be reported, with
+    exit 1 if any are expected and 0 otherwise."""
+    code, rules, output = run_linter(linter, args)
+    want_code = 1 if expected else 0
+    if code != want_code:
+        failures.append(f"{label}: exit {code}, want {want_code}\n{output}")
+    if rules != sorted(expected):
+        failures.append(
+            f"{label}: findings {rules}, want {sorted(expected)}\n{output}")
+
+
+def check_walk_skips_fixtures(failures, linter, repo):
+    """Linting the real repo's tests/ stays clean despite every known-bad
+    snippet parked in its fixture tree."""
+    check_case(failures, "tests/ walk (must skip fixtures)", linter,
+               ["--root", repo, os.path.join(repo, "tests")], [])
+
+
+def check_usage_error(failures, label, linter, args):
+    """A usage error is exit 2, distinct from findings (exit 1)."""
+    code, _, _ = run_linter(linter, args)
+    if code != 2:
+        failures.append(f"{label}: exit {code}, want 2")
+
+
+def report(name, failures, summary):
+    """Prints the verdict; returns the suite's exit code."""
+    print(f"{name}: " + ("FAILED" if failures else f"OK ({summary})"))
+    for failure in failures:
+        print(" -", failure)
+    return 1 if failures else 0
