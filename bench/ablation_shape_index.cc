@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     for (uint32_t rep = 0; rep < reps; ++rep) {
       catalog.stats().Reset();
       Timer timer;
-      auto built = index::ShapeIndex::Build(source, {threads});
+      auto built = index::ShapeIndex::Build(source, threads);
       const double ms = timer.ElapsedMillis();
       if (!built.ok()) {
         std::cerr << built.status() << "\n";
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
         storage::Catalog grown_catalog(&db);
         storage::MemoryShapeSource grown_source(&grown_catalog);
         timer.Restart();
-        auto rebuilt = index::ShapeIndex::Build(grown_source, {threads});
+        auto rebuilt = index::ShapeIndex::Build(grown_source, threads);
         rebuild_ms += timer.ElapsedMillis();
         if (!rebuilt.ok()) {
           std::cerr << rebuilt.status() << "\n";

@@ -11,12 +11,10 @@
 #include "chase/body_partition.h"
 #include "chase/instance.h"
 #include "exec/frontier_pool.h"
-#include "index/shape_index.h"
 #include "io/binary_io.h"
 #include "logic/atom.h"
 #include "logic/database.h"
 #include "logic/schema.h"
-#include "logic/shape.h"
 #include "logic/term.h"
 #include "logic/tgd.h"
 #include "obs/metrics.h"
@@ -398,21 +396,9 @@ StatusOr<ChaseResult> RunChase(const Database& database,
       // Apply eagerly so the restricted variant's satisfaction check
       // sees atoms added earlier in this round (a sequential order).
       for (GroundAtom& atom : pending) {
-        Shape shape;
-        uint64_t fingerprint = 0;
-        if (options.shape_index != nullptr) {
-          // Shapes depend only on the equality pattern, so nulls and
-          // constants index alike; compute (with the content
-          // fingerprint) before AddAtom consumes the atom.
-          shape = Shape(atom.pred, IdOf<Term>(atom.args));
-          fingerprint = index::TupleFingerprint(atom.pred, atom.args);
-        }
         if (instance.AddAtom(std::move(atom))) {
           grew = true;
           ++atoms_now;
-          if (options.shape_index != nullptr) {
-            options.shape_index->AddShape(shape, 1, fingerprint);
-          }
         }
       }
       pending.clear();

@@ -33,10 +33,6 @@
 
 namespace chase {
 
-namespace index {
-class ShapeIndex;
-}  // namespace index
-
 namespace io {
 struct ChaseCheckpoint;
 }  // namespace io
@@ -65,13 +61,6 @@ struct ChaseOptions {
   uint64_t max_atoms = 1'000'000;
   // Stop after this many rounds.
   uint64_t max_rounds = UINT64_MAX;
-  // Write-through shape maintenance (Section 10): when set, every atom the
-  // chase adds to the instance also records its shape here, so the
-  // materialized shape(chase_i(D)) stays current round by round and a
-  // repeated IsChaseFinite[L] check reads the index instead of scanning.
-  // The index must already reflect `database` when RunChase is called
-  // (e.g. index::ShapeIndex::Build) and must outlive the run.
-  index::ShapeIndex* shape_index = nullptr;
   // Worker threads for per-round trigger enumeration (<= 1 enumerates
   // inline). A round is a frontier: bodies only match against atoms from
   // earlier rounds, so all three variants — over any rule set, linear or
@@ -130,10 +119,7 @@ struct ChaseOptions {
   // divergent chase. The continued run is bit-identical to the
   // uninterrupted one — same instance bytes, null ids, rounds, and
   // trigger counts — at any frontier_threads (max_rounds/max_atoms count
-  // totals across both legs). With a shape_index, the caller must hand in
-  // an index reflecting the checkpoint's instance, exactly as the
-  // non-resume contract requires one reflecting `database`. Must outlive
-  // the call.
+  // totals across both legs). Must outlive the call.
   const io::ChaseCheckpoint* resume = nullptr;
 };
 

@@ -69,8 +69,7 @@ struct ShapeMatches {
 
 StatusOr<DynamicSimplificationResult> DynamicSimplificationFromShapes(
     const Schema& schema, const std::vector<Tgd>& tgds,
-    const std::vector<Shape>& database_shapes, unsigned threads,
-    WorkerPool* worker_pool) {
+    const std::vector<Shape>& database_shapes, unsigned threads) {
   if (!AllLinear(tgds)) {
     return InvalidArgumentError(
         "dynamic simplification requires linear TGDs");
@@ -100,7 +99,7 @@ StatusOr<DynamicSimplificationResult> DynamicSimplificationFromShapes(
   // order, so the emitted TGD list and the interning order are independent
   // of the thread count.
   using Pool = FrontierPool<Shape, ShapeMatches, ShapeHash>;
-  Pool pool({.threads = std::max(1u, threads), .pool = worker_pool});
+  Pool pool({.threads = threads});
   Status status = pool.Run(
       database_shapes,
       [&](unsigned /*worker*/, const Shape& shape, ShapeMatches* out,

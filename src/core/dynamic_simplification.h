@@ -50,16 +50,13 @@ struct DynamicSimplificationResult {
 
 // Algorithm 2 given the database shapes (the db-dependent FindShapes step is
 // separated out so callers can time it independently, as the paper does).
-// `threads` <= 1 expands the worklist inline on the calling thread; the
-// result is identical either way. A non-null `pool` runs the worklist on
-// that caller-owned persistent WorkerPool instead (its thread count wins
-// over `threads`) — how IsChaseFiniteL shares one pool between FindShapes
-// and this worklist. The canonical result is unchanged in every case.
+// `threads` <= 1 expands the worklist inline on the calling thread;
+// otherwise it runs on a worker pool of its own, spawned once for the whole
+// worklist. The canonical result is identical at every thread count.
 [[nodiscard]]
 StatusOr<DynamicSimplificationResult> DynamicSimplificationFromShapes(
     const Schema& schema, const std::vector<Tgd>& tgds,
-    const std::vector<Shape>& database_shapes, unsigned threads = 1,
-    WorkerPool* pool = nullptr);
+    const std::vector<Shape>& database_shapes, unsigned threads = 1);
 
 // A serial FindShapes(D) scan + Algorithm 2. `database.schema()` must
 // contain every predicate of `tgds`.

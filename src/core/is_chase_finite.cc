@@ -9,8 +9,6 @@
 #include "core/weak_acyclicity.h"
 #include "graph/dependency_graph.h"
 #include "graph/tarjan.h"
-#include "index/find_shapes.h"
-#include "index/shape_index.h"
 #include "logic/database.h"
 #include "logic/shape.h"
 #include "logic/tgd.h"
@@ -89,43 +87,19 @@ StatusOr<bool> IsChaseFiniteL(const Database& database,
   LCheckStats local;
   LCheckStats& out = stats != nullptr ? *stats : local;
 
-  // One worker pool for the whole check: FindShapes and the simplification
-  // worklist used to spawn one each even though both accept a shared pool.
-  // A caller-owned pool wins; otherwise spawn once here, sized to the
-  // larger of the two knobs (both phases are deterministic in their thread
-  // count, so the widened phase returns the same result either way).
-  WorkerPool* pool = options.pool;
-  std::optional<WorkerPool> owned_pool;
-  const unsigned max_threads =
-      std::max(options.shape_threads, options.simplify_threads);
-  if (pool == nullptr && max_threads > 1) {
-    owned_pool.emplace(max_threads);
-    pool = &*owned_pool;
-  }
-
   // The db-dependent component: FindShapes (Section 8's t-shapes), unless
-  // the caller maintains the shapes incrementally (Section 10) — either as
-  // a pre-extracted vector or as a live index.
+  // the caller hands shape(D) in precomputed (Section 10).
   Timer timer;
   storage::Catalog catalog(&database);
   std::vector<Shape> computed;
   {
     obs::TraceSpan shapes_span("check", "t_shapes");
     if (options.precomputed_shapes == nullptr) {
-      if (options.shape_index != nullptr) {
-        computed = options.shape_index->CurrentShapes();
-      } else {
-        storage::MemoryShapeSource source(&catalog);
-        storage::FindShapesOptions find_options;
-        find_options.mode = options.shape_finder;
-        find_options.threads = options.shape_threads;
-        // Share the pool only when this phase was asked to run parallel: a
-        // serial phase keeps its serial plan (and its serial-plan metering)
-        // even if the other phase forced a pool into existence.
-        find_options.pool = options.shape_threads > 1 ? pool : nullptr;
-        CHASE_ASSIGN_OR_RETURN(computed,
-                               index::FindShapes(source, find_options));
-      }
+      storage::MemoryShapeSource source(&catalog);
+      CHASE_ASSIGN_OR_RETURN(
+          computed,
+          storage::FindShapes(source, {.mode = options.shape_finder,
+                                       .threads = options.shape_threads}));
     }
   }
   const std::vector<Shape>& shapes = options.precomputed_shapes != nullptr
@@ -144,9 +118,8 @@ StatusOr<bool> IsChaseFiniteL(const Database& database,
     obs::TraceSpan graph_span("check", "t_graph");
     CHASE_ASSIGN_OR_RETURN(
         DynamicSimplificationResult result,
-        DynamicSimplificationFromShapes(
-            database.schema(), tgds, shapes, options.simplify_threads,
-            options.simplify_threads > 1 ? pool : nullptr));
+        DynamicSimplificationFromShapes(database.schema(), tgds, shapes,
+                                        options.simplify_threads));
     simplified_opt.emplace(std::move(result));
     graph_opt.emplace(BuildDependencyGraph(
         simplified_opt->shape_schema->schema(), simplified_opt->tgds));

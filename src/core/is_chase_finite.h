@@ -27,10 +27,6 @@
 
 namespace chase {
 
-namespace index {
-class ShapeIndex;
-}  // namespace index
-
 struct SlCheckStats {
   double graph_ms = 0;    // t-graph: build dg(Σ)
   double comp_ms = 0;     // t-comp: find special SCCs
@@ -47,6 +43,8 @@ struct SlCheckStats {
                                SlCheckStats* stats = nullptr);
 
 struct LCheckOptions {
+  // The FindShapes plan: kScan or kExists (kIndex is dispatched only by
+  // index::FindShapes; hand an index's shapes in via precomputed_shapes).
   storage::ShapeFinderMode shape_finder = storage::ShapeFinderMode::kScan;
   // Worker threads for the db-dependent FindShapes component (<= 1 runs it
   // serially). Ignored when the shapes come precomputed.
@@ -56,25 +54,11 @@ struct LCheckOptions {
   // independent (see DynamicSimplificationResult), so this only changes
   // wall-clock, never the verdict or the stats.
   unsigned simplify_threads = 1;
-  // When set, shape(D) is extracted from this incrementally maintained
-  // index (index::ShapeIndex::CurrentShapes) instead of scanning
-  // the database — the Section 10 "materialize the shapes" deployment with
-  // write-through maintenance. Must outlive the call.
-  const index::ShapeIndex* shape_index = nullptr;
   // When set, shape(D) is taken from here (sorted by (pred, id), the
   // contract of storage::FindShapes and index::ShapeIndex::CurrentShapes)
-  // and the db-dependent component is skipped entirely. Takes precedence
-  // over shape_index. Must outlive the call.
+  // and the db-dependent component is skipped entirely — the Section 10
+  // "materialize the shapes" deployment. Must outlive the call.
   const std::vector<Shape>* precomputed_shapes = nullptr;
-  // When non-null, both parallel phases — FindShapes and the dynamic-
-  // simplification worklist — run on this caller-owned persistent
-  // WorkerPool; its thread count overrides shape_threads and
-  // simplify_threads. When null and either thread knob exceeds 1, the
-  // check spawns ONE pool sized to the larger knob and threads it through
-  // both phases itself, so a check pays one thread spawn, not one per
-  // phase. Verdict and stats are identical either way (both phases are
-  // deterministic in their thread count).
-  WorkerPool* pool = nullptr;
 };
 
 struct LCheckStats {

@@ -49,7 +49,6 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <thread>
 #include <unordered_set>
@@ -199,14 +198,8 @@ template <typename Item, typename Out, typename Hash = std::hash<Item>>
 class FrontierPool {
  public:
   struct Options {
-    unsigned threads = 1;       // <= 1 expands inline, no pool, no latching
+    unsigned threads = 1;       // <= 1 expands inline: no workers, no latching
     unsigned seen_stripes = 0;  // 0 = auto (scales with the thread count)
-    // When non-null, depths run on this caller-owned persistent pool (its
-    // thread count wins over `threads`), so several engine runs — or an
-    // engine run and other parallel phases of the same algorithm — share
-    // one set of workers. Otherwise Run spawns its own pool, once for the
-    // whole run.
-    WorkerPool* pool = nullptr;
   };
 
   // Successor sink handed to each expansion. Thread-confined: a worker only
@@ -284,15 +277,10 @@ class FrontierPool {
   [[nodiscard]] Status RunImpl(std::vector<Item> seeds, const ExpandFn& expand,
                  const AbsorbFn* absorb, const ParallelAbsorbFn* par_absorb,
                  FrontierStats* stats) {
-    WorkerPool* pool = options_.pool;
-    std::optional<WorkerPool> owned_pool;
-    if (pool == nullptr) {
-      // The run's own persistent pool: workers spawn here, once, and every
-      // depth below reuses them through the barrier.
-      owned_pool.emplace(std::max(1u, options_.threads));
-      pool = &*owned_pool;
-    }
-    const unsigned threads = std::max(1u, pool->threads());
+    // The run's own persistent pool: workers spawn here, once, and every
+    // depth below reuses them through the barrier.
+    WorkerPool pool(options_.threads);
+    const unsigned threads = pool.threads();
     // Stripe counts are rounded up to a power of two: the stripe pick masks
     // the mixed hash with (stripes - 1). A serial run keeps one unlatched
     // stripe — no mutex on the hot Discover path.
@@ -337,7 +325,7 @@ class FrontierPool {
         // already been dealt — a failed depth drains promptly instead of
         // expanding to the end on the healthy workers.
         std::atomic<bool> abort{false};
-        pool->ParallelFor(
+        pool.ParallelFor(
             frontier.size(),
             [&](unsigned worker, size_t index) {
               if (abort.load(std::memory_order_acquire)) return;
@@ -354,7 +342,7 @@ class FrontierPool {
             &abort);
         for (Status& status : worker_status) CHASE_RETURN_IF_ERROR(status);
         CHASE_RETURN_IF_ERROR(
-            Absorb(pool, threads, frontier, outs, absorb, par_absorb));
+            Absorb(pool, frontier, outs, absorb, par_absorb));
 
         // Barrier reached: merge the per-worker discoveries and sort them
         // into the canonical next frontier.
@@ -402,7 +390,7 @@ class FrontierPool {
 
   // One depth's absorb: serial in canonical order, or — when the consumer
   // opted in — per-chunk on the pool with deterministic chunk boundaries.
-  [[nodiscard]] Status Absorb(WorkerPool* pool, unsigned threads,
+  [[nodiscard]] Status Absorb(WorkerPool& pool,
                 std::vector<Item>& frontier, std::vector<Out>& outs,
                 const AbsorbFn* absorb, const ParallelAbsorbFn* par_absorb) {
     if (absorb != nullptr) {
@@ -410,11 +398,11 @@ class FrontierPool {
     }
     const std::span<const Item> items(frontier);
     const std::span<Out> slots(outs);
-    const size_t chunk = FrontierChunkSize(frontier.size(), threads);
+    const size_t chunk = FrontierChunkSize(frontier.size(), pool.threads());
     const size_t num_chunks = (frontier.size() + chunk - 1) / chunk;
-    std::vector<Status> worker_status(threads);
+    std::vector<Status> worker_status(pool.threads());
     std::atomic<bool> abort{false};
-    pool->ParallelFor(
+    pool.ParallelFor(
         num_chunks,
         [&](unsigned worker, size_t c) {
           if (abort.load(std::memory_order_acquire)) return;

@@ -18,9 +18,7 @@ StatusOr<std::vector<Shape>> FindShapes(
   if (options.mode != storage::ShapeFinderMode::kIndex) {
     return storage::FindShapes(source, options);
   }
-  const unsigned threads = options.pool != nullptr
-                               ? std::max(1u, options.pool->threads())
-                               : std::max(1u, options.threads);
+  const unsigned threads = std::max(1u, options.threads);
   obs::TraceSpan find_span("storage", "find_shapes", "mode",
                            static_cast<int64_t>(options.mode), "threads",
                            static_cast<int64_t>(threads));
@@ -28,7 +26,7 @@ StatusOr<std::vector<Shape>> FindShapes(
   // delta on every exit path.
   storage::ScopedAccessStatsMirror stats_mirror(source);
   CHASE_ASSIGN_OR_RETURN(
-      ShapeIndex idx, ShapeIndex::Build(source, {threads, options.pool}));
+      ShapeIndex idx, ShapeIndex::Build(source, threads));
   return idx.CurrentShapes();
 }
 

@@ -7,12 +7,10 @@
 #include "base/padded.h"
 #include "base/status.h"
 #include "base/sync.h"
-#include "exec/frontier_pool.h"
 #include "io/binary_io.h"
 #include "logic/database.h"
 #include "logic/schema.h"
 #include "logic/shape.h"
-#include "logic/term.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/shape_source.h"
@@ -20,30 +18,17 @@
 namespace chase {
 namespace index {
 
-namespace {
-
-// Order-dependent fold of the fully mixed terms (Mix64's full avalanche
-// keeps single-bit inputs — e.g. a Term's null tag — from cancelling
-// linearly over pairs), mixed once more so the per-tuple hashes stay well
-// distributed under 64-bit summation.
-template <typename T>
-uint64_t TupleFingerprintImpl(PredId pred, std::span<const T> tuple) {
+// Order-dependent fold of the fully mixed values (Mix64's full avalanche
+// keeps single-bit inputs from cancelling linearly over pairs), mixed once
+// more so the per-tuple hashes stay well distributed under 64-bit
+// summation.
+uint64_t TupleFingerprint(PredId pred, std::span<const uint32_t> tuple) {
   uint64_t h = 0x9e3779b97f4a7c15ULL ^ pred;
-  for (T v : tuple) {
+  for (uint32_t v : tuple) {
     h ^= Mix64(static_cast<uint64_t>(v));
     h *= 0x100000001b3ULL;
   }
   return Mix64(h);
-}
-
-}  // namespace
-
-uint64_t TupleFingerprint(PredId pred, std::span<const uint32_t> tuple) {
-  return TupleFingerprintImpl(pred, tuple);
-}
-
-uint64_t TupleFingerprint(PredId pred, std::span<const Term> tuple) {
-  return TupleFingerprintImpl(pred, tuple);
 }
 
 uint64_t DatabaseFingerprint(const Database& db) {
@@ -62,12 +47,10 @@ uint64_t DatabaseFingerprint(const Database& db) {
 
 ShapeIndex::ShapeIndex() : state_(std::make_unique<State>()) {}
 
-void ShapeIndex::AddShape(const Shape& shape, uint64_t count,
-                          uint64_t fingerprint) {
-  if (count == 0) return;
+void ShapeIndex::AddShape(const Shape& shape, uint64_t fingerprint) {
   MutexLock lock(state_->mu);
-  state_->counts[shape] += count;
-  state_->tuples += count;
+  ++state_->counts[shape];
+  ++state_->tuples;
   state_->fingerprint += fingerprint;
 }
 
@@ -135,10 +118,8 @@ std::vector<Shape> ShapeIndex::CurrentShapes() const {
 }
 
 StatusOr<ShapeIndex> ShapeIndex::Build(const storage::ShapeSource& source,
-                                       const IndexBuildOptions& options) {
-  const unsigned threads = options.pool != nullptr
-                               ? std::max(1u, options.pool->threads())
-                               : std::max(1u, options.threads);
+                                       unsigned threads) {
+  threads = std::max(1u, threads);
   obs::TraceSpan build_span("index", "build", "threads",
                             static_cast<int64_t>(threads));
 
@@ -152,8 +133,7 @@ StatusOr<ShapeIndex> ShapeIndex::Build(const storage::ShapeSource& source,
       [&](unsigned t, PredId pred, std::span<const uint32_t> tuple) {
         ++local[t][Shape(pred, IdOf(tuple))];
         local_fp[t].value += TupleFingerprint(pred, tuple);
-      },
-      options.pool));
+      }));
   ShapeIndex index;
   for (unsigned t = 0; t < threads; ++t) {
     index.MergeCounts(std::move(local[t]), local_fp[t].value);

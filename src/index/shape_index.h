@@ -15,15 +15,12 @@
 //    (row store or buffer-pooled disk pager), workers accumulating into
 //    thread-local counters that are folded in once per worker.
 //  * Reads: CurrentShapes() is the sorted shape set — identical output to
-//    storage::FindShapes (sorted by (pred, id)).
+//    storage::FindShapes (sorted by (pred, id)). Handing it to
+//    IsChaseFiniteL as LCheckOptions::precomputed_shapes turns the
+//    db-dependent component of a repeated termination check into a
+//    dictionary extraction (chasectl check --shapes=index).
 //  * Persistence: binary snapshots (io/binary_io.h) so a front end can build
 //    once and reuse the index across runs.
-//
-// Write-through integration points: ChaseOptions::shape_index routes every
-// chase atom insert through the index, and core::IsChaseFiniteL's
-// LCheckOptions::shape_index reads it back, which turns the db-dependent
-// component of every repeated termination check into a dictionary
-// extraction.
 //
 // Thread safety: every method is safe to call concurrently; one latch
 // guards the counters, the tuple total and the content fingerprint.
@@ -43,19 +40,10 @@
 #include "logic/database.h"
 #include "logic/schema.h"
 #include "logic/shape.h"
-#include "logic/term.h"
 #include "storage/shape_source.h"
 
 namespace chase {
 namespace index {
-
-struct IndexBuildOptions {
-  unsigned threads = 1;  // <= 1 scans serially
-  // When non-null the build's scan runs on this caller-owned persistent
-  // WorkerPool (its thread count wins over `threads`) — see
-  // storage::ParallelTupleScan.
-  WorkerPool* pool = nullptr;
-};
 
 // Order-independent content fingerprint machinery: every indexed tuple
 // contributes a mixed hash of its (pred, tuple) pair, and the index keeps
@@ -63,10 +51,8 @@ struct IndexBuildOptions {
 // the same multiset of facts, so a remove+insert pair that preserves tuple
 // counts (which fools a count-only staleness check) still flips the
 // fingerprint. Sums (not XORs) so duplicate tuples don't cancel, and
-// removal is subtraction. The uint32_t and Term forms agree on constants
-// (a constant id widens to the same 64-bit term encoding).
+// removal is subtraction.
 uint64_t TupleFingerprint(PredId pred, std::span<const uint32_t> tuple);
-uint64_t TupleFingerprint(PredId pred, std::span<const Term> tuple);
 
 // The fingerprint a freshly built index over `db` would carry — what the
 // snapshot staleness guard compares against.
@@ -76,35 +62,21 @@ class ShapeIndex {
  public:
   ShapeIndex();
 
-  // Builds the index from any ShapeSource with `options.threads`
-  // range-partitioned scan workers (so this works over both the row store
-  // and the disk pager). Meters the scan into source.stats() exactly like
-  // the scan-mode FindShapes.
+  // Builds the index from any ShapeSource with `threads` range-partitioned
+  // scan workers (<= 1 scans serially; works over both the row store and
+  // the disk pager). Meters the scan into source.stats() exactly like the
+  // scan-mode FindShapes.
   [[nodiscard]] static StatusOr<ShapeIndex> Build(
-      const storage::ShapeSource& source,
-      const IndexBuildOptions& options = {});
+      const storage::ShapeSource& source, unsigned threads = 1);
 
   // Convenience: serial build straight from a raw database.
   static ShapeIndex Build(const Database& db);
 
-  // Records one inserted tuple of `pred`. The uint32_t overload serves the
-  // row store; the Term overload serves chase instances — a shape depends
-  // only on the tuple's equality pattern, so nulls and constants index
-  // identically. Both maintain the content fingerprint from the actual
-  // tuple.
+  // Records one inserted tuple of `pred`, maintaining the content
+  // fingerprint from the actual tuple.
   void Insert(PredId pred, std::span<const uint32_t> tuple) {
-    AddShape(Shape(pred, IdOf(tuple)), 1, TupleFingerprint(pred, tuple));
+    AddShape(Shape(pred, IdOf(tuple)), TupleFingerprint(pred, tuple));
   }
-  void Insert(PredId pred, std::span<const Term> tuple) {
-    AddShape(Shape(pred, IdOf(tuple)), 1, TupleFingerprint(pred, tuple));
-  }
-
-  // Records `count` tuples carrying `shape` directly (the write-through fast
-  // path when the caller already computed the shape). `fingerprint` is the
-  // tuples' total TupleFingerprint contribution; callers that cannot supply
-  // it (shape-only replay) pass 0 and forfeit the staleness guard.
-  void AddShape(const Shape& shape, uint64_t count = 1,
-                uint64_t fingerprint = 0);
 
   // Records one deleted tuple of `pred`. Fails with kFailedPrecondition if
   // no tuple with that shape is indexed (the counter would go negative).
@@ -112,12 +84,6 @@ class ShapeIndex {
     return RemoveShape(Shape(pred, IdOf(tuple)),
                        TupleFingerprint(pred, tuple));
   }
-  [[nodiscard]] Status Remove(PredId pred, std::span<const Term> tuple) {
-    return RemoveShape(Shape(pred, IdOf(tuple)),
-                       TupleFingerprint(pred, tuple));
-  }
-  [[nodiscard]]
-  Status RemoveShape(const Shape& shape, uint64_t fingerprint = 0);
 
   bool Contains(const Shape& shape) const;
 
@@ -153,6 +119,10 @@ class ShapeIndex {
     // Sum of TupleFingerprint over indexed tuples (see above).
     uint64_t fingerprint GUARDED_BY(mu) = 0;
   };
+
+  // One tuple carrying `shape`, whose TupleFingerprint is `fingerprint`.
+  void AddShape(const Shape& shape, uint64_t fingerprint);
+  [[nodiscard]] Status RemoveShape(const Shape& shape, uint64_t fingerprint);
 
   // Folds a worker's thread-local counters and fingerprint sum in.
   void MergeCounts(CountMap counts, uint64_t fingerprint);

@@ -19,7 +19,7 @@
 // Shape-snapshot payload (magic "CHSI", version 2): a reserved u32, the
 // order-independent content fingerprint of the indexed tuples (the
 // staleness guard of `chasectl check --shapes=index --snapshot`, maintained
-// by the write-through paths), then the (pred, id-tuple, counter) entries
+// by Insert/Remove and the build), then the (pred, id-tuple, counter) entries
 // sorted strictly by shape, so snapshot bytes are canonical for a given
 // index state.
 //

@@ -30,14 +30,13 @@ std::vector<Shape> Sorted(ShapeSet shapes) {
 
 Status ScanShapes(const ShapeSource& source,
                   const std::vector<PredId>& preds, unsigned threads,
-                  WorkerPool* pool, ShapeSet* shapes) {
+                  ShapeSet* shapes) {
   std::vector<ShapeSet> local(threads);
   CHASE_RETURN_IF_ERROR(ParallelTupleScan(
       source, preds, threads,
       [&](unsigned t, PredId pred, std::span<const uint32_t> tuple) {
         local[t].insert(ShapeOfTuple(pred, tuple));
-      },
-      pool));
+      }));
   for (unsigned t = 0; t < threads; ++t) shapes->merge(local[t]);
   return OkStatus();
 }
@@ -78,8 +77,7 @@ Status WalkShapesForPred(const ShapeSource& source, PredId pred,
 // the depth's tail runs serially between barriers.
 Status WalkShapesFrontier(const ShapeSource& source,
                           const std::vector<PredId>& preds, unsigned threads,
-                          WorkerPool* worker_pool, ShapeSet* shapes,
-                          FrontierStats* frontier_stats) {
+                          ShapeSet* shapes, FrontierStats* frontier_stats) {
   struct Probe {
     bool present = false;
   };
@@ -90,8 +88,7 @@ Status WalkShapesFrontier(const ShapeSource& source,
   }
 
   std::vector<AccessStats> local_stats(threads);
-  FrontierPool<Shape, Probe, ShapeHash> pool(
-      {.threads = threads, .pool = worker_pool});
+  FrontierPool<Shape, Probe, ShapeHash> pool({.threads = threads});
   const auto expand =
       [&](unsigned worker, const Shape& candidate, Probe* out,
           FrontierPool<Shape, Probe, ShapeHash>::Discoveries* discovered)
@@ -160,12 +157,7 @@ const char* ShapeFinderModeName(ShapeFinderMode mode) {
 
 StatusOr<std::vector<Shape>> FindShapes(const ShapeSource& source,
                                         const FindShapesOptions& options) {
-  // A caller-owned pool overrides the thread count — the plans dispatch on
-  // the threads that will actually run, and every plan returns the same
-  // set at any thread count, so sharing a pool never changes results.
-  const unsigned threads = options.pool != nullptr
-                               ? std::max(1u, options.pool->threads())
-                               : std::max(1u, options.threads);
+  const unsigned threads = std::max(1u, options.threads);
   obs::TraceSpan find_span("storage", "find_shapes", "mode",
                            static_cast<int64_t>(options.mode), "threads",
                            static_cast<int64_t>(threads));
@@ -185,7 +177,7 @@ StatusOr<std::vector<Shape>> FindShapes(const ShapeSource& source,
   ShapeSet shapes;
   Status status = OkStatus();
   if (options.mode == ShapeFinderMode::kScan) {
-    status = ScanShapes(source, preds, threads, options.pool, &shapes);
+    status = ScanShapes(source, preds, threads, &shapes);
   } else if (threads == 1) {
     // The serial reference walk — the oracle the frontier-parallel plan is
     // differentially tested against (tests/frontier_equivalence_test.cc).
@@ -194,8 +186,8 @@ StatusOr<std::vector<Shape>> FindShapes(const ShapeSource& source,
       if (!status.ok()) break;
     }
   } else {
-    status = WalkShapesFrontier(source, preds, threads, options.pool,
-                                &shapes, options.frontier_stats);
+    status = WalkShapesFrontier(source, preds, threads, &shapes,
+                                options.frontier_stats);
   }
   CHASE_RETURN_IF_ERROR(status);
   return Sorted(std::move(shapes));

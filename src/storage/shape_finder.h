@@ -58,15 +58,6 @@ struct FindShapesOptions {
   // counts included, which is how bench/ablation_frontier_parallel.cc shows
   // the lattice frontier itself being split across workers.
   FrontierStats* frontier_stats = nullptr;
-  // When non-null, the parallel plans (scan chunks, the exists plan's
-  // frontier, the index build's scan) run on this caller-owned persistent
-  // WorkerPool — its thread count wins over `threads` — so one pool serves
-  // several phases of one algorithm (e.g. the whole IsChaseFiniteL check:
-  // FindShapes here plus the dynamic-simplification worklist, one spawn
-  // instead of two). Results are unchanged either way: every plan is
-  // deterministic in its effective thread count, and the returned set is
-  // thread-count-independent besides.
-  WorkerPool* pool = nullptr;
 };
 
 // Mirrors one run's access-stats delta into the metrics registry on every

@@ -64,10 +64,8 @@ struct Chunk {
 
 Status ParallelTupleScan(const ShapeSource& source,
                          const std::vector<PredId>& preds, unsigned threads,
-                         const ParallelTupleVisitor& visit,
-                         WorkerPool* pool) {
-  threads = pool != nullptr ? std::max(1u, pool->threads())
-                            : std::max(1u, threads);
+                         const ParallelTupleVisitor& visit) {
+  threads = std::max(1u, threads);
 
   // Chunks of roughly equal tuple counts, a few per thread.
   uint64_t total_rows = 0;
@@ -97,22 +95,9 @@ Status ParallelTupleScan(const ShapeSource& source,
           return true;
         });
   };
-  if (pool != nullptr) {
-    // A caller-owned persistent pool: chunks dealt through its barrier, no
-    // thread spawn on this call at all.
-    pool->ParallelFor(chunks.size(), scan_chunk);
-  } else if (threads == 1) {
-    for (size_t index = 0; index < chunks.size(); ++index) {
-      scan_chunk(0, index);
-    }
-  } else {
-    // Transient pool for this scan: same dynamic chunk dealing as the
-    // caller-owned path (scan_chunk skips work once its worker's status is
-    // bad, matching the old hand-rolled spawn's early exit), and thread
-    // creation stays inside the one sanctioned spawner.
-    WorkerPool scan_pool(threads);
-    scan_pool.ParallelFor(chunks.size(), scan_chunk);
-  }
+  // Dynamic chunk dealing; scan_chunk skips work once its worker's status
+  // is bad. A one-thread pool spawns nothing and runs the chunks inline.
+  WorkerPool(threads).ParallelFor(chunks.size(), scan_chunk);
 
   for (unsigned t = 0; t < threads; ++t) {
     source.stats().tuples_scanned += scanned[t].value;

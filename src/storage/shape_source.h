@@ -30,9 +30,6 @@
 #include "storage/catalog.h"
 
 namespace chase {
-
-class WorkerPool;
-
 namespace storage {
 
 // Physical I/O performed by a backend. The in-memory row store does no I/O
@@ -109,19 +106,12 @@ class ShapeSource {
 // source.stats() — the scan-plan FindShapes convention. This is the one
 // scan driver behind both the scan-mode shape finder and the shape-index
 // build.
-//
-// When `pool` is non-null the chunks run on that caller-owned persistent
-// WorkerPool instead of a per-call transient one (its thread count wins
-// over `threads`), so a caller running several parallel phases — FindShapes
-// plus a simplification worklist, say — pays one thread spawn for all of
-// them. The visit contract is unchanged: thread ids stay in [0, threads).
 using ParallelTupleVisitor =
     std::function<void(unsigned thread, PredId pred,
                        std::span<const uint32_t> tuple)>;
 [[nodiscard]] Status ParallelTupleScan(const ShapeSource& source,
                          const std::vector<PredId>& preds, unsigned threads,
-                         const ParallelTupleVisitor& visit,
-                         WorkerPool* pool = nullptr);
+                         const ParallelTupleVisitor& visit);
 
 // The early-exit shape-existence probe both query plans of Section 5.4
 // compile to. With `exact` set it answers the full EXISTS query (equalities

@@ -74,7 +74,6 @@ TEST_F(ChasectlCliTest, MalformedNumericFlagsExitTwo) {
       "check " + file + " --mode=l --threads=%s",
       "chase " + file + " --threads=%s",
       "chase " + file + " --max-atoms=%s",
-      "chase " + file + " --hom-budget=%s",
       "chase " + file + " --metrics-interval=%s",
       "chase " + file + " --max-rounds=%s",
       "chase " + file + " --checkpoint=" + TempDir() +
@@ -103,11 +102,9 @@ TEST_F(ChasectlCliTest, MalformedNumericFlagsExitTwo) {
 
 TEST_F(ChasectlCliTest, OutOfRangeNumericFlagsExitTwo) {
   // In-format but out-of-bounds values: threads has a [1, 1024] window,
-  // hom-budget needs at least 1, and generate's arity is capped at
-  // Schema::kMaxArity.
+  // and generate's arity is capped at Schema::kMaxArity.
   EXPECT_EQ(RunChasectl("chase " + program_path_ + " --threads=0"), 2);
   EXPECT_EQ(RunChasectl("chase " + program_path_ + " --threads=4096"), 2);
-  EXPECT_EQ(RunChasectl("chase " + program_path_ + " --hom-budget=0"), 2);
   EXPECT_EQ(RunChasectl("generate " + TempDir() +
                         "/chasectl_cli_test_bad.dlgp --arity=300"),
             2);
@@ -117,9 +114,7 @@ TEST_F(ChasectlCliTest, WellFormedFlagsStillRun) {
   EXPECT_EQ(RunChasectl("chase " + program_path_ +
                         " --variant=re --threads=2 --max-atoms=1000"),
             0);
-  // hom-budget=1 drives the budgeted protocol at its tightest setting.
-  EXPECT_EQ(RunChasectl("chase " + program_path_ +
-                        " --variant=so --threads=2 --hom-budget=1"),
+  EXPECT_EQ(RunChasectl("chase " + program_path_ + " --variant=so --threads=2"),
             0);
   EXPECT_EQ(RunChasectl("findshapes " + program_path_ +
                         " --mode=exists --threads=2"),
@@ -171,6 +166,8 @@ TEST_F(ChasectlCliTest, UnknownFlagsExitTwo) {
   EXPECT_EQ(RunChasectl("findshapes " + file + " --pool-shards=8", &err), 2);
   EXPECT_NE(err.find("unknown flag --pool-shards"), std::string::npos)
       << err;
+  EXPECT_EQ(RunChasectl("chase " + file + " --hom-budget=8", &err), 2);
+  EXPECT_NE(err.find("unknown flag --hom-budget"), std::string::npos) << err;
   EXPECT_EQ(RunChasectl("findshapes " + file + " --shards=4", &err), 2);
   EXPECT_NE(err.find("unknown flag --shards"), std::string::npos) << err;
   EXPECT_EQ(RunChasectl("index build " + file + " " + scratch +
@@ -181,6 +178,47 @@ TEST_F(ChasectlCliTest, UnknownFlagsExitTwo) {
   // `--backend=index` was an alias of `--mode=index`; it is gone.
   EXPECT_EQ(RunChasectl("findshapes " + file + " --backend=index", &err), 2);
   EXPECT_NE(err.find("unknown --backend=index"), std::string::npos) << err;
+}
+
+TEST_F(ChasectlCliTest, FlagsThePathDoesNotReadExitTwo) {
+  // A flag the subcommand accepts but the chosen path never reads is
+  // diagnosed by name instead of silently ignored.
+  const std::string file = program_path_;
+  std::string err;
+  EXPECT_EQ(RunChasectl("check " + file +
+                            " --mode=l --snapshot=/nonexistent.chidx",
+                        &err),
+            2);
+  EXPECT_NE(err.find("--snapshot requires --shapes=index"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(RunChasectl("check " + file +
+                            " --mode=sl --shapes=bogus --threads=abc",
+                        &err),
+            2);
+  EXPECT_NE(err.find("--shapes is L-mode only"), std::string::npos) << err;
+  for (const char* flag : {"--threads=2", "--snapshot=s.chidx"}) {
+    EXPECT_EQ(RunChasectl("check " + file + " --mode=sl " + flag, &err), 2)
+        << flag;
+    EXPECT_NE(err.find("is L-mode only"), std::string::npos) << err;
+  }
+  EXPECT_EQ(RunChasectl("findshapes " + file +
+                            " --snapshot=s.chidx --threads=abc --mode=bogus"
+                            " --backend=nope",
+                        &err),
+            2);
+  EXPECT_NE(err.find("--snapshot excludes --"), std::string::npos) << err;
+  for (const char* flag :
+       {"--mode=scan", "--backend=memory", "--threads=2", "--store=s.db"}) {
+    EXPECT_EQ(RunChasectl("findshapes " + file + " --snapshot=s.chidx " + flag,
+                          &err),
+              2)
+        << flag;
+    const std::string name =
+        std::string(flag).substr(0, std::string(flag).find('='));
+    EXPECT_NE(err.find("--snapshot excludes " + name), std::string::npos)
+        << err;
+  }
 }
 
 TEST_F(ChasectlCliTest, SnapshotMustIndexTheProgramsDatabase) {

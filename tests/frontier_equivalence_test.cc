@@ -23,9 +23,9 @@
 // The checkpoint/restart protocol rides the same contract: a chase
 // checkpointed at ANY round boundary and resumed must replay the
 // uninterrupted run bit-for-bit — instance bytes, null ids, rounds,
-// trigger counts, and the checkpoint file bytes themselves — at any
-// thread count, for all three variants, with and without index
-// write-through. The sweep at the bottom cuts at every round.
+// trigger counts, and the checkpointed state itself — at any thread
+// count, for all three variants. The sweep at the bottom cuts at every
+// round.
 //
 // Runs in both the normal and the ThreadSanitizer CI jobs, and standalone
 // via `ctest -L frontier` (the resume sweep also under `-L checkpoint`).
@@ -49,7 +49,6 @@
 #include "gen/data_generator.h"
 #include "gen/tgd_generator.h"
 #include "index/find_shapes.h"
-#include "index/shape_index.h"
 #include "io/binary_io.h"
 #include "logic/parser.h"
 #include "pager/disk_database.h"
@@ -397,8 +396,7 @@ TEST(FrontierEquivalenceTest, RestrictedPrefilterSkipsSatisfiedTriggers) {
 TEST(FrontierEquivalenceTest, ExistsPlanThreadSweepMatchesSerialWalk) {
   // The frontier-parallel exists plan absorbs each depth per-chunk into
   // worker-private sets; that must never change shape(D). Sweep thread
-  // counts, on a transient pool and on a caller-owned pool, against the
-  // threads == 1 serial lattice walk.
+  // counts against the threads == 1 serial lattice walk.
   Rng rng(515151);
   for (int trial = 0; trial < 4; ++trial) {
     GeneratedData data = MakeRandomData(&rng);
@@ -407,17 +405,11 @@ TEST(FrontierEquivalenceTest, ExistsPlanThreadSweepMatchesSerialWalk) {
     auto oracle = index::FindShapes(memory, {ShapeFinderMode::kExists, 1});
     ASSERT_TRUE(oracle.ok()) << oracle.status();
     for (unsigned threads : kThreadSweep) {
-      WorkerPool shared(threads);
-      for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &shared}) {
-        storage::FindShapesOptions options{ShapeFinderMode::kExists,
-                                           threads};
-        options.pool = pool;
-        auto shapes = index::FindShapes(memory, options);
-        ASSERT_TRUE(shapes.ok()) << shapes.status();
-        EXPECT_EQ(*shapes, *oracle)
-            << "trial " << trial << ", threads " << threads
-            << (pool != nullptr ? ", shared pool" : "");
-      }
+      auto shapes =
+          index::FindShapes(memory, {ShapeFinderMode::kExists, threads});
+      ASSERT_TRUE(shapes.ok()) << shapes.status();
+      EXPECT_EQ(*shapes, *oracle)
+          << "trial " << trial << ", threads " << threads;
     }
   }
 }
@@ -528,9 +520,8 @@ TEST(FrontierEquivalenceTest, MoreThreadsThanFrontierItems) {
 
 // --------------------------------------------------------------------------
 // Checkpoint/resume differential sweep: cut at every round boundary, resume,
-// and demand the uninterrupted run bit-for-bit — across the thread sweep,
-// all three variants, and both maintenance modes (plain memory instance,
-// index write-through).
+// and demand the uninterrupted run bit-for-bit — across the thread sweep
+// and all three variants.
 
 TEST(FrontierEquivalenceTest, CheckpointResumeSweepMatchesUninterruptedRun) {
   // Non-terminating under every variant: the successor rule always finds a
@@ -549,7 +540,7 @@ TEST(FrontierEquivalenceTest, CheckpointResumeSweepMatchesUninterruptedRun) {
   for (ChaseVariant variant :
        {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
         ChaseVariant::kRestricted}) {
-    // The uninterrupted oracle: serial, no index.
+    // The uninterrupted oracle: serial.
     ChaseOptions oracle_options;
     oracle_options.variant = variant;
     oracle_options.max_rounds = kRounds;
@@ -560,109 +551,66 @@ TEST(FrontierEquivalenceTest, CheckpointResumeSweepMatchesUninterruptedRun) {
     oracle->instance.ForEachAtom(
         [&](const GroundAtom& atom) { oracle_atoms.push_back(atom); });
 
-    // The index write-through oracle: the shapes a straight run leaves.
-    index::ShapeIndex oracle_index =
-        index::ShapeIndex::Build(*program->database);
-    ChaseOptions oracle_index_options = oracle_options;
-    oracle_index_options.shape_index = &oracle_index;
-    ASSERT_TRUE(
-        RunChase(*program->database, program->tgds, oracle_index_options)
-            .ok());
-    const std::vector<Shape> oracle_shapes = oracle_index.CurrentShapes();
-
     for (uint64_t cut = 1; cut < kRounds; ++cut) {
-      // Canonical checkpoints: at a fixed thread count the file bytes are
-      // identical whatever the backend; across thread counts every state
-      // field matches and only the two per-thread-count diagnostic
-      // counters may differ.
+      // Canonical checkpoints: across thread counts every state field
+      // matches and only the two per-thread-count diagnostic counters may
+      // differ.
       std::optional<io::ChaseCheckpoint> canonical_state;
-      std::vector<uint8_t> canonical_bytes;
       for (unsigned threads : {1u, 2u, 4u}) {
-        canonical_bytes.clear();
-        for (bool write_through : {false, true}) {
-          const std::string label =
-              std::string("variant ") + ChaseVariantName(variant) +
-              ", cut " + std::to_string(cut) + ", threads " +
-              std::to_string(threads) +
-              (write_through ? ", index" : ", memory");
+        const std::string label =
+            std::string("variant ") + ChaseVariantName(variant) + ", cut " +
+            std::to_string(cut) + ", threads " + std::to_string(threads);
 
-          ChaseOptions leg1_options;
-          leg1_options.variant = variant;
-          leg1_options.max_rounds = cut;
-          leg1_options.frontier_threads = threads;
-          leg1_options.checkpoint_path = ck_path;
-          leg1_options.checkpoint_every_rounds = cut;
-          index::ShapeIndex leg1_index;
-          if (write_through) {
-            leg1_index = index::ShapeIndex::Build(*program->database);
-            leg1_options.shape_index = &leg1_index;
-          }
-          auto leg1 =
-              RunChase(*program->database, program->tgds, leg1_options);
-          ASSERT_TRUE(leg1.ok()) << label << ": " << leg1.status();
-          ASSERT_EQ(leg1->outcome, ChaseOutcome::kRoundLimit) << label;
+        ChaseOptions leg1_options;
+        leg1_options.variant = variant;
+        leg1_options.max_rounds = cut;
+        leg1_options.frontier_threads = threads;
+        leg1_options.checkpoint_path = ck_path;
+        leg1_options.checkpoint_every_rounds = cut;
+        auto leg1 = RunChase(*program->database, program->tgds, leg1_options);
+        ASSERT_TRUE(leg1.ok()) << label << ": " << leg1.status();
+        ASSERT_EQ(leg1->outcome, ChaseOutcome::kRoundLimit) << label;
 
-          std::ifstream in(ck_path, std::ios::binary);
-          ASSERT_TRUE(in.good()) << label;
-          std::vector<uint8_t> bytes(std::istreambuf_iterator<char>(in),
-                                     std::istreambuf_iterator<char>{});
-          in.close();
-          if (canonical_bytes.empty()) {
-            canonical_bytes = bytes;
-          } else {
-            EXPECT_EQ(bytes, canonical_bytes) << label;
-          }
-          auto ckpt = io::DeserializeChaseCheckpoint(bytes);
-          ASSERT_TRUE(ckpt.ok()) << label << ": " << ckpt.status();
-          EXPECT_EQ(ckpt->rounds, cut) << label;
-          if (!canonical_state.has_value()) {
-            canonical_state = *ckpt;
-          } else {
-            EXPECT_EQ(ckpt->triggers_fired, canonical_state->triggers_fired)
-                << label;
-            EXPECT_EQ(ckpt->next_null, canonical_state->next_null) << label;
-            EXPECT_EQ(ckpt->fired_keys, canonical_state->fired_keys)
-                << label;
-            ASSERT_EQ(ckpt->relations.size(),
-                      canonical_state->relations.size())
-                << label;
-            for (size_t i = 0; i < ckpt->relations.size(); ++i) {
-              EXPECT_EQ(ckpt->relations[i].atoms,
-                        canonical_state->relations[i].atoms)
-                  << label << ", relation " << i;
-            }
-          }
-
-          ChaseOptions leg2_options;
-          leg2_options.variant = variant;
-          leg2_options.max_rounds = kRounds;
-          leg2_options.frontier_threads = threads;
-          leg2_options.resume = &*ckpt;
-          index::ShapeIndex leg2_index;
-          if (write_through) {
-            // The resume contract: the caller hands in an index reflecting
-            // the checkpoint's instance, here replayed from leg 1's result.
-            leg1->instance.ForEachAtom([&](const GroundAtom& atom) {
-              leg2_index.Insert(atom.pred, atom.args);
-            });
-            leg2_options.shape_index = &leg2_index;
-          }
-          auto leg2 =
-              RunChase(*program->database, program->tgds, leg2_options);
-          ASSERT_TRUE(leg2.ok()) << label << ": " << leg2.status();
-          EXPECT_EQ(leg2->outcome, oracle->outcome) << label;
-          EXPECT_EQ(leg2->rounds, oracle->rounds) << label;
-          EXPECT_EQ(leg2->triggers_fired, oracle->triggers_fired) << label;
-          EXPECT_EQ(leg2->instance.NumNulls(), oracle->instance.NumNulls())
+        std::ifstream in(ck_path, std::ios::binary);
+        ASSERT_TRUE(in.good()) << label;
+        std::vector<uint8_t> bytes(std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>{});
+        in.close();
+        auto ckpt = io::DeserializeChaseCheckpoint(bytes);
+        ASSERT_TRUE(ckpt.ok()) << label << ": " << ckpt.status();
+        EXPECT_EQ(ckpt->rounds, cut) << label;
+        if (!canonical_state.has_value()) {
+          canonical_state = *ckpt;
+        } else {
+          EXPECT_EQ(ckpt->triggers_fired, canonical_state->triggers_fired)
               << label;
-          std::vector<GroundAtom> leg2_atoms;
-          leg2->instance.ForEachAtom(
-              [&](const GroundAtom& atom) { leg2_atoms.push_back(atom); });
-          EXPECT_EQ(leg2_atoms, oracle_atoms) << label;
-          if (write_through) {
-            EXPECT_EQ(leg2_index.CurrentShapes(), oracle_shapes) << label;
+          EXPECT_EQ(ckpt->next_null, canonical_state->next_null) << label;
+          EXPECT_EQ(ckpt->fired_keys, canonical_state->fired_keys) << label;
+          ASSERT_EQ(ckpt->relations.size(), canonical_state->relations.size())
+              << label;
+          for (size_t i = 0; i < ckpt->relations.size(); ++i) {
+            EXPECT_EQ(ckpt->relations[i].atoms,
+                      canonical_state->relations[i].atoms)
+                << label << ", relation " << i;
           }
         }
+
+        ChaseOptions leg2_options;
+        leg2_options.variant = variant;
+        leg2_options.max_rounds = kRounds;
+        leg2_options.frontier_threads = threads;
+        leg2_options.resume = &*ckpt;
+        auto leg2 = RunChase(*program->database, program->tgds, leg2_options);
+        ASSERT_TRUE(leg2.ok()) << label << ": " << leg2.status();
+        EXPECT_EQ(leg2->outcome, oracle->outcome) << label;
+        EXPECT_EQ(leg2->rounds, oracle->rounds) << label;
+        EXPECT_EQ(leg2->triggers_fired, oracle->triggers_fired) << label;
+        EXPECT_EQ(leg2->instance.NumNulls(), oracle->instance.NumNulls())
+            << label;
+        std::vector<GroundAtom> leg2_atoms;
+        leg2->instance.ForEachAtom(
+            [&](const GroundAtom& atom) { leg2_atoms.push_back(atom); });
+        EXPECT_EQ(leg2_atoms, oracle_atoms) << label;
       }
     }
   }

@@ -227,44 +227,6 @@ TEST(FrontierPoolTest, BarrierReuseOverThousandsOfShallowDepths) {
   }
 }
 
-TEST(FrontierPoolTest, SharedExternalWorkerPoolAcrossRuns) {
-  // A caller-owned WorkerPool drives several engine runs (the chase engine
-  // does exactly this across rounds): its thread count wins over
-  // Options::threads, and results stay identical to the serial reference.
-  const TreeRun serial = RunTree(1, 0, 1 << 10, {0});
-  WorkerPool shared(4);
-  for (int run = 0; run < 3; ++run) {
-    TreeRun result;
-    FrontierPool<uint64_t, uint64_t> pool(
-        {.threads = 1, .seen_stripes = 2, .pool = &shared});
-    using Pool = FrontierPool<uint64_t, uint64_t>;
-    Status status = pool.Run(
-        {0},
-        [&](unsigned /*worker*/, const uint64_t& item, uint64_t* out,
-            Pool::Discoveries* discovered) -> Status {
-          *out = item * 3 + 1;
-          if (item < (1 << 10)) {
-            discovered->Discover(2 * item + 1);
-            discovered->Discover(2 * item + 2);
-          }
-          return OkStatus();
-        },
-        [&](std::span<const uint64_t> frontier,
-            std::span<uint64_t> outs) -> Status {
-          result.depth_sizes.push_back(frontier.size());
-          for (size_t i = 0; i < frontier.size(); ++i) {
-            EXPECT_EQ(outs[i], frontier[i] * 3 + 1);
-            result.absorbed.push_back(frontier[i]);
-          }
-          return OkStatus();
-        },
-        &result.stats);
-    ASSERT_TRUE(status.ok()) << status;
-    EXPECT_EQ(result.absorbed, serial.absorbed) << "run " << run;
-    EXPECT_EQ(result.stats.worker_expanded.size(), 4u);
-  }
-}
-
 TEST(FrontierPoolTest, ParallelAbsorbMatchesSerialAbsorb) {
   // The opt-in associative absorb: per-chunk calls on the pool, worker-
   // private accumulators, one merge at the end — the totals must match the

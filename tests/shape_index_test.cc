@@ -1,7 +1,7 @@
 // ShapeIndex maintenance: insert and remove keep per-shape tuple counts, and
 // any interleaving of inserts and removes leaves the index equal to a
 // recomputation over the surviving tuples. The parallel build, concurrency,
-// persistence and write-through suites live in sharded_shape_index_test.cc.
+// persistence and index-fed check suites live in sharded_shape_index_test.cc.
 
 #include <gtest/gtest.h>
 

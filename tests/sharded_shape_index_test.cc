@@ -1,5 +1,5 @@
 // ShapeIndex at scale: the parallel (formerly sharded) build, concurrent
-// writers, snapshots and write-through of the one index::ShapeIndex.
+// writers, snapshots and the index-fed check of the one index::ShapeIndex.
 //
 //  * equivalence: parallel builds over both ShapeSource backends and the
 //    `index` FindShapes mode return exactly the scan plan's shapes, with
@@ -9,15 +9,13 @@
 //  * persistence: snapshots round-trip bit-exactly, snapshots written with
 //    a shard count in the reserved field still load, and corrupt or
 //    truncated snapshots are rejected;
-//  * write-through: the chase engine keeps the index current, and
-//    IsChaseFinite[L] fed from the index agrees with the scanning
-//    implementation.
+//  * index-fed check: IsChaseFinite[L] fed the index's shapes agrees with
+//    the scanning implementation.
 //
 // Insert/remove semantics and the churn property are in shape_index_test.cc.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -26,14 +24,12 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "chase/chase_engine.h"
 #include "core/is_chase_finite.h"
 #include "gen/data_generator.h"
 #include "gen/tgd_generator.h"
 #include "index/find_shapes.h"
 #include "index/shape_index.h"
 #include "io/binary_io.h"
-#include "logic/parser.h"
 #include "logic/shape.h"
 #include "pager/disk_database.h"
 #include "pager/disk_shape_source.h"
@@ -128,7 +124,7 @@ TEST(ShapeIndexTest, BuildMatchesScanPlanOnBothBackends) {
          {static_cast<const storage::ShapeSource*>(&memory),
           static_cast<const storage::ShapeSource*>(&disk)}) {
       for (unsigned threads : {1u, 4u}) {
-        auto built = ShapeIndex::Build(*source, {threads});
+        auto built = ShapeIndex::Build(*source, threads);
         ASSERT_TRUE(built.ok()) << built.status();
         EXPECT_EQ(built->CurrentShapes(), expected)
             << "trial " << trial << ", backend " << source->Name()
@@ -154,7 +150,7 @@ TEST(ShapeIndexTest, BuildPreservesMultiplicities) {
 
   storage::Catalog catalog(data.database.get());
   storage::MemoryShapeSource memory(&catalog);
-  auto built = ShapeIndex::Build(memory, {/*threads=*/4});
+  auto built = ShapeIndex::Build(memory, /*threads=*/4);
   ASSERT_TRUE(built.ok()) << built.status();
   ExpectCounts(*built, expected);
 }
@@ -386,71 +382,9 @@ TEST(ShapeIndexTest, IndexModeAgreesWithScanAndExistsEverywhere) {
   }
 }
 
-// Write-through via the chase engine: after a run, the index holds exactly
-// the shapes of the chased instance, nulls included.
-TEST(ShapeIndexTest, ChaseWriteThroughTracksInstanceShapes) {
-  auto program = ParseProgram(R"(
-    e(a, b). e(b, c). r(a, a).
-    e(X, Y) -> e(Y, Z).
-    e(X, Y) -> r(Y, Y).
-  )");
-  ASSERT_TRUE(program.ok()) << program.status();
-
-  ShapeIndex index = ShapeIndex::Build(*program->database);
-  ChaseOptions options;
-  options.max_atoms = 200;
-  options.shape_index = &index;
-  auto result = RunChase(*program->database, program->tgds, options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_GT(result->triggers_fired, 0u);
-
-  ShapeSet expected_set;
-  result->instance.ForEachAtom([&](const GroundAtom& atom) {
-    expected_set.insert(Shape(atom.pred, IdOf<Term>(atom.args)));
-  });
-  std::vector<Shape> expected(expected_set.begin(), expected_set.end());
-  std::sort(expected.begin(), expected.end());
-
-  EXPECT_EQ(index.CurrentShapes(), expected);
-}
-
-// IsChaseFinite[L] fed from a live index: same verdict as the scanning
+// IsChaseFinite[L] fed shapes extracted from the index up front
+// (LCheckOptions::precomputed_shapes): same verdict as the scanning
 // implementation, zero db-dependent work.
-class IndexFedLCheckTest : public testing::TestWithParam<uint64_t> {};
-
-TEST_P(IndexFedLCheckTest, AgreesWithScanAndSkipsShapeFinding) {
-  Rng rng(GetParam());
-  GeneratedData data = MakeRandomData(&rng);
-  TgdGenParams params;
-  params.ssize = static_cast<uint32_t>(data.schema->NumPredicates());
-  params.min_arity = 1;
-  params.max_arity = 5;
-  params.tsize = 25;
-  params.tclass = TgdClass::kLinear;
-  params.seed = rng.Next();
-  auto tgds = GenerateTgds(*data.schema, params);
-  ASSERT_TRUE(tgds.ok()) << tgds.status();
-
-  auto scanned = IsChaseFiniteL(*data.database, tgds.value());
-  ASSERT_TRUE(scanned.ok()) << scanned.status();
-
-  ShapeIndex index = ShapeIndex::Build(*data.database);
-  LCheckOptions options;
-  options.shape_index = &index;
-  LCheckStats stats;
-  auto indexed =
-      IsChaseFiniteL(*data.database, tgds.value(), options, &stats);
-  ASSERT_TRUE(indexed.ok()) << indexed.status();
-  EXPECT_EQ(indexed.value(), scanned.value());
-  EXPECT_EQ(stats.access.tuples_scanned, 0u);
-  EXPECT_EQ(stats.access.exists_queries, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IndexFedLCheckTest,
-                         testing::Values(2, 4, 6, 10, 12, 14));
-
-// The same check fed shapes extracted from the index up front
-// (LCheckOptions::precomputed_shapes): same verdict, no shape-finding work.
 class IndexFedCheckTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(IndexFedCheckTest, PrecomputedShapesMatchScanningVerdict) {
@@ -487,10 +421,12 @@ TEST_P(IndexFedCheckTest, PrecomputedShapesMatchScanningVerdict) {
   ASSERT_TRUE(indexed.ok()) << indexed.status();
   EXPECT_EQ(indexed.value(), scanned.value());
   EXPECT_EQ(stats.access.tuples_scanned, 0u);
+  EXPECT_EQ(stats.access.exists_queries, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexFedCheckTest,
-                         testing::Values(3, 5, 8, 13, 21, 34));
+                         testing::Values(2, 3, 4, 5, 6, 8, 10, 12, 13, 14,
+                                         21, 34));
 
 // ---------------------------------------------------------------------------
 // Content fingerprint: the order-independent digest behind the snapshot
@@ -509,7 +445,7 @@ TEST(ShapeFingerprintTest, EveryBuildPathAgreesWithDatabaseFingerprint) {
     // Parallel source build over memory and disk.
     storage::Catalog catalog(data.database.get());
     storage::MemoryShapeSource memory(&catalog);
-    auto built = ShapeIndex::Build(memory, {/*threads=*/4});
+    auto built = ShapeIndex::Build(memory, /*threads=*/4);
     ASSERT_TRUE(built.ok()) << built.status();
     EXPECT_EQ(built->ContentFingerprint(), expected);
 
@@ -519,7 +455,7 @@ TEST(ShapeFingerprintTest, EveryBuildPathAgreesWithDatabaseFingerprint) {
                                                /*num_frames=*/16);
     ASSERT_TRUE(disk_db.ok()) << disk_db.status();
     pager::DiskShapeSource disk(disk_db->get());
-    auto disk_built = ShapeIndex::Build(disk, {/*threads=*/4});
+    auto disk_built = ShapeIndex::Build(disk, /*threads=*/4);
     ASSERT_TRUE(disk_built.ok()) << disk_built.status();
     EXPECT_EQ(disk_built->ContentFingerprint(), expected);
     std::remove(path.c_str());
@@ -592,19 +528,13 @@ TEST(ShapeFingerprintTest, SnapshotPersistsFingerprint) {
   std::remove(path.c_str());
 }
 
-TEST(ShapeFingerprintTest, ConstantTermsAndRowStoreTuplesAgree) {
-  // The Term overload must digest a constants-only tuple identically to the
-  // row-store overload, so chase write-through over ground atoms matches.
-  std::vector<uint32_t> row = {7, 7, 9};
-  std::vector<Term> terms = {MakeConstant(7), MakeConstant(7),
-                             MakeConstant(9)};
-  EXPECT_EQ(index::TupleFingerprint(2, std::span<const uint32_t>(row)),
-            index::TupleFingerprint(2, std::span<const Term>(terms)));
-  // A null in the same equality pattern digests differently: the
+TEST(ShapeFingerprintTest, SameShapeDifferentContentDigestsDifferently) {
+  // Two tuples in the same equality pattern digest differently: the
   // fingerprint is content-based, not shape-based.
-  std::vector<Term> with_null = {MakeNull(7), MakeNull(7), MakeConstant(9)};
-  EXPECT_NE(index::TupleFingerprint(2, std::span<const Term>(terms)),
-            index::TupleFingerprint(2, std::span<const Term>(with_null)));
+  std::vector<uint32_t> row = {7, 7, 9};
+  std::vector<uint32_t> other = {8, 8, 9};
+  EXPECT_NE(index::TupleFingerprint(2, std::span<const uint32_t>(row)),
+            index::TupleFingerprint(2, std::span<const uint32_t>(other)));
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 //
 // Subcommands:
 //   check <file> [--mode=sl|l] [--shapes=mem|db|index] [--threads=N]
-//                                                  termination check
+//                [--snapshot=path.chidx]          termination check
 //   chase <file> [--variant=so|ob|re] [--max-atoms=N] [--max-rounds=N]
-//               [--threads=N] [--hom-budget=N] [--checkpoint=FILE]
+//               [--threads=N] [--checkpoint=FILE]
 //               [--checkpoint-every=N] [--resume=FILE]
 //               [--progress[=SECS]] [--metrics-interval=SECS] [--print]
 //   simplify <file> [--mode=scan|exists|index] [--threads=N] [--print]
@@ -30,7 +30,8 @@
 // Files ending in .chbin are read/written with the binary format
 // (io/binary_io.h); .chidx files are shape-index snapshots;
 // anything else uses the Datalog± text syntax. Every subcommand rejects a
-// flag it does not read (exit code 2).
+// flag it does not read (exit code 2), and so does every path that does
+// not read it (check --mode=sl, findshapes --snapshot).
 //
 // check, chase, simplify, and findshapes additionally take
 // --trace=FILE (Chrome trace-event JSON for Perfetto/chrome://tracing)
@@ -373,6 +374,12 @@ int CmdCheck(const Args& args) {
       args.Get("mode", AllSimpleLinear(program->tgds) ? "sl" : "l");
   Timer timer;
   if (mode == "sl") {
+    for (const char* flag : {"shapes", "threads", "snapshot"}) {
+      if (args.Has(flag)) {
+        std::cerr << "--" << flag << " is L-mode only (--mode=l)\n";
+        return 2;
+      }
+    }
     SlCheckStats stats;
     auto finite = IsChaseFiniteSL(*program->database, program->tgds, &stats);
     if (!finite.ok()) return Fail(finite.status());
@@ -397,12 +404,18 @@ int CmdCheck(const Args& args) {
     options.shape_threads = threads;
     options.simplify_threads = threads;
     const std::string shapes_flag = args.Get("shapes", "mem");
-    std::optional<index::ShapeIndex> shape_index;
+    if (args.Has("snapshot") && shapes_flag != "index") {
+      std::cerr << "--snapshot requires --shapes=index\n";
+      return 2;
+    }
+    std::vector<Shape> index_shapes;
+    double index_ms = 0;  // t-shapes of the index plan: the extraction
     if (shapes_flag == "db") {
       options.shape_finder = storage::ShapeFinderMode::kExists;
     } else if (shapes_flag == "index") {
       // The Section 10 deployment: shape(D) comes from the materialized
       // index — loaded from a snapshot when given, built once otherwise.
+      std::optional<index::ShapeIndex> shape_index;
       if (args.Has("snapshot")) {
         auto loaded =
             LoadSnapshotOf(args.Get("snapshot", ""), *program->database);
@@ -411,7 +424,10 @@ int CmdCheck(const Args& args) {
       } else {
         shape_index.emplace(index::ShapeIndex::Build(*program->database));
       }
-      options.shape_index = &*shape_index;
+      Timer extract_timer;
+      index_shapes = shape_index->CurrentShapes();
+      index_ms = extract_timer.ElapsedMillis();
+      options.precomputed_shapes = &index_shapes;
     } else if (shapes_flag == "mem") {
       options.shape_finder = storage::ShapeFinderMode::kScan;
     } else {
@@ -423,6 +439,7 @@ int CmdCheck(const Args& args) {
     auto finite =
         IsChaseFiniteL(*program->database, program->tgds, options, &stats);
     if (!finite.ok()) return Fail(finite.status());
+    stats.shapes_ms += index_ms;
     times.shapes_ms = stats.shapes_ms;
     times.graph_ms = stats.graph_ms;
     times.comp_ms = stats.comp_ms;
@@ -452,7 +469,7 @@ int CmdChase(const Args& args) {
   if (args.positional.empty()) {
     std::cerr << "usage: chasectl chase <file> [--variant=so|ob|re] "
                  "[--max-atoms=N] [--max-rounds=N] [--threads=N] "
-                 "[--hom-budget=N] [--checkpoint=FILE] "
+                 "[--checkpoint=FILE] "
                  "[--checkpoint-every=N] [--resume=FILE] "
                  "[--progress[=SECS]] [--trace=FILE] [--metrics=FILE] "
                  "[--metrics-interval=SECS] [--print]\n";
@@ -493,12 +510,6 @@ int CmdChase(const Args& args) {
   }
   if (!ParseU64Flag(args, "max-rounds", UINT64_MAX, 0, UINT64_MAX,
                     &options.max_rounds)) {
-    return 2;
-  }
-  // Per-fragment homomorphism buffer of the parallel non-linear engine
-  // (peak buffered homs <= threads x budget); ignored when --threads=1.
-  if (!ParseU64Flag(args, "hom-budget", options.hom_budget, 1, UINT64_MAX,
-                    &options.hom_budget)) {
     return 2;
   }
 
@@ -729,8 +740,14 @@ int CmdFindShapes(const Args& args) {
   if (!program.ok()) return Fail(program.status());
 
   // Snapshot fast path: shape(D) straight out of a persisted index of this
-  // program's database, no tuple scan.
+  // program's database, no tuple scan — so no scan flag applies.
   if (args.Has("snapshot")) {
+    for (const char* flag : {"mode", "backend", "threads", "store"}) {
+      if (args.Has(flag)) {
+        std::cerr << "--snapshot excludes --" << flag << "\n";
+        return 2;
+      }
+    }
     auto loaded =
         LoadSnapshotOf(args.Get("snapshot", ""), *program->database);
     if (!loaded.ok()) return Fail(loaded.status());
@@ -856,8 +873,8 @@ int CmdIndex(const Args& args) {
   auto program = LoadAnyProgram(args.positional[1]);
   if (!program.ok()) return Fail(program.status());
 
-  index::IndexBuildOptions options;
-  if (!ParseThreads(args, &options.threads)) return 2;
+  unsigned threads = 1;
+  if (!ParseThreads(args, &threads)) return 2;
 
   storage::Catalog catalog(program->database.get());
   storage::MemoryShapeSource memory_source(&catalog);
@@ -869,7 +886,7 @@ int CmdIndex(const Args& args) {
   const std::string store_path = ScratchStorePath(args, "chasectl_index");
   if (backend == "disk") {
     auto created = pager::DiskDatabase::Create(
-        store_path, *program->database, DiskPoolFrames(options.threads));
+        store_path, *program->database, DiskPoolFrames(threads));
     if (!created.ok()) return Fail(created.status());
     disk_db = std::move(created).value();
     disk_source = std::make_unique<pager::DiskShapeSource>(disk_db.get());
@@ -887,7 +904,7 @@ int CmdIndex(const Args& args) {
   };
 
   Timer timer;
-  auto built = index::ShapeIndex::Build(*source, options);
+  auto built = index::ShapeIndex::Build(*source, threads);
   const double build_ms = timer.ElapsedMillis();
   if (!built.ok()) {
     cleanup_store();
@@ -899,8 +916,7 @@ int CmdIndex(const Args& args) {
   }
   std::cout << "indexed " << built->NumIndexedTuples() << " tuples ("
             << built->NumShapes() << " shapes) in " << build_ms << " ms ("
-            << source->Name() << " backend, " << options.threads
-            << " threads)\n"
+            << source->Name() << " backend, " << threads << " threads)\n"
             << "wrote " << args.positional[2] << "\n";
   cleanup_store();
   return 0;
@@ -1095,7 +1111,7 @@ int Usage() {
       "chasectl — semi-oblivious chase termination toolkit\n"
       "\n"
       "  chasectl check <file> [--mode=sl|l] [--shapes=mem|db|index] "
-      "[--threads=N]\n"
+      "[--threads=N] [--snapshot=path.chidx]\n"
       "  chasectl explain <file>               (non-termination witness)\n"
       "  chasectl chase <file> [--variant=so|ob|re] [--max-atoms=N] "
       "[--max-rounds=N] [--threads=N] [--checkpoint=FILE] "
@@ -1148,9 +1164,9 @@ int main(int argc, char** argv) try {
        {"mode", "shapes", "threads", "snapshot", "trace", "metrics"}},
       {"explain", CmdExplain, {}},
       {"chase", CmdChase,
-       {"variant", "max-atoms", "max-rounds", "threads", "hom-budget",
-        "checkpoint", "checkpoint-every", "resume", "progress",
-        "metrics-interval", "print", "trace", "metrics"}},
+       {"variant", "max-atoms", "max-rounds", "threads", "checkpoint",
+        "checkpoint-every", "resume", "progress", "metrics-interval",
+        "print", "trace", "metrics"}},
       {"simplify", CmdSimplify,
        {"mode", "threads", "print", "trace", "metrics"}},
       {"query", CmdQuery, {}},
