@@ -1,6 +1,7 @@
 #include "chase/body_partition.h"
 
 #include "chase/instance.h"
+#include "chase/row_index.h"
 #include "logic/atom.h"
 #include "logic/schema.h"
 #include "logic/term.h"
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <span>
 #include <utility>
+#include <vector>
 
 namespace chase {
 namespace {
@@ -86,6 +88,28 @@ bool TryBindAtom(const RuleAtom& pattern, const GroundAtom& atom,
     }
   }
   return true;
+}
+
+// Calls fn(pos, col) for each position of `atoms` with a variable bound on
+// entry — by `h` or by an earlier position — naming the first such column.
+// `bound` is scratch.
+template <typename Fn>
+void ForEachProbe(std::span<const RuleAtom> atoms, std::span<const Term> h,
+                  std::vector<char>& bound, Fn&& fn) {
+  bound.resize(h.size());
+  for (size_t var = 0; var < h.size(); ++var) {
+    bound[var] = h[var] != kUnboundTerm;
+  }
+  for (size_t pos = 0; pos < atoms.size(); ++pos) {
+    const std::vector<VarId>& args = atoms[pos].args;
+    for (uint32_t col = 0; col < args.size(); ++col) {
+      if (bound[args[col]] != 0) {
+        fn(pos, col);
+        break;
+      }
+    }
+    for (VarId var : args) bound[var] = 1;
+  }
 }
 
 }  // namespace
@@ -171,67 +195,138 @@ std::vector<BodyPartition> PlanBodyPartitions(const std::vector<Tgd>& tgds,
   return parts;
 }
 
+void IndexProbes(std::span<const RuleAtom> atoms, std::span<const Term> h,
+                 RowIndex& index) {
+  std::vector<char> bound;
+  ForEachProbe(atoms, h, bound, [&](size_t pos, uint32_t col) {
+    index.AddColumn(atoms[pos].pred, col);
+  });
+}
+
 void HomEnumerator::Reset(std::span<const RuleAtom> atoms,
                           const Instance* instance,
                           std::vector<RowRange> ranges,
-                          std::span<const Term> h) {
+                          std::span<const Term> h, const RowIndex* index) {
   atoms_ = atoms;
   instance_ = instance;
   ranges_ = std::move(ranges);
   h_.assign(h.begin(), h.end());
-  Start();
+  Start(index);
 }
 
 void HomEnumerator::Reset(const Tgd& tgd, const Instance* instance,
-                          const RoundView& view, const BodyPartition& part) {
+                          const RoundView& view, const BodyPartition& part,
+                          const RowIndex* index) {
   atoms_ = tgd.body();
   instance_ = instance;
   FragmentRanges(tgd, view, part, ranges_);
   h_.assign(tgd.num_vars(), kUnboundTerm);
-  Start();
+  Start(index);
 }
 
-void HomEnumerator::Start() {
+void HomEnumerator::Start(const RowIndex* index) {
   trail_.clear();
-  row_.assign(atoms_.size(), 0);
-  mark_.assign(atoms_.size(), 0);
+  level_.assign(atoms_.size(), Level{});
+  index_ = nullptr;
+  if (index != nullptr && !index->empty()) {
+    ForEachProbe(atoms_, h_, bound_, [&](size_t pos, uint32_t col) {
+      const RuleAtom& atom = atoms_[pos];
+      level_[pos].postings = index->Find(atom.pred, col, ranges_[pos].end);
+      level_[pos].key = atom.args[col];
+      if (level_[pos].postings != nullptr) index_ = index;
+    });
+    if (index_ != nullptr) epoch_ = index_->epoch();
+  }
   depth_ = 0;
-  row_[0] = ranges_[0].begin;
+  Enter(0);
   at_hom_ = false;
   done_ = false;
+}
+
+void HomEnumerator::Enter(size_t depth) {
+  level_[depth].row = ranges_[depth].begin;
+  if (level_[depth].postings != nullptr) Seek(depth, ranges_[depth].begin);
+}
+
+void HomEnumerator::Seek(size_t depth, size_t from) {
+  Level& level = level_[depth];
+  const std::vector<RowIndex::Entry>& entries = level.postings->entries();
+  const Term value = h_[level.key];
+  level.at = level.postings->Lookup(value);
+  if (level.at < entries.size() && entries[level.at].row < from) {
+    // A window that starts inside the run: skip its rows below `from`.
+    level.at = static_cast<size_t>(
+        std::partition_point(entries.begin() + level.at, entries.end(),
+                             [&](const RowIndex::Entry& entry) {
+                               return entry.term == value && entry.row < from;
+                             }) -
+        entries.begin());
+  }
+  SetRow(depth);
+}
+
+void HomEnumerator::SetRow(size_t depth) {
+  // Past the bound value's run, the position is exhausted; a row past the
+  // window ends the caller's loop the same way.
+  Level& level = level_[depth];
+  const std::vector<RowIndex::Entry>& entries = level.postings->entries();
+  level.row = level.at < entries.size() &&
+                      entries[level.at].term == h_[level.key]
+                  ? entries[level.at].row
+                  : ranges_[depth].end;
+}
+
+void HomEnumerator::Advance(size_t depth) {
+  Level& level = level_[depth];
+  if (level.postings == nullptr) {
+    ++level.row;
+  } else {
+    ++level.at;
+    SetRow(depth);
+  }
 }
 
 bool HomEnumerator::Next() {
   if (done_) return false;
   const size_t n = atoms_.size();
+  if (index_ != nullptr && index_->epoch() != epoch_) {
+    // The index grew while paused: entry positions moved, rows did not.
+    // Re-seek every entered lookup position at the row it stands on.
+    epoch_ = index_->epoch();
+    for (size_t d = 0; d <= std::min(depth_, n - 1); ++d) {
+      if (level_[d].postings != nullptr) Seek(d, level_[d].row);
+    }
+  }
   if (at_hom_) {
     // Step off the match emitted last time: unbind the deepest position
     // and advance its cursor.
     at_hom_ = false;
     depth_ = n - 1;
-    UndoBindings(h_, trail_, mark_[depth_]);
-    ++row_[depth_];
+    UndoBindings(h_, trail_, level_[depth_].mark);
+    Advance(depth_);
   }
   while (true) {
     const RuleAtom& atom = atoms_[depth_];
     const size_t end = ranges_[depth_].end;
+    Level& level = level_[depth_];
     bool descended = false;
-    while (row_[depth_] < end) {
-      mark_[depth_] = trail_.size();
+    while (level.row < end) {
+      level.mark = trail_.size();
+      ++rows_probed_;
       // Re-fetch the atom vector on every access: appends between Next()
       // calls may reallocate it. Rows inside the windows are stable.
-      if (TryBindAtom(atom, instance_->AtomsOf(atom.pred)[row_[depth_]], h_,
+      if (TryBindAtom(atom, instance_->AtomsOf(atom.pred)[level.row], h_,
                       trail_)) {
         ++depth_;
         if (depth_ == n) {
           at_hom_ = true;
           return true;
         }
-        row_[depth_] = ranges_[depth_].begin;
+        Enter(depth_);
         descended = true;
         break;
       }
-      ++row_[depth_];
+      Advance(depth_);
     }
     if (descended) continue;
     // This depth's range is exhausted: backtrack, or finish at the root.
@@ -240,8 +335,8 @@ bool HomEnumerator::Next() {
       return false;
     }
     --depth_;
-    UndoBindings(h_, trail_, mark_[depth_]);
-    ++row_[depth_];
+    UndoBindings(h_, trail_, level_[depth_].mark);
+    Advance(depth_);
   }
 }
 

@@ -10,6 +10,7 @@
 #include "base/status.h"
 #include "chase/body_partition.h"
 #include "chase/instance.h"
+#include "chase/row_index.h"
 #include "exec/frontier_pool.h"
 #include "io/binary_io.h"
 #include "logic/atom.h"
@@ -39,25 +40,45 @@ struct KeyHash {
 };
 using KeySet = std::unordered_set<std::vector<uint64_t>, KeyHash>;
 
+// The row index of every column the body joins look up (from the empty
+// assignment) and, with `heads`, the head checks (from a body
+// homomorphism, which binds every universal variable). Empty when no
+// position has a bound variable on entry, as for single-atom bodies.
+RowIndex IndexFor(const std::vector<Tgd>& tgds, bool heads) {
+  RowIndex index;
+  std::vector<Term> h;
+  for (const Tgd& tgd : tgds) {
+    h.assign(tgd.num_vars(), kUnboundTerm);
+    IndexProbes(tgd.body(), h, index);
+    if (heads) {
+      // Only which variables are bound matters, not their values.
+      std::fill_n(h.begin(), tgd.num_universal(), Term{0});
+      IndexProbes(tgd.head(), h, index);
+    }
+  }
+  return index;
+}
+
 // True iff some extension of the frontier assignment `hom` maps every head
 // atom of `tgd` into `instance`, head atom i drawn from rows `window(i)` —
 // the restricted chase's satisfaction test. `hom` leaves the existential
 // variables unbound; `matcher` is scratch (one per thread).
 template <typename Window>
 bool HeadMatches(const Tgd& tgd, const Instance& instance,
-                 std::span<const Term> hom, HomEnumerator& matcher,
-                 Window&& window) {
+                 const RowIndex& index, std::span<const Term> hom,
+                 HomEnumerator& matcher, Window&& window) {
   std::vector<RowRange> ranges;
   ranges.reserve(tgd.head().size());
   for (size_t i = 0; i < tgd.head().size(); ++i) ranges.push_back(window(i));
-  matcher.Reset(tgd.head(), &instance, std::move(ranges), hom);
+  matcher.Reset(tgd.head(), &instance, std::move(ranges), hom, &index);
   return matcher.Next();
 }
 
 // The head checked against the whole instance.
 bool HeadSatisfied(const Tgd& tgd, const Instance& instance,
-                   std::span<const Term> hom, HomEnumerator& matcher) {
-  return HeadMatches(tgd, instance, hom, matcher, [&](size_t i) {
+                   const RowIndex& index, std::span<const Term> hom,
+                   HomEnumerator& matcher) {
+  return HeadMatches(tgd, instance, index, hom, matcher, [&](size_t i) {
     return RowRange{0, instance.AtomsOf(tgd.head()[i].pred).size()};
   });
 }
@@ -68,9 +89,9 @@ bool HeadSatisfied(const Tgd& tgd, const Instance& instance,
 // prefix is satisfied at apply time too, and only the survivors re-check
 // serially.
 bool HeadSatisfiedByPrefix(const Tgd& tgd, const Instance& instance,
-                           const RoundView& view, std::span<const Term> hom,
-                           HomEnumerator& matcher) {
-  return HeadMatches(tgd, instance, hom, matcher, [&](size_t i) {
+                           const RowIndex& index, const RoundView& view,
+                           std::span<const Term> hom, HomEnumerator& matcher) {
+  return HeadMatches(tgd, instance, index, hom, matcher, [&](size_t i) {
     return RowRange{0, view.CurOf(tgd.head()[i].pred)};
   });
 }
@@ -84,15 +105,16 @@ bool HeadSatisfiedByPrefix(const Tgd& tgd, const Instance& instance,
 // Positions whose predicate has not grown this round are skipped outright;
 // if nothing relevant grew, the head is unsatisfied without touching a
 // single atom. Equivalent to HeadSatisfied for survivors, but scans only
-// witnesses the workers could not have seen.
+// witnesses the workers could not have seen. (A window holding same-round
+// rows reaches past the round-start index, so that position scans.)
 bool HeadSatisfiedSuffix(const Tgd& tgd, const Instance& instance,
-                         const RoundView& view, std::span<const Term> hom,
-                         HomEnumerator& matcher) {
+                         const RowIndex& index, const RoundView& view,
+                         std::span<const Term> hom, HomEnumerator& matcher) {
   const auto& head = tgd.head();
   for (size_t d = 0; d < head.size(); ++d) {
     const size_t suffix_begin = view.CurOf(head[d].pred);
     if (instance.AtomsOf(head[d].pred).size() <= suffix_begin) continue;
-    if (HeadMatches(tgd, instance, hom, matcher, [&](size_t i) {
+    if (HeadMatches(tgd, instance, index, hom, matcher, [&](size_t i) {
           return RowRange{i == d ? suffix_begin : 0,
                           instance.AtomsOf(head[i].pred).size()};
         })) {
@@ -255,6 +277,11 @@ StatusOr<ChaseResult> RunChase(const Database& database,
   HomEnumerator body_matcher;
   HomEnumerator head_matcher;
   std::vector<HomEnumerator> worker_head_matchers(enum_threads);
+  // The lookups' row index: extended to the round-start prefix at the top
+  // of every round, on this thread, before any worker reads it, so the
+  // workers see a frozen structure. Never checkpointed (a resumed run
+  // rebuilds it from the restored instance) and freed on return.
+  RowIndex index = IndexFor(tgds, restricted);
 
   // Observability (all off by default, every site behind one relaxed
   // load): a whole-run span, a span and log2 duration histogram per round,
@@ -330,6 +357,7 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     }
     obs::TraceSpan round_span("chase", "round", "round",
                               static_cast<int64_t>(result.rounds));
+    index.Extend(instance);
     const auto round_begin = round_hist != nullptr
                                  ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
@@ -354,8 +382,9 @@ StatusOr<ChaseResult> RunChase(const Database& database,
         // existentials are unbound here by construction.
         const bool satisfied =
             prefix_unsat
-                ? HeadSatisfiedSuffix(tgd, instance, view, hom, head_matcher)
-                : HeadSatisfied(tgd, instance, hom, head_matcher);
+                ? HeadSatisfiedSuffix(tgd, instance, index, view, hom,
+                                      head_matcher)
+                : HeadSatisfied(tgd, instance, index, hom, head_matcher);
         if (satisfied) return;
       } else {
         std::vector<uint64_t> key;
@@ -419,7 +448,8 @@ StatusOr<ChaseResult> RunChase(const Database& database,
         obs::TraceSpan task_span("chase", "hom_task", "rule",
                                  static_cast<int64_t>(parts[t].rule), "task",
                                  static_cast<int64_t>(t));
-        body_matcher.Reset(tgds[parts[t].rule], &instance, view, parts[t]);
+        body_matcher.Reset(tgds[parts[t].rule], &instance, view, parts[t],
+                           &index);
         while (!hit_atom_limit && body_matcher.Next()) {
           fire(parts[t].rule, body_matcher.hom(), /*prefix_unsat=*/false);
         }
@@ -458,14 +488,14 @@ StatusOr<ChaseResult> RunChase(const Database& database,
             const Tgd& tgd = tgds[parts[t].rule];
             HomEnumerator& e = enums[t];
             if (started[t] == 0) {
-              e.Reset(tgd, &instance, view, parts[t]);
+              e.Reset(tgd, &instance, view, parts[t], &index);
               started[t] = 1;
             }
             while (homs[t].size() < budget) {
               if (!e.Next()) return true;  // fragment exhausted
               if (restricted) {
                 presat[t].push_back(HeadSatisfiedByPrefix(
-                    tgd, instance, view, e.hom(),
+                    tgd, instance, index, view, e.hom(),
                     worker_head_matchers[worker]));
               }
               homs[t].push_back(e.hom());
@@ -499,6 +529,9 @@ StatusOr<ChaseResult> RunChase(const Database& database,
             result.peak_buffered_homs =
                 std::max(result.peak_buffered_homs, buffered);
           });
+      for (const HomEnumerator& e : enums) {
+        result.rows_probed += e.rows_probed();
+      }
     }
 
     ++result.rounds;
@@ -545,6 +578,11 @@ StatusOr<ChaseResult> RunChase(const Database& database,
       }
     }
   }
+  result.rows_probed += body_matcher.rows_probed();
+  result.rows_probed += head_matcher.rows_probed();
+  for (const HomEnumerator& e : worker_head_matchers) {
+    result.rows_probed += e.rows_probed();
+  }
   // Mirror the run's result counters into the registry so `--metrics`
   // surfaces them without the caller plumbing ChaseResult around.
   obs::SetGauge("chase.rounds", static_cast<double>(result.rounds));
@@ -554,6 +592,7 @@ StatusOr<ChaseResult> RunChase(const Database& database,
                 static_cast<double>(result.triggers_prefiltered));
   obs::SetGauge("chase.peak_buffered_homs",
                 static_cast<double>(result.peak_buffered_homs));
+  obs::SetGauge("chase.rows_probed", static_cast<double>(result.rows_probed));
   obs::SetGauge("chase.atoms", static_cast<double>(instance.NumAtoms()));
   obs::SetGauge("chase.nulls", static_cast<double>(instance.NumNulls()));
   return result;
@@ -568,13 +607,16 @@ bool Satisfies(const Instance& instance, const std::vector<Tgd>& tgds) {
   for (PredId pred = 0; pred < num_preds; ++pred) {
     view.cur[pred] = instance.AtomsOf(pred).size();
   }
+  RowIndex index = IndexFor(tgds, /*heads=*/true);
+  index.Extend(instance);
   HomEnumerator body_matcher;
   HomEnumerator head_matcher;
   for (const BodyPartition& part : PlanBodyPartitions(tgds, view, 1)) {
     const Tgd& tgd = tgds[part.rule];
-    body_matcher.Reset(tgd, &instance, view, part);
+    body_matcher.Reset(tgd, &instance, view, part, &index);
     while (body_matcher.Next()) {
-      if (!HeadSatisfied(tgd, instance, body_matcher.hom(), head_matcher)) {
+      if (!HeadSatisfied(tgd, instance, index, body_matcher.hom(),
+                         head_matcher)) {
         return false;
       }
     }

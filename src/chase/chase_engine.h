@@ -151,6 +151,13 @@ struct ChaseResult {
   // Deterministic for a given (input, threads, budget), but 0 for a serial
   // run — diagnostics only, like triggers_prefiltered.
   uint64_t peak_buffered_homs = 0;
+  // Candidate rows every matcher of the run tried — body joins and head
+  // checks (HomEnumerator::rows_probed) — the join work that row-index
+  // lookups cut; divided by triggers_fired, the work per trigger. Counts
+  // this run only (a resumed leg starts from 0: checkpoints do not carry
+  // it), and the restricted pre-filter and an atom-limit cut make it vary
+  // with frontier_threads — diagnostics only, like triggers_prefiltered.
+  uint64_t rows_probed = 0;
 
   explicit ChaseResult(Instance i) : instance(std::move(i)) {}
 };

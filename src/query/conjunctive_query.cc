@@ -10,6 +10,7 @@
 #include "chase/body_partition.h"
 #include "chase/chase_engine.h"
 #include "chase/instance.h"
+#include "chase/row_index.h"
 #include "core/is_chase_finite.h"
 #include "logic/atom.h"
 #include "logic/database.h"
@@ -179,9 +180,13 @@ StatusOr<ConjunctiveQuery> ParseQuery(std::string_view text, Schema* schema) {
 std::vector<Answer> Evaluate(const Instance& instance,
                              const ConjunctiveQuery& query) {
   std::set<Answer> answers;
+  const std::vector<Term> unbound(query.num_vars, kUnboundTerm);
+  RowIndex index;
+  IndexProbes(query.body, unbound, index);
+  index.Extend(instance);
   HomEnumerator matcher;
   matcher.Reset(query.body, &instance, FullRanges(query.body, instance),
-                std::vector<Term>(query.num_vars, kUnboundTerm));
+                unbound, &index);
   while (matcher.Next()) {
     Answer answer;
     answer.reserve(query.answer_vars.size());

@@ -10,10 +10,16 @@
 // effects; these tests compare the streams themselves — over every
 // non-linear join family, random round windows, a run that pauses after
 // every Next() while other enumerators are reset in between, head-window
-// matches from a partial assignment, and conjunctive-query evaluation.
+// matches from a partial assignment, and conjunctive-query evaluation —
+// each also with RowIndex lookups, which must skip only rows the scan
+// would have rejected: the index built to the round-start watermark,
+// windows reaching past it (which scan), repeated variables, probes on a
+// non-first column, keys the index lacks, and an index extended while
+// enumerators are paused.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -24,6 +30,7 @@
 #include "base/rng.h"
 #include "chase/body_partition.h"
 #include "chase/instance.h"
+#include "chase/row_index.h"
 #include "gen/tgd_generator.h"
 #include "logic/atom.h"
 #include "logic/schema.h"
@@ -130,11 +137,12 @@ Stream OracleStream(const std::vector<RuleAtom>& atoms,
 // The matcher's streams.
 
 Stream MatcherRound(const std::vector<Tgd>& tgds, const Instance& instance,
-                    const RoundView& view, unsigned threads) {
+                    const RoundView& view, unsigned threads,
+                    const RowIndex* index = nullptr) {
   Stream out;
   HomEnumerator e;
   for (const BodyPartition& part : PlanBodyPartitions(tgds, view, threads)) {
-    e.Reset(tgds[part.rule], &instance, view, part);
+    e.Reset(tgds[part.rule], &instance, view, part, index);
     while (e.Next()) out.emplace_back(part.rule, e.hom());
   }
   return out;
@@ -143,15 +151,17 @@ Stream MatcherRound(const std::vector<Tgd>& tgds, const Instance& instance,
 // Every fragment gets its own enumerator, all reset up front; they advance
 // round-robin one Next() at a time, and between any two calls a scratch
 // enumerator is reset onto another fragment and advanced once — so every
-// resume continues from a parked backtracking state.
-Stream MatcherRoundInterleaved(const std::vector<Tgd>& tgds,
-                               const Instance& instance,
-                               const RoundView& view, unsigned threads) {
+// resume continues from a parked backtracking state. `between`, when set,
+// runs after every Next() as well (a simulated round boundary).
+Stream MatcherRoundInterleaved(
+    const std::vector<Tgd>& tgds, const Instance& instance,
+    const RoundView& view, unsigned threads, const RowIndex* index = nullptr,
+    const std::function<void()>& between = nullptr) {
   const std::vector<BodyPartition> parts =
       PlanBodyPartitions(tgds, view, threads);
   std::vector<HomEnumerator> enums(parts.size());
   for (size_t t = 0; t < parts.size(); ++t) {
-    enums[t].Reset(tgds[parts[t].rule], &instance, view, parts[t]);
+    enums[t].Reset(tgds[parts[t].rule], &instance, view, parts[t], index);
   }
   std::vector<Stream> streams(parts.size());
   std::vector<char> live(parts.size(), 1);
@@ -166,8 +176,10 @@ Stream MatcherRoundInterleaved(const std::vector<Tgd>& tgds,
         live[t] = 0;
         --remaining;
       }
+      if (between) between();
       const size_t other = (t + 1 + step) % parts.size();
-      scratch.Reset(tgds[parts[other].rule], &instance, view, parts[other]);
+      scratch.Reset(tgds[parts[other].rule], &instance, view, parts[other],
+                    index);
       (void)scratch.Next();
     }
   }
@@ -180,10 +192,11 @@ Stream MatcherRoundInterleaved(const std::vector<Tgd>& tgds,
 
 Stream MatcherStream(const std::vector<RuleAtom>& atoms,
                      const Instance& instance, std::vector<RowRange> ranges,
-                     const std::vector<Term>& h) {
+                     const std::vector<Term>& h,
+                     const RowIndex* index = nullptr) {
   Stream out;
   HomEnumerator e;
-  e.Reset(atoms, &instance, std::move(ranges), h);
+  e.Reset(atoms, &instance, std::move(ranges), h, index);
   while (e.Next()) out.emplace_back(0, e.hom());
   return out;
 }
@@ -263,6 +276,35 @@ std::vector<Tgd> MakeTgds(const Fixture& fixture, NonLinearFamily family,
   return tgds.ok() ? std::move(tgds).value() : std::vector<Tgd>{};
 }
 
+// `source` re-added in two phases, `index` extended in between: the index
+// covers exactly the rows [0, view.cur) of every predicate — the chase's
+// state at round start — while `instance` holds every row of `source`, in
+// the same order. `index` must already name its columns.
+void AddAtWatermark(const Instance& source, const RoundView& view,
+                    Instance* instance, RowIndex* index) {
+  const size_t num_preds = source.schema().NumPredicates();
+  for (int phase = 0; phase < 2; ++phase) {
+    for (PredId pred = 0; pred < num_preds; ++pred) {
+      const std::vector<GroundAtom>& atoms = source.AtomsOf(pred);
+      const size_t cut = std::min(view.CurOf(pred), atoms.size());
+      const size_t begin = phase == 0 ? 0 : cut;
+      const size_t end = phase == 0 ? cut : atoms.size();
+      for (size_t row = begin; row < end; ++row) {
+        ASSERT_TRUE(instance->AddAtom(atoms[row]));
+      }
+    }
+    if (phase == 0) index->Extend(*instance);
+  }
+}
+
+// Every column the round's body joins look up.
+void IndexBodies(const std::vector<Tgd>& tgds, RowIndex* index) {
+  for (const Tgd& tgd : tgds) {
+    IndexProbes(tgd.body(), std::vector<Term>(tgd.num_vars(), kUnboundTerm),
+                *index);
+  }
+}
+
 constexpr NonLinearFamily kFamilies[] = {
     NonLinearFamily::kTriangle, NonLinearFamily::kStar,
     NonLinearFamily::kChain, NonLinearFamily::kCross};
@@ -270,8 +312,14 @@ constexpr NonLinearFamily kFamilies[] = {
 // ---------------------------------------------------------------------------
 
 TEST(HomEnumeratorTest, FragmentStreamsConcatenateToTheOracleRound) {
+  // Each view runs twice: scanning, and with lookups in an index built to
+  // the view's round-start watermark as the chase builds it — every window
+  // of the round lies inside it, so every position with a bound variable
+  // looks its rows up.
   Rng rng(20261017);
   size_t total_homs = 0;
+  uint64_t probed_by_scan = 0;
+  uint64_t probed_by_lookup = 0;
   for (NonLinearFamily family : kFamilies) {
     for (uint32_t body_atoms : {2u, 3u}) {
       Fixture fixture;
@@ -282,6 +330,10 @@ TEST(HomEnumeratorTest, FragmentStreamsConcatenateToTheOracleRound) {
       ASSERT_FALSE(tgds.empty());
       const std::vector<RoundView> views = MakeViews(fixture, instance, &rng);
       for (size_t v = 0; v < views.size(); ++v) {
+        Instance indexed(&fixture.schema);
+        RowIndex index;
+        IndexBodies(tgds, &index);
+        AddAtWatermark(instance, views[v], &indexed, &index);
         const Stream oracle = OracleRound(tgds, instance, views[v]);
         total_homs += oracle.size();
         for (unsigned threads : kThreadSweep) {
@@ -295,11 +347,161 @@ TEST(HomEnumeratorTest, FragmentStreamsConcatenateToTheOracleRound) {
               MatcherRoundInterleaved(tgds, instance, views[v], threads),
               oracle)
               << label << " (interleaved)";
+          EXPECT_EQ(MatcherRound(tgds, indexed, views[v], threads, &index),
+                    oracle)
+              << label << " (lookups)";
+          EXPECT_EQ(MatcherRoundInterleaved(tgds, indexed, views[v],
+                                            threads, &index),
+                    oracle)
+              << label << " (lookups, interleaved)";
         }
+        HomEnumerator scan;
+        HomEnumerator lookup;
+        for (const BodyPartition& part :
+             PlanBodyPartitions(tgds, views[v], 1)) {
+          scan.Reset(tgds[part.rule], &instance, views[v], part);
+          while (scan.Next()) {
+          }
+          lookup.Reset(tgds[part.rule], &indexed, views[v], part, &index);
+          while (lookup.Next()) {
+          }
+        }
+        EXPECT_LE(lookup.rows_probed(), scan.rows_probed());
+        probed_by_scan += scan.rows_probed();
+        probed_by_lookup += lookup.rows_probed();
       }
     }
   }
   EXPECT_GT(total_homs, 1000u);  // the sweep exercised real joins
+  EXPECT_LT(probed_by_lookup, probed_by_scan);  // and real lookups
+}
+
+TEST(HomEnumeratorTest, PausedLookupsResumeAcrossIndexExtension) {
+  // Enumerators paused after every Next() while, in between, rows land past
+  // every window and the index is extended over them — a simulated round
+  // boundary. Extension moves entry positions (new rows merge into their
+  // keys' runs), so a parked lookup must re-seek by row; the new rows draw
+  // from the same domain, so they would join if it did not.
+  Rng rng(23);
+  size_t total_homs = 0;
+  size_t extended = 0;  // views whose index grew under paused enumerators
+  for (NonLinearFamily family : kFamilies) {
+    Fixture fixture;
+    DeclareSchema(&fixture, &rng);
+    const Instance source = MakeInstance(fixture, &rng, /*rows=*/12);
+    const std::vector<Tgd> tgds = MakeTgds(fixture, family, 3, rng.Next());
+    for (const RoundView& view : MakeViews(fixture, source, &rng)) {
+      Instance instance(&fixture.schema);
+      RowIndex index;
+      IndexBodies(tgds, &index);
+      AddAtWatermark(source, view, &instance, &index);
+      const Stream oracle = OracleRound(tgds, instance, view);
+      total_homs += oracle.size();
+      const uint64_t epoch = index.epoch();
+      auto round_boundary = [&] {
+        for (PredId pred : fixture.preds) {
+          std::vector<Term> args(fixture.schema.Arity(pred));
+          for (Term& arg : args) {
+            arg = MakeConstant(static_cast<uint32_t>(rng.Below(6)));
+          }
+          (void)instance.AddAtom(GroundAtom(pred, std::move(args)));
+        }
+        index.Extend(instance);
+      };
+      for (unsigned threads : {1u, 4u}) {
+        EXPECT_EQ(MatcherRoundInterleaved(tgds, instance, view, threads,
+                                          &index, round_boundary),
+                  oracle)
+            << NonLinearFamilyName(family) << ", threads " << threads;
+      }
+      if (index.epoch() > epoch) ++extended;
+    }
+  }
+  EXPECT_GT(total_homs, 100u);
+  EXPECT_GT(extended, 8u);
+}
+
+TEST(HomEnumeratorTest, LookupsMatchTheScanOnEveryProbeShape) {
+  // Hand-picked probe shapes over p/2, q/2, r/3. p's values range over 0..7
+  // but q's and r's only over 0..3, so about half of p's bindings look up a
+  // key the index lacks.
+  Schema schema;
+  const PredId p = schema.AddPredicate("p", 2).value();
+  const PredId q = schema.AddPredicate("q", 2).value();
+  const PredId r = schema.AddPredicate("r", 3).value();
+  Rng rng(29);
+  Instance instance(&schema);
+  auto fill = [&](PredId pred, uint32_t domain) {
+    for (int i = 0; i < 40; ++i) {
+      std::vector<Term> args(schema.Arity(pred));
+      for (Term& arg : args) {
+        arg = MakeConstant(static_cast<uint32_t>(rng.Below(domain)));
+      }
+      (void)instance.AddAtom(GroundAtom(pred, std::move(args)));
+    }
+  };
+  fill(p, 8);
+  fill(q, 4);
+  fill(r, 4);
+  struct Case {
+    const char* name;
+    std::vector<RuleAtom> atoms;
+    uint32_t num_vars;
+  };
+  const std::vector<Case> cases = {
+      {"repeated variable, bound: p(X,Y), q(Y,Y)",
+       {RuleAtom(p, {0, 1}), RuleAtom(q, {1, 1})}, 2},
+      {"repeated variable, free: q(X,X), p(X,Y)",
+       {RuleAtom(q, {0, 0}), RuleAtom(p, {0, 1})}, 2},
+      {"second column: p(X,Y), q(Z,Y)",
+       {RuleAtom(p, {0, 1}), RuleAtom(q, {2, 1})}, 3},
+      {"third column: p(X,Y), r(Z,W,X)",
+       {RuleAtom(p, {0, 1}), RuleAtom(r, {2, 3, 0})}, 4},
+      {"missing keys: p(X,Y), q(Y,Z)",
+       {RuleAtom(p, {0, 1}), RuleAtom(q, {1, 2})}, 3},
+      {"chained lookups: p(X,Y), q(Y,Z), r(Z,X,W)",
+       {RuleAtom(p, {0, 1}), RuleAtom(q, {1, 2}), RuleAtom(r, {2, 0, 3})},
+       4},
+  };
+  for (const Case& c : cases) {
+    const std::vector<Term> unbound(c.num_vars, kUnboundTerm);
+    RowIndex index;
+    IndexProbes(c.atoms, unbound, index);
+    ASSERT_FALSE(index.empty()) << c.name;
+    Instance grown = instance;
+    index.Extend(grown);
+    // The whole-relation match, with or without the index; its stream, and
+    // the rows it tried.
+    auto match = [&](const RowIndex* with) {
+      HomEnumerator e;
+      Stream out;
+      e.Reset(c.atoms, &grown, FullRanges(c.atoms, grown), unbound, with);
+      while (e.Next()) out.emplace_back(0, e.hom());
+      return std::make_pair(out, e.rows_probed());
+    };
+    const Stream oracle = OracleStream(c.atoms, grown,
+                                       FullRanges(c.atoms, grown), unbound);
+    EXPECT_FALSE(oracle.empty()) << c.name;
+    const auto [scanned, scan_rows] = match(nullptr);
+    const auto [looked_up, lookup_rows] = match(&index);
+    EXPECT_EQ(scanned, oracle) << c.name;
+    EXPECT_EQ(looked_up, oracle) << c.name;
+    EXPECT_LT(lookup_rows, scan_rows) << c.name;
+
+    // Rows past the index's coverage: windows reaching them scan.
+    for (PredId pred : {p, q, r}) {
+      std::vector<Term> args(schema.Arity(pred),
+                             MakeNull(grown.NewNullId()));
+      ASSERT_TRUE(grown.AddAtom(GroundAtom(pred, std::move(args))));
+    }
+    const Stream past = OracleStream(c.atoms, grown,
+                                     FullRanges(c.atoms, grown), unbound);
+    const auto [rescanned, rescan_rows] = match(nullptr);
+    const auto [fell_back, fallback_rows] = match(&index);
+    EXPECT_EQ(rescanned, past) << c.name;
+    EXPECT_EQ(fell_back, past) << c.name;
+    EXPECT_EQ(fallback_rows, rescan_rows) << c.name;
+  }
 }
 
 TEST(HomEnumeratorTest, HeadWindowMatchesFollowTheOracle) {
@@ -318,10 +520,26 @@ TEST(HomEnumeratorTest, HeadWindowMatchesFollowTheOracle) {
     const Instance instance = MakeInstance(fixture, &rng, /*rows=*/10);
     const std::vector<Tgd> tgds = MakeTgds(fixture, family, 2, rng.Next());
     const RoundView view = MakeViews(fixture, instance, &rng)[2];
-    for (uint32_t rule = 0; rule < tgds.size(); ++rule) {
-      const Tgd& tgd = tgds[rule];
+    auto conjunction = [](const Tgd& tgd) {
       std::vector<RuleAtom> atoms = tgd.head();
       atoms.insert(atoms.end(), tgd.body().begin(), tgd.body().end());
+      return atoms;
+    };
+    // The lookup side: an index of every column the conjunctions look up
+    // from a frontier binding, built to the view's round-start watermark —
+    // the prefix window lies inside it, the full and suffix windows reach
+    // past it wherever a predicate has rows beyond the watermark.
+    Instance indexed(&fixture.schema);
+    RowIndex index;
+    for (const Tgd& tgd : tgds) {
+      std::vector<Term> frontier(tgd.num_vars(), kUnboundTerm);
+      for (VarId v : tgd.frontier()) frontier[v] = MakeConstant(0);
+      IndexProbes(conjunction(tgd), frontier, index);
+    }
+    AddAtWatermark(instance, view, &indexed, &index);
+    for (uint32_t rule = 0; rule < tgds.size(); ++rule) {
+      const Tgd& tgd = tgds[rule];
+      const std::vector<RuleAtom> atoms = conjunction(tgd);
       std::vector<std::vector<RowRange>> windows;
       windows.push_back(FullRanges(atoms, instance));
       std::vector<RowRange> prefix;
@@ -347,6 +565,11 @@ TEST(HomEnumeratorTest, HeadWindowMatchesFollowTheOracle) {
                           MatcherStream(atoms, instance, window, frontier),
                           oracle)
                           << NonLinearFamilyName(family) << " rule " << rule;
+                      EXPECT_EQ(MatcherStream(atoms, indexed, window,
+                                              frontier, &index),
+                                oracle)
+                          << NonLinearFamilyName(family) << " rule " << rule
+                          << " (lookups)";
                       ++checked;
                       matches += oracle.size();
                     }

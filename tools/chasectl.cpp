@@ -584,7 +584,7 @@ int CmdChase(const Args& args) {
             << ChaseOutcomeName(result->outcome) << " after "
             << result->rounds << " rounds, " << result->triggers_fired
             << " triggers, " << result->instance.NumAtoms() << " atoms, "
-            << chase_ms << " ms\n"
+            << result->rows_probed << " rows probed, " << chase_ms << " ms\n"
             << "  prefiltered: " << result->triggers_prefiltered
             << " satisfied trigger(s) skipped on the worker pool\n"
             << "  peak buffered homs: " << result->peak_buffered_homs
