@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -68,22 +67,11 @@ RuleAtom SimplifyRuleAtom(const RuleAtom& atom,
 
 // The simplification of one linear TGD induced by a specialization `f` of
 // its distinct body variables (Definition 3.5). `head_shapes`, if non-null,
-// receives the base-schema shapes of the simplified head atoms (used by
-// dynamic simplification to derive new shapes).
+// receives the base-schema shapes of the simplified head atoms, in head
+// order. The body shape is interned first, then the head shapes.
 [[nodiscard]] StatusOr<Tgd> SimplifyTgd(const Tgd& tgd, const Specialization& f,
                           ShapeSchema& shape_schema,
                           std::vector<Shape>* head_shapes);
-
-// As above, but with the base-schema head shapes under `f` supplied instead
-// of recomputed: `head_shapes[i]` must be exactly the shape SimplifyRuleAtom
-// would derive for head atom i (the dynamic-simplification worklist already
-// computes them on its parallel discovery pass to find successor shapes, so
-// the absorb path interns them directly instead of re-deriving each one).
-// Only the size is validated; the shapes' correctness is the caller's
-// contract, pinned by the parallel-vs-serial differential harness.
-[[nodiscard]] StatusOr<Tgd> SimplifyTgd(const Tgd& tgd, const Specialization& f,
-                          ShapeSchema& shape_schema,
-                          std::span<const Shape> head_shapes);
 
 struct StaticSimplificationResult {
   std::unique_ptr<ShapeSchema> shape_schema;

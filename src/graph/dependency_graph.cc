@@ -5,25 +5,12 @@
 #include "logic/schema.h"
 #include "logic/tgd.h"
 
-#include <unordered_set>
-
 namespace chase {
 
 DependencyGraph BuildDependencyGraph(const Schema& schema,
                                      const std::vector<Tgd>& tgds) {
   const auto num_nodes = static_cast<uint32_t>(schema.NumPositions());
   std::vector<Edge> edges;
-  // Packed (from, to, special) for deduplication. Positions fit in 32 bits
-  // and special in one, so one uint64 with `special` in the low bit works
-  // as long as to < 2^31, which a 32-bit position space guarantees in
-  // practice (schemas here are far smaller).
-  std::unordered_set<uint64_t> seen;
-  auto add_edge = [&](uint32_t from, uint32_t to, bool special) {
-    const uint64_t key =
-        (static_cast<uint64_t>(from) << 32) | (to << 1) | (special ? 1 : 0);
-    if (seen.insert(key).second) edges.push_back(Edge{from, to, special});
-  };
-
   for (const Tgd& tgd : tgds) {
     for (VarId x : tgd.frontier()) {
       for (const RuleAtom& body_atom : tgd.body()) {
@@ -34,10 +21,8 @@ DependencyGraph BuildDependencyGraph(const Schema& schema,
             for (uint32_t j = 0; j < head_atom.args.size(); ++j) {
               const VarId head_var = head_atom.args[j];
               const uint32_t to = schema.PositionId(head_atom.pred, j);
-              if (head_var == x) {
-                add_edge(from, to, /*special=*/false);
-              } else if (tgd.IsExistential(head_var)) {
-                add_edge(from, to, /*special=*/true);
+              if (head_var == x || tgd.IsExistential(head_var)) {
+                edges.push_back(Edge{from, to, /*special=*/head_var != x});
               }
             }
           }
@@ -45,6 +30,7 @@ DependencyGraph BuildDependencyGraph(const Schema& schema,
       }
     }
   }
+  SortUniqueEdges(edges);
   return DependencyGraph(&schema, Digraph(num_nodes, edges));
 }
 

@@ -8,9 +8,11 @@
 //
 // dg(Σ) is formally a multigraph, but parallel edges are irrelevant for
 // cycle/SCC detection, so BuildDependencyGraph deduplicates (from, to,
-// special) triples — this matches the paper's appendix, which counts each
-// distinct edge once. Construction is a single pass over the TGDs using the
-// schema's dense position index (the "index structure" of Section 5.1).
+// special) triples exactly (SortUniqueEdges) — this matches the paper's
+// appendix, which counts each distinct edge once. The edge list is sorted,
+// so every node's adjacency ascends by (to, special). Construction is a
+// single pass over the TGDs using the schema's dense position index (the
+// "index structure" of Section 5.1).
 
 #ifndef CHASE_GRAPH_DEPENDENCY_GRAPH_H_
 #define CHASE_GRAPH_DEPENDENCY_GRAPH_H_

@@ -22,6 +22,11 @@ struct Edge {
   }
 };
 
+// Sorts `edges` by (from, to, special) and drops exact duplicates. The one
+// dedup step wherever a dependency graph is built: parallel edges are
+// irrelevant for SCCs, and each distinct edge is counted once.
+void SortUniqueEdges(std::vector<Edge>& edges);
+
 // Target of an adjacency entry.
 struct Arc {
   uint32_t node;

@@ -31,6 +31,25 @@ TEST(DigraphTest, AdjacencyAndReverseAdjacency) {
   EXPECT_EQ(g.InArcs(0).size(), 0u);
 }
 
+TEST(DigraphTest, SortUniqueEdgesIsExact) {
+  // Targets at and past 2^31 used to lose their top bit in a packed 64-bit
+  // dedup key, so {0, 2^31} collided with {0, 0} and one was dropped.
+  constexpr uint32_t kHigh = 1u << 31;
+  std::vector<Edge> edges = {{0, kHigh, false},  {0, 0, false},
+                             {7, 3, true},       {0, kHigh, false},
+                             {7, 3, false},      {kHigh, 0xffffffffu, true},
+                             {0, 0, false},      {kHigh, 0xffffffffu, true},
+                             {0, kHigh | 1, false}};
+  SortUniqueEdges(edges);
+  const std::vector<Edge> expected = {{0, 0, false},
+                                      {0, kHigh, false},
+                                      {0, kHigh | 1, false},
+                                      {7, 3, false},
+                                      {7, 3, true},
+                                      {kHigh, 0xffffffffu, true}};
+  EXPECT_EQ(edges, expected);
+}
+
 TEST(TarjanTest, SingleCycle) {
   Digraph g = MakeGraph(3, {{0, 1, false}, {1, 2, false}, {2, 0, false}});
   SccResult scc = TarjanScc(g);
