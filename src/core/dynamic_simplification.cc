@@ -1,16 +1,13 @@
 #include "core/dynamic_simplification.h"
 
 #include <algorithm>
-#include <functional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "base/status.h"
 #include "core/simplification.h"
 #include "core/specialization.h"
 #include "exec/frontier_pool.h"
-#include "graph/digraph.h"
 #include "logic/atom.h"
 #include "logic/database.h"
 #include "logic/schema.h"
@@ -42,118 +39,18 @@ bool BodyHomToShape(const Tgd& tgd, const IdTuple& id,
   return true;
 }
 
-// Per-worker scratch for the expansion, reused across matches.
-struct Scratch {
-  std::vector<uint8_t> var_id_values;
-  std::vector<VarId> tuple;
-  std::vector<uint32_t> body_pos;
-  std::vector<uint8_t> in_frontier;
-};
-
-// The base-schema shape of `atom` under specialization `f` — exactly the
-// shape SimplifyRuleAtom computes, but without touching a ShapeSchema, so
-// frontier workers can derive successor shapes in parallel.
-Shape ShapeUnderSpecialization(const Tgd& tgd, const RuleAtom& atom,
-                               const Specialization& f, Scratch& scratch) {
-  scratch.tuple.clear();
-  for (VarId var : atom.args) {
-    scratch.tuple.push_back(tgd.IsUniversal(var) ? f[var] : var);
-  }
-  return Shape(atom.pred, IdOf(std::span<const VarId>(scratch.tuple)));
-}
-
-// One edge of dg(SimplifyTgd(tgd, f)) in local coordinates: from position
-// `body_pos` of the simplified body atom unique(f(body)) to position
-// `head_pos` of the simplified head atom whose shape is
-// ShapeMatches::head_shapes[head].
-struct LocalEdge {
-  uint32_t body_pos;
-  uint32_t head;
-  uint32_t head_pos;
-  bool special;
-};
-
-// Appends the edges BuildDependencyGraph adds for SimplifyTgd(tgd, f),
-// without building the TGD; head atom i's shape is head_shapes[first_head
-// + i]. In the simplified TGD every universal variable is a representative
-// f[v] at exactly one body position, and it is a frontier variable iff it
-// occurs in some head atom; existentials are untouched by f. A head
-// position of representative r gets the normal edge from r's body
-// position; a head position of an existential gets a special edge from
-// every frontier position.
-void AppendEdgePattern(const Tgd& tgd, const Specialization& f,
-                       uint32_t first_head, Scratch& scratch,
-                       std::vector<LocalEdge>* edges) {
-  constexpr uint32_t kAbsent = UINT32_MAX;
-  std::vector<uint32_t>& body_pos = scratch.body_pos;
-  body_pos.assign(tgd.num_universal(), kAbsent);
-  uint32_t body_arity = 0;
-  for (VarId var : tgd.body()[0].args) {
-    if (body_pos[f[var]] == kAbsent) body_pos[f[var]] = body_arity++;
-  }
-  std::vector<uint8_t>& in_frontier = scratch.in_frontier;
-  in_frontier.assign(body_arity, 0);
-  for (const RuleAtom& atom : tgd.head()) {
-    for (VarId var : atom.args) {
-      if (tgd.IsUniversal(var)) in_frontier[body_pos[f[var]]] = 1;
-    }
-  }
-  std::vector<VarId>& unique_head = scratch.tuple;
-  for (uint32_t h = 0; h < tgd.head().size(); ++h) {
-    unique_head.clear();
-    for (VarId var : tgd.head()[h].args) {
-      const VarId image = tgd.IsUniversal(var) ? f[var] : var;
-      if (std::find(unique_head.begin(), unique_head.end(), image) !=
-          unique_head.end()) {
-        continue;
-      }
-      const auto head_pos = static_cast<uint32_t>(unique_head.size());
-      unique_head.push_back(image);
-      if (tgd.IsUniversal(var)) {
-        edges->push_back(
-            {body_pos[image], first_head + h, head_pos, /*special=*/false});
-        continue;
-      }
-      for (uint32_t p = 0; p < body_arity; ++p) {
-        if (in_frontier[p] != 0) {
-          edges->push_back({p, first_head + h, head_pos, /*special=*/true});
-        }
-      }
-    }
-  }
-}
-
-// Everything the closure keeps of one body shape, computed on a worker:
-// the rules it matches, ascending, and the head shapes under each match's
-// specialization f, in match order (the closure's successors). Each
-// consumer adds what it needs: the materializer each match's f, the graph
-// each match's local edge pattern.
+// The rules one body shape matches, ascending, with each match's
+// specialization — the parallel half of an expansion.
 struct ShapeMatches {
   std::vector<uint32_t> rules;
-  std::vector<Shape> head_shapes;
   std::vector<Specialization> specializations;  // parallel to `rules`
-  std::vector<LocalEdge> edges;
 };
 
-// What a consumer of the closure needs of each match besides its rule and
-// head shapes.
-enum class MatchRecord { kSpecialization, kEdgePattern };
+}  // namespace
 
-// Consumes what the closure kept of one body shape. Called serially, body
-// shapes in the canonical order DynamicSimplificationResult documents.
-using MatchSink =
-    std::function<Status(const Shape& body, const ShapeMatches& matches)>;
-
-// The shape closure Σ(shape(D)) of Algorithm 2, shared by both consumers.
-// S is the engine's seen-set, ΔS its per-depth frontier: each (rule, shape)
-// pair is processed at most once because a shape is admitted into a
-// frontier exactly once. Matching, successor shapes and edge patterns run
-// on the workers; `sink` runs on the serial absorb path in canonical
-// order, so whatever it builds is independent of the thread count.
-Status RunShapeClosure(const Schema& schema, const std::vector<Tgd>& tgds,
-                       const std::vector<Shape>& database_shapes,
-                       unsigned threads, MatchRecord record,
-                       const MatchSink& sink, FrontierStats* stats) {
+StatusOr<DynamicSimplificationResult> DynamicSimplificationFromShapes(
+    const Schema& schema, const std::vector<Tgd>& tgds,
+    const std::vector<Shape>& database_shapes, unsigned threads) {
   if (!AllLinear(tgds)) {
     return InvalidArgumentError(
         "dynamic simplification requires linear TGDs");
@@ -164,6 +61,9 @@ Status RunShapeClosure(const Schema& schema, const std::vector<Tgd>& tgds,
           "database shape over a predicate missing from the schema");
     }
   }
+  DynamicSimplificationResult result;
+  result.shape_schema = std::make_unique<ShapeSchema>(&schema);
+
   // Index: body predicate -> rules (the "index structure that enables fast
   // access to the TGDs" of Section 5.4), ascending rule index — the
   // canonical per-shape emission order.
@@ -173,10 +73,23 @@ Status RunShapeClosure(const Schema& schema, const std::vector<Tgd>& tgds,
     rules_by_body_pred[tgds[rule].body()[0].pred].push_back(rule);
   }
 
+  // S is the engine's seen-set, ΔS its per-depth frontier: each (rule,
+  // shape) pair is processed at most once because a shape is admitted into
+  // a frontier exactly once. Expansion (homomorphism checks + successor
+  // shapes) runs parallel; SimplifyTgd — which interns predicates into the
+  // shared shape schema — runs on the serial absorb path in canonical
+  // order, so the emitted TGD list and the interning order are independent
+  // of the thread count.
   using Pool = FrontierPool<Shape, ShapeMatches, ShapeHash>;
   Pool pool({.threads = threads});
+  // Per-worker buffers, reused across the worker's expansions.
+  struct Scratch {
+    std::vector<uint8_t> var_id_values;
+    Shape head_shape;
+    std::vector<VarId> unique;
+  };
   std::vector<Scratch> scratch(std::max(1u, threads));
-  return pool.Run(
+  CHASE_RETURN_IF_ERROR(pool.Run(
       database_shapes,
       [&](unsigned worker, const Shape& shape, ShapeMatches* out,
           Pool::Discoveries* discovered) -> Status {
@@ -185,94 +98,35 @@ Status RunShapeClosure(const Schema& schema, const std::vector<Tgd>& tgds,
           const Tgd& tgd = tgds[rule];
           if (!BodyHomToShape(tgd, shape.id, local.var_id_values)) continue;
           Specialization f = SpecializationFromIdValues(local.var_id_values);
-          const auto first_head =
-              static_cast<uint32_t>(out->head_shapes.size());
           for (const RuleAtom& head_atom : tgd.head()) {
-            out->head_shapes.push_back(
-                ShapeUnderSpecialization(tgd, head_atom, f, local));
-            discovered->Discover(out->head_shapes.back());
+            SpecializeAtom(tgd, head_atom, f, local.head_shape, local.unique);
+            discovered->Discover(local.head_shape);
           }
           out->rules.push_back(rule);
-          if (record == MatchRecord::kEdgePattern) {
-            AppendEdgePattern(tgd, f, first_head, local, &out->edges);
-          } else {
-            out->specializations.push_back(std::move(f));
+          out->specializations.push_back(std::move(f));
+        }
+        return OkStatus();
+      },
+      [&](std::span<const Shape> /*frontier*/,
+          std::span<ShapeMatches> outs) -> Status {
+        size_t num_matches = 0;
+        for (const ShapeMatches& matches : outs) {
+          num_matches += matches.rules.size();
+        }
+        result.tgds.reserve(result.tgds.size() + num_matches);
+        for (const ShapeMatches& matches : outs) {
+          for (size_t i = 0; i < matches.rules.size(); ++i) {
+            CHASE_ASSIGN_OR_RETURN(
+                Tgd simplified,
+                SimplifyTgd(tgds[matches.rules[i]],
+                            matches.specializations[i],
+                            *result.shape_schema, nullptr));
+            result.tgds.push_back(std::move(simplified));
           }
         }
         return OkStatus();
       },
-      [&](std::span<const Shape> frontier,
-          std::span<ShapeMatches> outs) -> Status {
-        for (size_t i = 0; i < frontier.size(); ++i) {
-          CHASE_RETURN_IF_ERROR(sink(frontier[i], outs[i]));
-        }
-        return OkStatus();
-      },
-      stats);
-}
-
-}  // namespace
-
-StatusOr<DynamicSimplificationResult> DynamicSimplificationFromShapes(
-    const Schema& schema, const std::vector<Tgd>& tgds,
-    const std::vector<Shape>& database_shapes, unsigned threads) {
-  DynamicSimplificationResult result;
-  result.shape_schema = std::make_unique<ShapeSchema>(&schema);
-  CHASE_RETURN_IF_ERROR(RunShapeClosure(
-      schema, tgds, database_shapes, threads, MatchRecord::kSpecialization,
-      [&](const Shape& /*body*/, const ShapeMatches& matches) -> Status {
-        for (size_t i = 0; i < matches.rules.size(); ++i) {
-          CHASE_ASSIGN_OR_RETURN(
-              Tgd simplified,
-              SimplifyTgd(tgds[matches.rules[i]], matches.specializations[i],
-                          *result.shape_schema, nullptr));
-          result.tgds.push_back(std::move(simplified));
-        }
-        return OkStatus();
-      },
       &result.frontier));
-  result.num_initial_shapes = result.frontier.seeds_admitted;
-  result.num_derived_shapes = result.frontier.items_expanded;
-  return result;
-}
-
-StatusOr<ShapeGraphResult> ShapeGraphFromShapes(
-    const Schema& schema, const std::vector<Tgd>& tgds,
-    const std::vector<Shape>& database_shapes, unsigned threads) {
-  // Each shape's node block starts at the sum of the blocks before it,
-  // assigned on first use: a match's body shape, then its head shapes —
-  // the order in which SimplifyTgd interns shape predicates, so node ids
-  // are the shape schema's position ids.
-  std::unordered_map<Shape, uint32_t, ShapeHash> first_node;
-  uint32_t num_nodes = 0;
-  auto block_of = [&](const Shape& shape) {
-    auto [it, fresh] = first_node.try_emplace(shape, num_nodes);
-    if (fresh) num_nodes += shape.NumDistinct();
-    return it->second;
-  };
-  ShapeGraphResult result;
-  std::vector<Edge> edges;
-  std::vector<uint32_t> head_blocks;
-  CHASE_RETURN_IF_ERROR(RunShapeClosure(
-      schema, tgds, database_shapes, threads, MatchRecord::kEdgePattern,
-      [&](const Shape& body, const ShapeMatches& matches) -> Status {
-        if (matches.rules.empty()) return OkStatus();
-        const uint32_t body_block = block_of(body);
-        head_blocks.clear();
-        for (const Shape& head : matches.head_shapes) {
-          head_blocks.push_back(block_of(head));
-        }
-        for (const LocalEdge& edge : matches.edges) {
-          edges.push_back(Edge{body_block + edge.body_pos,
-                               head_blocks[edge.head] + edge.head_pos,
-                               edge.special});
-        }
-        result.num_matches += matches.rules.size();
-        return OkStatus();
-      },
-      &result.frontier));
-  SortUniqueEdges(edges);
-  result.graph = Digraph(num_nodes, edges);
   result.num_initial_shapes = result.frontier.seeds_admitted;
   result.num_derived_shapes = result.frontier.items_expanded;
   return result;

@@ -4,25 +4,16 @@
 // simplification keeps only the simplified TGDs that can actually fire when
 // the input database is D: starting from shape(D), it closes the shape set
 // under the immediate-consequence operator Γ_Σ, generating one simplified
-// TGD per (rule, derivable body shape with a compatible homomorphism) — a
-// *match*. The result simple_D(Σ) is weakly acyclic iff chase(D, Σ) is
-// finite (Lemmas 4.3 + 4.5 with Theorem 3.6).
+// TGD per (rule, derivable body shape with a compatible homomorphism). The
+// result simple_D(Σ) is weakly acyclic iff chase(D, Σ) is finite (Lemmas
+// 4.3 + 4.5 with Theorem 3.6).
 //
-// One shape closure serves two consumers. The closure runs depth-
-// synchronously through chase::FrontierPool: shapes first derived at the
-// same depth are independent, so their (rule, shape) homomorphism checks,
-// head shapes and per-match edge patterns are computed in parallel when
-// `threads` > 1, and the matches are consumed serially per depth in a
-// canonical order, identical for every thread count.
-//
-//  * DynamicSimplificationFromShapes materializes simple_D(Σ): one Tgd per
-//    match over an interned ShapeSchema. `chasectl simplify --print`, the
-//    tests and the benchmark spine use it.
-//  * ShapeGraphFromShapes builds dg(simple_D(Σ)) straight from the
-//    matches, without a Tgd, a ShapeSchema or a predicate name. This is
-//    what IsChaseFiniteL (Algorithm 3) runs. Its graph is the one
-//    BuildDependencyGraph builds from the materialized result, node ids
-//    and edge list included (tests/shape_graph_test.cc).
+// The worklist runs depth-synchronously through chase::FrontierPool:
+// shapes first derived at the same depth are independent, so their
+// (rule, shape) homomorphism checks expand in parallel when `threads` > 1,
+// while the simplified TGDs are emitted serially per depth. The emitted
+// order is canonical and documented (see DynamicSimplificationResult),
+// identical for every thread count.
 
 #ifndef CHASE_CORE_DYNAMIC_SIMPLIFICATION_H_
 #define CHASE_CORE_DYNAMIC_SIMPLIFICATION_H_
@@ -33,7 +24,6 @@
 #include "base/status.h"
 #include "core/simplification.h"
 #include "exec/frontier_pool.h"
-#include "graph/digraph.h"
 #include "logic/database.h"
 #include "logic/schema.h"
 #include "logic/shape.h"
@@ -48,8 +38,8 @@ struct DynamicSimplificationResult {
   // deduplicated database shapes, depth d+1 = shapes first derived from
   // depth d), within a depth by body shape ascending in (pred, id), and per
   // body shape by rule index ascending. Duplicates are kept — one entry per
-  // match — and the shape schema's predicates are interned in exactly this
-  // emission order (each TGD's body shape, then its head shapes), so the
+  // (rule, shape) pair with a compatible homomorphism — and the shape
+  // schema's predicates are interned in exactly this emission order, so the
   // whole result (TGDs, predicate ids, names) is bit-identical for every
   // thread count. Pinned by DynamicSimplificationTest.CanonicalTgdOrder.
   std::vector<Tgd> tgds;
@@ -72,25 +62,6 @@ StatusOr<DynamicSimplificationResult> DynamicSimplificationFromShapes(
 // contain every predicate of `tgds`.
 [[nodiscard]] StatusOr<DynamicSimplificationResult> DynamicSimplification(
     const Database& database, const std::vector<Tgd>& tgds);
-
-struct ShapeGraphResult {
-  // dg(simple_D(Σ)). Node ids are the position ids of the shape schema
-  // DynamicSimplificationFromShapes interns: each shape takes a block of
-  // NumDistinct() nodes on first use, in the canonical match order. The
-  // edges are deduplicated and sorted by (from, to, special).
-  Digraph graph;
-  size_t num_initial_shapes = 0;  // |shape(D)|
-  size_t num_derived_shapes = 0;  // |Σ(shape(D))|, the shapes expanded
-  size_t num_matches = 0;         // |simple_D(Σ)|, duplicates kept
-  FrontierStats frontier;         // worklist depth/expansion counters
-};
-
-// dg(simple_D(Σ)) from the shape closure, without materializing
-// simple_D(Σ). Same inputs, errors and thread-count independence as
-// DynamicSimplificationFromShapes.
-[[nodiscard]] StatusOr<ShapeGraphResult> ShapeGraphFromShapes(
-    const Schema& schema, const std::vector<Tgd>& tgds,
-    const std::vector<Shape>& database_shapes, unsigned threads = 1);
 
 }  // namespace chase
 

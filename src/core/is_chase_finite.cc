@@ -1,5 +1,7 @@
 #include "core/is_chase_finite.h"
 
+#include <optional>
+
 #include "base/status.h"
 #include "base/timer.h"
 #include "core/dynamic_simplification.h"
@@ -107,27 +109,35 @@ StatusOr<bool> IsChaseFiniteL(const Database& database,
   out.access = catalog.stats();
   obs::SetGauge("check.t_shapes_ms", out.shapes_ms);
 
-  // The db-independent component: dg(simple_D(Σ)) straight from the shape
-  // closure (t-graph), then special-SCC search (t-comp).
+  // The db-independent component: dynamic simplification + dependency graph
+  // (t-graph), then special-SCC search (t-comp).
   timer.Restart();
-  StatusOr<ShapeGraphResult> graph = [&] {
+  std::optional<DynamicSimplificationResult> simplified_opt;
+  std::optional<DependencyGraph> graph_opt;
+  {
     obs::TraceSpan graph_span("check", "t_graph");
-    return ShapeGraphFromShapes(database.schema(), tgds, shapes,
-                                options.simplify_threads);
-  }();
-  CHASE_RETURN_IF_ERROR(graph.status());
+    CHASE_ASSIGN_OR_RETURN(
+        DynamicSimplificationResult result,
+        DynamicSimplificationFromShapes(database.schema(), tgds, shapes,
+                                        options.simplify_threads));
+    simplified_opt.emplace(std::move(result));
+    graph_opt.emplace(BuildDependencyGraph(
+        simplified_opt->shape_schema->schema(), simplified_opt->tgds));
+  }
+  const DynamicSimplificationResult& simplified = *simplified_opt;
+  const DependencyGraph& graph = *graph_opt;
   out.graph_ms = timer.ElapsedMillis();
-  out.num_initial_shapes = graph->num_initial_shapes;
-  out.num_derived_shapes = graph->num_derived_shapes;
-  out.num_simplified_tgds = graph->num_matches;
-  out.graph_nodes = graph->graph.num_nodes();
-  out.graph_edges = graph->graph.num_edges();
+  out.num_initial_shapes = simplified.num_initial_shapes;
+  out.num_derived_shapes = simplified.num_derived_shapes;
+  out.num_simplified_tgds = simplified.tgds.size();
+  out.graph_nodes = graph.num_nodes();
+  out.graph_edges = graph.num_edges();
   obs::SetGauge("check.t_graph_ms", out.graph_ms);
 
   timer.Restart();
   const bool acyclic = [&] {
     obs::TraceSpan comp_span("check", "t_comp");
-    return FindSpecialSccs(graph->graph).empty();
+    return FindSpecialSccs(graph.graph()).empty();
   }();
   out.comp_ms = timer.ElapsedMillis();
   obs::SetGauge("check.t_comp_ms", out.comp_ms);

@@ -8,9 +8,10 @@
 //   w.r.t. D, builds the dependency graph of simple_D(Σ) and reports
 //   finiteness iff the graph has no special SCC — no support check needed,
 //   because every predicate of simple_D(Σ) is reachable from shape(D) by
-//   construction (Lemma 4.5). The graph comes straight from the shape
-//   closure (ShapeGraphFromShapes in dynamic_simplification.h): simple_D(Σ)
-//   is never materialized as TGDs, and no shape predicate is named.
+//   construction (Lemma 4.5). It materializes simple_D(Σ) with
+//   DynamicSimplificationFromShapes and builds its graph with
+//   BuildDependencyGraph: the same calls the benchmark spine times as the
+//   check's layers.
 //
 // Both report the paper's per-component timings so the benches can
 // reconstruct t-graph / t-comp / t-shapes exactly as in Sections 7 and 8.
@@ -51,10 +52,10 @@ struct LCheckOptions {
   // Worker threads for the db-dependent FindShapes component (<= 1 runs it
   // serially). Ignored when the shapes come precomputed.
   unsigned shape_threads = 1;
-  // Worker threads for the shape closure (<= 1 expands it inline). The
-  // graph is canonical and thread-count-independent (see
-  // ShapeGraphResult), so this only changes wall-clock, never the verdict
-  // or the stats.
+  // Worker threads for the dynamic-simplification worklist (<= 1 expands it
+  // inline). The emitted simple_D(Σ) is canonical and thread-count-
+  // independent (see DynamicSimplificationResult), so this only changes
+  // wall-clock, never the verdict or the stats.
   unsigned simplify_threads = 1;
   // When set, shape(D) is taken from here (sorted by (pred, id), the
   // contract of storage::FindShapes and index::ShapeIndex::CurrentShapes)
@@ -65,16 +66,14 @@ struct LCheckOptions {
 
 struct LCheckStats {
   double shapes_ms = 0;  // t-shapes: the db-dependent component
-  double graph_ms = 0;   // t-graph: shape closure + dg(simple_D(Σ))
+  double graph_ms = 0;   // t-graph: dynamic simplification + graph build
   double comp_ms = 0;    // t-comp: find special SCCs
   size_t num_initial_shapes = 0;   // |shape(D)|, duplicates dropped
-  size_t num_derived_shapes = 0;   // shapes the closure expanded
-  // |simple_D(Σ)|: (rule, body shape) matches, duplicates kept — the
-  // number of TGDs DynamicSimplificationFromShapes would materialize.
+  size_t num_derived_shapes = 0;   // shapes the worklist expanded
+  // |simple_D(Σ)|: one TGD per (rule, body shape) match, duplicates kept.
   size_t num_simplified_tgds = 0;
-  // dg(simple_D(Σ)): positions of the shapes that took part in a match,
-  // and distinct (from, to, special) edges — exactly what
-  // BuildDependencyGraph reports on the materialized simple_D(Σ).
+  // dg(simple_D(Σ)): the positions of the shape predicates simple_D(Σ)
+  // mentions, and its distinct (from, to, special) edges.
   size_t graph_nodes = 0;
   size_t graph_edges = 0;
   storage::AccessStats access;

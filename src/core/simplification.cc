@@ -1,5 +1,7 @@
 #include "core/simplification.h"
 
+#include <algorithm>
+
 #include "base/status.h"
 #include "core/specialization.h"
 #include "logic/atom.h"
@@ -11,29 +13,14 @@
 namespace chase {
 
 PredId ShapeSchema::Intern(const Shape& shape) {
-  auto it = index_.find(shape);
-  if (it != index_.end()) return it->second;
-  auto pred = schema_.AddPredicate(ShapeName(*base_, shape),
-                                   shape.NumDistinct());
+  auto [it, fresh] = index_.try_emplace(shape, 0);
+  if (!fresh) return it->second;
   // Names are unique by construction (one per shape), so this cannot fail.
-  const PredId id = pred.value();
+  it->second =
+      schema_.AddPredicate(ShapeName(*base_, shape), shape.NumDistinct())
+          .value();
   shapes_.push_back(shape);
-  index_.emplace(shape, id);
-  return id;
-}
-
-RuleAtom SimplifyRuleAtom(const RuleAtom& atom,
-                          const std::vector<VarId>& subst,
-                          ShapeSchema& shape_schema, Shape* shape_out) {
-  std::vector<VarId> tuple;
-  tuple.reserve(atom.args.size());
-  for (VarId var : atom.args) tuple.push_back(subst[var]);
-  Shape shape(atom.pred, IdOf(std::span<const VarId>(tuple)));
-  RuleAtom simplified;
-  simplified.pred = shape_schema.Intern(shape);
-  simplified.args = UniqueOf(std::span<const VarId>(tuple));
-  if (shape_out != nullptr) *shape_out = std::move(shape);
-  return simplified;
+  return it->second;
 }
 
 namespace {
@@ -48,34 +35,45 @@ Status ValidateSimplification(const Tgd& tgd, const Specialization& f) {
   return OkStatus();
 }
 
-// The distinct body variables of a normalized linear TGD are exactly the
-// universal variables 0..num_universal-1, in first-occurrence order, so the
-// specialization applies to variable ids directly. Existential variables
-// are untouched.
-std::vector<VarId> SubstOf(const Tgd& tgd, const Specialization& f) {
-  std::vector<VarId> subst(tgd.num_vars());
-  for (VarId var = 0; var < tgd.num_vars(); ++var) {
-    subst[var] = tgd.IsUniversal(var) ? f[var] : var;
-  }
-  return subst;
-}
-
 }  // namespace
+
+void SpecializeAtom(const Tgd& tgd, const RuleAtom& atom,
+                    const Specialization& f, Shape& shape,
+                    std::vector<VarId>& unique) {
+  unique.clear();
+  unique.reserve(atom.args.size());
+  shape.pred = atom.pred;
+  shape.id.resize(atom.args.size());
+  // id(t̄)[i] is 1 + the index of t̄[i] in unique(t̄).
+  for (size_t i = 0; i < atom.args.size(); ++i) {
+    const VarId var = atom.args[i];
+    const VarId image = tgd.IsUniversal(var) ? f[var] : var;
+    auto it = std::find(unique.begin(), unique.end(), image);
+    if (it == unique.end()) {
+      unique.push_back(image);
+      it = unique.end() - 1;
+    }
+    shape.id[i] = static_cast<uint8_t>(it - unique.begin() + 1);
+  }
+}
 
 StatusOr<Tgd> SimplifyTgd(const Tgd& tgd, const Specialization& f,
                           ShapeSchema& shape_schema,
                           std::vector<Shape>* head_shapes) {
   CHASE_RETURN_IF_ERROR(ValidateSimplification(tgd, f));
-  const std::vector<VarId> subst = SubstOf(tgd, f);
-  std::vector<RuleAtom> body = {
-      SimplifyRuleAtom(tgd.body()[0], subst, shape_schema, nullptr)};
+  Shape shape;
+  std::vector<VarId> unique;
+  auto simplify = [&](const RuleAtom& atom) {
+    SpecializeAtom(tgd, atom, f, shape, unique);
+    return RuleAtom(shape_schema.Intern(shape), unique);
+  };
+  std::vector<RuleAtom> body;
+  body.push_back(simplify(tgd.body()[0]));
   std::vector<RuleAtom> head;
   head.reserve(tgd.head().size());
   for (const RuleAtom& atom : tgd.head()) {
-    Shape shape;
-    head.push_back(SimplifyRuleAtom(
-        atom, subst, shape_schema, head_shapes != nullptr ? &shape : nullptr));
-    if (head_shapes != nullptr) head_shapes->push_back(std::move(shape));
+    head.push_back(simplify(atom));
+    if (head_shapes != nullptr) head_shapes->push_back(shape);
   }
   return Tgd::Create(std::move(body), std::move(head));
 }

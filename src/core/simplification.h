@@ -56,14 +56,15 @@ class ShapeSchema {
   std::unordered_map<Shape, PredId, ShapeHash> index_;
 };
 
-// simple(α) for a rule atom under a variable substitution: `subst[v]` is the
-// image of variable v (identity for variables untouched by the
-// specialization, e.g. existentials). Returns the simplified atom over
-// `shape_schema` and, if `shape_out` is non-null, the base-schema shape of
-// the substituted atom.
-RuleAtom SimplifyRuleAtom(const RuleAtom& atom,
-                          const std::vector<VarId>& subst,
-                          ShapeSchema& shape_schema, Shape* shape_out);
+// The base-schema shape of rule atom `atom` of the linear `tgd` under the
+// specialization `f` of its body variables (existentials are untouched),
+// written into `shape`. `unique` receives the atom's distinct variables
+// after f in first-occurrence order: the simplified atom's arguments. Both
+// buffers are overwritten, their storage reused. The one derivation behind
+// SimplifyTgd and the successor shapes of dynamic simplification.
+void SpecializeAtom(const Tgd& tgd, const RuleAtom& atom,
+                    const Specialization& f, Shape& shape,
+                    std::vector<VarId>& unique);
 
 // The simplification of one linear TGD induced by a specialization `f` of
 // its distinct body variables (Definition 3.5). `head_shapes`, if non-null,

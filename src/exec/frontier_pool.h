@@ -208,8 +208,11 @@ class FrontierPool {
   class Discoveries {
    public:
     // Admits `item` into the next frontier unless some expansion (this
-    // depth or any earlier one) already discovered it. Copies `item` only
-    // when it is admitted.
+    // depth or any earlier one) already discovered it. The const& form
+    // copies `item` only when it is admitted.
+    void Discover(Item&& item) {
+      if (seen_->Insert(item)) fresh_->push_back(std::move(item));
+    }
     void Discover(const Item& item) {
       if (seen_->Insert(item)) fresh_->push_back(item);
     }

@@ -5,33 +5,7 @@
 namespace chase {
 
 void SortUniqueEdges(std::vector<Edge>& edges) {
-  // LSD radix sort on the key (from, to, special): stable counting passes
-  // from the least significant digit up, skipping the high bytes no edge
-  // uses.
-  uint32_t max_from = 0;
-  uint32_t max_to = 0;
-  for (const Edge& edge : edges) {
-    max_from = std::max(max_from, edge.from);
-    max_to = std::max(max_to, edge.to);
-  }
-  std::vector<Edge> buffer(edges.size());
-  auto pass = [&](auto digit, size_t buckets) {
-    std::vector<size_t> start(buckets + 1, 0);
-    for (const Edge& edge : edges) ++start[digit(edge) + 1];
-    for (size_t b = 0; b < buckets; ++b) start[b + 1] += start[b];
-    for (const Edge& edge : edges) buffer[start[digit(edge)]++] = edge;
-    edges.swap(buffer);
-  };
-  pass([](const Edge& edge) -> uint32_t { return edge.special ? 1 : 0; }, 2);
-  for (uint32_t shift = 0; shift < 32 && (max_to >> shift) != 0; shift += 8) {
-    pass([shift](const Edge& edge) { return (edge.to >> shift) & 0xff; },
-         256);
-  }
-  for (uint32_t shift = 0; shift < 32 && (max_from >> shift) != 0;
-       shift += 8) {
-    pass([shift](const Edge& edge) { return (edge.from >> shift) & 0xff; },
-         256);
-  }
+  std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <span>
+#include <tuple>
 #include <vector>
 
 namespace chase {
@@ -20,11 +21,15 @@ struct Edge {
   friend bool operator==(const Edge& a, const Edge& b) {
     return a.from == b.from && a.to == b.to && a.special == b.special;
   }
+  friend bool operator<(const Edge& a, const Edge& b) {
+    return std::tie(a.from, a.to, a.special) <
+           std::tie(b.from, b.to, b.special);
+  }
 };
 
-// Sorts `edges` by (from, to, special) and drops exact duplicates. The one
-// dedup step wherever a dependency graph is built: parallel edges are
-// irrelevant for SCCs, and each distinct edge is counted once.
+// Sorts `edges` by (from, to, special) and drops exact duplicates:
+// BuildDependencyGraph's dedup step (parallel edges are irrelevant for
+// SCCs, and each distinct edge is counted once).
 void SortUniqueEdges(std::vector<Edge>& edges);
 
 // Target of an adjacency entry.

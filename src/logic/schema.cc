@@ -17,11 +17,12 @@ StatusOr<PredId> Schema::AddPredicate(std::string_view name, uint32_t arity) {
         std::to_string(arity) + " but the maximum supported arity is " +
         std::to_string(kMaxArity));
   }
-  if (names_.Find(name).has_value()) {
+  const size_t num_predicates = names_.size();
+  const PredId id = names_.Intern(name);
+  if (names_.size() == num_predicates) {
     return AlreadyExistsError("predicate '" + std::string(name) +
                               "' already declared");
   }
-  const PredId id = names_.Intern(name);
   arities_.push_back(arity);
   offsets_.push_back(total_positions_);
   total_positions_ += arity;

@@ -3,7 +3,7 @@
 namespace chase {
 
 uint32_t SymbolTable::Intern(std::string_view name) {
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it != index_.end()) return it->second;
   const auto id = static_cast<uint32_t>(names_.size());
   names_.emplace_back(name);
@@ -12,7 +12,7 @@ uint32_t SymbolTable::Intern(std::string_view name) {
 }
 
 std::optional<uint32_t> SymbolTable::Find(std::string_view name) const {
-  auto it = index_.find(std::string(name));
+  auto it = index_.find(name);
   if (it == index_.end()) return std::nullopt;
   return it->second;
 }

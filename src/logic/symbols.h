@@ -5,6 +5,7 @@
 #define CHASE_LOGIC_SYMBOLS_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -28,8 +29,17 @@ class SymbolTable {
   size_t size() const { return names_.size(); }
 
  private:
+  // Hashes std::string and std::string_view alike, so lookups by view
+  // build no temporary string.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, uint32_t> index_;
+  std::unordered_map<std::string, uint32_t, Hash, std::equal_to<>> index_;
 };
 
 }  // namespace chase

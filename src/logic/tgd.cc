@@ -4,7 +4,6 @@
 #include "logic/atom.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace chase {
 
@@ -24,37 +23,45 @@ StatusOr<Tgd> Tgd::Create(std::vector<RuleAtom> body,
   }
 
   // Renumber: body variables first (first-occurrence order), then head-only
-  // variables (first-occurrence order).
-  std::unordered_map<VarId, VarId> renumber;
-  auto visit = [&renumber](std::vector<RuleAtom>& atoms) {
+  // variables (first-occurrence order). A variable's new id is its index in
+  // `order`; rules have few variables, so a linear search beats hashing.
+  std::vector<VarId> order;
+  size_t num_args = 0;
+  for (const RuleAtom& atom : body) num_args += atom.args.size();
+  for (const RuleAtom& atom : head) num_args += atom.args.size();
+  order.reserve(num_args);
+  auto visit = [&order](std::vector<RuleAtom>& atoms) {
     for (RuleAtom& atom : atoms) {
       for (VarId& var : atom.args) {
-        auto [it, inserted] =
-            renumber.emplace(var, static_cast<VarId>(renumber.size()));
-        var = it->second;
-        (void)inserted;
+        auto it = std::find(order.begin(), order.end(), var);
+        if (it == order.end()) {
+          order.push_back(var);
+          it = order.end() - 1;
+        }
+        var = static_cast<VarId>(it - order.begin());
       }
     }
   };
   visit(body);
-  const auto num_universal = static_cast<uint32_t>(renumber.size());
+  const auto num_universal = static_cast<uint32_t>(order.size());
   visit(head);
-  const auto num_vars = static_cast<uint32_t>(renumber.size());
+  const auto num_vars = static_cast<uint32_t>(order.size());
 
   Tgd tgd;
   tgd.body_ = std::move(body);
   tgd.head_ = std::move(head);
   tgd.num_vars_ = num_vars;
   tgd.num_universal_ = num_universal;
-  tgd.in_frontier_.assign(num_vars, false);
+  tgd.frontier_.reserve(num_universal);
   for (const RuleAtom& atom : tgd.head_) {
     for (VarId var : atom.args) {
-      if (var < num_universal) tgd.in_frontier_[var] = true;
+      if (var < num_universal) tgd.frontier_.push_back(var);
     }
   }
-  for (VarId var = 0; var < num_universal; ++var) {
-    if (tgd.in_frontier_[var]) tgd.frontier_.push_back(var);
-  }
+  std::sort(tgd.frontier_.begin(), tgd.frontier_.end());
+  tgd.frontier_.erase(
+      std::unique(tgd.frontier_.begin(), tgd.frontier_.end()),
+      tgd.frontier_.end());
   return tgd;
 }
 

@@ -11,6 +11,7 @@
 #ifndef CHASE_LOGIC_TGD_H_
 #define CHASE_LOGIC_TGD_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -40,7 +41,9 @@ class Tgd {
   // fr(σ): universal variables occurring in the head, ascending.
   const std::vector<VarId>& frontier() const { return frontier_; }
   bool HasNonEmptyFrontier() const { return !frontier_.empty(); }
-  bool InFrontier(VarId var) const { return in_frontier_[var]; }
+  bool InFrontier(VarId var) const {
+    return std::binary_search(frontier_.begin(), frontier_.end(), var);
+  }
 
   // Class membership: L = one body atom; SL = additionally no repeated
   // variable in the body atom.
@@ -61,7 +64,6 @@ class Tgd {
   uint32_t num_vars_ = 0;
   uint32_t num_universal_ = 0;
   std::vector<VarId> frontier_;
-  std::vector<bool> in_frontier_;  // indexed by VarId, size num_vars_
 };
 
 // Convenience predicates over rule sets.

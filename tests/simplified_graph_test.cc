@@ -1,15 +1,13 @@
-// The shape-native t-graph against its oracle. ShapeGraphFromShapes builds
-// dg(simple_D(Σ)) straight from the shape closure; the oracle materializes
-// simple_D(Σ) with DynamicSimplificationFromShapes and runs
-// BuildDependencyGraph on it. For every linear generator family, several
-// seeds and threads {1, 2, 4, 8}, the two graphs must be bit-identical:
-// the same node count and node ids, the same edge list (both are sorted
-// and deduplicated), hence the same special edges and the same verdict.
-// Where simple(Σ) is small, the verdict must also match
-// IsChaseFiniteLStatic (Theorem 3.6). Hand-written rules cover the
-// position patterns a specialization can produce: a repeated existential,
-// a repeated frontier variable, a body shape that merges frontier
-// variables, and multi-atom heads.
+// dg(simple_D(Σ)), the graph IsChaseFiniteL decides on, checked three
+// ways for every linear generator family, several seeds and threads
+// {1, 2, 4, 8}: DynamicSimplificationFromShapes must emit the same TGDs at
+// every thread count; IsChaseFiniteL must report exactly the sizes and the
+// verdict of BuildDependencyGraph on that result; and where simple(Σ) is
+// small, the verdict must match IsChaseFiniteLStatic (Theorem 3.6).
+// Hand-written rules pin the exact edges for the position patterns a
+// specialization can produce: a repeated existential, a repeated frontier
+// variable, a body shape that merges frontier variables, and multi-atom
+// heads.
 //
 // Runs under ThreadSanitizer in CI (threads > 1 share the closure's
 // worker pool).
@@ -59,70 +57,90 @@ std::vector<Shape> ShapesOf(const Database& database) {
   return std::move(shapes).value();
 }
 
-struct OracleGraph {
+struct CheckedGraph {
   size_t edges = 0;
   bool finite = true;
 };
 
-// Compares the shape-native graph with the materialized oracle at every
-// thread count, and both verdicts with IsChaseFiniteL's stats and, where
-// simple(Σ) is small, with IsChaseFiniteLStatic. Returns the oracle's edge
-// count and verdict, so callers can check their cases are not vacuous.
-OracleGraph ExpectGraphMatchesOracle(const Database& database,
-                                     const std::vector<Tgd>& tgds,
-                                     const std::string& label) {
+// Runs the checks above on one program and returns the graph's edge count
+// and verdict, so callers can check their cases are not vacuous.
+CheckedGraph ExpectConsistentGraph(const Database& database,
+                                   const std::vector<Tgd>& tgds,
+                                   const std::string& label) {
   const Schema& schema = database.schema();
   const std::vector<Shape> shapes = ShapesOf(database);
   auto simplified = DynamicSimplificationFromShapes(schema, tgds, shapes, 1);
   EXPECT_TRUE(simplified.ok()) << label << ": " << simplified.status();
   if (!simplified.ok()) return {};
-  const DependencyGraph oracle =
-      BuildDependencyGraph(simplified->shape_schema->schema(),
-                           simplified->tgds);
-  const std::vector<Edge> oracle_edges = EdgesOf(oracle.graph());
-  const bool oracle_finite = FindSpecialSccs(oracle.graph()).empty();
+  const DependencyGraph graph = BuildDependencyGraph(
+      simplified->shape_schema->schema(), simplified->tgds);
+  const bool finite = FindSpecialSccs(graph.graph()).empty();
 
   for (unsigned threads : kThreadSweep) {
     const std::string where = label + ", threads " + std::to_string(threads);
-    auto native = ShapeGraphFromShapes(schema, tgds, shapes, threads);
-    EXPECT_TRUE(native.ok()) << where << ": " << native.status();
-    if (!native.ok()) continue;
-    EXPECT_EQ(native->graph.num_nodes(), oracle.num_nodes()) << where;
-    EXPECT_EQ(native->graph.num_nodes(),
-              simplified->shape_schema->schema().NumPositions())
+    auto parallel =
+        DynamicSimplificationFromShapes(schema, tgds, shapes, threads);
+    EXPECT_TRUE(parallel.ok()) << where << ": " << parallel.status();
+    if (!parallel.ok()) continue;
+    EXPECT_EQ(parallel->tgds, simplified->tgds) << where;
+    EXPECT_EQ(parallel->shape_schema->NumShapes(),
+              simplified->shape_schema->NumShapes())
         << where;
-    EXPECT_EQ(EdgesOf(native->graph), oracle_edges) << where;
-    EXPECT_EQ(native->graph.num_special_edges(), oracle.num_special_edges())
+    EXPECT_EQ(parallel->num_derived_shapes, simplified->num_derived_shapes)
         << where;
-    EXPECT_EQ(FindSpecialSccs(native->graph).empty(), oracle_finite) << where;
-    EXPECT_EQ(native->num_matches, simplified->tgds.size()) << where;
-    EXPECT_EQ(native->num_initial_shapes, simplified->num_initial_shapes)
-        << where;
-    EXPECT_EQ(native->num_derived_shapes, simplified->num_derived_shapes)
-        << where;
-  }
 
-  // The check reports the materialized graph's sizes.
-  LCheckStats stats;
-  auto finite = IsChaseFiniteL(database, tgds, {}, &stats);
-  EXPECT_TRUE(finite.ok()) << label << ": " << finite.status();
-  if (finite.ok()) {
-    EXPECT_EQ(*finite, oracle_finite) << label;
+    LCheckOptions options;
+    options.simplify_threads = threads;
+    LCheckStats stats;
+    auto verdict = IsChaseFiniteL(database, tgds, options, &stats);
+    EXPECT_TRUE(verdict.ok()) << where << ": " << verdict.status();
+    if (verdict.ok()) {
+      EXPECT_EQ(*verdict, finite) << where;
+    }
+    EXPECT_EQ(stats.graph_nodes, graph.num_nodes()) << where;
+    EXPECT_EQ(stats.graph_edges, graph.num_edges()) << where;
+    EXPECT_EQ(stats.num_simplified_tgds, simplified->tgds.size()) << where;
+    EXPECT_EQ(stats.num_initial_shapes, simplified->num_initial_shapes)
+        << where;
+    EXPECT_EQ(stats.num_derived_shapes, simplified->num_derived_shapes)
+        << where;
   }
-  EXPECT_EQ(stats.graph_nodes, oracle.num_nodes()) << label;
-  EXPECT_EQ(stats.graph_edges, oracle.num_edges()) << label;
-  EXPECT_EQ(stats.num_simplified_tgds, simplified->tgds.size()) << label;
-  EXPECT_EQ(stats.num_derived_shapes, simplified->num_derived_shapes)
-      << label;
 
   if (StaticSimplificationSize(tgds) <= kStaticLimit) {
     auto reference = IsChaseFiniteLStatic(database, tgds, kStaticLimit);
     EXPECT_TRUE(reference.ok()) << label << ": " << reference.status();
     if (reference.ok()) {
-      EXPECT_EQ(*reference, oracle_finite) << label;
+      EXPECT_EQ(*reference, finite) << label;
     }
   }
-  return {oracle_edges.size(), oracle_finite};
+  return {graph.num_edges(), finite};
+}
+
+// dg(simple_D(Σ))'s edges as "pred[i] -> pred[j]", with " *" marking a
+// special edge, in the graph's (from, to, special) order.
+std::vector<std::string> NamedEdges(const Database& database,
+                                    const std::vector<Tgd>& tgds) {
+  auto simplified = DynamicSimplificationFromShapes(
+      database.schema(), tgds, ShapesOf(database));
+  EXPECT_TRUE(simplified.ok()) << simplified.status();
+  if (!simplified.ok()) return {};
+  const Schema& schema = simplified->shape_schema->schema();
+  const DependencyGraph graph = BuildDependencyGraph(schema, simplified->tgds);
+  auto name = [&](uint32_t node) {
+    PredId pred = 0;
+    while (pred + 1 < schema.NumPredicates() &&
+           schema.PositionId(pred + 1, 0) <= node) {
+      ++pred;
+    }
+    return schema.PredicateName(pred) + "[" +
+           std::to_string(node - schema.PositionId(pred, 0)) + "]";
+  };
+  std::vector<std::string> edges;
+  for (const Edge& edge : EdgesOf(graph.graph())) {
+    edges.push_back(name(edge.from) + " -> " + name(edge.to) +
+                    (edge.special ? " *" : ""));
+  }
+  return edges;
 }
 
 Program MustParse(const std::string& text) {
@@ -131,7 +149,7 @@ Program MustParse(const std::string& text) {
   return std::move(program).value();
 }
 
-TEST(ShapeGraphTest, GeneratorFamiliesMatchMaterializedGraph) {
+TEST(SimplifiedGraphTest, GeneratorFamilies) {
   Rng rng(20261018);
   size_t finite = 0;
   size_t infinite = 0;
@@ -159,12 +177,12 @@ TEST(ShapeGraphTest, GeneratorFamiliesMatchMaterializedGraph) {
       auto tgds = GenerateTgds(*data->schema, tgd_params);
       ASSERT_TRUE(tgds.ok()) << tgds.status();
 
-      const OracleGraph oracle = ExpectGraphMatchesOracle(
+      const CheckedGraph checked = ExpectConsistentGraph(
           *data->database, *tgds,
           std::string(TgdClassName(tclass)) + " trial " +
               std::to_string(trial));
-      EXPECT_GT(oracle.edges, 0u);
-      ++(oracle.finite ? finite : infinite);
+      EXPECT_GT(checked.edges, 0u);
+      ++(checked.finite ? finite : infinite);
     }
   }
   // Both verdicts occur, so the sweep is not vacuous either way.
@@ -222,78 +240,77 @@ std::string RandomMultiHeadProgram(Rng& rng) {
   return text;
 }
 
-TEST(ShapeGraphTest, RandomMultiHeadProgramsMatchMaterializedGraph) {
+TEST(SimplifiedGraphTest, RandomMultiHeadPrograms) {
   Rng rng(91);
   size_t finite = 0;
   size_t infinite = 0;
   for (int trial = 0; trial < 40; ++trial) {
     const std::string text = RandomMultiHeadProgram(rng);
     Program program = MustParse(text);
-    const OracleGraph oracle = ExpectGraphMatchesOracle(
+    const CheckedGraph checked = ExpectConsistentGraph(
         *program.database, program.tgds,
         "multi-head trial " + std::to_string(trial) + ":\n" + text);
-    ++(oracle.finite ? finite : infinite);
+    ++(checked.finite ? finite : infinite);
   }
   EXPECT_GT(finite, 0u);
   EXPECT_GT(infinite, 0u);
 }
 
-TEST(ShapeGraphTest, RepeatedExistentialInHead) {
-  // R(x,y) → ∃z S(x,z,z): S_[1,2,2] has two positions; z's gets a special
-  // edge from x's.
+TEST(SimplifiedGraphTest, RepeatedExistentialInHead) {
+  // R(x,y) → ∃z S(x,z,z): S_[1,2,2] has two positions, and z's gets a
+  // special edge from x's.
   Program p = MustParse("r(a,b).\nr(X,Y) -> s(X,Z,Z).");
-  EXPECT_GT(
-      ExpectGraphMatchesOracle(*p.database, p.tgds, "repeated z").edges, 0u);
+  ExpectConsistentGraph(*p.database, p.tgds, "repeated z");
+  EXPECT_EQ(NamedEdges(*p.database, p.tgds),
+            (std::vector<std::string>{"r_[1,2][0] -> s_[1,2,2][0]",
+                                      "r_[1,2][0] -> s_[1,2,2][1] *"}));
 }
 
-TEST(ShapeGraphTest, RepeatedFrontierVariableInHead) {
+TEST(SimplifiedGraphTest, RepeatedFrontierVariableInHead) {
   // R(x,y) → S(y,x,y): the head shape S_[1,2,1] collapses y's positions.
+  // On the shape R_[1,1], x and y merge and S_[1,1,1] has one position.
   Program p = MustParse("r(a,b). r(c,c).\nr(X,Y) -> s(Y,X,Y).");
-  EXPECT_GT(
-      ExpectGraphMatchesOracle(*p.database, p.tgds, "repeated y").edges, 0u);
+  ExpectConsistentGraph(*p.database, p.tgds, "repeated y");
+  EXPECT_EQ(NamedEdges(*p.database, p.tgds),
+            (std::vector<std::string>{"r_[1,1][0] -> s_[1,1,1][0]",
+                                      "r_[1,2][0] -> s_[1,2,1][1]",
+                                      "r_[1,2][1] -> s_[1,2,1][0]"}));
 }
 
-TEST(ShapeGraphTest, RepeatedBodyVariable) {
+TEST(SimplifiedGraphTest, RepeatedBodyVariable) {
   // R(x,x,y) → ∃z S(y,z): only the shapes R_[1,1,2] and R_[1,1,1] match.
   Program p = MustParse(
       "r(a,a,b). r(a,a,a). r(a,b,c).\nr(X,X,Y) -> s(Y,Z).\ns(X,Y) -> "
       "r(X,X,Y).");
-  EXPECT_GT(
-      ExpectGraphMatchesOracle(*p.database, p.tgds, "r(x,x,y)").edges, 0u);
+  EXPECT_GT(ExpectConsistentGraph(*p.database, p.tgds, "r(x,x,y)").edges,
+            0u);
 }
 
-TEST(ShapeGraphTest, BodyShapeMergesFrontierVariables) {
+TEST(SimplifiedGraphTest, BodyShapeMergesFrontierVariables) {
   // The database shape R_[1,1,2] merges the frontier variables x and y:
-  // their two head positions become one position of T_[1,1,2].
-  Program p = MustParse(
-      "r(a,a,b).\nr(X,Y,W) -> t(X,Y,Z).\nt(X,Y,Z) -> r(Y,X,Z).");
-  EXPECT_GT(
-      ExpectGraphMatchesOracle(*p.database, p.tgds, "merged x,y").edges, 0u);
+  // their two head positions become the one first position of T_[1,1,2].
+  Program p = MustParse("r(a,a,b).\nr(X,Y,W) -> t(X,Y,Z).");
+  ExpectConsistentGraph(*p.database, p.tgds, "merged x,y");
+  EXPECT_EQ(NamedEdges(*p.database, p.tgds),
+            (std::vector<std::string>{"r_[1,1,2][0] -> t_[1,1,2][0]",
+                                      "r_[1,1,2][0] -> t_[1,1,2][1] *"}));
 }
 
-TEST(ShapeGraphTest, MultiAtomHead) {
+TEST(SimplifiedGraphTest, MultiAtomHead) {
   Program p = MustParse(
       "r(a,b). r(c,c).\nr(X,Y) -> s(X,Z), t(Z,Y,Y), s(Y,X).\n"
       "t(X,Y,Z) -> r(Z,X).");
-  EXPECT_GT(
-      ExpectGraphMatchesOracle(*p.database, p.tgds, "multi-head").edges, 0u);
+  EXPECT_GT(ExpectConsistentGraph(*p.database, p.tgds, "multi-head").edges,
+            0u);
 }
 
-TEST(ShapeGraphTest, ShapesWithoutMatchesGetNoNodes) {
-  // q's shape matches no rule, so neither graph numbers its position.
+TEST(SimplifiedGraphTest, ShapesWithoutMatchesGetNoNodes) {
+  // q's shape matches no rule, so the graph numbers no position of it.
   Program p = MustParse("q(a). r(a,b).\nr(X,Y) -> r(Y,Z).");
-  ExpectGraphMatchesOracle(*p.database, p.tgds, "unmatched shape");
-  auto native = ShapeGraphFromShapes(p.database->schema(), p.tgds,
-                                     ShapesOf(*p.database));
-  ASSERT_TRUE(native.ok()) << native.status();
-  EXPECT_EQ(native->graph.num_nodes(), 2u);
-}
-
-TEST(ShapeGraphTest, RejectsNonLinearRules) {
-  Program p = MustParse("r(a,b).\nr(X,Y), r(Y,W) -> r(X,W).");
-  EXPECT_FALSE(ShapeGraphFromShapes(p.database->schema(), p.tgds,
-                                    ShapesOf(*p.database))
-                   .ok());
+  ExpectConsistentGraph(*p.database, p.tgds, "unmatched shape");
+  LCheckStats stats;
+  ASSERT_TRUE(IsChaseFiniteL(*p.database, p.tgds, {}, &stats).ok());
+  EXPECT_EQ(stats.graph_nodes, 2u);
 }
 
 }  // namespace
