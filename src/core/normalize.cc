@@ -1,6 +1,5 @@
 #include "core/normalize.h"
 
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -97,26 +96,26 @@ StatusOr<NormalizeResult> NormalizeFrontiers(const Database& database,
   for (const Tgd& tgd : tgds) {
     rules_by_pred[tgd.body()[0].pred].push_back(&tgd);
   }
+  // The derived set doubles as the worklist: shapes are admitted at
+  // ascending indices, so a cursor over them visits each once, FIFO.
   ShapeSet derived;
-  std::queue<Shape> worklist;
-  auto discover = [&](Shape shape) {
-    if (derived.insert(shape).second) worklist.push(shape);
-  };
   for (PredId pred : database.NonEmptyPredicates()) {
     const uint32_t arity = schema.Arity(pred);
     const auto tuples = database.Tuples(pred);
+    IdBuffer id;  // only the prefix the tuple fills is read
     for (size_t row = 0; row * arity < tuples.size(); ++row) {
-      discover(ShapeOfTuple(pred, tuples.subspan(row * arity, arity)));
+      derived.Insert(
+          ShapeViewOfTuple(pred, tuples.subspan(row * arity, arity), id));
     }
   }
-  while (!worklist.empty()) {
-    const Shape shape = std::move(worklist.front());
-    worklist.pop();
+  for (uint32_t next = 0; next < derived.size(); ++next) {
+    // A copy: inserting below may move the set's items.
+    const Shape shape = derived[next];
     for (const Tgd* tgd : rules_by_pred[shape.pred]) {
       const RuleAtom& body = tgd->body()[0];
       if (!CompatibleWithShape(body, shape.id)) continue;
       for (const RuleAtom& head : tgd->head()) {
-        discover(HeadShape(*tgd, body, shape.id, head));
+        derived.Insert(HeadShape(*tgd, body, shape.id, head));
       }
     }
   }
@@ -130,7 +129,7 @@ StatusOr<NormalizeResult> NormalizeFrontiers(const Database& database,
     for (const IdTuple& id : EnumerateIdTuples(
              static_cast<uint32_t>(body.args.size()))) {
       if (CompatibleWithShape(body, id) &&
-          derived.count(Shape(body.pred, id)) > 0) {
+          derived.Contains(ShapeView(body.pred, id))) {
         applicable = true;
         break;
       }

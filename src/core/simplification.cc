@@ -12,15 +12,17 @@
 
 namespace chase {
 
-PredId ShapeSchema::Intern(const Shape& shape) {
-  auto [it, fresh] = index_.try_emplace(shape, 0);
-  if (!fresh) return it->second;
-  // Names are unique by construction (one per shape), so this cannot fail.
-  it->second =
-      schema_.AddPredicate(ShapeName(*base_, shape), shape.NumDistinct())
-          .value();
-  shapes_.push_back(shape);
-  return it->second;
+PredId ShapeSchema::Intern(ShapeView shape) {
+  const auto [pred, fresh] = shapes_.Insert(shape);
+  if (fresh) {
+    // Names are unique by construction (one per shape), so this cannot
+    // fail, and every predicate of schema_ is added here, in shape order:
+    // the new predicate's id is the shape's index.
+    const Shape& added = shapes_[pred];
+    (void)schema_.AddPredicate(ShapeName(*base_, added), added.NumDistinct())
+        .value();
+  }
+  return pred;
 }
 
 namespace {
@@ -120,8 +122,9 @@ std::unique_ptr<Database> SimplifyDatabase(const Database& database,
     const size_t rows = database.NumTuples(pred);
     for (size_t row = 0; row < rows; ++row) {
       auto tuple = database.Tuple(pred, row);
-      Shape shape = ShapeOfTuple(pred, tuple);
-      const PredId simplified_pred = shape_schema.Intern(shape);
+      IdBuffer id;  // only the prefix the tuple fills is read
+      const PredId simplified_pred =
+          shape_schema.Intern(ShapeViewOfTuple(pred, tuple, id));
       std::vector<uint32_t> unique =
           UniqueOf(std::span<const uint32_t>(tuple));
       buffer.clear();

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -40,7 +39,8 @@ class ShapeSchema {
   const Schema& schema() const { return schema_; }
 
   // Returns the simplified predicate for `shape`, interning it on first use.
-  PredId Intern(const Shape& shape);
+  // A Shape converts to its view; a hit copies nothing.
+  PredId Intern(ShapeView shape);
 
   // The shape a simplified predicate came from.
   const Shape& ShapeOf(PredId simplified_pred) const {
@@ -52,8 +52,8 @@ class ShapeSchema {
  private:
   const Schema* base_;
   Schema schema_;
-  std::vector<Shape> shapes_;  // indexed by simplified PredId
-  std::unordered_map<Shape, PredId, ShapeHash> index_;
+  // The interned shapes; a shape's item index is its simplified PredId.
+  ShapeSet shapes_;
 };
 
 // The base-schema shape of rule atom `atom` of the linear `tgd` under the

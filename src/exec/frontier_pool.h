@@ -198,8 +198,7 @@ template <typename Item, typename Out, typename Hash = std::hash<Item>>
 class FrontierPool {
  public:
   struct Options {
-    unsigned threads = 1;       // <= 1 expands inline: no workers, no latching
-    unsigned seen_stripes = 0;  // 0 = auto (scales with the thread count)
+    unsigned threads = 1;  // <= 1 expands inline: no workers, no latching
   };
 
   // Successor sink handed to each expansion. Thread-confined: a worker only
@@ -285,14 +284,12 @@ class FrontierPool {
     // depth below reuses them through the barrier.
     WorkerPool pool(options_.threads);
     const unsigned threads = pool.threads();
-    // Stripe counts are rounded up to a power of two: the stripe pick masks
-    // the mixed hash with (stripes - 1). A serial run keeps one unlatched
-    // stripe — no mutex on the hot Discover path.
+    // The stripe count follows from the thread count and is a power of
+    // two: the stripe pick masks the mixed hash with (stripes - 1). A
+    // serial run keeps one unlatched stripe — no mutex on the hot Discover
+    // path.
     typename Discoveries::SeenSet seen(
-        threads == 1 ? 1
-                     : std::bit_ceil(options_.seen_stripes != 0
-                                         ? options_.seen_stripes
-                                         : std::max(16u, 4 * threads)),
+        threads == 1 ? 1 : std::bit_ceil(std::max(16u, 4 * threads)),
         /*latched=*/threads > 1);
 
     FrontierStats local_stats;
@@ -464,6 +461,9 @@ class FrontierPool<Item, Out, Hash>::Discoveries::SeenSet {
  private:
   struct Stripe {
     SharedMutex mu;
+    // Node-based on purpose: with the stripes on FlatSet, the spine's
+    // bigdb peak RSS rose about 10%, past the benchmark's bound (allocator
+    // fragmentation across its repeated program loads; see ROADMAP.md).
     std::unordered_set<Item, Hash> set GUARDED_BY(mu);
   };
 

@@ -109,6 +109,9 @@ class ShapeIndex {
   [[nodiscard]] static StatusOr<ShapeIndex> Load(const std::string& path);
 
  private:
+  // chase-lint: allow(node-shape-container) Remove erases a shape whose
+  // count drops to zero, which a FlatSet cannot; the index is maintained
+  // per update and built once, off the check's scan path.
   using CountMap = std::unordered_map<Shape, uint64_t, ShapeHash>;
 
   // Behind a unique_ptr so the index stays movable despite its latch.

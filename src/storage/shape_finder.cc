@@ -17,16 +17,27 @@ namespace storage {
 namespace {
 
 std::vector<Shape> Sorted(ShapeSet shapes) {
-  std::vector<Shape> out(std::make_move_iterator(shapes.begin()),
-                         std::make_move_iterator(shapes.end()));
+  std::vector<Shape> out = shapes.TakeItems();
   std::sort(out.begin(), out.end());
   return out;
+}
+
+// The union of the worker-local sets, built in the first one.
+ShapeSet Merged(std::vector<ShapeSet>& local) {
+  ShapeSet merged = std::move(local[0]);
+  for (size_t t = 1; t < local.size(); ++t) {
+    for (Shape& shape : local[t].TakeItems()) merged.Insert(std::move(shape));
+  }
+  return merged;
 }
 
 // ---------------------------------------------------------------------------
 // Scan plan: full strided scans, hashing every tuple's id-tuple. The scan
 // driver (chunking, worker pool, metering) is ParallelTupleScan in the
-// ShapeSource layer, shared with the shape-index build.
+// ShapeSource layer, shared with the shape-index build. Each tuple's
+// id-tuple is written into a stack buffer and probed as a ShapeView, so a
+// tuple whose shape is already known costs no allocation; a Shape is built
+// only the first time a worker meets it.
 
 Status ScanShapes(const ShapeSource& source,
                   const std::vector<PredId>& preds, unsigned threads,
@@ -35,9 +46,10 @@ Status ScanShapes(const ShapeSource& source,
   CHASE_RETURN_IF_ERROR(ParallelTupleScan(
       source, preds, threads,
       [&](unsigned t, PredId pred, std::span<const uint32_t> tuple) {
-        local[t].insert(ShapeOfTuple(pred, tuple));
+        IdBuffer id;  // only the prefix the tuple fills is read
+        local[t].Insert(ShapeViewOfTuple(pred, tuple, id));
       }));
-  for (unsigned t = 0; t < threads; ++t) shapes->merge(local[t]);
+  *shapes = Merged(local);
   return OkStatus();
 }
 
@@ -60,7 +72,7 @@ Status WalkShapesForPred(const ShapeSource& source, PredId pred,
       source.schema().Arity(pred),
       [&](const IdTuple& id) { return probe(id, /*exact=*/false); },
       [&](const IdTuple& id) { return probe(id, /*exact=*/true); },
-      [&](const IdTuple& id) { shapes->insert(Shape(pred, id)); });
+      [&](const IdTuple& id) { shapes->Insert(Shape(pred, id)); });
   return failure;
 }
 
@@ -115,13 +127,13 @@ Status WalkShapesFrontier(const ShapeSource& source,
       [&](unsigned worker, std::span<const Shape> frontier,
           std::span<Probe> outs) -> Status {
         for (size_t i = 0; i < frontier.size(); ++i) {
-          if (outs[i].present) local_shapes[worker].insert(frontier[i]);
+          if (outs[i].present) local_shapes[worker].Insert(frontier[i]);
         }
         return OkStatus();
       },
       frontier_stats);
+  *shapes = Merged(local_shapes);
   for (unsigned t = 0; t < threads; ++t) {
-    shapes->merge(local_shapes[t]);
     source.stats().MergeFrom(local_stats[t]);
   }
   return status;

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
+#include <vector>
 
+#include "base/flat_set.h"
 #include "base/rng.h"
 #include "base/status.h"
 #include "base/table_printer.h"
 #include "base/timer.h"
+#include "logic/shape.h"
 #include "obs/metrics.h"
 
 namespace chase {
@@ -200,6 +205,131 @@ TEST(TablePrinterTest, JsonOutput) {
             "  {\"name\": 7, \"n\": \"1e999\", \"ms\": \"nan\", "
             "\"ratio\": \"\", \"na\": 18446744073709551615}\n"
             "]\n");
+}
+
+TEST(FlatSetTest, IndicesAreDenseInInsertionOrder) {
+  FlatSet<uint64_t> set;
+  EXPECT_EQ(set.Find(uint64_t{7}), FlatSet<uint64_t>::kNotFound);
+  const uint64_t values[] = {100, 7, 42, 0, 99};
+  for (uint32_t i = 0; i < 5; ++i) {
+    const auto [index, fresh] = set.Insert(values[i]);
+    EXPECT_EQ(index, i);
+    EXPECT_TRUE(fresh);
+  }
+  for (uint32_t i = 0; i < 5; ++i) EXPECT_EQ(set[i], values[i]);
+  EXPECT_EQ(set.TakeItems(), std::vector<uint64_t>(values, values + 5));
+}
+
+TEST(FlatSetTest, DuplicateInsertReturnsTheExistingIndex) {
+  FlatSet<uint64_t> set;
+  set.Insert(uint64_t{3});
+  set.Insert(uint64_t{5});
+  const auto [index, fresh] = set.Insert(uint64_t{3});
+  EXPECT_EQ(index, 0u);
+  EXPECT_FALSE(fresh);
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_EQ(set.Find(uint64_t{5}), 1u);
+  EXPECT_FALSE(set.Contains(uint64_t{4}));
+  EXPECT_EQ(set.TakeItems(), (std::vector<uint64_t>{3, 5}));
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_FALSE(set.Contains(uint64_t{3}));
+  EXPECT_EQ(set.Insert(uint64_t{5}), (std::pair<uint32_t, bool>{0, true}));
+}
+
+// An item that counts how often it is built from a ShapeView.
+struct CountedShape {
+  static inline int constructions = 0;
+  Shape shape;
+  explicit CountedShape(ShapeView view) : shape(view) { ++constructions; }
+  friend bool operator==(const CountedShape& item, ShapeView view) {
+    return ShapeView(item.shape) == view;
+  }
+};
+struct CountedShapeHash {
+  size_t operator()(ShapeView view) const { return ShapeHash{}(view); }
+  size_t operator()(const CountedShape& item) const {
+    return ShapeHash{}(item.shape);
+  }
+};
+
+TEST(FlatSetTest, AHitThroughAViewConstructsNoItem) {
+  FlatSet<CountedShape, CountedShapeHash> set;
+  CountedShape::constructions = 0;
+  const uint8_t first[] = {1, 2, 1};
+  const uint8_t second[] = {1, 1, 2};
+  EXPECT_TRUE(set.Insert(ShapeView(3, first)).second);
+  EXPECT_TRUE(set.Insert(ShapeView(3, second)).second);
+  EXPECT_TRUE(set.Insert(ShapeView(4, first)).second);
+  EXPECT_EQ(CountedShape::constructions, 3);
+  // Equal views over other storage hit without building an item.
+  uint8_t buffer[] = {1, 2, 1};
+  for (int i = 0; i < 100; ++i) {
+    const auto [index, fresh] = set.Insert(ShapeView(3, buffer));
+    EXPECT_EQ(index, 0u);
+    EXPECT_FALSE(fresh);
+    EXPECT_EQ(set.Find(ShapeView(4, buffer)), 2u);
+  }
+  EXPECT_EQ(CountedShape::constructions, 3);
+  EXPECT_EQ(set[1].shape, Shape(3, {1, 1, 2}));
+}
+
+// Every key lands in one probe run.
+struct ConstantHash {
+  size_t operator()(uint64_t) const { return 0x5eed; }
+};
+
+TEST(FlatSetTest, SurvivesGrowthAndTotalCollision) {
+  // 2000 items from the 16-slot start is seven doublings.
+  FlatSet<uint64_t> spread;
+  FlatSet<uint64_t, ConstantHash> colliding;
+  for (uint64_t v = 0; v < 2000; ++v) {
+    const uint64_t key = v * 7919;
+    EXPECT_EQ(spread.Insert(key), (std::pair<uint32_t, bool>{v, true}));
+    EXPECT_EQ(colliding.Insert(key), (std::pair<uint32_t, bool>{v, true}));
+  }
+  for (uint64_t v = 0; v < 2000; ++v) {
+    const uint64_t key = v * 7919;
+    ASSERT_EQ(spread.Find(key), v);
+    ASSERT_EQ(colliding.Find(key), v);
+    ASSERT_FALSE(spread.Contains(key + 1));
+    ASSERT_FALSE(colliding.Contains(key + 1));
+    ASSERT_FALSE(colliding.Insert(key).second);
+  }
+  EXPECT_EQ(spread.size(), 2000u);
+  EXPECT_EQ(colliding.size(), 2000u);
+}
+
+TEST(FlatSetTest, RandomShapesMatchAStdSet) {
+  Rng rng(20261018);
+  ShapeSet flat;
+  std::set<Shape> reference;
+  std::vector<Shape> admitted;  // insertion order of first occurrences
+  IdBuffer buffer;
+  for (int i = 0; i < 100000; ++i) {
+    const auto pred = static_cast<PredId>(rng.Below(8));
+    const auto arity = static_cast<size_t>(rng.Range(1, 9));
+    uint8_t max_id = 0;
+    for (size_t p = 0; p < arity; ++p) {
+      buffer[p] = static_cast<uint8_t>(1 + rng.Below(max_id + 1));
+      max_id = std::max(max_id, buffer[p]);
+    }
+    const ShapeView view(pred, std::span<const uint8_t>(buffer.data(), arity));
+    const bool fresh = reference.insert(Shape(view)).second;
+    const auto [index, inserted] = flat.Insert(view);
+    ASSERT_EQ(inserted, fresh);
+    if (fresh) {
+      ASSERT_EQ(index, admitted.size());
+      admitted.emplace_back(view);
+    }
+    ASSERT_EQ(flat[index], Shape(view));
+  }
+  for (const Shape& shape : reference) {
+    ASSERT_TRUE(flat.Contains(ShapeView(shape)));
+  }
+  std::vector<Shape> sorted = flat.TakeItems();
+  EXPECT_EQ(sorted, admitted);
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, std::vector<Shape>(reference.begin(), reference.end()));
 }
 
 }  // namespace

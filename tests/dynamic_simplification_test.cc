@@ -210,6 +210,71 @@ TEST(DynamicSimplificationTest, CanonicalTgdOrder) {
   }
 }
 
+TEST(DynamicSimplificationTest, InterningRoundTripsAtHighArity) {
+  // An arity-40 rule: every interned shape must come back from ShapeOf
+  // unchanged, re-intern (as a Shape or through a view over other storage)
+  // to the same predicate, and name a predicate of its distinct-block
+  // arity.
+  constexpr int kArity = 40;
+  std::string vars;
+  std::string reversed;
+  std::string distinct;
+  std::string equal;
+  std::string alternating;
+  for (int i = 0; i < kArity; ++i) {
+    const std::string sep = i == 0 ? "" : ",";
+    vars += sep + "X" + std::to_string(i);
+    reversed += sep + "X" + std::to_string(kArity - 1 - i);
+    distinct += sep + "c" + std::to_string(i);
+    equal += sep + "a";
+    alternating += sep + (i % 2 == 0 ? "a" : "b");
+  }
+  Program p = MustParse("r(" + distinct + "). r(" + equal + "). r(" +
+                        alternating + ").\nr(" + vars + ") -> s(" +
+                        reversed + ",Z).");
+
+  // The expected shapes: id(t̄) of each fact, and of its reversed image
+  // followed by one fresh null.
+  const PredId r = p.schema->FindPredicate("r").value();
+  const PredId s = p.schema->FindPredicate("s").value();
+  std::set<Shape> expected;
+  for (size_t row = 0; row < p.database->NumTuples(r); ++row) {
+    const auto tuple = p.database->Tuple(r, row);
+    expected.insert(Shape(r, IdOf(tuple)));
+    std::vector<uint32_t> head(tuple.rbegin(), tuple.rend());
+    head.push_back(UINT32_MAX);
+    expected.insert(Shape(s, IdOf(std::span<const uint32_t>(head))));
+  }
+  ASSERT_EQ(expected.size(), 6u);
+
+  for (unsigned threads : {1u, 4u}) {
+    auto dynamic = SimplifyWith(*p.database, p.tgds,
+                                storage::ShapeFinderMode::kScan, threads);
+    ASSERT_TRUE(dynamic.ok()) << dynamic.status();
+    ShapeSchema& shapes = *dynamic->shape_schema;
+    ASSERT_EQ(shapes.NumShapes(), expected.size());
+    ASSERT_EQ(shapes.schema().NumPredicates(), expected.size());
+    std::set<Shape> interned;
+    for (PredId pred = 0; pred < shapes.NumShapes(); ++pred) {
+      const Shape shape = shapes.ShapeOf(pred);
+      interned.insert(shape);
+      EXPECT_EQ(shapes.Intern(shape), pred);
+      const IdTuple copy = shape.id;
+      EXPECT_EQ(shapes.Intern(ShapeView(shape.pred, copy)), pred);
+      EXPECT_EQ(shapes.schema().Arity(pred), shape.NumDistinct());
+      EXPECT_EQ(shapes.schema().PredicateName(pred),
+                ShapeName(*p.schema, shape));
+    }
+    EXPECT_EQ(shapes.NumShapes(), expected.size());  // nothing re-added
+    EXPECT_EQ(interned, expected) << "threads " << threads;
+    ASSERT_EQ(dynamic->tgds.size(), 3u);
+    for (const Tgd& tgd : dynamic->tgds) {
+      EXPECT_EQ(shapes.ShapeOf(tgd.body()[0].pred).pred, r);
+      EXPECT_EQ(shapes.ShapeOf(tgd.head()[0].pred).pred, s);
+    }
+  }
+}
+
 TEST(DynamicSimplificationTest, OutputIsAlwaysSimpleLinear) {
   Program p = MustParse(R"(
     r(a,a,b).

@@ -2,9 +2,9 @@
 // ThreadSanitizer (the CHASE_TSAN CI job builds and runs it): the striped
 // seen-set, the per-worker discovery lists, the per-item output slots, and
 // the depth barrier are all exercised with more workers than cores and
-// deliberately few stripes, on the three adversarial lattice profiles the
-// engine exists for — a wide shallow frontier, a narrow deep one, and one
-// giant predicate whose lattice must spread across the pool.
+// duplicate-heavy discovery streams, on the three adversarial lattice
+// profiles the engine exists for — a wide shallow frontier, a narrow deep
+// one, and one giant predicate whose lattice must spread across the pool.
 
 #include <gtest/gtest.h>
 
@@ -40,11 +40,10 @@ struct TreeRun {
   FrontierStats stats;
 };
 
-TreeRun RunTree(unsigned threads, unsigned stripes, uint64_t leaf_floor,
+TreeRun RunTree(unsigned threads, uint64_t leaf_floor,
                 std::vector<uint64_t> seeds) {
   TreeRun run;
-  FrontierPool<uint64_t, uint64_t> pool(
-      {.threads = threads, .seen_stripes = stripes});
+  FrontierPool<uint64_t, uint64_t> pool({.threads = threads});
   using Pool = FrontierPool<uint64_t, uint64_t>;
   Status status = pool.Run(
       std::move(seeds),
@@ -72,10 +71,9 @@ TreeRun RunTree(unsigned threads, unsigned stripes, uint64_t leaf_floor,
 }
 
 TEST(FrontierPoolTest, ParallelTreeWalkMatchesSerial) {
-  const TreeRun serial = RunTree(1, 0, 1 << 12, {0});
+  const TreeRun serial = RunTree(1, 1 << 12, {0});
   for (unsigned threads : {2u, 4u, 8u, 16u}) {
-    // Two stripes force heavy seen-set contention under TSan.
-    const TreeRun parallel = RunTree(threads, 2, 1 << 12, {0});
+    const TreeRun parallel = RunTree(threads, 1 << 12, {0});
     EXPECT_EQ(parallel.absorbed, serial.absorbed) << threads << " threads";
     EXPECT_EQ(parallel.depth_sizes, serial.depth_sizes);
     EXPECT_EQ(parallel.stats.depths, serial.stats.depths);
@@ -96,7 +94,7 @@ TEST(FrontierPoolTest, DuplicateDiscoveriesAdmitExactlyOnce) {
   for (unsigned threads : {1u, 8u}) {
     std::vector<uint64_t> seeds(64);
     std::iota(seeds.begin(), seeds.end(), uint64_t{1000});
-    Pool pool({.threads = threads, .seen_stripes = 2});
+    Pool pool({.threads = threads});
     std::atomic<uint64_t> expansions{0};
     FrontierStats stats;
     Status status = pool.Run(
@@ -192,7 +190,7 @@ TEST(FrontierPoolTest, BarrierReuseOverThousandsOfShallowDepths) {
   constexpr uint64_t kDepths = 3000;
   for (unsigned threads : {2u, 8u}) {
     using Pool = FrontierPool<uint64_t, uint64_t>;
-    Pool pool({.threads = threads, .seen_stripes = 2});
+    Pool pool({.threads = threads});
     std::vector<uint64_t> absorbed;
     FrontierStats stats;
     Status status = pool.Run(
@@ -233,12 +231,12 @@ TEST(FrontierPoolTest, ParallelAbsorbMatchesSerialAbsorb) {
   // serial-absorb reference at every thread count (the per-chunk splits
   // are deterministic, the call order is not; the accumulation is
   // commutative, so the merged result is).
-  const TreeRun serial = RunTree(1, 0, 1 << 12, {0});
+  const TreeRun serial = RunTree(1, 1 << 12, {0});
   uint64_t serial_sum = 0;
   for (uint64_t item : serial.absorbed) serial_sum += item * 3 + 1;
   for (unsigned threads : {1u, 2u, 8u}) {
     using Pool = FrontierPool<uint64_t, uint64_t>;
-    Pool pool({.threads = threads, .seen_stripes = 2});
+    Pool pool({.threads = threads});
     std::vector<PaddedU64> worker_sum(threads);
     std::vector<PaddedU64> worker_items(threads);
     std::atomic<uint64_t> out_mismatches{0};

@@ -48,6 +48,9 @@ CASES = {
     os.path.join("src", "core", "bad_signal.cc"):
         ["signal-handler"] * 4,
     os.path.join("src", "base", "signal_flag.cc"): [],
+    os.path.join("src", "storage", "bad_node_shape_container.cc"):
+        ["node-shape-container"] * 3,
+    os.path.join("src", "storage", "good_node_shape_container.cc"): [],
 }
 
 

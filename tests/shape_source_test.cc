@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
+#include <numeric>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -205,6 +207,63 @@ TEST(ShapeSourceTest, ParallelDiskScanCountsEveryTupleOnce) {
   auto shapes = index::FindShapes(disk, {ShapeFinderMode::kScan, /*threads=*/4});
   ASSERT_TRUE(shapes.ok()) << shapes.status();
   EXPECT_EQ(disk.stats().tuples_scanned, data.database->TotalFacts());
+  std::remove(path.c_str());
+}
+
+TEST(ShapeSourceTest, ScanPlanHandlesMaximalArity) {
+  // The scan plan writes each tuple's id-tuple into a fixed
+  // Schema::kMaxArity stack buffer. Relations of arity 64 and 255 fill it
+  // to the last byte, with ids up to 255; the shapes must match the heap
+  // IdOf reference on both backends at 1 and 4 threads.
+  Schema schema;
+  const PredId wide = schema.AddPredicate("wide", 64).value();
+  const PredId widest =
+      schema.AddPredicate("widest", Schema::kMaxArity).value();
+  Database db(&schema);
+  db.EnsureAnonymousDomain(2 * Schema::kMaxArity);
+  Rng rng(20261018);
+  std::set<Shape> reference;
+  for (PredId pred : {wide, widest}) {
+    std::vector<uint32_t> tuple(schema.Arity(pred));
+    for (int row = 0; row < 120; ++row) {
+      switch (row % 4) {
+        case 0:  // all distinct: ids 1..arity
+          std::iota(tuple.begin(), tuple.end(), static_cast<uint32_t>(row));
+          break;
+        case 1:  // all equal
+          std::fill(tuple.begin(), tuple.end(), static_cast<uint32_t>(row));
+          break;
+        case 2:  // few blocks
+          for (uint32_t& c : tuple) c = static_cast<uint32_t>(rng.Below(3));
+          break;
+        default:  // many blocks
+          for (uint32_t& c : tuple) {
+            c = static_cast<uint32_t>(rng.Below(2 * Schema::kMaxArity));
+          }
+      }
+      ASSERT_TRUE(db.AddFact(pred, tuple).ok());
+      reference.insert(
+          Shape(pred, IdOf(std::span<const uint32_t>(tuple))));
+    }
+  }
+  const std::vector<Shape> expected(reference.begin(), reference.end());
+
+  const std::string path = TempPath("chase_shape_source_wide.db");
+  auto disk_db = pager::DiskDatabase::Create(path, db, /*num_frames=*/16);
+  ASSERT_TRUE(disk_db.ok()) << disk_db.status();
+  storage::Catalog catalog(&db);
+  storage::MemoryShapeSource memory(&catalog);
+  pager::DiskShapeSource disk(disk_db->get());
+  for (const storage::ShapeSource* source :
+       std::initializer_list<const storage::ShapeSource*>{&memory, &disk}) {
+    for (unsigned threads : {1u, 4u}) {
+      auto shapes =
+          storage::FindShapes(*source, {ShapeFinderMode::kScan, threads});
+      ASSERT_TRUE(shapes.ok()) << shapes.status();
+      EXPECT_EQ(*shapes, expected)
+          << "backend " << source->Name() << ", threads " << threads;
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -49,7 +49,8 @@ TEST(ShapeTest, EqualityAndHash) {
   EXPECT_FALSE(a == d);
   ShapeHash hash;
   EXPECT_EQ(hash(a), hash(b));
-  ShapeSet set = {a, b, c, d};
+  ShapeSet set;
+  for (const Shape& shape : {a, b, c, d}) set.Insert(shape);
   EXPECT_EQ(set.size(), 3u);
 }
 

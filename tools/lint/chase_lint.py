@@ -45,6 +45,15 @@ patterns that protect it, on every file, in CI:
                    iostreams. A conforming handler is a single store to a
                    lock-free std::atomic, nothing more.
 
+  node-shape-container
+                   std::unordered_{set,map} keyed on Shape under src/.
+                   A node-based table pays a heap node and a heap
+                   id-tuple per shape and a pointer chase per probe; the
+                   flat ShapeSet (base/flat_set.h, probed through
+                   ShapeView) serves the scan plan and shape interning
+                   without either. A table that needs erase (FlatSet has
+                   none) says so in a suppression.
+
 Suppressions: append `// chase-lint: allow(<rule>) <reason>` to the
 offending line, or put it in a comment on the line directly above. The
 reason is mandatory — a suppression documents the invariant that replaces
@@ -116,6 +125,10 @@ THREAD_RE = re.compile(r"\bstd::thread\b")
 # Tests and examples drive concurrency scenarios directly; the spawn rule
 # polices the library and tools.
 THREAD_SCOPE = (os.path.join("src", ""), os.path.join("tools", ""))
+
+# node-shape-container ------------------------------------------------------
+NODE_SHAPE_CONTAINER_RE = re.compile(
+    r"\bunordered_(?:set|map)\s*<\s*(?:(?:::)?chase::)?Shape\b")
 
 # envelope-io ---------------------------------------------------------------
 ENVELOPE_HOME = (
@@ -274,6 +287,18 @@ class FileLinter:
                     "(WorkerPool, ProgressReporter/MetricsDumper); "
                     "run work on a WorkerPool")
 
+    def check_node_shape_container(self):
+        if not in_dirs(self.relpath, ("src",)):
+            return
+        for i, code in enumerate(self.code, start=1):
+            if NODE_SHAPE_CONTAINER_RE.search(code):
+                self.report(
+                    i, "node-shape-container",
+                    "node-based hash container keyed on Shape; use the "
+                    "flat ShapeSet (base/flat_set.h) probed through "
+                    "ShapeView, or say why it needs erase in "
+                    "`// chase-lint: allow(node-shape-container) <why>`")
+
     def check_envelope_io(self):
         if self.relpath in ENVELOPE_HOME:
             return
@@ -349,6 +374,7 @@ class FileLinter:
         self.check_banned_nondet()
         self.check_raw_sto()
         self.check_naked_thread()
+        self.check_node_shape_container()
         self.check_envelope_io()
         self.check_signal_handler()
         return self.findings
