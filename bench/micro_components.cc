@@ -7,8 +7,6 @@
 #include <cstdio>
 #include <map>
 
-#include "acyclicity/joint_acyclicity.h"
-#include "acyclicity/super_weak_acyclicity.h"
 #include "base/rng.h"
 #include "chase/chase_engine.h"
 #include "core/dynamic_simplification.h"
@@ -23,7 +21,6 @@
 #include "logic/printer.h"
 #include "pager/buffer_pool.h"
 #include "pager/heap_file.h"
-#include "query/conjunctive_query.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
 
@@ -180,26 +177,6 @@ void BM_ShapeIndexInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_ShapeIndexInsert);
 
-void BM_JointAcyclicity(benchmark::State& state) {
-  const Fixture& f = Fixture::Get(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        acyclicity::IsJointlyAcyclic(*f.schema, f.l_tgds));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_JointAcyclicity)->Arg(1000)->Arg(10000);
-
-void BM_SuperWeakAcyclicity(benchmark::State& state) {
-  const Fixture& f = Fixture::Get(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        acyclicity::IsSuperWeaklyAcyclic(*f.schema, f.l_tgds));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SuperWeakAcyclicity)->Arg(1000)->Arg(10000);
-
 void BM_SerializeProgram(benchmark::State& state) {
   const Fixture& f = Fixture::Get(state.range(0));
   for (auto _ : state) {
@@ -258,22 +235,6 @@ void BM_HeapFileScan(benchmark::State& state) {
   std::remove(path.c_str());
 }
 BENCHMARK(BM_HeapFileScan);
-
-void BM_EvaluateQuery(benchmark::State& state) {
-  auto program = ParseProgram(R"(
-    parent(a, b). parent(b, c). parent(c, d). parent(d, e).
-    parent(a, f). parent(f, g). parent(g, h).
-  )").value();
-  auto cq = query::ParseQuery(
-      "q(X, Z) :- parent(X, Y), parent(Y, Z).", program.schema.get());
-  Instance instance = Instance::FromDatabase(*program.database);
-  for (auto _ : state) {
-    auto answers = query::Evaluate(instance, cq.value());
-    benchmark::DoNotOptimize(answers.size());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EvaluateQuery);
 
 }  // namespace
 }  // namespace chase

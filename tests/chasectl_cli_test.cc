@@ -138,7 +138,6 @@ TEST_F(ChasectlCliTest, UnknownFlagsExitTwo) {
       "explain " + file,
       "chase " + file,
       "simplify " + file,
-      "query " + file + " 'q(X) :- r(X, Y).'",
       "findshapes " + file,
       "index build " + file + " " + scratch + ".chidx",
       "index stat " + scratch + ".chidx",
@@ -178,6 +177,47 @@ TEST_F(ChasectlCliTest, UnknownFlagsExitTwo) {
   // `--backend=index` was an alias of `--mode=index`; it is gone.
   EXPECT_EQ(RunChasectl("findshapes " + file + " --backend=index", &err), 2);
   EXPECT_NE(err.find("unknown --backend=index"), std::string::npos) << err;
+}
+
+TEST_F(ChasectlCliTest, RemovedSubcommandsExitTwo) {
+  // Conjunctive-query answering is gone: `query` is an unknown subcommand
+  // and gets the usage text, like any other typo.
+  std::string err;
+  EXPECT_EQ(RunChasectl("query " + program_path_ + " 'q(X) :- r(X, Y).'",
+                        &err),
+            2);
+  EXPECT_NE(err.find("chasectl check <file>"), std::string::npos) << err;
+  EXPECT_EQ(err.find("chasectl query"), std::string::npos) << err;
+}
+
+TEST_F(ChasectlCliTest, ZooReportsTheExactVerdictOrFails) {
+  const std::string file = TempDir() + "/chasectl_cli_test_zoo.dlgp";
+  // A data-only arity-16 predicate is outside sch(Σ), so D⊤ stays at the
+  // two shapes of q and the exact line comes back at once.
+  {
+    std::ofstream out(file);
+    out << "q(X,X) -> q(X,Z).\nq(a,a).\n"
+           "big(c1,c2,c3,c4,c5,c6,c7,c8,c9,c10,c11,c12,c13,c14,c15,c16).\n";
+  }
+  std::string out;
+  EXPECT_EQ(RunChasectl("zoo " + file, nullptr, &out), 0);
+  EXPECT_NE(out.find("weak acyclicity"), std::string::npos) << out;
+  EXPECT_NE(out.find("exact (linear)"), std::string::npos) << out;
+  EXPECT_NE(out.find("terminates for all D"), std::string::npos) << out;
+  // A non-simple linear rule over an arity-16 predicate would need
+  // Bell(16) facts in D⊤: the check refuses up front, and zoo reports the
+  // status and exits 1 instead of printing no exact line.
+  {
+    std::ofstream out_file(file);
+    out_file << "big(X,X,X3,X4,X5,X6,X7,X8,X9,X10,X11,X12,X13,X14,X15,X16)"
+                " -> big(X,Z,X3,X4,X5,X6,X7,X8,X9,X10,X11,X12,X13,X14,X15,"
+                "X16).\n";
+  }
+  std::string err;
+  EXPECT_EQ(RunChasectl("zoo " + file, &err, &out), 1);
+  EXPECT_NE(err.find("RESOURCE_EXHAUSTED"), std::string::npos) << err;
+  EXPECT_EQ(out.find("exact (linear)"), std::string::npos) << out;
+  std::remove(file.c_str());
 }
 
 TEST_F(ChasectlCliTest, FlagsThePathDoesNotReadExitTwo) {

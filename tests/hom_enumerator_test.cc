@@ -9,20 +9,18 @@
 // The whole-chase differential sweeps only see that order through its
 // effects; these tests compare the streams themselves — over every
 // non-linear join family, random round windows, a run that pauses after
-// every Next() while other enumerators are reset in between, head-window
-// matches from a partial assignment, and conjunctive-query evaluation —
-// each also with RowIndex lookups, which must skip only rows the scan
-// would have rejected: the index built to the round-start watermark,
-// windows reaching past it (which scan), repeated variables, probes on a
-// non-first column, keys the index lacks, and an index extended while
-// enumerators are paused.
+// every Next() while other enumerators are reset in between, and
+// head-window matches from a partial assignment — each also with RowIndex
+// lookups, which must skip only rows the scan would have rejected: the
+// index built to the round-start watermark, windows reaching past it
+// (which scan), repeated variables, probes on a non-first column, keys the
+// index lacks, and an index extended while enumerators are paused.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,7 +34,6 @@
 #include "logic/schema.h"
 #include "logic/term.h"
 #include "logic/tgd.h"
-#include "query/conjunctive_query.h"
 
 namespace chase {
 namespace {
@@ -581,9 +578,9 @@ TEST(HomEnumeratorTest, HeadWindowMatchesFollowTheOracle) {
 }
 
 TEST(HomEnumeratorTest, AppendsBetweenNextCallsStayOutsideTheWindows) {
-  // MFA fires triggers while its matcher is parked: rows appended after
-  // Reset (reallocating the per-predicate vectors) must neither be matched
-  // nor disturb the rows inside the windows.
+  // Atoms appended while a matcher is parked — after Reset, reallocating
+  // the per-predicate vectors — must neither be matched nor disturb the
+  // rows inside the windows.
   Rng rng(11);
   Fixture fixture;
   DeclareSchema(&fixture, &rng);
@@ -607,39 +604,6 @@ TEST(HomEnumeratorTest, AppendsBetweenNextCallsStayOutsideTheWindows) {
     }
     EXPECT_EQ(seen, oracle);
   }
-}
-
-TEST(HomEnumeratorTest, QueryEvaluationMatchesTheOracle) {
-  // A query per rule body, answering its frontier: Evaluate's answers are
-  // the oracle's full-window matches projected and deduplicated.
-  Rng rng(13);
-  size_t answers = 0;
-  for (NonLinearFamily family : kFamilies) {
-    Fixture fixture;
-    DeclareSchema(&fixture, &rng);
-    const Instance instance = MakeInstance(fixture, &rng, /*rows=*/12);
-    for (const Tgd& tgd : MakeTgds(fixture, family, 3, rng.Next())) {
-      query::ConjunctiveQuery cq;
-      cq.name = "q";
-      cq.body = tgd.body();
-      cq.num_vars = tgd.num_universal();
-      cq.answer_vars = tgd.frontier();
-      std::set<query::Answer> expected;
-      for (const auto& [rule, hom] :
-           OracleStream(cq.body, instance, FullRanges(cq.body, instance),
-                        std::vector<Term>(cq.num_vars, kUnboundTerm))) {
-        query::Answer answer;
-        for (VarId v : cq.answer_vars) answer.push_back(hom[v]);
-        expected.insert(std::move(answer));
-      }
-      const std::vector<query::Answer> got = query::Evaluate(instance, cq);
-      EXPECT_EQ(got,
-                std::vector<query::Answer>(expected.begin(), expected.end()))
-          << NonLinearFamilyName(family);
-      answers += got.size();
-    }
-  }
-  EXPECT_GT(answers, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Robustness fuzzing of the rule/data parser and the query parser: random
-// token soups and random mutations of valid programs must produce a Status,
-// never a crash, hang, or accepted garbage — and valid programs must
-// round-trip through the printer byte-for-byte semantically.
+// Robustness fuzzing of the rule/data parser: random token soups and random
+// mutations of valid programs must produce a Status, never a crash, hang,
+// or accepted garbage — and valid programs must round-trip through the
+// printer byte-for-byte semantically.
 
 #include <string>
 #include <vector>
@@ -13,7 +13,6 @@
 #include "gen/tgd_generator.h"
 #include "logic/parser.h"
 #include "logic/printer.h"
-#include "query/conjunctive_query.h"
 
 namespace chase {
 namespace {
@@ -89,16 +88,6 @@ TEST(ParserFuzzTest, MutatedValidProgramsNeverCrash) {
     }
     auto program = ParseProgram(text);
     (void)program;
-  }
-}
-
-TEST(ParserFuzzTest, QueryTokenSoupNeverCrashes) {
-  Rng rng(321);
-  for (int trial = 0; trial < 3000; ++trial) {
-    Schema schema;
-    std::string text = RandomTokenSoup(&rng, 25);
-    auto cq = query::ParseQuery(text, &schema);
-    (void)cq;
   }
 }
 

@@ -3,6 +3,7 @@
 // Subcommands:
 //   check <file> [--mode=sl|l] [--shapes=mem|db|index] [--threads=N]
 //                [--snapshot=path.chidx]          termination check
+//   explain <file>                                 non-termination witness
 //   chase <file> [--variant=so|ob|re] [--max-atoms=N] [--max-rounds=N]
 //               [--threads=N] [--checkpoint=FILE]
 //               [--checkpoint-every=N] [--resume=FILE]
@@ -11,7 +12,6 @@
 //                                                  simple_D(Σ) via the
 //                                                  frontier-parallel
 //                                                  worklist
-//   query <file> "<q(X) :- ...>"                   certain answers
 //   findshapes <file> [--backend=memory|disk]
 //              [--mode=scan|exists|index] [--threads=N]
 //              [--snapshot=path.chidx]
@@ -20,10 +20,14 @@
 //                                                  materialize shape(D)
 //   index stat <snapshot.chidx>                    snapshot diagnostics
 //   stats <file>                                   Table-1-style statistics
-//   zoo <file>                                     acyclicity zoo verdicts
+//   zoo <file>                                     uniform termination:
+//                                                  weak acyclicity and the
+//                                                  exact check on D⊤
 //   generate <out> [--preds=N] [--tgds=N] [--tuples=N] [--arity=N]
 //            [--domain=N] [--class=sl|l] [--seed=N]
 //                                                  synthesize a workload
+//   graph <file> [--all-nodes]                     Graphviz dot on stdout
+//   normalize <in> <out>                           eliminate empty frontiers
 //   convert <in> <out>                             text <-> binary (by
 //                                                  extension: .chbin)
 //
@@ -55,10 +59,6 @@
 #include <string>
 #include <vector>
 
-#include "acyclicity/joint_acyclicity.h"
-#include "acyclicity/mfa.h"
-#include "acyclicity/super_weak_acyclicity.h"
-#include "acyclicity/uniform.h"
 #include "base/status.h"
 #include "base/timer.h"
 #include "chase/chase_engine.h"
@@ -66,6 +66,7 @@
 #include "core/explain.h"
 #include "core/is_chase_finite.h"
 #include "core/normalize.h"
+#include "core/uniform.h"
 #include "core/weak_acyclicity.h"
 #include "exec/frontier_pool.h"
 #include "gen/data_generator.h"
@@ -81,7 +82,6 @@
 #include "logic/printer.h"
 #include "logic/schema.h"
 #include "logic/shape.h"
-#include "logic/term.h"
 #include "logic/tgd.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -89,7 +89,6 @@
 #include "pager/buffer_pool.h"
 #include "pager/disk_database.h"
 #include "pager/disk_shape_source.h"
-#include "query/conjunctive_query.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
 #include "storage/shape_source.h"
@@ -658,36 +657,6 @@ int CmdSimplify(const Args& args) {
 }
 
 // ---------------------------------------------------------------------------
-// query
-
-int CmdQuery(const Args& args) {
-  if (args.positional.size() < 2) {
-    std::cerr << "usage: chasectl query <file> \"q(X) :- ...\"\n";
-    return 2;
-  }
-  auto program = LoadAnyProgram(args.positional[0]);
-  if (!program.ok()) return Fail(program.status());
-  auto cq = query::ParseQuery(args.positional[1], program->schema.get());
-  if (!cq.ok()) return Fail(cq.status());
-  auto result = query::CertainAnswers(*program->database, program->tgds, *cq);
-  if (!result.ok()) return Fail(result.status());
-  std::cout << result->answers.size() << " certain answer(s) over a chase of "
-            << result->chase_atoms << " atoms\n";
-  for (const query::Answer& answer : result->answers) {
-    if (answer.empty()) {
-      std::cout << "true\n";
-      continue;
-    }
-    for (size_t i = 0; i < answer.size(); ++i) {
-      std::cout << (i > 0 ? ", " : "")
-                << program->database->ConstantName(ConstantId(answer[i]));
-    }
-    std::cout << "\n";
-  }
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
 // stats
 
 int CmdStats(const Args& args) {
@@ -943,27 +912,13 @@ int CmdZoo(const Args& args) {
   const bool wa = IsWeaklyAcyclic(schema, tgds);
   report("weak acyclicity       ", wa ? "acyclic" : "cyclic",
          timer.ElapsedMillis());
-  timer.Restart();
-  const bool ja = acyclicity::IsJointlyAcyclic(schema, tgds);
-  report("joint acyclicity      ", ja ? "acyclic" : "cyclic",
-         timer.ElapsedMillis());
-  timer.Restart();
-  const bool swa = acyclicity::IsSuperWeaklyAcyclic(schema, tgds);
-  report("super-weak acyclicity ", swa ? "acyclic" : "cyclic",
-         timer.ElapsedMillis());
-  timer.Restart();
-  auto mfa = acyclicity::IsModelFaithfulAcyclic(schema, tgds);
-  report("MFA                   ",
-         mfa.ok() ? (mfa.value() ? "acyclic" : "cyclic") : "budget exceeded",
-         timer.ElapsedMillis());
   if (AllLinear(tgds) && AllHaveNonEmptyFrontier(tgds) && !tgds.empty()) {
     timer.Restart();
-    auto exact = acyclicity::IsChaseFiniteUniform(schema, tgds);
-    if (exact.ok()) {
-      report("exact (linear)        ",
-             exact.value() ? "terminates for all D" : "diverges for some D",
-             timer.ElapsedMillis());
-    }
+    auto exact = IsChaseFiniteUniform(schema, tgds);
+    if (!exact.ok()) return Fail(exact.status());
+    report("exact (linear)        ",
+           exact.value() ? "terminates for all D" : "diverges for some D",
+           timer.ElapsedMillis());
   }
   return 0;
 }
@@ -1119,7 +1074,6 @@ int Usage() {
       "[--metrics-interval=SECS] [--print]\n"
       "  chasectl simplify <file> [--mode=scan|exists|index] [--threads=N] "
       "[--print]\n"
-      "  chasectl query <file> \"q(X) :- r(X, Y).\"\n"
       "  chasectl findshapes <file> [--backend=memory|disk] "
       "[--mode=scan|exists|index] [--threads=N] "
       "[--snapshot=path.chidx] [--store=path.db] [--print]\n"
@@ -1127,7 +1081,7 @@ int Usage() {
       "[--threads=N]\n"
       "  chasectl index stat <snapshot.chidx>\n"
       "  chasectl stats <file>\n"
-      "  chasectl zoo <file>\n"
+      "  chasectl zoo <file>                   (uniform termination)\n"
       "  chasectl generate <out> [--preds=N] [--tgds=N] [--tuples=N] "
       "[--arity=N] [--domain=N] [--class=sl|l] [--seed=N]\n"
       "  chasectl graph <file> [--all-nodes]   (Graphviz dot on stdout)\n"
@@ -1169,7 +1123,6 @@ int main(int argc, char** argv) try {
         "print", "trace", "metrics"}},
       {"simplify", CmdSimplify,
        {"mode", "threads", "print", "trace", "metrics"}},
-      {"query", CmdQuery, {}},
       {"findshapes", CmdFindShapes,
        {"backend", "mode", "threads", "snapshot", "store", "print", "trace",
         "metrics"}},
