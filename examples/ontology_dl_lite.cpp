@@ -99,7 +99,9 @@ int main() {
             << "\n";
   const PredId involved =
       program->schema->FindPredicate("involvedIn").value();
-  for (const GroundAtom& atom : result->instance.AtomsOf(involved)) {
+  for (size_t row = 0; row < result->instance.NumRows(involved); ++row) {
+    const auto args = result->instance.Row(involved, row);
+    const GroundAtom atom(involved, {args.begin(), args.end()});
     std::cout << "  "
               << ToString(*program->schema, *program->database, atom)
               << "\n";

@@ -71,18 +71,18 @@ void UndoBindings(std::vector<Term>& h, std::vector<VarId>& trail,
   }
 }
 
-// Attempts to extend `h` so that `pattern` maps onto `atom`; records newly
+// Attempts to extend `h` so that `pattern` maps onto `row`; records newly
 // bound variables in `trail` so the caller can undo. On failure `h` and
 // `trail` are left as they were.
-bool TryBindAtom(const RuleAtom& pattern, const GroundAtom& atom,
+bool TryBindAtom(const RuleAtom& pattern, std::span<const Term> row,
                  std::vector<Term>& h, std::vector<VarId>& trail) {
   const size_t undo_mark = trail.size();
   for (size_t i = 0; i < pattern.args.size(); ++i) {
     const VarId var = pattern.args[i];
     if (h[var] == kUnboundTerm) {
-      h[var] = atom.args[i];
+      h[var] = row[i];
       trail.push_back(var);
-    } else if (h[var] != atom.args[i]) {
+    } else if (h[var] != row[i]) {
       UndoBindings(h, trail, undo_mark);
       return false;
     }
@@ -119,7 +119,7 @@ std::vector<RowRange> FullRanges(std::span<const RuleAtom> atoms,
   std::vector<RowRange> ranges;
   ranges.reserve(atoms.size());
   for (const RuleAtom& atom : atoms) {
-    ranges.push_back({0, instance.AtomsOf(atom.pred).size()});
+    ranges.push_back({0, instance.NumRows(atom.pred)});
   }
   return ranges;
 }
@@ -313,9 +313,9 @@ bool HomEnumerator::Next() {
     while (level.row < end) {
       level.mark = trail_.size();
       ++rows_probed_;
-      // Re-fetch the atom vector on every access: appends between Next()
-      // calls may reallocate it. Rows inside the windows are stable.
-      if (TryBindAtom(atom, instance_->AtomsOf(atom.pred)[level.row], h_,
+      // Re-fetch the row on every access: appends between Next() calls
+      // may reallocate the relation. Rows inside the windows are stable.
+      if (TryBindAtom(atom, instance_->Row(atom.pred, level.row), h_,
                       trail_)) {
         ++depth_;
         if (depth_ == n) {

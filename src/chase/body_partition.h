@@ -38,8 +38,8 @@
 // stay O(tasks + threads²).
 //
 // HomEnumerator is a resumable cursor over any conjunction of atoms with
-// per-atom row windows: a round fragment's body join, a head-satisfaction
-// probe, MFA's critical-instance triggers, or a conjunctive query. It is a
+// per-atom row windows: a round fragment's body join, or a
+// head-satisfaction probe of the restricted chase and Satisfies. It is a
 // paused iterative backtracking search (per-position row cursors + binding
 // trail) that Next() advances one match at a time. The chase's budgeted
 // enumerate→pause→apply→resume protocol (WorkerPool::RunBudgetedTasks)
@@ -144,20 +144,20 @@ void IndexProbes(std::span<const RuleAtom> atoms, std::span<const Term> h,
 // reordered: that would change the trigger order.
 //
 // Concurrency: Next() only reads instance rows inside the given windows,
-// and re-fetches the per-predicate atom vector on every access, so appends
-// between two Next() calls (which may reallocate those vectors) are safe as
-// long as no window reaches the appended rows — which the round window
-// guarantees, and which the worker pool's barrier orders across threads.
+// and re-fetches each row on every access, so appends between two Next()
+// calls (which may reallocate a predicate's rows) are safe as long as no
+// window reaches the appended rows — which the round window guarantees,
+// and which the worker pool's barrier orders across threads.
 // Likewise the index may be extended between two Next() calls (a paused
 // cursor re-seeks its lookups), but never during one.
 class HomEnumerator {
  public:
   // Matches atom i against rows `ranges[i]`, extending the partial
   // assignment `h` (kUnboundTerm = free; sized to cover every variable of
-  // `atoms`). Preconditions: `atoms` is non-empty — Tgd::Create and
-  // ParseQuery reject empty bodies and heads — and ranges.size() ==
-  // atoms.size(). `atoms`, `instance` and `index` (nullptr: scan every
-  // position) must outlive the enumeration.
+  // `atoms`). Preconditions: `atoms` is non-empty — Tgd::Create rejects
+  // empty bodies and heads — and ranges.size() == atoms.size(). `atoms`,
+  // `instance` and `index` (nullptr: scan every position) must outlive the
+  // enumeration.
   void Reset(std::span<const RuleAtom> atoms, const Instance* instance,
              std::vector<RowRange> ranges, std::span<const Term> h,
              const RowIndex* index = nullptr);

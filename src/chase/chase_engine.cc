@@ -4,7 +4,8 @@
 #include <chrono>
 #include <optional>
 #include <span>
-#include <unordered_set>
+#include <string>
+#include <vector>
 
 #include "base/signal_flag.h"
 #include "base/status.h"
@@ -24,21 +25,22 @@
 namespace chase {
 namespace {
 
-// Trigger keys: [rule_index, bound values...]. For the oblivious chase the
-// values are the full body assignment; for the semi-oblivious chase only the
-// frontier restriction h|fr(σ).
-struct KeyHash {
-  size_t operator()(const std::vector<uint64_t>& key) const {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (uint64_t v : key) {
-      h ^= v;
-      h *= 0x100000001b3ULL;
-      h ^= h >> 29;
-    }
-    return static_cast<size_t>(h);
+// The fired-trigger tables, one per rule, keyed on the values a trigger
+// binds: the full body assignment (the universal variables) for the
+// oblivious chase, the frontier restriction h|fr(σ) for the semi-oblivious
+// chase. The restricted chase keeps none.
+std::vector<RowSet> FiredTables(const std::vector<Tgd>& tgds,
+                                ChaseVariant variant) {
+  std::vector<RowSet> fired;
+  if (variant == ChaseVariant::kRestricted) return fired;
+  fired.reserve(tgds.size());
+  for (const Tgd& tgd : tgds) {
+    fired.emplace_back(variant == ChaseVariant::kSemiOblivious
+                           ? static_cast<uint32_t>(tgd.frontier().size())
+                           : tgd.num_universal());
   }
-};
-using KeySet = std::unordered_set<std::vector<uint64_t>, KeyHash>;
+  return fired;
+}
 
 // The row index of every column the body joins look up (from the empty
 // assignment) and, with `heads`, the head checks (from a body
@@ -79,7 +81,7 @@ bool HeadSatisfied(const Tgd& tgd, const Instance& instance,
                    const RowIndex& index, std::span<const Term> hom,
                    HomEnumerator& matcher) {
   return HeadMatches(tgd, instance, index, hom, matcher, [&](size_t i) {
-    return RowRange{0, instance.AtomsOf(tgd.head()[i].pred).size()};
+    return RowRange{0, instance.NumRows(tgd.head()[i].pred)};
   });
 }
 
@@ -113,10 +115,10 @@ bool HeadSatisfiedSuffix(const Tgd& tgd, const Instance& instance,
   const auto& head = tgd.head();
   for (size_t d = 0; d < head.size(); ++d) {
     const size_t suffix_begin = view.CurOf(head[d].pred);
-    if (instance.AtomsOf(head[d].pred).size() <= suffix_begin) continue;
+    if (instance.NumRows(head[d].pred) <= suffix_begin) continue;
     if (HeadMatches(tgd, instance, index, hom, matcher, [&](size_t i) {
           return RowRange{i == d ? suffix_begin : 0,
-                          instance.AtomsOf(head[i].pred).size()};
+                          instance.NumRows(head[i].pred)};
         })) {
       return true;
     }
@@ -156,10 +158,18 @@ StatusOr<ChaseResult> RunChase(const Database& database,
                                const std::vector<Tgd>& tgds,
                                const ChaseOptions& options) {
   const Schema& schema = database.schema();
+  // The instance stores each predicate's atoms as rows of its schema arity.
   for (const Tgd& tgd : tgds) {
-    for (const RuleAtom& atom : tgd.body()) {
-      if (atom.pred >= schema.NumPredicates()) {
-        return InvalidArgumentError("TGD uses a predicate not in the schema");
+    for (const auto* atoms : {&tgd.body(), &tgd.head()}) {
+      for (const RuleAtom& atom : *atoms) {
+        if (atom.pred >= schema.NumPredicates()) {
+          return InvalidArgumentError(
+              "TGD uses a predicate not in the schema");
+        }
+        if (atom.args.size() != schema.Arity(atom.pred)) {
+          return InvalidArgumentError(
+              "TGD atom arity does not match the schema");
+        }
       }
     }
   }
@@ -182,13 +192,13 @@ StatusOr<ChaseResult> RunChase(const Database& database,
   Instance& instance = result.instance;
   result.outcome = ChaseOutcome::kFixpoint;
 
-  KeySet fired;
+  std::vector<RowSet> fired = FiredTables(tgds, options.variant);
   RoundView view;
   const size_t num_preds = schema.NumPredicates();
   view.prev.assign(num_preds, 0);
   view.cur.assign(num_preds, 0);
   for (PredId pred = 0; pred < num_preds; ++pred) {
-    view.cur[pred] = instance.AtomsOf(pred).size();
+    view.cur[pred] = instance.NumRows(pred);
   }
 
   if (options.resume != nullptr) {
@@ -226,12 +236,9 @@ StatusOr<ChaseResult> RunChase(const Database& database,
         return InvalidArgumentError(
             "checkpoint round window does not cover the instance");
       }
-      for (size_t row = 0; row * arity < relation.atoms.size(); ++row) {
-        GroundAtom atom;
-        atom.pred = pred;
-        atom.args.assign(relation.atoms.begin() + row * arity,
-                         relation.atoms.begin() + (row + 1) * arity);
-        if (!restored.AddAtom(std::move(atom))) {
+      const std::span<const Term> terms = relation.atoms;
+      for (size_t row = 0; row * arity < terms.size(); ++row) {
+        if (!restored.AddAtom(pred, terms.subspan(row * arity, arity))) {
           return InvalidArgumentError(
               "checkpoint instance holds duplicate atoms");
         }
@@ -241,16 +248,25 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     }
     restored.SetNextNull(ckpt.next_null);
     instance = std::move(restored);
+    // Each key is [rule, values...] with exactly that rule's key width;
+    // the loader already rejects empty, duplicate and unsorted keys.
     for (const std::vector<uint64_t>& key : ckpt.fired_keys) {
-      fired.insert(key);
+      if (key.empty() || key[0] >= fired.size()) {
+        return InvalidArgumentError(
+            "checkpoint fired key names no rule of this chase");
+      }
+      RowSet& table = fired[key[0]];
+      if (key.size() - 1 != table.width()) {
+        return InvalidArgumentError(
+            "checkpoint fired key width does not match its rule");
+      }
+      table.Insert(std::span<const Term>(key).subspan(1));
     }
     result.rounds = ckpt.rounds;
     result.triggers_fired = ckpt.triggers_fired;
     result.triggers_prefiltered = ckpt.triggers_prefiltered;
     result.peak_buffered_homs = ckpt.peak_buffered_homs;
   }
-
-  std::vector<GroundAtom> pending;  // atoms produced in the current round
 
   // Parallel rounds run on any rule set, linear or not: each round's
   // homomorphism space is split into range fragments whose canonical
@@ -277,6 +293,10 @@ StatusOr<ChaseResult> RunChase(const Database& database,
   HomEnumerator body_matcher;
   HomEnumerator head_matcher;
   std::vector<HomEnumerator> worker_head_matchers(enum_threads);
+  // fire()'s scratch, reused by every trigger: the key it probes, then
+  // each head row it adds, and the null it mints per existential variable.
+  std::vector<Term> scratch;
+  std::vector<Term> null_of;
   // The lookups' row index: extended to the round-start prefix at the top
   // of every round, on this thread, before any worker reads it, so the
   // workers see a frozen structure. Never checkpointed (a resumed run
@@ -323,17 +343,21 @@ StatusOr<ChaseResult> RunChase(const Database& database,
       relation.arity = schema.Arity(pred);
       relation.prev = view.prev[pred];
       relation.cur = view.cur[pred];
-      const std::vector<GroundAtom>& atoms = instance.AtomsOf(pred);
-      relation.atoms.reserve(atoms.size() * relation.arity);
-      for (const GroundAtom& atom : atoms) {
-        relation.atoms.insert(relation.atoms.end(), atom.args.begin(),
-                              atom.args.end());
+      const std::span<const Term> terms = instance.Terms(pred);
+      relation.atoms.assign(terms.begin(), terms.end());
+    }
+    // Keys are stored in firing order per rule; sorting makes checkpoint
+    // bytes canonical for a given state (and satisfies the loader's
+    // ordering check).
+    for (uint64_t rule = 0; rule < fired.size(); ++rule) {
+      for (size_t row = 0; row < fired[rule].size(); ++row) {
+        const std::span<const Term> values = fired[rule][row];
+        std::vector<uint64_t>& key = ckpt.fired_keys.emplace_back();
+        key.reserve(1 + values.size());
+        key.push_back(rule);
+        key.insert(key.end(), values.begin(), values.end());
       }
     }
-    // `fired` is insert/contains-only, so its hash order never reaches
-    // chase results; sorting here makes checkpoint bytes canonical for a
-    // given state (and satisfies the loader's ordering check).
-    ckpt.fired_keys.assign(fired.begin(), fired.end());
     std::sort(ckpt.fired_keys.begin(), ckpt.fired_keys.end());
     CHASE_RETURN_IF_ERROR(
         io::SaveChaseCheckpoint(ckpt, options.checkpoint_path));
@@ -361,7 +385,6 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     const auto round_begin = round_hist != nullptr
                                  ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
-    pending.clear();
     bool grew = false;
     bool hit_atom_limit = false;
     uint64_t atoms_now = instance.NumAtoms();
@@ -372,12 +395,12 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     // this thread. `prefix_unsat` marks a restricted trigger whose head
     // the parallel pre-filter already proved unsatisfied by the
     // round-start prefix, so only same-round witnesses remain to check.
-    auto fire = [&](size_t rule, const std::vector<Term>& hom,
+    auto fire = [&](size_t rule, std::span<const Term> hom,
                     bool prefix_unsat) {
       const Tgd& tgd = tgds[rule];
       if (hit_atom_limit) return;
       // Decide whether this trigger fires.
-      if (options.variant == ChaseVariant::kRestricted) {
+      if (restricted) {
         // Only the frontier restriction matters for satisfaction;
         // existentials are unbound here by construction.
         const bool satisfied =
@@ -387,50 +410,38 @@ StatusOr<ChaseResult> RunChase(const Database& database,
                 : HeadSatisfied(tgd, instance, index, hom, head_matcher);
         if (satisfied) return;
       } else {
-        std::vector<uint64_t> key;
+        scratch.clear();
         if (options.variant == ChaseVariant::kSemiOblivious) {
-          key.reserve(1 + tgd.frontier().size());
-          key.push_back(rule);
-          for (VarId var : tgd.frontier()) key.push_back(hom[var]);
+          for (VarId var : tgd.frontier()) scratch.push_back(hom[var]);
         } else {
-          key.reserve(1 + tgd.num_universal());
-          key.push_back(rule);
-          for (VarId var = 0; var < tgd.num_universal(); ++var) {
-            key.push_back(hom[var]);
-          }
+          scratch.assign(hom.begin(), hom.begin() + tgd.num_universal());
         }
-        if (!fired.insert(std::move(key)).second) return;
+        if (!fired[rule].Insert(scratch)) return;
       }
       ++result.triggers_fired;
       // result(σ, h): frontier variables keep their image, each
       // existential variable gets a fresh labelled null (unique per
-      // trigger and variable, per Definition 3.1).
-      std::vector<Term> null_of(tgd.num_vars(), kUnboundTerm);
+      // trigger and variable, per Definition 3.1). Atoms apply eagerly
+      // so the restricted variant's satisfaction check sees atoms added
+      // earlier in this round (a sequential order).
+      null_of.assign(tgd.num_vars(), kUnboundTerm);
       for (const RuleAtom& head_atom : tgd.head()) {
-        GroundAtom atom;
-        atom.pred = head_atom.pred;
-        atom.args.reserve(head_atom.args.size());
+        scratch.clear();
         for (VarId var : head_atom.args) {
           if (tgd.IsUniversal(var)) {
-            atom.args.push_back(hom[var]);
+            scratch.push_back(hom[var]);
           } else {
             if (null_of[var] == kUnboundTerm) {
               null_of[var] = MakeNull(instance.NewNullId());
             }
-            atom.args.push_back(null_of[var]);
+            scratch.push_back(null_of[var]);
           }
         }
-        pending.push_back(std::move(atom));
-      }
-      // Apply eagerly so the restricted variant's satisfaction check
-      // sees atoms added earlier in this round (a sequential order).
-      for (GroundAtom& atom : pending) {
-        if (instance.AddAtom(std::move(atom))) {
+        if (instance.AddAtom(head_atom.pred, scratch)) {
           grew = true;
           ++atoms_now;
         }
       }
-      pending.clear();
       if (atoms_now > options.max_atoms) hit_atom_limit = true;
       if (options.progress != nullptr &&
           result.triggers_fired % kProgressStride == 0) {
@@ -472,7 +483,12 @@ StatusOr<ChaseResult> RunChase(const Database& database,
       const uint64_t budget = std::max<uint64_t>(1, options.hom_budget);
       std::vector<HomEnumerator> enums(parts.size());
       std::vector<char> started(parts.size(), 0);
-      std::vector<std::vector<std::vector<Term>>> homs(parts.size());
+      // Fragment t's buffered homomorphisms, back to back, each as wide
+      // as its rule's num_vars() (at least 1: body atoms have arguments).
+      std::vector<std::vector<Term>> homs(parts.size());
+      auto num_homs = [&](size_t t) {
+        return homs[t].size() / tgds[parts[t].rule].num_vars();
+      };
       // Restricted only: presat[t][j] records that hom j of fragment t had
       // its head satisfied by the round-start prefix already — decided on
       // the workers, skipped for good on the serial drain below.
@@ -491,19 +507,21 @@ StatusOr<ChaseResult> RunChase(const Database& database,
               e.Reset(tgd, &instance, view, parts[t], &index);
               started[t] = 1;
             }
-            while (homs[t].size() < budget) {
+            while (num_homs(t) < budget) {
               if (!e.Next()) return true;  // fragment exhausted
               if (restricted) {
                 presat[t].push_back(HeadSatisfiedByPrefix(
                     tgd, instance, index, view, e.hom(),
                     worker_head_matchers[worker]));
               }
-              homs[t].push_back(e.hom());
+              homs[t].insert(homs[t].end(), e.hom().begin(), e.hom().end());
             }
             return false;  // buffer full: park, resume next epoch
           },
           [&](size_t t) -> bool {
-            for (size_t j = 0; j < homs[t].size(); ++j) {
+            const std::span<const Term> buffer = homs[t];
+            const uint32_t width = tgds[parts[t].rule].num_vars();
+            for (size_t j = 0, n = num_homs(t); j < n; ++j) {
               if (hit_atom_limit) break;
               if (restricted && presat[t][j] != 0) {
                 // The serial path would have found the same witness (the
@@ -513,7 +531,8 @@ StatusOr<ChaseResult> RunChase(const Database& database,
                 ++result.triggers_prefiltered;
                 continue;
               }
-              fire(parts[t].rule, homs[t][j], /*prefix_unsat=*/restricted);
+              fire(parts[t].rule, buffer.subspan(j * width, width),
+                   /*prefix_unsat=*/restricted);
             }
             homs[t].clear();
             presat[t].clear();
@@ -524,7 +543,7 @@ StatusOr<ChaseResult> RunChase(const Database& database,
             // the window's — sum them for the deterministic peak.
             uint64_t buffered = 0;
             for (size_t i = 0; i < count; ++i) {
-              buffered += homs[first + i].size();
+              buffered += num_homs(first + i);
             }
             result.peak_buffered_homs =
                 std::max(result.peak_buffered_homs, buffered);
@@ -556,7 +575,7 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     // Advance the round window.
     for (PredId pred = 0; pred < num_preds; ++pred) {
       view.prev[pred] = view.cur[pred];
-      view.cur[pred] = instance.AtomsOf(pred).size();
+      view.cur[pred] = instance.NumRows(pred);
     }
     // Round-boundary checkpoint protocol: a periodic tick, a SIGUSR1
     // (write and continue), or a SIGTERM (write, then stop). Consuming the
@@ -605,7 +624,7 @@ bool Satisfies(const Instance& instance, const std::vector<Tgd>& tgds) {
   const size_t num_preds = instance.schema().NumPredicates();
   view.cur.assign(num_preds, 0);
   for (PredId pred = 0; pred < num_preds; ++pred) {
-    view.cur[pred] = instance.AtomsOf(pred).size();
+    view.cur[pred] = instance.NumRows(pred);
   }
   RowIndex index = IndexFor(tgds, /*heads=*/true);
   index.Extend(instance);

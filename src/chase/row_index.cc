@@ -5,7 +5,6 @@
 
 #include "base/hash.h"
 #include "chase/instance.h"
-#include "logic/atom.h"
 #include "logic/schema.h"
 #include "logic/term.h"
 
@@ -47,11 +46,8 @@ void RowIndex::AddColumn(PredId pred, uint32_t col) {
 }
 
 void RowIndex::Extend(const Instance& instance) {
-  // Entry::row and the table's run starts + 1 fit in 32 bits.
-  constexpr size_t kMaxRows = UINT32_MAX;
   for (PredId pred = 0; pred < columns_.size(); ++pred) {
-    const std::vector<GroundAtom>& atoms = instance.AtomsOf(pred);
-    const size_t rows = std::min(atoms.size(), kMaxRows);
+    const size_t rows = instance.NumRows(pred);
     for (uint32_t col = 0; col < columns_[pred].size(); ++col) {
       Column& column = columns_[pred][col];
       if (!column.indexed_ || column.covered_ >= rows) continue;
@@ -60,7 +56,8 @@ void RowIndex::Extend(const Instance& instance) {
       std::vector<Entry>& entries = column.entries_;
       const size_t old_size = entries.size();
       for (size_t row = column.covered_; row < rows; ++row) {
-        entries.push_back({atoms[row].args[col], static_cast<uint32_t>(row)});
+        entries.push_back(
+            {instance.Row(pred, row)[col], static_cast<uint32_t>(row)});
       }
       std::sort(entries.begin() + old_size, entries.end());
       std::inplace_merge(entries.begin(), entries.begin() + old_size,

@@ -30,7 +30,7 @@ class RowIndex {
  public:
   struct Entry {
     Term term;
-    uint32_t row;  // Extend never indexes a row id that does not fit
+    uint32_t row;  // Instance row ids fit (RowSet::kMaxRows)
 
     bool operator<(const Entry& other) const {
       return term != other.term ? term < other.term : row < other.row;
@@ -68,9 +68,7 @@ class RowIndex {
   // True iff no column is indexed: enumerators can skip probe planning.
   bool empty() const { return num_columns_ == 0; }
 
-  // Covers every row the instance holds now, up to 2^32 - 1 rows per
-  // predicate (rows past that stay uncovered, so windows reaching them
-  // scan).
+  // Covers every row the instance holds now.
   void Extend(const Instance& instance);
 
   // Column `col` of `pred` if it is indexed and covers the rows [0, end),

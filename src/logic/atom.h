@@ -46,16 +46,6 @@ struct GroundAtom {
   }
 };
 
-struct GroundAtomHash {
-  size_t operator()(const GroundAtom& atom) const {
-    uint64_t h = 0x9e3779b97f4a7c15ULL ^ atom.pred;
-    for (Term t : atom.args) {
-      h ^= t + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return static_cast<size_t>(h);
-  }
-};
-
 }  // namespace chase
 
 #endif  // CHASE_LOGIC_ATOM_H_

@@ -379,6 +379,59 @@ TEST(ChaseCheckpointEngineTest, ResumeRejectsMismatchedProgramOrVariant) {
   std::remove(path.c_str());
 }
 
+TEST(ChaseCheckpointEngineTest, ResumeRejectsMalformedFiredKeys) {
+  // A fired key is [rule, values...] with exactly that rule's key width
+  // (|fr(σ)| here: 1 for both rules of kNonTerminating). A key naming no
+  // rule, or of any other width, cannot go into the rule's fixed-width
+  // table and must be refused, not inserted where it never matches.
+  Program p = MustParse(kNonTerminating);
+  const std::string path = TempPath("chck_keys.chck");
+  ChaseOptions leg1_options;
+  leg1_options.max_rounds = 2;
+  leg1_options.checkpoint_path = path;
+  leg1_options.checkpoint_every_rounds = 1;
+  ASSERT_TRUE(RunChase(*p.database, p.tgds, leg1_options).ok());
+  auto ckpt = io::LoadChaseCheckpoint(path);
+  ASSERT_TRUE(ckpt.ok()) << ckpt.status();
+  ASSERT_FALSE(ckpt->fired_keys.empty());
+  ASSERT_EQ(ckpt->fired_keys[0].size(), 2u);
+
+  ChaseOptions resume_options;
+  resume_options.max_rounds = 3;
+  resume_options.resume = &*ckpt;
+  ASSERT_TRUE(RunChase(*p.database, p.tgds, resume_options).ok());
+
+  std::vector<ChaseCheckpoint> faults;
+  faults.push_back(*ckpt);  // a rule index past the rule set
+  faults.back().fired_keys.push_back({p.tgds.size(), 0});
+  faults.push_back(*ckpt);  // one value too many
+  faults.back().fired_keys[0].push_back(0);
+  faults.push_back(*ckpt);  // one value too few
+  faults.back().fired_keys[0].pop_back();
+  faults.push_back(*ckpt);  // no rule index at all
+  faults.back().fired_keys[0].clear();
+  for (size_t i = 0; i < faults.size(); ++i) {
+    resume_options.resume = &faults[i];
+    EXPECT_EQ(RunChase(*p.database, p.tgds, resume_options).status().code(),
+              StatusCode::kInvalidArgument)
+        << "fault " << i;
+  }
+
+  // A restricted chase keeps no fired keys: any key is refused.
+  ChaseOptions restricted_leg1 = leg1_options;
+  restricted_leg1.variant = ChaseVariant::kRestricted;
+  ASSERT_TRUE(RunChase(*p.database, p.tgds, restricted_leg1).ok());
+  auto restricted = io::LoadChaseCheckpoint(path);
+  ASSERT_TRUE(restricted.ok()) << restricted.status();
+  EXPECT_TRUE(restricted->fired_keys.empty());
+  restricted->fired_keys.push_back({0, 0});
+  resume_options.variant = ChaseVariant::kRestricted;
+  resume_options.resume = &*restricted;
+  EXPECT_EQ(RunChase(*p.database, p.tgds, resume_options).status().code(),
+            StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
 TEST(ChaseCheckpointEngineTest, PostedCheckpointRequestWritesAndContinues) {
   // A pre-posted SIGUSR1-equivalent is served at the first round boundary:
   // one checkpoint, run continues to its limit.

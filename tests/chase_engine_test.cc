@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "base/rng.h"
 #include "chase/chase_engine.h"
 #include "chase/instance.h"
 #include "logic/parser.h"
@@ -30,12 +34,116 @@ TEST(InstanceTest, DeduplicatesAtoms) {
   Schema schema;
   const PredId r = schema.AddPredicate("r", 1).value();
   Instance instance(&schema);
-  EXPECT_TRUE(instance.AddAtom(GroundAtom(r, {MakeConstant(1)})));
-  EXPECT_FALSE(instance.AddAtom(GroundAtom(r, {MakeConstant(1)})));
-  EXPECT_TRUE(instance.AddAtom(GroundAtom(r, {MakeConstant(2)})));
+  EXPECT_TRUE(instance.AddAtom(r, std::vector<Term>{MakeConstant(1)}));
+  EXPECT_FALSE(instance.AddAtom(r, std::vector<Term>{MakeConstant(1)}));
+  EXPECT_TRUE(instance.AddAtom(r, std::vector<Term>{MakeConstant(2)}));
   EXPECT_EQ(instance.NumAtoms(), 2u);
-  EXPECT_TRUE(instance.Contains(GroundAtom(r, {MakeConstant(1)})));
-  EXPECT_FALSE(instance.Contains(GroundAtom(r, {MakeConstant(3)})));
+  EXPECT_TRUE(instance.Contains(r, std::vector<Term>{MakeConstant(1)}));
+  EXPECT_FALSE(instance.Contains(r, std::vector<Term>{MakeConstant(3)}));
+}
+
+TEST(InstanceTest, MatchesAnOrderedSetOnARandomStream) {
+  // 120k random atoms over 40 predicates of arity 1-5, from a domain small
+  // enough that low arities mostly repeat and high ones mostly grow their
+  // tables through several rehashes. Every AddAtom answer, a Contains probe
+  // of an unrelated atom, the atom count, and the per-predicate insertion
+  // order must match the oracle.
+  constexpr uint32_t kPreds = 40;
+  Schema schema;
+  for (uint32_t i = 0; i < kPreds; ++i) {
+    ASSERT_TRUE(schema.AddPredicate("p" + std::to_string(i), 1 + i % 5).ok());
+  }
+  Instance instance(&schema);
+  std::set<std::pair<PredId, std::vector<Term>>> oracle;
+  std::vector<std::vector<std::vector<Term>>> order(kPreds);
+  Rng rng(23);
+  auto random_atom = [&] {
+    const auto pred = static_cast<PredId>(rng.Below(kPreds));
+    std::vector<Term> args(schema.Arity(pred));
+    for (Term& arg : args) {
+      const auto value = static_cast<uint32_t>(rng.Below(24));
+      arg = rng.Below(2) == 0 ? MakeConstant(value) : MakeNull(value);
+    }
+    return std::make_pair(pred, std::move(args));
+  };
+  for (int i = 0; i < 120'000; ++i) {
+    auto [pred, args] = random_atom();
+    const bool added = instance.AddAtom(pred, args);
+    const bool expected = oracle.emplace(pred, args).second;
+    ASSERT_EQ(added, expected) << "atom " << i;
+    if (added) order[pred].push_back(args);
+    const auto [probe_pred, probe_args] = random_atom();
+    ASSERT_EQ(instance.Contains(probe_pred, probe_args),
+              oracle.count({probe_pred, probe_args}) > 0)
+        << "probe " << i;
+  }
+  EXPECT_EQ(instance.NumAtoms(), oracle.size());
+  EXPECT_GT(oracle.size(), 50'000u);
+  std::vector<std::vector<std::vector<Term>>> seen(kPreds);
+  instance.ForEachAtom(
+      [&](const GroundAtom& atom) { seen[atom.pred].push_back(atom.args); });
+  EXPECT_EQ(seen, order);
+}
+
+TEST(RowSetTest, WidthZeroHoldsOneRow) {
+  // The schema has no arity-0 predicate, but a rule with an empty frontier
+  // keys its fired triggers on zero values: the row count alone decides.
+  RowSet rows(0);
+  EXPECT_FALSE(rows.Contains({}));
+  EXPECT_TRUE(rows.Insert({}));
+  EXPECT_FALSE(rows.Insert({}));
+  EXPECT_EQ(rows.size(), 1u);
+  EXPECT_TRUE(rows.Contains({}));
+  EXPECT_TRUE(rows[0].empty());
+}
+
+TEST(InstanceTest, ConstantAndNullWithTheSameIdAreDistinct) {
+  // The terms differ only in the null tag bit.
+  Schema schema;
+  const PredId r = schema.AddPredicate("r", 2).value();
+  Instance instance(&schema);
+  const std::vector<Term> constant = {MakeConstant(5), MakeConstant(7)};
+  const std::vector<Term> null = {MakeNull(5), MakeConstant(7)};
+  EXPECT_TRUE(instance.AddAtom(r, constant));
+  EXPECT_FALSE(instance.Contains(r, null));
+  EXPECT_TRUE(instance.AddAtom(r, null));
+  EXPECT_EQ(instance.NumRows(r), 2u);
+  // Equal atoms built separately hash alike: both are found again.
+  EXPECT_FALSE(
+      instance.AddAtom(r, std::vector<Term>{MakeConstant(5), MakeConstant(7)}));
+  EXPECT_FALSE(
+      instance.AddAtom(r, std::vector<Term>{MakeNull(5), MakeConstant(7)}));
+  EXPECT_EQ(instance.NumAtoms(), 2u);
+}
+
+TEST(InstanceTest, EqualArgumentsUnderDifferentPredicatesAreDistinct) {
+  Schema schema;
+  const PredId r = schema.AddPredicate("r", 2).value();
+  const PredId s = schema.AddPredicate("s", 2).value();
+  Instance instance(&schema);
+  const std::vector<Term> args = {MakeConstant(1), MakeNull(2)};
+  EXPECT_TRUE(instance.AddAtom(r, args));
+  EXPECT_FALSE(instance.Contains(s, args));
+  EXPECT_TRUE(instance.AddAtom(s, args));
+  EXPECT_EQ(instance.NumAtoms(), 2u);
+}
+
+TEST(InstanceTest, ForEachAtomKeepsInsertionOrderPerPredicate) {
+  Schema schema;
+  const PredId r = schema.AddPredicate("r", 1).value();
+  const PredId s = schema.AddPredicate("s", 1).value();
+  Instance instance(&schema);
+  for (uint32_t value : {9u, 3u, 7u}) {
+    ASSERT_TRUE(instance.AddAtom(s, std::vector<Term>{MakeConstant(value)}));
+    ASSERT_TRUE(instance.AddAtom(r, std::vector<Term>{MakeNull(value)}));
+  }
+  std::vector<GroundAtom> atoms;
+  instance.ForEachAtom([&](const GroundAtom& atom) { atoms.push_back(atom); });
+  const std::vector<GroundAtom> expected = {
+      GroundAtom(r, {MakeNull(9)}),     GroundAtom(r, {MakeNull(3)}),
+      GroundAtom(r, {MakeNull(7)}),     GroundAtom(s, {MakeConstant(9)}),
+      GroundAtom(s, {MakeConstant(3)}), GroundAtom(s, {MakeConstant(7)})};
+  EXPECT_EQ(atoms, expected);
 }
 
 TEST(InstanceTest, FromDatabase) {
@@ -95,6 +203,18 @@ TEST(ChaseTest, SemiObliviousFiresOncePerFrontierWitness) {
   EXPECT_EQ(restricted.instance.NumAtoms(), 3u);
 }
 
+TEST(ChaseTest, EmptyFrontierFiresOncePerRule) {
+  // r(x) -> exists z s(z): the semi-oblivious trigger key is empty, so the
+  // rule fires once however many r-facts match; the oblivious key is x.
+  Program p = MustParse("r(a). r(b).\nr(X) -> s(Z).");
+  ChaseResult semi = MustChase(p, ChaseVariant::kSemiOblivious);
+  EXPECT_EQ(semi.triggers_fired, 1u);
+  EXPECT_EQ(semi.instance.NumAtoms(), 3u);
+  ChaseResult oblivious = MustChase(p, ChaseVariant::kOblivious);
+  EXPECT_EQ(oblivious.triggers_fired, 2u);
+  EXPECT_EQ(oblivious.instance.NumAtoms(), 4u);
+}
+
 TEST(ChaseTest, TerminatingTransitiveClosureStyleRules) {
   Program p = MustParse(R"(
     e(a,b). e(b,c). e(c,d).
@@ -105,7 +225,7 @@ TEST(ChaseTest, TerminatingTransitiveClosureStyleRules) {
   EXPECT_EQ(result.outcome, ChaseOutcome::kFixpoint);
   // t = transitive closure: (a,b),(b,c),(c,d),(a,c),(b,d),(a,d).
   const PredId t = p.schema->FindPredicate("t").value();
-  EXPECT_EQ(result.instance.AtomsOf(t).size(), 6u);
+  EXPECT_EQ(result.instance.NumRows(t), 6u);
   EXPECT_TRUE(Satisfies(result.instance, p.tgds));
 }
 
@@ -151,10 +271,10 @@ TEST(ChaseTest, MultiHeadSharesNulls) {
   EXPECT_EQ(result.outcome, ChaseOutcome::kFixpoint);
   const PredId s = p.schema->FindPredicate("s").value();
   const PredId t = p.schema->FindPredicate("t").value();
-  ASSERT_EQ(result.instance.AtomsOf(s).size(), 1u);
-  ASSERT_EQ(result.instance.AtomsOf(t).size(), 1u);
-  const Term null_in_s = result.instance.AtomsOf(s)[0].args[1];
-  const Term null_in_t = result.instance.AtomsOf(t)[0].args[0];
+  ASSERT_EQ(result.instance.NumRows(s), 1u);
+  ASSERT_EQ(result.instance.NumRows(t), 1u);
+  const Term null_in_s = result.instance.Row(s, 0)[1];
+  const Term null_in_t = result.instance.Row(t, 0)[0];
   EXPECT_TRUE(IsNull(null_in_s));
   EXPECT_EQ(null_in_s, null_in_t);
 }
@@ -231,8 +351,8 @@ TEST(ChaseTest, NullNamesAreFunctionalInSemiOblivious) {
   ChaseResult result = MustChase(p, ChaseVariant::kSemiOblivious);
   const PredId s = p.schema->FindPredicate("s").value();
   const PredId t = p.schema->FindPredicate("t").value();
-  const Term null_s = result.instance.AtomsOf(s)[0].args[1];
-  const Term null_t = result.instance.AtomsOf(t)[0].args[1];
+  const Term null_s = result.instance.Row(s, 0)[1];
+  const Term null_t = result.instance.Row(t, 0)[1];
   EXPECT_NE(null_s, null_t);
 }
 
@@ -241,8 +361,8 @@ TEST(ChaseTest, RepeatedBodyVariableFiltersMatches) {
   Program p = MustParse("r(a,a). r(a,b).\nr(X,X) -> s(X).");
   ChaseResult result = MustChase(p, ChaseVariant::kSemiOblivious);
   const PredId s = p.schema->FindPredicate("s").value();
-  EXPECT_EQ(result.instance.AtomsOf(s).size(), 1u);
-  EXPECT_EQ(result.instance.AtomsOf(s)[0].args[0], MakeConstant(0));
+  EXPECT_EQ(result.instance.NumRows(s), 1u);
+  EXPECT_EQ(result.instance.Row(s, 0)[0], MakeConstant(0));
 }
 
 TEST(ChaseTest, PaperExample34NoTrigger) {
@@ -270,6 +390,27 @@ TEST(ChaseTest, RejectsRuleOverForeignSchema) {
   Schema other;
   Database db(&other);
   EXPECT_FALSE(RunChase(db, rules.tgds, {}).ok());
+}
+
+TEST(ChaseTest, RejectsHeadAtomsTheSchemaCannotStore) {
+  // Body and heads alike: an atom's predicate must be in the schema and
+  // its argument count the predicate's arity.
+  Schema schema;
+  const PredId r = schema.AddPredicate("r", 1).value();
+  const PredId s = schema.AddPredicate("s", 2).value();
+  Database db(&schema);
+  ASSERT_TRUE(db.AddFact(r, std::vector<uint32_t>{0}).ok());
+  for (const RuleAtom& head :
+       {RuleAtom(s, {0}), RuleAtom(s, {0, 1, 2}), RuleAtom(s + 1, {0, 1})}) {
+    auto tgd = Tgd::Create({RuleAtom(r, {0})}, {head});
+    ASSERT_TRUE(tgd.ok()) << tgd.status();
+    EXPECT_EQ(RunChase(db, {*tgd}, {}).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  auto wide_body = Tgd::Create({RuleAtom(r, {0, 1})}, {RuleAtom(s, {0, 1})});
+  ASSERT_TRUE(wide_body.ok()) << wide_body.status();
+  EXPECT_EQ(RunChase(db, {*wide_body}, {}).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

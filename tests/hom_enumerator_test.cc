@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,14 +47,14 @@ using Stream = std::vector<std::pair<uint32_t, std::vector<Term>>>;
 // ---------------------------------------------------------------------------
 // The oracle: a recursive nested-loop join with its own binding trail.
 
-bool OracleBind(const RuleAtom& pattern, const GroundAtom& atom,
+bool OracleBind(const RuleAtom& pattern, std::span<const Term> row,
                 std::vector<Term>& h, std::vector<VarId>& trail) {
   for (size_t i = 0; i < pattern.args.size(); ++i) {
     const VarId var = pattern.args[i];
     if (h[var] == kUnboundTerm) {
-      h[var] = atom.args[i];
+      h[var] = row[i];
       trail.push_back(var);
-    } else if (h[var] != atom.args[i]) {
+    } else if (h[var] != row[i]) {
       return false;
     }
   }
@@ -80,7 +81,7 @@ void OracleMatch(const std::vector<RuleAtom>& atoms, const Instance& instance,
   }
   for (size_t row = ranges[index].begin; row < ranges[index].end; ++row) {
     const size_t mark = trail.size();
-    if (OracleBind(atoms[index], instance.AtomsOf(atoms[index].pred)[row], h,
+    if (OracleBind(atoms[index], instance.Row(atoms[index].pred, row), h,
                    trail)) {
       OracleMatch(atoms, instance, ranges, index + 1, h, trail, emit);
     }
@@ -225,7 +226,7 @@ Instance MakeInstance(const Fixture& fixture, Rng* rng, uint32_t rows) {
       for (Term& arg : args) {
         arg = MakeConstant(static_cast<uint32_t>(rng->Below(4)));
       }
-      if (instance.AddAtom(GroundAtom(pred, std::move(args)))) ++added;
+      if (instance.AddAtom(pred, args)) ++added;
     }
   }
   return instance;
@@ -242,7 +243,7 @@ std::vector<RoundView> MakeViews(const Fixture& fixture,
     views[v].prev.assign(n, 0);
     views[v].cur.assign(n, 0);
     for (PredId pred = 0; pred < n; ++pred) {
-      const size_t size = instance.AtomsOf(pred).size();
+      const size_t size = instance.NumRows(pred);
       size_t cur = size;
       size_t prev = 0;
       if (v == 1) prev = size;  // empty delta
@@ -282,12 +283,12 @@ void AddAtWatermark(const Instance& source, const RoundView& view,
   const size_t num_preds = source.schema().NumPredicates();
   for (int phase = 0; phase < 2; ++phase) {
     for (PredId pred = 0; pred < num_preds; ++pred) {
-      const std::vector<GroundAtom>& atoms = source.AtomsOf(pred);
-      const size_t cut = std::min(view.CurOf(pred), atoms.size());
+      const size_t rows = source.NumRows(pred);
+      const size_t cut = std::min(view.CurOf(pred), rows);
       const size_t begin = phase == 0 ? 0 : cut;
-      const size_t end = phase == 0 ? cut : atoms.size();
+      const size_t end = phase == 0 ? cut : rows;
       for (size_t row = begin; row < end; ++row) {
-        ASSERT_TRUE(instance->AddAtom(atoms[row]));
+        ASSERT_TRUE(instance->AddAtom(pred, source.Row(pred, row)));
       }
     }
     if (phase == 0) index->Extend(*instance);
@@ -401,7 +402,7 @@ TEST(HomEnumeratorTest, PausedLookupsResumeAcrossIndexExtension) {
           for (Term& arg : args) {
             arg = MakeConstant(static_cast<uint32_t>(rng.Below(6)));
           }
-          (void)instance.AddAtom(GroundAtom(pred, std::move(args)));
+          (void)instance.AddAtom(pred, args);
         }
         index.Extend(instance);
       };
@@ -434,7 +435,7 @@ TEST(HomEnumeratorTest, LookupsMatchTheScanOnEveryProbeShape) {
       for (Term& arg : args) {
         arg = MakeConstant(static_cast<uint32_t>(rng.Below(domain)));
       }
-      (void)instance.AddAtom(GroundAtom(pred, std::move(args)));
+      (void)instance.AddAtom(pred, args);
     }
   };
   fill(p, 8);
@@ -489,7 +490,7 @@ TEST(HomEnumeratorTest, LookupsMatchTheScanOnEveryProbeShape) {
     for (PredId pred : {p, q, r}) {
       std::vector<Term> args(schema.Arity(pred),
                              MakeNull(grown.NewNullId()));
-      ASSERT_TRUE(grown.AddAtom(GroundAtom(pred, std::move(args))));
+      ASSERT_TRUE(grown.AddAtom(pred, args));
     }
     const Stream past = OracleStream(c.atoms, grown,
                                      FullRanges(c.atoms, grown), unbound);
@@ -599,7 +600,7 @@ TEST(HomEnumeratorTest, AppendsBetweenNextCallsStayOutsideTheWindows) {
       for (PredId pred : fixture.preds) {
         std::vector<Term> args(fixture.schema.Arity(pred));
         for (Term& arg : args) arg = MakeNull(instance.NewNullId());
-        ASSERT_TRUE(instance.AddAtom(GroundAtom(pred, std::move(args))));
+        ASSERT_TRUE(instance.AddAtom(pred, args));
       }
     }
     EXPECT_EQ(seen, oracle);

@@ -51,6 +51,10 @@ CASES = {
     os.path.join("src", "storage", "bad_node_shape_container.cc"):
         ["node-shape-container"] * 3,
     os.path.join("src", "storage", "good_node_shape_container.cc"): [],
+    os.path.join("src", "chase", "bad_node_row_container.cc"):
+        ["node-row-container"] * 4,
+    os.path.join("src", "chase", "good_node_row_container.cc"): [],
+    os.path.join("src", "core", "good_node_row_container.cc"): [],
 }
 
 

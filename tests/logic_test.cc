@@ -227,14 +227,12 @@ TEST(DatabaseTest, AnonymousDomain) {
   EXPECT_EQ(db.ConstantName(42), "c42");
 }
 
-TEST(GroundAtomTest, EqualityAndHash) {
+TEST(GroundAtomTest, Equality) {
   GroundAtom a(0, {MakeConstant(1), MakeNull(2)});
   GroundAtom b(0, {MakeConstant(1), MakeNull(2)});
   GroundAtom c(0, {MakeConstant(1), MakeConstant(2)});
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a == c);
-  GroundAtomHash hash;
-  EXPECT_EQ(hash(a), hash(b));
 }
 
 }  // namespace

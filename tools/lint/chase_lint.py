@@ -54,6 +54,15 @@ patterns that protect it, on every file, in CI:
                    without either. A table that needs erase (FlatSet has
                    none) says so in a suppression.
 
+  node-row-container
+                   std::unordered_{set,map} keyed on GroundAtom,
+                   std::vector<uint64_t> or std::vector<Term> under
+                   src/chase/. Such a table stores a second copy of
+                   every row in its own heap block, behind a node and a
+                   pointer chase per probe; the chase keeps atoms and
+                   fired-trigger keys in flat RowSets
+                   (chase/instance.h) instead.
+
 Suppressions: append `// chase-lint: allow(<rule>) <reason>` to the
 offending line, or put it in a comment on the line directly above. The
 reason is mandatory — a suppression documents the invariant that replaces
@@ -129,6 +138,13 @@ THREAD_SCOPE = (os.path.join("src", ""), os.path.join("tools", ""))
 # node-shape-container ------------------------------------------------------
 NODE_SHAPE_CONTAINER_RE = re.compile(
     r"\bunordered_(?:set|map)\s*<\s*(?:(?:::)?chase::)?Shape\b")
+
+# node-row-container --------------------------------------------------------
+ROW_CONTAINER_DIRS = (os.path.join("src", "chase"),)
+NODE_ROW_CONTAINER_RE = re.compile(
+    r"\bunordered_(?:set|map)\s*<\s*(?:(?:::)?chase::)?"
+    r"(?:GroundAtom\b|(?:std::)?vector\s*<\s*"
+    r"(?:(?:std::)?uint64_t|(?:(?:::)?chase::)?Term)\s*>)")
 
 # envelope-io ---------------------------------------------------------------
 ENVELOPE_HOME = (
@@ -299,6 +315,18 @@ class FileLinter:
                     "ShapeView, or say why it needs erase in "
                     "`// chase-lint: allow(node-shape-container) <why>`")
 
+    def check_node_row_container(self):
+        if not in_dirs(self.relpath, ROW_CONTAINER_DIRS):
+            return
+        for i, code in enumerate(self.code, start=1):
+            if NODE_ROW_CONTAINER_RE.search(code):
+                self.report(
+                    i, "node-row-container",
+                    "node-based hash container keyed on a row of terms; "
+                    "keep rows in a flat RowSet (chase/instance.h), or say "
+                    "why it needs erase in "
+                    "`// chase-lint: allow(node-row-container) <why>`")
+
     def check_envelope_io(self):
         if self.relpath in ENVELOPE_HOME:
             return
@@ -375,6 +403,7 @@ class FileLinter:
         self.check_raw_sto()
         self.check_naked_thread()
         self.check_node_shape_container()
+        self.check_node_row_container()
         self.check_envelope_io()
         self.check_signal_handler()
         return self.findings
