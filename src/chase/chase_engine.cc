@@ -157,6 +157,11 @@ const char* ChaseOutcomeName(ChaseOutcome outcome) {
 StatusOr<ChaseResult> RunChase(const Database& database,
                                const std::vector<Tgd>& tgds,
                                const ChaseOptions& options) {
+  // Refused before anything below is sized from it or spawned.
+  if (options.frontier_threads > kMaxFrontierThreads) {
+    return InvalidArgumentError("frontier_threads exceeds " +
+                                std::to_string(kMaxFrontierThreads));
+  }
   const Schema& schema = database.schema();
   // The instance stores each predicate's atoms as rows of its schema arity.
   for (const Tgd& tgd : tgds) {
@@ -268,26 +273,31 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     result.peak_buffered_homs = ckpt.peak_buffered_homs;
   }
 
-  // Parallel rounds run on any rule set, linear or not: each round's
-  // homomorphism space is split into range fragments whose canonical
-  // concatenation is the serial trigger order (chase/body_partition.h), and
-  // the old hazard — a multi-atom body cross-producting a fragment against
-  // whole relations and materializing unbounded buffers — is handled by
-  // the budgeted enumerate→pause→apply→resume protocol below, which caps
-  // buffered homomorphisms at threads × hom_budget. The restricted
-  // variant enumerates on the pool too: its satisfaction check must
-  // observe atoms applied earlier in the same round, so the workers only
-  // run a conservative pre-filter against the frozen round-start prefix
-  // (satisfied there => satisfied at apply time, skip for good) and the
-  // survivors re-check serially in exact firing order — against the
-  // same-round suffix only, the one part the workers could not see.
-  const unsigned enum_threads = std::max(1u, options.frontier_threads);
+  // Parallel rounds run where the workers have join work to do: a
+  // multi-atom body, or the restricted variant's satisfaction pre-filter.
+  // Each such round's homomorphism space is split into range fragments
+  // whose canonical concatenation is the serial trigger order
+  // (chase/body_partition.h), and the budgeted enumerate→pause→apply→resume
+  // protocol below caps buffered homomorphisms at threads × hom_budget, so a
+  // multi-atom body cross-producting a fragment against whole relations
+  // cannot materialize unbounded buffers. The restricted variant's
+  // satisfaction check must observe atoms applied earlier in the same
+  // round, so its workers only run a conservative pre-filter against the
+  // frozen round-start prefix (satisfied there => satisfied at apply time,
+  // skip for good) and the survivors re-check serially in exact firing
+  // order — against the same-round suffix only, the one part the workers
+  // could not see. A linear (semi-)oblivious chase has neither: a one-atom
+  // body has no join to split, so its workers would only copy delta rows
+  // into buffers that this thread then replays in the same order. It
+  // enumerates inline at any frontier_threads.
   const bool restricted = options.variant == ChaseVariant::kRestricted;
-  // The pool is spawned once here and reused by every wave of every round
-  // below through its generation barrier — per-round thread spawn cost was
-  // exactly what dominated shallow-but-many-round workloads.
+  const unsigned enum_threads = restricted || !AllLinear(tgds)
+                                    ? std::max(1u, options.frontier_threads)
+                                    : 1;
+  result.enum_threads = enum_threads;
+  // Spawned on the first parallel round, then reused by every later wave
+  // and round through its generation barrier (no per-round thread spawn).
   std::optional<WorkerPool> pool;
-  if (enum_threads > 1) pool.emplace(enum_threads);
   // Matcher scratch: the serial round's body join, the apply loop's head
   // checks, and one pre-filter head matcher per worker.
   HomEnumerator body_matcher;
@@ -478,6 +488,7 @@ StatusOr<ChaseResult> RunChase(const Database& database,
       // backtracking cursors. So `fired`, null ids, and the atom-limit cut
       // land identically to a single-threaded run, while peak buffered
       // homomorphisms stay at most enum_threads × hom_budget.
+      if (!pool.has_value()) pool.emplace(enum_threads);
       const std::vector<BodyPartition> parts =
           PlanBodyPartitions(tgds, view, enum_threads);
       const uint64_t budget = std::max<uint64_t>(1, options.hom_budget);
@@ -609,6 +620,7 @@ StatusOr<ChaseResult> RunChase(const Database& database,
                 static_cast<double>(result.triggers_fired));
   obs::SetGauge("chase.triggers_prefiltered",
                 static_cast<double>(result.triggers_prefiltered));
+  obs::SetGauge("chase.enum_threads", static_cast<double>(enum_threads));
   obs::SetGauge("chase.peak_buffered_homs",
                 static_cast<double>(result.peak_buffered_homs));
   obs::SetGauge("chase.rows_probed", static_cast<double>(result.rows_probed));

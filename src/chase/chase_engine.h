@@ -45,6 +45,10 @@ enum class ChaseVariant {
 
 const char* ChaseVariantName(ChaseVariant variant);
 
+// The largest ChaseOptions::frontier_threads RunChase accepts (chasectl's
+// --threads ceiling).
+inline constexpr unsigned kMaxFrontierThreads = 1024;
+
 struct ChaseOptions {
   ChaseVariant variant = ChaseVariant::kSemiOblivious;
   // Stop once the instance holds more than this many atoms. The cut trips
@@ -62,16 +66,22 @@ struct ChaseOptions {
   // Stop after this many rounds.
   uint64_t max_rounds = UINT64_MAX;
   // Worker threads for per-round trigger enumeration (<= 1 enumerates
-  // inline). A round is a frontier: bodies only match against atoms from
-  // earlier rounds, so all three variants — over any rule set, linear or
-  // not — enumerate triggers on a persistent chase::WorkerPool (spawned
-  // once per RunChase, reused across rounds through its barrier) and apply
-  // them serially in the exact serial order: the resulting instance, null
-  // numbering, rounds, and trigger count are bit-identical to a
-  // single-threaded run. Each round's homomorphism space is split into
-  // range fragments (chase/body_partition.h) whose canonical concatenation
-  // is the serial trigger order; multi-atom bodies, whose fragments can
-  // produce unboundedly many homomorphisms, run under the budgeted
+  // inline; above kMaxFrontierThreads RunChase returns kInvalidArgument
+  // before it allocates anything). A round is a frontier: bodies only match
+  // against atoms from earlier rounds, so a chase over multi-atom bodies,
+  // and every restricted chase, enumerates triggers on a chase::WorkerPool
+  // (spawned on the first parallel round, reused across rounds through its
+  // barrier) and applies them serially in the exact serial order: the
+  // resulting instance, null numbering, rounds, and trigger count are
+  // bit-identical to a single-threaded run. A linear semi-oblivious or
+  // oblivious chase enumerates inline at any value and never starts a
+  // thread: a one-atom body has no join to split, so workers would only copy
+  // delta rows into buffers that the apply loop replays in the same order
+  // (ChaseResult::enum_threads reports which path ran). Each parallel
+  // round's homomorphism space is split into range fragments
+  // (chase/body_partition.h) whose canonical concatenation is the serial
+  // trigger order; multi-atom bodies, whose fragments can produce
+  // unboundedly many homomorphisms, run under the budgeted
   // enumerate→pause→apply→resume protocol (WorkerPool::RunBudgetedTasks)
   // with at most `hom_budget` buffered homomorphisms per in-flight
   // fragment. For the restricted variant the workers additionally run a
@@ -148,9 +158,14 @@ struct ChaseResult {
   // buffered at once across the run, measured at each epoch barrier of the
   // budgeted protocol. By construction at most frontier_threads ×
   // hom_budget (tests/frontier_equivalence_test.cc asserts the bound).
-  // Deterministic for a given (input, threads, budget), but 0 for a serial
-  // run — diagnostics only, like triggers_prefiltered.
+  // Deterministic for a given (input, threads, budget), but 0 for a run
+  // that enumerated inline (enum_threads == 1, at any frontier_threads) —
+  // diagnostics only, like triggers_prefiltered.
   uint64_t peak_buffered_homs = 0;
+  // The threads this run enumerated triggers on: frontier_threads (at least
+  // 1) where rounds go parallel, 1 where they run inline — a linear
+  // semi-oblivious or oblivious chase, or frontier_threads <= 1.
+  unsigned enum_threads = 1;
   // Candidate rows every matcher of the run tried — body joins and head
   // checks (HomEnumerator::rows_probed) — the join work that row-index
   // lookups cut; divided by triggers_fired, the work per trigger. Counts

@@ -297,32 +297,48 @@ TEST(ChaseCheckpointEngineTest, CheckpointStateIsThreadCountInvariant) {
   // frontier_threads, and at a fixed thread count repeated runs must write
   // the identical file — only the two diagnostic counters, which the
   // ChaseResult contract already scopes per thread count, may vary across
-  // thread counts.
-  Program p = MustParse(kNonTerminating);
-  const std::string path1 = TempPath("chck_canon_t1.chck");
-  const std::string path4 = TempPath("chck_canon_t4.chck");
-  const std::string path4_again = TempPath("chck_canon_t4_again.chck");
-  for (const auto& [path, threads] :
-       {std::pair<std::string, unsigned>{path1, 1},
-        {path4, 4},
-        {path4_again, 4}}) {
-    ChaseOptions options;
-    options.max_rounds = 5;
-    options.frontier_threads = threads;
-    options.checkpoint_path = path;
-    options.checkpoint_every_rounds = 5;
-    auto result = RunChase(*p.database, p.tgds, options);
-    ASSERT_TRUE(result.ok()) << result.status();
+  // thread counts. kNonTerminating is linear, so its threads = 4 run
+  // enumerates inline; the second leg adds a two-atom body, which puts
+  // threads = 4 on the worker pool's budgeted protocol.
+  const std::string joined =
+      std::string(kNonTerminating) + "e(X, Y), e(Y, W) -> p(W).\n";
+  for (const std::string& text : {std::string(kNonTerminating), joined}) {
+    Program p = MustParse(text);
+    const bool pooled = text == joined;
+    const std::string path1 = TempPath("chck_canon_t1.chck");
+    const std::string path4 = TempPath("chck_canon_t4.chck");
+    const std::string path4_again = TempPath("chck_canon_t4_again.chck");
+    for (const auto& [path, threads] :
+         {std::pair<std::string, unsigned>{path1, 1},
+          {path4, 4},
+          {path4_again, 4}}) {
+      ChaseOptions options;
+      options.max_rounds = 5;
+      options.frontier_threads = threads;
+      options.checkpoint_path = path;
+      options.checkpoint_every_rounds = 5;
+      auto result = RunChase(*p.database, p.tgds, options);
+      ASSERT_TRUE(result.ok()) << result.status();
+      if (pooled && threads > 1) {
+        EXPECT_GT(result->peak_buffered_homs, 0u);
+      } else {
+        EXPECT_EQ(result->peak_buffered_homs, 0u) << text << threads;
+      }
+    }
+    EXPECT_EQ(ReadAllBytes(path4), ReadAllBytes(path4_again)) << text;
+    auto serial = io::LoadChaseCheckpoint(path1);
+    auto parallel = io::LoadChaseCheckpoint(path4);
+    ASSERT_TRUE(serial.ok()) << serial.status();
+    ASSERT_TRUE(parallel.ok()) << parallel.status();
+    ExpectSameCheckpointState(*serial, *parallel);
+    if (!pooled) {
+      // Inline at both thread counts: the files match byte for byte.
+      EXPECT_EQ(ReadAllBytes(path1), ReadAllBytes(path4));
+    }
+    std::remove(path1.c_str());
+    std::remove(path4.c_str());
+    std::remove(path4_again.c_str());
   }
-  EXPECT_EQ(ReadAllBytes(path4), ReadAllBytes(path4_again));
-  auto serial = io::LoadChaseCheckpoint(path1);
-  auto parallel = io::LoadChaseCheckpoint(path4);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-  ExpectSameCheckpointState(*serial, *parallel);
-  std::remove(path1.c_str());
-  std::remove(path4.c_str());
-  std::remove(path4_again.c_str());
 }
 
 TEST(ChaseCheckpointEngineTest, ResumeRejectsMismatchedProgramOrVariant) {
@@ -494,28 +510,38 @@ TEST(ChaseCheckpointEngineTest, InterruptedOutcomeHasAName) {
 TEST(ChaseLimitTest, AtomLimitCutIsDeterministicAndBounded) {
   // Two-atom heads: the one trigger allowed to overshoot adds at most the
   // largest head atom count, and the cut lands at the same trigger for
-  // every thread count.
-  Program p = MustParse(R"(
+  // every thread count — on the inline path the linear program takes at
+  // any thread count, and on the worker pool's budgeted protocol, which
+  // the two-atom body of the second program puts threads > 1 on.
+  const std::string linear = R"(
     e(a, b).
     e(X, Y) -> e(Y, Z), e(Z, W).
-  )");
+  )";
+  const std::string joined = linear + "e(X, Y), e(Y, W) -> f(X, W).\n";
   constexpr uint64_t kMaxAtoms = 50;
   constexpr uint64_t kMaxHeadAtoms = 2;
-  std::vector<GroundAtom> serial_atoms;
-  for (unsigned threads : {1u, 2u, 4u}) {
-    ChaseOptions options;
-    options.max_atoms = kMaxAtoms;
-    options.frontier_threads = threads;
-    auto result = RunChase(*p.database, p.tgds, options);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->outcome, ChaseOutcome::kAtomLimit) << threads;
-    EXPECT_GT(result->instance.NumAtoms(), kMaxAtoms) << threads;
-    EXPECT_LE(result->instance.NumAtoms(), kMaxAtoms + kMaxHeadAtoms)
-        << threads;
-    if (threads == 1) {
-      serial_atoms = CollectAtoms(result->instance);
-    } else {
-      EXPECT_EQ(CollectAtoms(result->instance), serial_atoms) << threads;
+  for (const std::string& text : {linear, joined}) {
+    Program p = MustParse(text);
+    std::vector<GroundAtom> serial_atoms;
+    for (unsigned threads : {1u, 2u, 4u}) {
+      ChaseOptions options;
+      options.max_atoms = kMaxAtoms;
+      options.frontier_threads = threads;
+      auto result = RunChase(*p.database, p.tgds, options);
+      ASSERT_TRUE(result.ok()) << result.status();
+      const std::string label = text + ", threads " + std::to_string(threads);
+      EXPECT_EQ(result->outcome, ChaseOutcome::kAtomLimit) << label;
+      EXPECT_GT(result->instance.NumAtoms(), kMaxAtoms) << label;
+      EXPECT_LE(result->instance.NumAtoms(), kMaxAtoms + kMaxHeadAtoms)
+          << label;
+      if (text == joined && threads > 1) {
+        EXPECT_GT(result->peak_buffered_homs, 0u) << label;
+      }
+      if (threads == 1) {
+        serial_atoms = CollectAtoms(result->instance);
+      } else {
+        EXPECT_EQ(CollectAtoms(result->instance), serial_atoms) << label;
+      }
     }
   }
 }

@@ -215,6 +215,20 @@ TEST(ChaseTest, EmptyFrontierFiresOncePerRule) {
   EXPECT_EQ(oblivious.instance.NumAtoms(), 4u);
 }
 
+TEST(ChaseTest, RefusesFrontierThreadsAboveTheCeiling) {
+  // Refused at entry, before a value this large sizes any matcher vector
+  // or worker pool: a run that got that far would start a million threads.
+  Program p = MustParse("e(a,b).\ne(X,Y), e(Y,Z) -> e(X,Z).");
+  for (unsigned threads : {kMaxFrontierThreads + 1, 1u << 20}) {
+    ChaseOptions options;
+    options.variant = ChaseVariant::kRestricted;
+    options.frontier_threads = threads;
+    EXPECT_EQ(RunChase(*p.database, p.tgds, options).status().code(),
+              StatusCode::kInvalidArgument)
+        << threads;
+  }
+}
+
 TEST(ChaseTest, TerminatingTransitiveClosureStyleRules) {
   Program p = MustParse(R"(
     e(a,b). e(b,c). e(c,d).

@@ -403,6 +403,30 @@ TEST_F(ChasectlCliTest, CheckpointResumeRoundTrips) {
   std::remove(file.c_str());
 }
 
+TEST_F(ChasectlCliTest, ChasePrintsTheEnumerationThreadsItUsed) {
+  // A linear semi-oblivious chase enumerates inline at any --threads; a
+  // two-atom body puts the rounds on the worker pool at the requested
+  // count. The summary's third line reports which.
+  const std::string joined = TempDir() + "/chasectl_cli_test_joined.dlgp";
+  {
+    std::ofstream out(joined);
+    out << "r(a,b). r(b,c).\nr(X,Y), r(Y,Z) -> t(X,Z).\n";
+  }
+  for (const auto& [file, expected] :
+       {std::pair<std::string, std::string>{program_path_, "1"},
+        {joined, "4"}}) {
+    std::string out;
+    EXPECT_EQ(RunChasectl("chase " + file + " --threads=4", nullptr, &out),
+              0);
+    EXPECT_NE(out.find("\n  peak buffered homs: "), std::string::npos)
+        << out;
+    EXPECT_NE(out.find(", enumeration threads: " + expected + "\n"),
+              std::string::npos)
+        << out;
+  }
+  std::remove(joined.c_str());
+}
+
 TEST_F(ChasectlCliTest, ObservabilityRunsProduceArtifacts) {
   const std::string trace_path = TempDir() + "/chasectl_cli_test_trace.json";
   const std::string metrics_path =

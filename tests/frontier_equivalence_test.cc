@@ -14,7 +14,9 @@
 //    for linear rules and for every non-linear join family (triangle, star,
 //    chain, cross-product), across the thread sweep and homomorphism
 //    budgets down to 1, with the budgeted protocol's peak-buffer bound
-//    (threads × hom_budget) asserted on every run.
+//    (threads × hom_budget) asserted on every run. A linear
+//    semi-oblivious or oblivious chase enumerates inline at any thread
+//    count; the dispatch rule that decides this has its own test.
 //
 // Plus the EXISTS-probe edge cases the frontier split exposes: empty
 // relations, arity-1 predicates (trivial lattices), duplicate database
@@ -39,6 +41,7 @@
 #include <iterator>
 #include <numeric>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,6 +54,7 @@
 #include "index/find_shapes.h"
 #include "io/binary_io.h"
 #include "logic/parser.h"
+#include "obs/trace.h"
 #include "pager/disk_database.h"
 #include "pager/disk_shape_source.h"
 #include "storage/catalog.h"
@@ -224,6 +228,8 @@ TEST(FrontierEquivalenceTest, ParallelChaseEnumerationMatchesSerial) {
     ASSERT_TRUE(data.ok()) << data.status();
     std::vector<Tgd> tgds = MakeLinearTgds(*data->schema, rng.Next(), 12);
 
+    // The rules are linear, so only the restricted leg enumerates on the
+    // worker pool; the other two compare the inline path at threads > 1.
     for (ChaseVariant variant :
          {ChaseVariant::kSemiOblivious, ChaseVariant::kOblivious,
           ChaseVariant::kRestricted}) {
@@ -254,6 +260,82 @@ TEST(FrontierEquivalenceTest, ParallelChaseEnumerationMatchesSerial) {
         std::vector<GroundAtom> serial_atoms, parallel_atoms;
         serial->instance.ForEachAtom(
             [&](const GroundAtom& atom) { serial_atoms.push_back(atom); });
+        parallel->instance.ForEachAtom(
+            [&](const GroundAtom& atom) { parallel_atoms.push_back(atom); });
+        EXPECT_EQ(parallel_atoms, serial_atoms) << label;
+      }
+    }
+  }
+}
+
+// Whether a traced run announced a budgeted window of the worker pool.
+bool TraceHasPoolWave() {
+  std::ostringstream os;
+  obs::TraceRecorder::Get().WriteJson(os);
+  return os.str().find("{\"name\": \"wave\", \"cat\": \"pool\"") !=
+         std::string::npos;
+}
+
+TEST(FrontierEquivalenceTest, LinearChasesEnumerateInline) {
+  // The dispatch rule: a linear semi-oblivious or oblivious chase has no
+  // join for workers to split, so it enumerates inline at any thread count
+  // — nothing buffered, no pool wave, one enumeration thread. The
+  // restricted variant's head pre-filter and a two-atom body keep the
+  // pool. Every leg equals threads = 1 bit for bit.
+  const std::string linear = R"(
+    e(a,b). e(b,c). e(c,d). e(d,a). p(a,b,c).
+    e(X,Y) -> e(Y,Z).
+    e(X,Y) -> p(X,Y,Z).
+    p(X,Y,Z) -> q(Z,X).
+    q(X,Y) -> e(X,Y).
+  )";
+  const std::string joined = linear + "e(X,Y), e(Y,Z) -> f(X,Z).\n";
+  for (const std::string* text : {&linear, &joined}) {
+    auto program = ParseProgram(*text);
+    ASSERT_TRUE(program.ok()) << program.status();
+    for (ChaseVariant variant :
+         {ChaseVariant::kSemiOblivious, ChaseVariant::kOblivious,
+          ChaseVariant::kRestricted}) {
+      const bool pooled =
+          text == &joined || variant == ChaseVariant::kRestricted;
+      ChaseOptions serial_options;
+      serial_options.variant = variant;
+      serial_options.max_rounds = 6;
+      serial_options.max_atoms = 5'000;
+      auto serial =
+          RunChase(*program->database, program->tgds, serial_options);
+      ASSERT_TRUE(serial.ok()) << serial.status();
+      ASSERT_GT(serial->triggers_fired, 0u);
+      EXPECT_EQ(serial->enum_threads, 1u);
+      std::vector<GroundAtom> serial_atoms;
+      serial->instance.ForEachAtom(
+          [&](const GroundAtom& atom) { serial_atoms.push_back(atom); });
+
+      for (unsigned threads : {2u, 4u, 8u}) {
+        ChaseOptions options = serial_options;
+        options.frontier_threads = threads;
+        obs::TraceRecorder::Get().Start(4096);
+        auto parallel = RunChase(*program->database, program->tgds, options);
+        obs::TraceRecorder::Get().Stop();
+        ASSERT_TRUE(parallel.ok()) << parallel.status();
+        const std::string label =
+            std::string(text == &linear ? "linear" : "joined") +
+            ", variant " + ChaseVariantName(variant) + ", threads " +
+            std::to_string(threads);
+        EXPECT_EQ(obs::TraceRecorder::Get().dropped(), 0u) << label;
+        EXPECT_EQ(TraceHasPoolWave(), pooled) << label;
+        EXPECT_EQ(parallel->enum_threads, pooled ? threads : 1u) << label;
+        if (pooled) {
+          EXPECT_GT(parallel->peak_buffered_homs, 0u) << label;
+        } else {
+          EXPECT_EQ(parallel->peak_buffered_homs, 0u) << label;
+        }
+        EXPECT_EQ(parallel->outcome, serial->outcome) << label;
+        EXPECT_EQ(parallel->rounds, serial->rounds) << label;
+        EXPECT_EQ(parallel->triggers_fired, serial->triggers_fired) << label;
+        EXPECT_EQ(parallel->instance.NumNulls(), serial->instance.NumNulls())
+            << label;
+        std::vector<GroundAtom> parallel_atoms;
         parallel->instance.ForEachAtom(
             [&](const GroundAtom& atom) { parallel_atoms.push_back(atom); });
         EXPECT_EQ(parallel_atoms, serial_atoms) << label;

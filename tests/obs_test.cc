@@ -594,5 +594,50 @@ TEST_F(ObsTest, ChaseIsBitIdenticalWithTracingOn) {
   }
 }
 
+TEST_F(ObsTest, ChaseReportsTheThreadsItEnumeratedOn) {
+  // ChaseResult::enum_threads, the chase.enum_threads gauge and the
+  // chase/run span's `threads` argument carry one value: the requested
+  // threads where rounds go to the worker pool (a two-atom body), 1 where
+  // a linear semi-oblivious chase enumerates inline.
+  for (const bool linear : {true, false}) {
+    auto program = ParseProgram(
+        linear ? "e(a,b). e(b,c).\ne(X,Y) -> p(Y,Z).\n"
+               : "e(a,b). e(b,c).\ne(X,Y), e(Y,Z) -> p(X,Z).\n");
+    ASSERT_TRUE(program.ok()) << program.status();
+    obs::MetricsRegistry::Get().Reset();
+    obs::MetricsRegistry::SetEnabled(true);
+    obs::TraceRecorder::Get().Start();
+    ChaseOptions options;
+    options.frontier_threads = 4;
+    auto result = RunChase(*program->database, program->tgds, options);
+    obs::TraceRecorder::Get().Stop();
+    obs::MetricsRegistry::SetEnabled(false);
+    ASSERT_TRUE(result.ok()) << result.status();
+
+    const unsigned expected = linear ? 1 : 4;
+    const std::string label = linear ? "linear" : "two-atom body";
+    EXPECT_EQ(result->enum_threads, expected) << label;
+    std::ostringstream metrics_os;
+    obs::MetricsRegistry::Get().DumpJson(metrics_os);
+    EXPECT_EQ(MustParse(metrics_os.str())
+                  .At("gauges")
+                  .At("chase.enum_threads")
+                  .number,
+              expected)
+        << label;
+    std::ostringstream trace_os;
+    obs::TraceRecorder::Get().WriteJson(trace_os);
+    const JsonValue trace = MustParse(trace_os.str());
+    size_t runs = 0;
+    for (const JsonValue& event : trace.At("traceEvents").array) {
+      if (event.At("cat").str == "chase" && event.At("name").str == "run") {
+        ++runs;
+        EXPECT_EQ(event.At("args").At("threads").number, expected) << label;
+      }
+    }
+    EXPECT_EQ(runs, 1u) << label;
+  }
+}
+
 }  // namespace
 }  // namespace chase

@@ -587,7 +587,7 @@ int CmdChase(const Args& args) {
             << "  prefiltered: " << result->triggers_prefiltered
             << " satisfied trigger(s) skipped on the worker pool\n"
             << "  peak buffered homs: " << result->peak_buffered_homs
-            << " (parallel non-linear engine; 0 = serial path)\n";
+            << ", enumeration threads: " << result->enum_threads << "\n";
   if (args.Has("print")) {
     result->instance.ForEachAtom([&](const GroundAtom& atom) {
       std::cout << ToString(*program->schema, *program->database, atom)
