@@ -62,68 +62,14 @@ RowIndex IndexFor(const std::vector<Tgd>& tgds, bool heads) {
 }
 
 // True iff some extension of the frontier assignment `hom` maps every head
-// atom of `tgd` into `instance`, head atom i drawn from rows `window(i)` —
-// the restricted chase's satisfaction test. `hom` leaves the existential
-// variables unbound; `matcher` is scratch (one per thread).
-template <typename Window>
-bool HeadMatches(const Tgd& tgd, const Instance& instance,
-                 const RowIndex& index, std::span<const Term> hom,
-                 HomEnumerator& matcher, Window&& window) {
-  std::vector<RowRange> ranges;
-  ranges.reserve(tgd.head().size());
-  for (size_t i = 0; i < tgd.head().size(); ++i) ranges.push_back(window(i));
-  matcher.Reset(tgd.head(), &instance, std::move(ranges), hom, &index);
-  return matcher.Next();
-}
-
-// The head checked against the whole instance.
+// atom of `tgd` into `instance` — the restricted chase's satisfaction test.
+// `hom` leaves the existential variables unbound; `matcher` is scratch.
 bool HeadSatisfied(const Tgd& tgd, const Instance& instance,
                    const RowIndex& index, std::span<const Term> hom,
                    HomEnumerator& matcher) {
-  return HeadMatches(tgd, instance, index, hom, matcher, [&](size_t i) {
-    return RowRange{0, instance.NumRows(tgd.head()[i].pred)};
-  });
-}
-
-// The conservative pre-filter the parallel restricted path evaluates on the
-// worker pool: only rows below the round-start watermark. Satisfaction is
-// monotone (atoms are never removed), so a head satisfied by the frozen
-// prefix is satisfied at apply time too, and only the survivors re-check
-// serially.
-bool HeadSatisfiedByPrefix(const Tgd& tgd, const Instance& instance,
-                           const RowIndex& index, const RoundView& view,
-                           std::span<const Term> hom, HomEnumerator& matcher) {
-  return HeadMatches(tgd, instance, index, hom, matcher, [&](size_t i) {
-    return RowRange{0, view.CurOf(tgd.head()[i].pred)};
-  });
-}
-
-// The suffix re-check for pre-filter survivors: the workers already proved
-// no witness lives entirely in the round-start prefix (rows below
-// view.cur), and atoms are never removed, so the head is satisfied by the
-// full instance iff some witness uses at least one same-round atom — i.e.
-// iff for some head position d there is a match with position d restricted
-// to the suffix [view.cur, size) and every other position unrestricted.
-// Positions whose predicate has not grown this round are skipped outright;
-// if nothing relevant grew, the head is unsatisfied without touching a
-// single atom. Equivalent to HeadSatisfied for survivors, but scans only
-// witnesses the workers could not have seen. (A window holding same-round
-// rows reaches past the round-start index, so that position scans.)
-bool HeadSatisfiedSuffix(const Tgd& tgd, const Instance& instance,
-                         const RowIndex& index, const RoundView& view,
-                         std::span<const Term> hom, HomEnumerator& matcher) {
-  const auto& head = tgd.head();
-  for (size_t d = 0; d < head.size(); ++d) {
-    const size_t suffix_begin = view.CurOf(head[d].pred);
-    if (instance.NumRows(head[d].pred) <= suffix_begin) continue;
-    if (HeadMatches(tgd, instance, index, hom, matcher, [&](size_t i) {
-          return RowRange{i == d ? suffix_begin : 0,
-                          instance.NumRows(head[i].pred)};
-        })) {
-      return true;
-    }
-  }
-  return false;
+  matcher.Reset(tgd.head(), &instance, FullRanges(tgd.head(), instance), hom,
+                &index);
+  return matcher.Next();
 }
 
 }  // namespace
@@ -269,40 +215,31 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     }
     result.rounds = ckpt.rounds;
     result.triggers_fired = ckpt.triggers_fired;
-    result.triggers_prefiltered = ckpt.triggers_prefiltered;
-    result.peak_buffered_homs = ckpt.peak_buffered_homs;
   }
 
   // Parallel rounds run where the workers have join work to do: a
-  // multi-atom body, or the restricted variant's satisfaction pre-filter.
-  // Each such round's homomorphism space is split into range fragments
-  // whose canonical concatenation is the serial trigger order
-  // (chase/body_partition.h), and the budgeted enumerate→pause→apply→resume
-  // protocol below caps buffered homomorphisms at threads × hom_budget, so a
-  // multi-atom body cross-producting a fragment against whole relations
-  // cannot materialize unbounded buffers. The restricted variant's
-  // satisfaction check must observe atoms applied earlier in the same
-  // round, so its workers only run a conservative pre-filter against the
-  // frozen round-start prefix (satisfied there => satisfied at apply time,
-  // skip for good) and the survivors re-check serially in exact firing
-  // order — against the same-round suffix only, the one part the workers
-  // could not see. A linear (semi-)oblivious chase has neither: a one-atom
-  // body has no join to split, so its workers would only copy delta rows
-  // into buffers that this thread then replays in the same order. It
-  // enumerates inline at any frontier_threads.
+  // multi-atom body. Each such round's homomorphism space is split into
+  // range fragments whose canonical concatenation is the serial trigger
+  // order (chase/body_partition.h), and the budgeted
+  // enumerate→pause→apply→resume protocol below caps buffered homomorphisms
+  // at threads × hom_budget, so a multi-atom body cross-producting a
+  // fragment against whole relations cannot materialize unbounded buffers.
+  // A linear chase, of any variant, has no join to split: its workers would
+  // only copy delta rows into buffers that this thread then replays in the
+  // same order. It enumerates inline at any frontier_threads. The firing
+  // decision — the restricted variant's head check included — always runs
+  // on this thread, in serial order.
   const bool restricted = options.variant == ChaseVariant::kRestricted;
-  const unsigned enum_threads = restricted || !AllLinear(tgds)
-                                    ? std::max(1u, options.frontier_threads)
-                                    : 1;
+  const unsigned enum_threads =
+      AllLinear(tgds) ? 1 : std::max(1u, options.frontier_threads);
   result.enum_threads = enum_threads;
   // Spawned on the first parallel round, then reused by every later wave
   // and round through its generation barrier (no per-round thread spawn).
   std::optional<WorkerPool> pool;
-  // Matcher scratch: the serial round's body join, the apply loop's head
-  // checks, and one pre-filter head matcher per worker.
+  // Matcher scratch: the serial round's body join and the apply loop's
+  // head checks.
   HomEnumerator body_matcher;
   HomEnumerator head_matcher;
-  std::vector<HomEnumerator> worker_head_matchers(enum_threads);
   // fire()'s scratch, reused by every trigger: the key it probes, then
   // each head row it adds, and the null it mints per existential variable.
   std::vector<Term> scratch;
@@ -344,8 +281,6 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     ckpt.input_fingerprint = input_fingerprint;
     ckpt.rounds = result.rounds;
     ckpt.triggers_fired = result.triggers_fired;
-    ckpt.triggers_prefiltered = result.triggers_prefiltered;
-    ckpt.peak_buffered_homs = result.peak_buffered_homs;
     ckpt.next_null = instance.NumNulls();
     ckpt.relations.resize(num_preds);
     for (PredId pred = 0; pred < num_preds; ++pred) {
@@ -402,23 +337,15 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     // Applies one trigger: the firing decision, null allocation, and atom
     // insertion. Always runs on this thread, in serial enumeration order —
     // the parallel path below only moves the *enumeration* of `hom` off
-    // this thread. `prefix_unsat` marks a restricted trigger whose head
-    // the parallel pre-filter already proved unsatisfied by the
-    // round-start prefix, so only same-round witnesses remain to check.
-    auto fire = [&](size_t rule, std::span<const Term> hom,
-                    bool prefix_unsat) {
+    // this thread.
+    auto fire = [&](size_t rule, std::span<const Term> hom) {
       const Tgd& tgd = tgds[rule];
       if (hit_atom_limit) return;
       // Decide whether this trigger fires.
       if (restricted) {
         // Only the frontier restriction matters for satisfaction;
         // existentials are unbound here by construction.
-        const bool satisfied =
-            prefix_unsat
-                ? HeadSatisfiedSuffix(tgd, instance, index, view, hom,
-                                      head_matcher)
-                : HeadSatisfied(tgd, instance, index, hom, head_matcher);
-        if (satisfied) return;
+        if (HeadSatisfied(tgd, instance, index, hom, head_matcher)) return;
       } else {
         scratch.clear();
         if (options.variant == ChaseVariant::kSemiOblivious) {
@@ -472,7 +399,7 @@ StatusOr<ChaseResult> RunChase(const Database& database,
         body_matcher.Reset(tgds[parts[t].rule], &instance, view, parts[t],
                            &index);
         while (!hit_atom_limit && body_matcher.Next()) {
-          fire(parts[t].rule, body_matcher.hom(), /*prefix_unsat=*/false);
+          fire(parts[t].rule, body_matcher.hom());
         }
       }
     } else {
@@ -500,13 +427,9 @@ StatusOr<ChaseResult> RunChase(const Database& database,
       auto num_homs = [&](size_t t) {
         return homs[t].size() / tgds[parts[t].rule].num_vars();
       };
-      // Restricted only: presat[t][j] records that hom j of fragment t had
-      // its head satisfied by the round-start prefix already — decided on
-      // the workers, skipped for good on the serial drain below.
-      std::vector<std::vector<char>> presat(parts.size());
       pool->RunBudgetedTasks(
           parts.size(),
-          [&](unsigned worker, size_t t) -> bool {
+          [&](unsigned /*worker*/, size_t t) -> bool {
             // One span per resume slice of a (rule, delta)-fragment's
             // homomorphism enumeration — the per-task view of a wave.
             obs::TraceSpan task_span("chase", "hom_task", "rule",
@@ -520,11 +443,6 @@ StatusOr<ChaseResult> RunChase(const Database& database,
             }
             while (num_homs(t) < budget) {
               if (!e.Next()) return true;  // fragment exhausted
-              if (restricted) {
-                presat[t].push_back(HeadSatisfiedByPrefix(
-                    tgd, instance, index, view, e.hom(),
-                    worker_head_matchers[worker]));
-              }
               homs[t].insert(homs[t].end(), e.hom().begin(), e.hom().end());
             }
             return false;  // buffer full: park, resume next epoch
@@ -534,19 +452,9 @@ StatusOr<ChaseResult> RunChase(const Database& database,
             const uint32_t width = tgds[parts[t].rule].num_vars();
             for (size_t j = 0, n = num_homs(t); j < n; ++j) {
               if (hit_atom_limit) break;
-              if (restricted && presat[t][j] != 0) {
-                // The serial path would have found the same witness (the
-                // prefix is a subset of the instance it checks) and
-                // skipped this trigger without firing; do the same, minus
-                // the check.
-                ++result.triggers_prefiltered;
-                continue;
-              }
-              fire(parts[t].rule, buffer.subspan(j * width, width),
-                   /*prefix_unsat=*/restricted);
+              fire(parts[t].rule, buffer.subspan(j * width, width));
             }
             homs[t].clear();
-            presat[t].clear();
             return !hit_atom_limit;  // the same early cut as serial
           },
           [&](size_t first, size_t count) {
@@ -610,16 +518,11 @@ StatusOr<ChaseResult> RunChase(const Database& database,
   }
   result.rows_probed += body_matcher.rows_probed();
   result.rows_probed += head_matcher.rows_probed();
-  for (const HomEnumerator& e : worker_head_matchers) {
-    result.rows_probed += e.rows_probed();
-  }
   // Mirror the run's result counters into the registry so `--metrics`
   // surfaces them without the caller plumbing ChaseResult around.
   obs::SetGauge("chase.rounds", static_cast<double>(result.rounds));
   obs::SetGauge("chase.triggers_fired",
                 static_cast<double>(result.triggers_fired));
-  obs::SetGauge("chase.triggers_prefiltered",
-                static_cast<double>(result.triggers_prefiltered));
   obs::SetGauge("chase.enum_threads", static_cast<double>(enum_threads));
   obs::SetGauge("chase.peak_buffered_homs",
                 static_cast<double>(result.peak_buffered_homs));

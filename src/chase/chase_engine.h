@@ -68,28 +68,23 @@ struct ChaseOptions {
   // Worker threads for per-round trigger enumeration (<= 1 enumerates
   // inline; above kMaxFrontierThreads RunChase returns kInvalidArgument
   // before it allocates anything). A round is a frontier: bodies only match
-  // against atoms from earlier rounds, so a chase over multi-atom bodies,
-  // and every restricted chase, enumerates triggers on a chase::WorkerPool
-  // (spawned on the first parallel round, reused across rounds through its
-  // barrier) and applies them serially in the exact serial order: the
-  // resulting instance, null numbering, rounds, and trigger count are
-  // bit-identical to a single-threaded run. A linear semi-oblivious or
-  // oblivious chase enumerates inline at any value and never starts a
-  // thread: a one-atom body has no join to split, so workers would only copy
-  // delta rows into buffers that the apply loop replays in the same order
-  // (ChaseResult::enum_threads reports which path ran). Each parallel
-  // round's homomorphism space is split into range fragments
-  // (chase/body_partition.h) whose canonical concatenation is the serial
-  // trigger order; multi-atom bodies, whose fragments can produce
-  // unboundedly many homomorphisms, run under the budgeted
+  // against atoms from earlier rounds, so a chase over multi-atom bodies
+  // enumerates triggers on a chase::WorkerPool (spawned on the first
+  // parallel round, reused across rounds through its barrier) and applies
+  // them serially in the exact serial order: the resulting instance, null
+  // numbering, rounds, and trigger count are bit-identical to a
+  // single-threaded run. A linear chase, of any variant, enumerates inline
+  // at any value and never starts a thread: a one-atom body has no join to
+  // split, so workers would only copy delta rows into buffers that the
+  // apply loop replays in the same order (ChaseResult::enum_threads reports
+  // which path ran). Each parallel round's homomorphism space is split into
+  // range fragments (chase/body_partition.h) whose canonical concatenation
+  // is the serial trigger order; multi-atom bodies, whose fragments can
+  // produce unboundedly many homomorphisms, run under the budgeted
   // enumerate→pause→apply→resume protocol (WorkerPool::RunBudgetedTasks)
   // with at most `hom_budget` buffered homomorphisms per in-flight
-  // fragment. For the restricted variant the workers additionally run a
-  // conservative satisfaction pre-filter against the frozen round-start
-  // prefix: a head satisfied there is satisfied at apply time too (atoms
-  // are never removed), so only the surviving triggers re-check serially —
-  // and only against the same-round suffix, since the workers already
-  // proved the prefix unsatisfying — without changing any firing decision.
+  // fragment. The firing decision — the restricted variant's head check
+  // included — runs only on the serial apply path, whatever the value.
   unsigned frontier_threads = 1;
   // Parallel enumeration only: the per-fragment homomorphism buffer bound.
   // A worker that fills its fragment's buffer parks at the pool barrier
@@ -147,31 +142,26 @@ struct ChaseResult {
   ChaseOutcome outcome;
   uint64_t rounds = 0;
   uint64_t triggers_fired = 0;
-  // Restricted variant with frontier_threads > 1 only: triggers whose head
-  // the parallel pre-filter proved satisfied against the round-start
-  // prefix, so the serial apply path skipped them without re-checking.
-  // Always 0 for a serial run (it checks and skips the same triggers, just
-  // on the serial path) — diagnostics only, never part of the
-  // bit-identical-result contract.
-  uint64_t triggers_prefiltered = 0;
   // Parallel enumeration only: the largest number of homomorphisms ever
   // buffered at once across the run, measured at each epoch barrier of the
   // budgeted protocol. By construction at most frontier_threads ×
   // hom_budget (tests/frontier_equivalence_test.cc asserts the bound).
   // Deterministic for a given (input, threads, budget), but 0 for a run
-  // that enumerated inline (enum_threads == 1, at any frontier_threads) —
-  // diagnostics only, like triggers_prefiltered.
+  // that enumerated inline (enum_threads == 1, at any frontier_threads).
+  // Counts this run only: a resumed run reports the peak of its resumed
+  // leg, since checkpoints do not carry it — diagnostics only, never part
+  // of the bit-identical-result contract.
   uint64_t peak_buffered_homs = 0;
   // The threads this run enumerated triggers on: frontier_threads (at least
-  // 1) where rounds go parallel, 1 where they run inline — a linear
-  // semi-oblivious or oblivious chase, or frontier_threads <= 1.
+  // 1) where rounds go parallel, 1 where they run inline — a linear chase,
+  // or frontier_threads <= 1.
   unsigned enum_threads = 1;
   // Candidate rows every matcher of the run tried — body joins and head
   // checks (HomEnumerator::rows_probed) — the join work that row-index
   // lookups cut; divided by triggers_fired, the work per trigger. Counts
   // this run only (a resumed leg starts from 0: checkpoints do not carry
-  // it), and the restricted pre-filter and an atom-limit cut make it vary
-  // with frontier_threads — diagnostics only, like triggers_prefiltered.
+  // it), and an atom-limit cut makes it vary with frontier_threads —
+  // diagnostics only, like peak_buffered_homs.
   uint64_t rows_probed = 0;
 
   explicit ChaseResult(Instance i) : instance(std::move(i)) {}

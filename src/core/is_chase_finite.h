@@ -46,8 +46,8 @@ struct SlCheckStats {
                                SlCheckStats* stats = nullptr);
 
 struct LCheckOptions {
-  // The FindShapes plan: kScan or kExists (kIndex is dispatched only by
-  // index::FindShapes; hand an index's shapes in via precomputed_shapes).
+  // The FindShapes plan: kScan or kExists (an index snapshot's shapes come
+  // in through precomputed_shapes instead).
   storage::ShapeFinderMode shape_finder = storage::ShapeFinderMode::kScan;
   // Worker threads for the db-dependent FindShapes component (<= 1 runs it
   // serially). Ignored when the shapes come precomputed.

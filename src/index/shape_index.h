@@ -18,7 +18,7 @@
 //    storage::FindShapes (sorted by (pred, id)). Handing it to
 //    IsChaseFiniteL as LCheckOptions::precomputed_shapes turns the
 //    db-dependent component of a repeated termination check into a
-//    dictionary extraction (chasectl check --shapes=index).
+//    dictionary extraction (chasectl check --snapshot).
 //  * Persistence: binary snapshots (io/binary_io.h) so a front end can build
 //    once and reuse the index across runs.
 //

@@ -24,7 +24,9 @@ constexpr uint32_t kSnapshotMagic = 0x49534843;  // "CHSI"
 // Version 2 added the content fingerprint to the payload header.
 constexpr uint32_t kSnapshotVersion = 2;
 constexpr uint32_t kCheckpointMagic = 0x4b434843;  // "CHCK"
-constexpr uint32_t kCheckpointVersion = 1;
+// Version 2 dropped two thread-dependent diagnostic counters from the
+// payload: a checkpoint holds chase state only.
+constexpr uint32_t kCheckpointVersion = 2;
 // ChaseVariant has three enumerators (chase/chase_engine.h); the
 // deserializer range-checks against this so a resume never reinterprets a
 // corrupt variant byte as a different chase.
@@ -329,8 +331,6 @@ std::vector<uint8_t> SerializeChaseCheckpoint(
   payload.PutU64(checkpoint.input_fingerprint);
   payload.PutU64(checkpoint.rounds);
   payload.PutU64(checkpoint.triggers_fired);
-  payload.PutU64(checkpoint.triggers_prefiltered);
-  payload.PutU64(checkpoint.peak_buffered_homs);
   payload.PutU64(checkpoint.next_null);
   payload.PutU32(static_cast<uint32_t>(checkpoint.relations.size()));
   for (const ChaseCheckpoint::Relation& relation : checkpoint.relations) {
@@ -366,8 +366,6 @@ StatusOr<ChaseCheckpoint> DeserializeChaseCheckpoint(
   CHASE_ASSIGN_OR_RETURN(checkpoint.input_fingerprint, reader.GetU64());
   CHASE_ASSIGN_OR_RETURN(checkpoint.rounds, reader.GetU64());
   CHASE_ASSIGN_OR_RETURN(checkpoint.triggers_fired, reader.GetU64());
-  CHASE_ASSIGN_OR_RETURN(checkpoint.triggers_prefiltered, reader.GetU64());
-  CHASE_ASSIGN_OR_RETURN(checkpoint.peak_buffered_homs, reader.GetU64());
   CHASE_ASSIGN_OR_RETURN(checkpoint.next_null, reader.GetU64());
   CHASE_ASSIGN_OR_RETURN(uint32_t num_relations, reader.GetU32());
   checkpoint.relations.reserve(

@@ -18,17 +18,19 @@
 //
 // Shape-snapshot payload (magic "CHSI", version 2): a reserved u32, the
 // order-independent content fingerprint of the indexed tuples (the
-// staleness guard of `chasectl check --shapes=index --snapshot`, maintained
-// by Insert/Remove and the build), then the (pred, id-tuple, counter) entries
+// staleness guard of `chasectl check --snapshot`, maintained by
+// Insert/Remove and the build), then the (pred, id-tuple, counter) entries
 // sorted strictly by shape, so snapshot bytes are canonical for a given
 // index state.
 //
-// Chase-checkpoint payload (magic "CHCK"): the complete state of a chase
-// at a round boundary — variant, input fingerprint, result counters, the
-// null counter, per-predicate atoms (insertion order, arity-strided terms)
-// with the semi-naive round-window watermarks, and the fired-trigger dedup
-// keys sorted lexicographically — so `chasectl chase --resume=FILE`
-// bit-identically continues the run (see chase/chase_engine.h).
+// Chase-checkpoint payload (magic "CHCK", version 2): the complete state of
+// a chase at a round boundary — variant, input fingerprint, the round and
+// trigger counters, the null counter, per-predicate atoms (insertion order,
+// arity-strided terms) with the semi-naive round-window watermarks, and the
+// fired-trigger dedup keys sorted lexicographically — so `chasectl chase
+// --resume=FILE` bit-identically continues the run (see
+// chase/chase_engine.h). It holds chase state only, no diagnostic counter,
+// so its bytes do not depend on the thread count that wrote it.
 //
 // Loading validates the checksum before parsing, and every read is bounds-
 // checked (ByteReader), so corrupt or truncated files fail cleanly.
@@ -113,11 +115,10 @@ struct ChaseCheckpoint {
   // Resuming against a different program fails with kInvalidArgument —
   // never a silently divergent chase.
   uint64_t input_fingerprint = 0;
-  // ChaseResult counters at the boundary.
+  // ChaseResult counters at the boundary (the diagnostics —
+  // peak_buffered_homs, rows_probed — are not state and are not kept).
   uint64_t rounds = 0;
   uint64_t triggers_fired = 0;
-  uint64_t triggers_prefiltered = 0;
-  uint64_t peak_buffered_homs = 0;
   // The instance's null counter (= the next null id to be handed out).
   uint64_t next_null = 0;
   struct Relation {

@@ -139,21 +139,37 @@ Status WalkShapesFrontier(const ShapeSource& source,
   return status;
 }
 
-}  // namespace
+// Mirrors one run's access-stats delta into the metrics registry on every
+// exit path. The source's stats are cumulative for its lifetime, so the
+// guard snapshots them at construction and publishes the difference on
+// destruction.
+class ScopedAccessStatsMirror {
+ public:
+  explicit ScopedAccessStatsMirror(const ShapeSource& source)
+      : source_(source), before_(source.stats()) {}
+  ~ScopedAccessStatsMirror() {
+    if (!obs::MetricsRegistry::enabled()) return;
+    const AccessStats& now = source_.stats();
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+    registry.GetCounter("storage.catalog_queries")
+        ->Add(now.catalog_queries - before_.catalog_queries);
+    registry.GetCounter("storage.exists_queries")
+        ->Add(now.exists_queries - before_.exists_queries);
+    registry.GetCounter("storage.tuples_scanned")
+        ->Add(now.tuples_scanned - before_.tuples_scanned);
+    registry.GetCounter("storage.relations_loaded")
+        ->Add(now.relations_loaded - before_.relations_loaded);
+  }
 
-ScopedAccessStatsMirror::~ScopedAccessStatsMirror() {
-  if (!obs::MetricsRegistry::enabled()) return;
-  const AccessStats& now = source_.stats();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
-  registry.GetCounter("storage.catalog_queries")
-      ->Add(now.catalog_queries - before_.catalog_queries);
-  registry.GetCounter("storage.exists_queries")
-      ->Add(now.exists_queries - before_.exists_queries);
-  registry.GetCounter("storage.tuples_scanned")
-      ->Add(now.tuples_scanned - before_.tuples_scanned);
-  registry.GetCounter("storage.relations_loaded")
-      ->Add(now.relations_loaded - before_.relations_loaded);
-}
+  ScopedAccessStatsMirror(const ScopedAccessStatsMirror&) = delete;
+  ScopedAccessStatsMirror& operator=(const ScopedAccessStatsMirror&) = delete;
+
+ private:
+  const ShapeSource& source_;
+  AccessStats before_;
+};
+
+}  // namespace
 
 const char* ShapeFinderModeName(ShapeFinderMode mode) {
   switch (mode) {
@@ -161,8 +177,6 @@ const char* ShapeFinderModeName(ShapeFinderMode mode) {
       return "scan";
     case ShapeFinderMode::kExists:
       return "exists";
-    case ShapeFinderMode::kIndex:
-      return "index";
   }
   return "?";
 }
@@ -176,15 +190,6 @@ StatusOr<std::vector<Shape>> FindShapes(const ShapeSource& source,
   // Mirror this run's access-stats delta into the metrics registry on
   // every exit path.
   ScopedAccessStatsMirror stats_mirror(source);
-  if (options.mode == ShapeFinderMode::kIndex) {
-    // The index-backed plan lives one layer up (index::FindShapes in
-    // index/find_shapes.h): storage sits below index/ in the layer DAG,
-    // so this dispatcher cannot name index::ShapeIndex.
-    return InvalidArgumentError(
-        "ShapeFinderMode::kIndex is dispatched by index::FindShapes "
-        "(include index/find_shapes.h); storage::FindShapes serves only "
-        "the scan and exists plans");
-  }
   const std::vector<PredId> preds = source.NonEmptyRelations();
   ShapeSet shapes;
   Status status = OkStatus();

@@ -38,14 +38,13 @@
 namespace chase {
 namespace storage {
 
-// The query plans. kScan and kExists are the paper's two; kIndex is the
-// Section 10 deployment — build a materialized shape index over the
-// source and extract shape(D) from it, so repeated checks
-// pay a dictionary extraction instead of a scan.
+// The paper's two query plans. The Section 10 deployment — shape(D) read
+// out of a materialized index — is not a plan here: an index::ShapeIndex
+// snapshot hands its shapes to the checker directly
+// (LCheckOptions::precomputed_shapes).
 enum class ShapeFinderMode {
   kScan,
   kExists,
-  kIndex,
 };
 
 const char* ShapeFinderModeName(ShapeFinderMode mode);
@@ -60,32 +59,10 @@ struct FindShapesOptions {
   FrontierStats* frontier_stats = nullptr;
 };
 
-// Mirrors one run's access-stats delta into the metrics registry on every
-// exit path. The source's stats are cumulative for its lifetime, so the
-// guard snapshots them at construction and publishes the difference on
-// destruction. Shared by storage::FindShapes and the index-backed plan
-// one layer up (index::FindShapes), so every plan meters identically.
-class ScopedAccessStatsMirror {
- public:
-  explicit ScopedAccessStatsMirror(const ShapeSource& source)
-      : source_(source), before_(source.stats()) {}
-  ~ScopedAccessStatsMirror();
-
-  ScopedAccessStatsMirror(const ScopedAccessStatsMirror&) = delete;
-  ScopedAccessStatsMirror& operator=(const ScopedAccessStatsMirror&) = delete;
-
- private:
-  const ShapeSource& source_;
-  AccessStats before_;
-};
-
 // The unified entry point: returns shape(D) sorted by (pred, id), computed
 // over `source` with the requested plan and parallelism. Errors surface
 // only from fallible backends (disk I/O); the in-memory backend never
-// fails. The kIndex plan is dispatched one layer up by index::FindShapes
-// (index/find_shapes.h) — passing it here is an InvalidArgument error,
-// because storage/ sits below index/ in the layer DAG and cannot name the
-// shape index.
+// fails.
 [[nodiscard]] StatusOr<std::vector<Shape>> FindShapes(
     const ShapeSource& source, const FindShapesOptions& options = {});
 

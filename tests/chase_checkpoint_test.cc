@@ -67,8 +67,6 @@ ChaseCheckpoint MakeSampleCheckpoint() {
   ckpt.input_fingerprint = 0xfeedfacecafef00dull;
   ckpt.rounds = 7;
   ckpt.triggers_fired = 19;
-  ckpt.triggers_prefiltered = 3;
-  ckpt.peak_buffered_homs = 12;
   ckpt.next_null = 5;
   ChaseCheckpoint::Relation r0;
   r0.arity = 2;
@@ -85,11 +83,8 @@ ChaseCheckpoint MakeSampleCheckpoint() {
   return ckpt;
 }
 
-// Everything but the two diagnostic counters (triggers_prefiltered,
-// peak_buffered_homs), which are documented as thread-count-dependent and
-// excluded from the bit-identical-result contract.
-void ExpectSameCheckpointState(const ChaseCheckpoint& a,
-                               const ChaseCheckpoint& b) {
+void ExpectSameCheckpoints(const ChaseCheckpoint& a,
+                           const ChaseCheckpoint& b) {
   EXPECT_EQ(a.variant, b.variant);
   EXPECT_EQ(a.input_fingerprint, b.input_fingerprint);
   EXPECT_EQ(a.rounds, b.rounds);
@@ -103,13 +98,6 @@ void ExpectSameCheckpointState(const ChaseCheckpoint& a,
     EXPECT_EQ(a.relations[i].atoms, b.relations[i].atoms) << i;
   }
   EXPECT_EQ(a.fired_keys, b.fired_keys);
-}
-
-void ExpectSameCheckpoints(const ChaseCheckpoint& a,
-                           const ChaseCheckpoint& b) {
-  ExpectSameCheckpointState(a, b);
-  EXPECT_EQ(a.triggers_prefiltered, b.triggers_prefiltered);
-  EXPECT_EQ(a.peak_buffered_homs, b.peak_buffered_homs);
 }
 
 // ---------------------------------------------------------------------------
@@ -174,6 +162,16 @@ TEST(ChaseCheckpointEnvelopeTest, WrongMagicAndVersionRejected) {
   wrong_version[4] += 1;
   EXPECT_EQ(io::DeserializeChaseCheckpoint(wrong_version).status().code(),
             StatusCode::kFailedPrecondition);
+  // Version 1 carried two diagnostic counters in its payload; it is
+  // refused by version, never parsed as the current layout.
+  std::vector<uint8_t> version1 = bytes;
+  version1[4] = 1;
+  const Status v1_status = io::DeserializeChaseCheckpoint(version1).status();
+  EXPECT_EQ(v1_status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(v1_status.message().find(
+                "unsupported chase checkpoint version 1"),
+            std::string::npos)
+      << v1_status;
   // A CHSI snapshot is not a checkpoint, however valid its envelope.
   std::vector<uint8_t> snapshot_bytes =
       io::SerializeShapeSnapshot(io::ShapeSnapshot{});
@@ -292,14 +290,12 @@ TEST(ChaseCheckpointEngineTest, PeriodicCheckpointResumesBitIdentically) {
 }
 
 TEST(ChaseCheckpointEngineTest, CheckpointStateIsThreadCountInvariant) {
-  // The checkpoint serializes canonical state (fired keys sorted, atoms in
-  // insertion order): every state field must be identical at any
-  // frontier_threads, and at a fixed thread count repeated runs must write
-  // the identical file — only the two diagnostic counters, which the
-  // ChaseResult contract already scopes per thread count, may vary across
-  // thread counts. kNonTerminating is linear, so its threads = 4 run
-  // enumerates inline; the second leg adds a two-atom body, which puts
-  // threads = 4 on the worker pool's budgeted protocol.
+  // The checkpoint serializes canonical state only (fired keys sorted,
+  // atoms in insertion order, no diagnostic counter), so the file written
+  // at any frontier_threads is the same byte for byte. kNonTerminating is
+  // linear, so its threads = 4 run enumerates inline; the second leg adds
+  // a two-atom body, which puts threads = 4 on the worker pool's budgeted
+  // protocol.
   const std::string joined =
       std::string(kNonTerminating) + "e(X, Y), e(Y, W) -> p(W).\n";
   for (const std::string& text : {std::string(kNonTerminating), joined}) {
@@ -330,11 +326,8 @@ TEST(ChaseCheckpointEngineTest, CheckpointStateIsThreadCountInvariant) {
     auto parallel = io::LoadChaseCheckpoint(path4);
     ASSERT_TRUE(serial.ok()) << serial.status();
     ASSERT_TRUE(parallel.ok()) << parallel.status();
-    ExpectSameCheckpointState(*serial, *parallel);
-    if (!pooled) {
-      // Inline at both thread counts: the files match byte for byte.
-      EXPECT_EQ(ReadAllBytes(path1), ReadAllBytes(path4));
-    }
+    ExpectSameCheckpoints(*serial, *parallel);
+    EXPECT_EQ(ReadAllBytes(path1), ReadAllBytes(path4)) << text;
     std::remove(path1.c_str());
     std::remove(path4.c_str());
     std::remove(path4_again.c_str());

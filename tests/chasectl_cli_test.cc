@@ -177,6 +177,16 @@ TEST_F(ChasectlCliTest, UnknownFlagsExitTwo) {
   // `--backend=index` was an alias of `--mode=index`; it is gone.
   EXPECT_EQ(RunChasectl("findshapes " + file + " --backend=index", &err), 2);
   EXPECT_NE(err.find("unknown --backend=index"), std::string::npos) << err;
+  // So is the index plan itself, in every subcommand that offered it.
+  for (const std::string& invocation :
+       {"findshapes " + file + " --mode=index",
+        "simplify " + file + " --mode=index"}) {
+    EXPECT_EQ(RunChasectl(invocation, &err), 2) << invocation;
+    EXPECT_NE(err.find("unknown --mode=index"), std::string::npos) << err;
+  }
+  EXPECT_EQ(RunChasectl("check " + file + " --mode=l --shapes=index", &err),
+            2);
+  EXPECT_NE(err.find("unknown --shapes=index"), std::string::npos) << err;
 }
 
 TEST_F(ChasectlCliTest, RemovedSubcommandsExitTwo) {
@@ -226,11 +236,10 @@ TEST_F(ChasectlCliTest, FlagsThePathDoesNotReadExitTwo) {
   const std::string file = program_path_;
   std::string err;
   EXPECT_EQ(RunChasectl("check " + file +
-                            " --mode=l --snapshot=/nonexistent.chidx",
+                            " --mode=l --snapshot=s.chidx --shapes=mem",
                         &err),
             2);
-  EXPECT_NE(err.find("--snapshot requires --shapes=index"),
-            std::string::npos)
+  EXPECT_NE(err.find("--snapshot excludes --shapes"), std::string::npos)
       << err;
   EXPECT_EQ(RunChasectl("check " + file +
                             " --mode=sl --shapes=bogus --threads=abc",
@@ -285,8 +294,7 @@ TEST_F(ChasectlCliTest, SnapshotMustIndexTheProgramsDatabase) {
   for (const std::string& snapshot : {other, twin}) {
     for (const std::string& invocation :
          {"findshapes " + program_path_ + " --print --snapshot=" + snapshot,
-          "check " + program_path_ +
-              " --mode=l --shapes=index --snapshot=" + snapshot}) {
+          "check " + program_path_ + " --mode=l --snapshot=" + snapshot}) {
       std::string err;
       EXPECT_EQ(RunChasectl(invocation, &err), 1) << invocation;
       EXPECT_NE(err.find("stale or mismatched snapshot"), std::string::npos)
@@ -306,6 +314,12 @@ TEST_F(ChasectlCliTest, SnapshotMustIndexTheProgramsDatabase) {
   for (const char* shape : {"r_[1,1]", "r_[1,2]", "s_[1]"}) {
     EXPECT_NE(out.find(shape), std::string::npos) << shape << " in " << out;
   }
+  EXPECT_EQ(RunChasectl("check " + program_path_ + " --mode=l --snapshot=" +
+                            own,
+                        nullptr, &out),
+            0);
+  EXPECT_EQ(out.substr(0, 7), "FINITE\n") << out;
+  EXPECT_NE(out.find("(3 db shapes,"), std::string::npos) << out;
   for (const std::string& path :
        {own, other, other_program, twin, twin_program}) {
     std::remove(path.c_str());
@@ -404,19 +418,20 @@ TEST_F(ChasectlCliTest, CheckpointResumeRoundTrips) {
 }
 
 TEST_F(ChasectlCliTest, ChasePrintsTheEnumerationThreadsItUsed) {
-  // A linear semi-oblivious chase enumerates inline at any --threads; a
-  // two-atom body puts the rounds on the worker pool at the requested
-  // count. The summary's third line reports which.
+  // A linear chase, restricted included, enumerates inline at any
+  // --threads; a two-atom body puts the rounds on the worker pool at the
+  // requested count. The summary's second line reports which.
   const std::string joined = TempDir() + "/chasectl_cli_test_joined.dlgp";
   {
     std::ofstream out(joined);
     out << "r(a,b). r(b,c).\nr(X,Y), r(Y,Z) -> t(X,Z).\n";
   }
-  for (const auto& [file, expected] :
+  for (const auto& [args, expected] :
        {std::pair<std::string, std::string>{program_path_, "1"},
+        {program_path_ + " --variant=re", "1"},
         {joined, "4"}}) {
     std::string out;
-    EXPECT_EQ(RunChasectl("chase " + file + " --threads=4", nullptr, &out),
+    EXPECT_EQ(RunChasectl("chase " + args + " --threads=4", nullptr, &out),
               0);
     EXPECT_NE(out.find("\n  peak buffered homs: "), std::string::npos)
         << out;

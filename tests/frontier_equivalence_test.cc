@@ -51,7 +51,6 @@
 #include "exec/frontier_pool.h"
 #include "gen/data_generator.h"
 #include "gen/tgd_generator.h"
-#include "index/find_shapes.h"
 #include "io/binary_io.h"
 #include "logic/parser.h"
 #include "obs/trace.h"
@@ -125,7 +124,7 @@ TEST(FrontierEquivalenceTest, ExistsPlanMatchesSerialOracle) {
     storage::Catalog catalog(data.database.get());
     storage::MemoryShapeSource memory(&catalog);
     // The serial oracle: the reference per-predicate lattice walk.
-    auto oracle = index::FindShapes(memory, {ShapeFinderMode::kExists, 1});
+    auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kExists, 1});
     ASSERT_TRUE(oracle.ok()) << oracle.status();
 
     const std::string path =
@@ -138,28 +137,24 @@ TEST(FrontierEquivalenceTest, ExistsPlanMatchesSerialOracle) {
     for (const storage::ShapeSource* source :
          {static_cast<const storage::ShapeSource*>(&memory),
           static_cast<const storage::ShapeSource*>(&disk)}) {
-      for (ShapeFinderMode mode :
-           {ShapeFinderMode::kExists, ShapeFinderMode::kIndex}) {
-        for (unsigned threads : kThreadSweep) {
-          FrontierStats stats;
-          storage::FindShapesOptions options{mode, threads};
-          options.frontier_stats = &stats;
-          auto shapes = index::FindShapes(*source, options);
-          ASSERT_TRUE(shapes.ok()) << shapes.status();
-          EXPECT_EQ(*shapes, *oracle)
-              << "trial " << trial << ", backend " << source->Name()
-              << ", mode " << storage::ShapeFinderModeName(mode)
-              << ", threads " << threads;
-          if (mode == ShapeFinderMode::kExists && threads > 1) {
-            // The frontier engine ran: its counters must reconcile.
-            EXPECT_EQ(stats.worker_expanded.size(), threads);
-            EXPECT_EQ(std::accumulate(stats.worker_expanded.begin(),
-                                      stats.worker_expanded.end(),
-                                      uint64_t{0}),
-                      stats.items_expanded);
-            EXPECT_EQ(stats.items_expanded,
-                      stats.seeds_admitted + stats.items_discovered);
-          }
+      for (unsigned threads : kThreadSweep) {
+        FrontierStats stats;
+        storage::FindShapesOptions options{ShapeFinderMode::kExists, threads};
+        options.frontier_stats = &stats;
+        auto shapes = storage::FindShapes(*source, options);
+        ASSERT_TRUE(shapes.ok()) << shapes.status();
+        EXPECT_EQ(*shapes, *oracle)
+            << "trial " << trial << ", backend " << source->Name()
+            << ", threads " << threads;
+        if (threads > 1) {
+          // The frontier engine ran: its counters must reconcile.
+          EXPECT_EQ(stats.worker_expanded.size(), threads);
+          EXPECT_EQ(std::accumulate(stats.worker_expanded.begin(),
+                                    stats.worker_expanded.end(),
+                                    uint64_t{0}),
+                    stats.items_expanded);
+          EXPECT_EQ(stats.items_expanded,
+                    stats.seeds_admitted + stats.items_discovered);
         }
       }
     }
@@ -184,7 +179,7 @@ TEST(FrontierEquivalenceTest, DynamicSimplificationMatchesSerialOracle) {
     pager::DiskShapeSource disk(disk_db->get());
 
     // The serial oracle: serial shape finding + inline worklist.
-    auto oracle_shapes = index::FindShapes(memory, {ShapeFinderMode::kExists, 1});
+    auto oracle_shapes = storage::FindShapes(memory, {ShapeFinderMode::kExists, 1});
     ASSERT_TRUE(oracle_shapes.ok()) << oracle_shapes.status();
     auto oracle = DynamicSimplificationFromShapes(*data.schema, tgds,
                                                   *oracle_shapes, 1);
@@ -194,9 +189,9 @@ TEST(FrontierEquivalenceTest, DynamicSimplificationMatchesSerialOracle) {
          {static_cast<const storage::ShapeSource*>(&memory),
           static_cast<const storage::ShapeSource*>(&disk)}) {
       for (ShapeFinderMode mode :
-           {ShapeFinderMode::kExists, ShapeFinderMode::kIndex}) {
+           {ShapeFinderMode::kScan, ShapeFinderMode::kExists}) {
         for (unsigned threads : kThreadSweep) {
-          auto shapes = index::FindShapes(*source, {mode, threads});
+          auto shapes = storage::FindShapes(*source, {mode, threads});
           ASSERT_TRUE(shapes.ok()) << shapes.status();
           auto parallel = DynamicSimplificationFromShapes(*data.schema, tgds,
                                                           *shapes, threads);
@@ -228,8 +223,8 @@ TEST(FrontierEquivalenceTest, ParallelChaseEnumerationMatchesSerial) {
     ASSERT_TRUE(data.ok()) << data.status();
     std::vector<Tgd> tgds = MakeLinearTgds(*data->schema, rng.Next(), 12);
 
-    // The rules are linear, so only the restricted leg enumerates on the
-    // worker pool; the other two compare the inline path at threads > 1.
+    // The rules are linear, so every variant enumerates inline: this
+    // compares the inline path at threads > 1 with threads = 1.
     for (ChaseVariant variant :
          {ChaseVariant::kSemiOblivious, ChaseVariant::kOblivious,
           ChaseVariant::kRestricted}) {
@@ -238,10 +233,6 @@ TEST(FrontierEquivalenceTest, ParallelChaseEnumerationMatchesSerial) {
       serial_options.max_atoms = 20'000;
       auto serial = RunChase(*data->database, tgds, serial_options);
       ASSERT_TRUE(serial.ok()) << serial.status();
-
-      // The serial run never pre-filters (it checks and skips on the
-      // serial path itself).
-      EXPECT_EQ(serial->triggers_prefiltered, 0u);
 
       for (unsigned threads : kThreadSweep) {
         ChaseOptions parallel_options = serial_options;
@@ -277,11 +268,10 @@ bool TraceHasPoolWave() {
 }
 
 TEST(FrontierEquivalenceTest, LinearChasesEnumerateInline) {
-  // The dispatch rule: a linear semi-oblivious or oblivious chase has no
-  // join for workers to split, so it enumerates inline at any thread count
-  // — nothing buffered, no pool wave, one enumeration thread. The
-  // restricted variant's head pre-filter and a two-atom body keep the
-  // pool. Every leg equals threads = 1 bit for bit.
+  // The dispatch rule: a linear chase, of any variant, has no join for
+  // workers to split, so it enumerates inline at any thread count —
+  // nothing buffered, no pool wave, one enumeration thread. A two-atom
+  // body keeps the pool. Every leg equals threads = 1 bit for bit.
   const std::string linear = R"(
     e(a,b). e(b,c). e(c,d). e(d,a). p(a,b,c).
     e(X,Y) -> e(Y,Z).
@@ -296,8 +286,7 @@ TEST(FrontierEquivalenceTest, LinearChasesEnumerateInline) {
     for (ChaseVariant variant :
          {ChaseVariant::kSemiOblivious, ChaseVariant::kOblivious,
           ChaseVariant::kRestricted}) {
-      const bool pooled =
-          text == &joined || variant == ChaseVariant::kRestricted;
+      const bool pooled = text == &joined;
       ChaseOptions serial_options;
       serial_options.variant = variant;
       serial_options.max_rounds = 6;
@@ -355,7 +344,7 @@ TEST(FrontierEquivalenceTest, ParallelNonLinearChaseMatchesSerial) {
   // serial one bit-for-bit: outcome, rounds, trigger counts, null ids, and
   // the instance's insertion order. existential_percent > 0 puts
   // existential variables in multi-atom heads, so the restricted variant's
-  // suffix re-check runs against real joins.
+  // head check runs against real joins.
   Rng rng(20260808);
   const NonLinearFamily kFamilies[] = {
       NonLinearFamily::kTriangle, NonLinearFamily::kStar,
@@ -441,18 +430,19 @@ TEST(FrontierEquivalenceTest, ParallelNonLinearChaseMatchesSerial) {
   EXPECT_GT(multi_round_lookups, 0u);
 }
 
-TEST(FrontierEquivalenceTest, RestrictedPrefilterSkipsSatisfiedTriggers) {
-  // A workload built so the restricted chase's satisfaction check matters:
-  // the e-cycle rule is satisfied for every trigger (e(Y,Z) always has a
-  // witness on a cycle), the f rule only for X=a. The parallel pre-filter
-  // must skip exactly the triggers whose witness existed at round start —
-  // here all four satisfied ones, a deterministic count because the
-  // pre-filter reads only the frozen round-start prefix — while firing
-  // decisions, null ids, and the instance stay bit-identical to serial.
+TEST(FrontierEquivalenceTest, RestrictedPoolMatchesSerialOnSameRoundWitness) {
+  // The restricted chase on the worker pool: the two-atom bodies keep the
+  // pool, and the firing decision stays on the serial apply path, so a
+  // head satisfied only by an atom fired earlier in the same round is seen
+  // exactly as at threads = 1. In round 1 the t rule has two triggers with
+  // frontier Y=b: the first fires t(b,_), the second's head is satisfied
+  // by that same-round atom alone, so it does not fire. Its Y=c trigger is
+  // satisfied by the seed fact t(c,d), and in round 2 the v rule's X=a
+  // trigger by v(a,_) from round 1.
   auto program = ParseProgram(R"(
-    e(a,b). e(b,c). e(c,a). f(a).
-    e(X,Y) -> e(Y,Z).
-    e(X,Y) -> f(X).
+    r(a,b). r(c,b). r(a,c). s(b). s(c). t(c,d).
+    r(X,Y), s(Y) -> t(Y,Z).
+    t(Y,Z), r(X,Y) -> v(X,W).
   )");
   ASSERT_TRUE(program.ok()) << program.status();
 
@@ -461,25 +451,33 @@ TEST(FrontierEquivalenceTest, RestrictedPrefilterSkipsSatisfiedTriggers) {
   auto serial = RunChase(*program->database, program->tgds, serial_options);
   ASSERT_TRUE(serial.ok()) << serial.status();
   EXPECT_EQ(serial->outcome, ChaseOutcome::kFixpoint);
-  EXPECT_EQ(serial->triggers_fired, 2u);  // f(b), f(c)
-  EXPECT_EQ(serial->triggers_prefiltered, 0u);
+  // t(b,_), then v(a,_) in round 1; v(c,_) in round 2.
+  EXPECT_EQ(serial->triggers_fired, 3u);
+  EXPECT_EQ(serial->instance.NumNulls(), 3u);
+  std::vector<GroundAtom> serial_atoms;
+  serial->instance.ForEachAtom(
+      [&](const GroundAtom& atom) { serial_atoms.push_back(atom); });
 
   for (unsigned threads : {2u, 4u, 8u}) {
-    ChaseOptions options = serial_options;
-    options.frontier_threads = threads;
-    auto parallel = RunChase(*program->database, program->tgds, options);
-    ASSERT_TRUE(parallel.ok()) << parallel.status();
-    EXPECT_EQ(parallel->outcome, serial->outcome) << threads;
-    EXPECT_EQ(parallel->rounds, serial->rounds) << threads;
-    EXPECT_EQ(parallel->triggers_fired, 2u) << threads;
-    // 3 satisfied e-cycle triggers + the f(a) trigger, decided on the pool.
-    EXPECT_EQ(parallel->triggers_prefiltered, 4u) << threads;
-    std::vector<GroundAtom> serial_atoms, parallel_atoms;
-    serial->instance.ForEachAtom(
-        [&](const GroundAtom& atom) { serial_atoms.push_back(atom); });
-    parallel->instance.ForEachAtom(
-        [&](const GroundAtom& atom) { parallel_atoms.push_back(atom); });
-    EXPECT_EQ(parallel_atoms, serial_atoms) << threads;
+    for (uint64_t budget : {uint64_t{1}, uint64_t{4096}}) {
+      ChaseOptions options = serial_options;
+      options.frontier_threads = threads;
+      options.hom_budget = budget;
+      auto parallel = RunChase(*program->database, program->tgds, options);
+      ASSERT_TRUE(parallel.ok()) << parallel.status();
+      const std::string label = "threads " + std::to_string(threads) +
+                                ", budget " + std::to_string(budget);
+      EXPECT_EQ(parallel->enum_threads, threads) << label;
+      EXPECT_EQ(parallel->outcome, serial->outcome) << label;
+      EXPECT_EQ(parallel->rounds, serial->rounds) << label;
+      EXPECT_EQ(parallel->triggers_fired, serial->triggers_fired) << label;
+      EXPECT_EQ(parallel->instance.NumNulls(), serial->instance.NumNulls())
+          << label;
+      std::vector<GroundAtom> parallel_atoms;
+      parallel->instance.ForEachAtom(
+          [&](const GroundAtom& atom) { parallel_atoms.push_back(atom); });
+      EXPECT_EQ(parallel_atoms, serial_atoms) << label;
+    }
   }
 }
 
@@ -492,11 +490,11 @@ TEST(FrontierEquivalenceTest, ExistsPlanThreadSweepMatchesSerialWalk) {
     GeneratedData data = MakeRandomData(&rng);
     storage::Catalog catalog(data.database.get());
     storage::MemoryShapeSource memory(&catalog);
-    auto oracle = index::FindShapes(memory, {ShapeFinderMode::kExists, 1});
+    auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kExists, 1});
     ASSERT_TRUE(oracle.ok()) << oracle.status();
     for (unsigned threads : kThreadSweep) {
       auto shapes =
-          index::FindShapes(memory, {ShapeFinderMode::kExists, threads});
+          storage::FindShapes(memory, {ShapeFinderMode::kExists, threads});
       ASSERT_TRUE(shapes.ok()) << shapes.status();
       EXPECT_EQ(*shapes, *oracle)
           << "trial " << trial << ", threads " << threads;
@@ -515,13 +513,13 @@ TEST(FrontierEquivalenceTest, EmptyRelationsNeverEnterTheFrontier) {
   ASSERT_TRUE(program.ok()) << program.status();
   storage::Catalog catalog(program->database.get());
   storage::MemoryShapeSource memory(&catalog);
-  auto oracle = index::FindShapes(memory, {ShapeFinderMode::kExists, 1});
+  auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kExists, 1});
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   for (unsigned threads : kThreadSweep) {
     FrontierStats stats;
     storage::FindShapesOptions options{ShapeFinderMode::kExists, threads};
     options.frontier_stats = &stats;
-    auto shapes = index::FindShapes(memory, options);
+    auto shapes = storage::FindShapes(memory, options);
     ASSERT_TRUE(shapes.ok()) << shapes.status();
     EXPECT_EQ(*shapes, *oracle) << "threads " << threads;
     if (threads > 1) {
@@ -537,14 +535,14 @@ TEST(FrontierEquivalenceTest, ArityOnePredicatesHaveTrivialLattices) {
   ASSERT_TRUE(program.ok()) << program.status();
   storage::Catalog catalog(program->database.get());
   storage::MemoryShapeSource memory(&catalog);
-  auto oracle = index::FindShapes(memory, {ShapeFinderMode::kExists, 1});
+  auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kExists, 1});
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   ASSERT_EQ(oracle->size(), 2u);
   for (unsigned threads : {2u, 8u}) {
     FrontierStats stats;
     storage::FindShapesOptions options{ShapeFinderMode::kExists, threads};
     options.frontier_stats = &stats;
-    auto shapes = index::FindShapes(memory, options);
+    auto shapes = storage::FindShapes(memory, options);
     ASSERT_TRUE(shapes.ok()) << shapes.status();
     EXPECT_EQ(*shapes, *oracle);
     EXPECT_EQ(stats.depths, 1u);
@@ -562,7 +560,7 @@ TEST(FrontierEquivalenceTest, DuplicateSeedShapesAreDeduplicated) {
   ASSERT_TRUE(program.ok()) << program.status();
   storage::Catalog catalog(program->database.get());
   storage::MemoryShapeSource memory(&catalog);
-  auto shapes = index::FindShapes(memory, {ShapeFinderMode::kScan, 1});
+  auto shapes = storage::FindShapes(memory, {ShapeFinderMode::kScan, 1});
   ASSERT_TRUE(shapes.ok()) << shapes.status();
 
   // Seed the worklist with every database shape three times over: the seen
@@ -593,13 +591,13 @@ TEST(FrontierEquivalenceTest, MoreThreadsThanFrontierItems) {
   ASSERT_TRUE(program.ok()) << program.status();
   storage::Catalog catalog(program->database.get());
   storage::MemoryShapeSource memory(&catalog);
-  auto oracle = index::FindShapes(memory, {ShapeFinderMode::kExists, 1});
+  auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kExists, 1});
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   ASSERT_EQ(oracle->size(), 2u);  // r_[1,2] and r_[1,1]
   FrontierStats stats;
   storage::FindShapesOptions options{ShapeFinderMode::kExists, 16};
   options.frontier_stats = &stats;
-  auto shapes = index::FindShapes(memory, options);
+  auto shapes = storage::FindShapes(memory, options);
   ASSERT_TRUE(shapes.ok()) << shapes.status();
   EXPECT_EQ(*shapes, *oracle);
   EXPECT_EQ(stats.worker_expanded.size(), 16u);
@@ -714,11 +712,11 @@ TEST(FrontierEquivalenceTest, MeteringTotalsAreThreadCountIndependent) {
   GeneratedData data = MakeRandomData(&rng);
   storage::Catalog catalog(data.database.get());
   storage::MemoryShapeSource memory(&catalog);
-  ASSERT_TRUE(index::FindShapes(memory, {ShapeFinderMode::kExists, 1}).ok());
+  ASSERT_TRUE(storage::FindShapes(memory, {ShapeFinderMode::kExists, 1}).ok());
   const storage::AccessStats serial = memory.stats();
   for (unsigned threads : {2u, 8u}) {
     memory.stats().Reset();
-    ASSERT_TRUE(index::FindShapes(memory, {ShapeFinderMode::kExists, threads}).ok());
+    ASSERT_TRUE(storage::FindShapes(memory, {ShapeFinderMode::kExists, threads}).ok());
     EXPECT_EQ(memory.stats().exists_queries, serial.exists_queries)
         << "threads " << threads;
     EXPECT_EQ(memory.stats().tuples_scanned, serial.tuples_scanned)

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "index/find_shapes.h"
 #include "index/shape_index.h"
 #include "logic/shape.h"
 #include "storage/catalog.h"

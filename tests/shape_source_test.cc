@@ -1,6 +1,6 @@
 // Cross-implementation property tests for the ShapeSource layer: every
 // (backend, mode, threads) combination of the unified FindShapes — memory
-// and disk; scan, exists, and sharded-index plans; serial and
+// and disk; scan and exists plans; serial and
 // work-partitioned parallel, including the parallel-disk path no
 // pre-ShapeSource code offered — must return the identical sorted
 // shape(D), with uniform logical metering.
@@ -17,7 +17,6 @@
 
 #include "base/rng.h"
 #include "gen/data_generator.h"
-#include "index/find_shapes.h"
 #include "pager/disk_database.h"
 #include "pager/disk_shape_source.h"
 #include "storage/catalog.h"
@@ -67,19 +66,10 @@ TEST(ShapeSourceTest, AllBackendModeThreadCombinationsAgree) {
 
     for (const storage::ShapeSource* source :
          std::initializer_list<const storage::ShapeSource*>{&memory, &disk}) {
-      // The layer split: storage/ cannot name the shape index, so the
-      // index plan is only reachable through index::FindShapes, which
-      // dispatches it before falling through to storage::FindShapes.
-      EXPECT_EQ(storage::FindShapes(*source, {ShapeFinderMode::kIndex})
-                    .status()
-                    .code(),
-                StatusCode::kInvalidArgument)
-          << "backend " << source->Name();
       for (ShapeFinderMode mode :
-           {ShapeFinderMode::kScan, ShapeFinderMode::kExists,
-            ShapeFinderMode::kIndex}) {
+           {ShapeFinderMode::kScan, ShapeFinderMode::kExists}) {
         for (unsigned threads : {1u, 2u, 4u}) {
-          auto shapes = index::FindShapes(*source, {mode, threads});
+          auto shapes = storage::FindShapes(*source, {mode, threads});
           ASSERT_TRUE(shapes.ok()) << shapes.status();
           EXPECT_EQ(*shapes, *expected)
               << "trial " << trial << ", backend " << source->Name()
@@ -141,15 +131,14 @@ TEST(ShapeSourceTest, MeteringIsUniformAcrossBackends) {
   ASSERT_TRUE(disk_db.ok()) << disk_db.status();
 
   for (ShapeFinderMode mode :
-       {ShapeFinderMode::kScan, ShapeFinderMode::kExists,
-        ShapeFinderMode::kIndex}) {
+       {ShapeFinderMode::kScan, ShapeFinderMode::kExists}) {
     for (unsigned threads : {1u, 4u}) {
       // Fresh sources per run: each carries its own logical counters.
       storage::Catalog catalog(data.database.get());
       storage::MemoryShapeSource memory(&catalog);
       pager::DiskShapeSource disk(disk_db->get());
-      ASSERT_TRUE(index::FindShapes(memory, {mode, threads}).ok());
-      ASSERT_TRUE(index::FindShapes(disk, {mode, threads}).ok());
+      ASSERT_TRUE(storage::FindShapes(memory, {mode, threads}).ok());
+      ASSERT_TRUE(storage::FindShapes(disk, {mode, threads}).ok());
       // The plans execute the same logical accesses on both backends: heap
       // order preserves row-store order, so scans and early exits align.
       EXPECT_EQ(memory.stats().tuples_scanned, disk.stats().tuples_scanned);
@@ -204,7 +193,7 @@ TEST(ShapeSourceTest, ParallelDiskScanCountsEveryTupleOnce) {
   ASSERT_TRUE(disk_db.ok()) << disk_db.status();
 
   pager::DiskShapeSource disk(disk_db->get());
-  auto shapes = index::FindShapes(disk, {ShapeFinderMode::kScan, /*threads=*/4});
+  auto shapes = storage::FindShapes(disk, {ShapeFinderMode::kScan, /*threads=*/4});
   ASSERT_TRUE(shapes.ok()) << shapes.status();
   EXPECT_EQ(disk.stats().tuples_scanned, data.database->TotalFacts());
   std::remove(path.c_str());

@@ -1,9 +1,10 @@
 // ShapeIndex at scale: the parallel (formerly sharded) build, concurrent
 // writers, snapshots and the index-fed check of the one index::ShapeIndex.
 //
-//  * equivalence: parallel builds over both ShapeSource backends and the
-//    `index` FindShapes mode return exactly the scan plan's shapes, with
-//    per-shape multiplicities equal to counts over the database rows;
+//  * equivalence: parallel builds over both ShapeSource backends return
+//    exactly the scan plan's shapes, with per-shape multiplicities equal
+//    to counts over the database rows, and meter the same logical
+//    accesses on both;
 //  * concurrency: a multi-threaded insert/remove stress run lands in the
 //    same state as a serial replay (run under ThreadSanitizer in CI);
 //  * persistence: snapshots round-trip bit-exactly, snapshots written with
@@ -27,7 +28,6 @@
 #include "core/is_chase_finite.h"
 #include "gen/data_generator.h"
 #include "gen/tgd_generator.h"
-#include "index/find_shapes.h"
 #include "index/shape_index.h"
 #include "io/binary_io.h"
 #include "logic/shape.h"
@@ -103,7 +103,7 @@ void ExpectCounts(const ShapeIndex& index, const ShapeCounts& expected) {
 }
 
 // Build over both backends at every thread count must equal the scan
-// plan — and so must the kIndex FindShapes mode.
+// plan.
 TEST(ShapeIndexTest, BuildMatchesScanPlanOnBothBackends) {
   Rng rng(20260728);
   for (int trial = 0; trial < 6; ++trial) {
@@ -131,11 +131,12 @@ TEST(ShapeIndexTest, BuildMatchesScanPlanOnBothBackends) {
             << ", threads " << threads;
         EXPECT_EQ(built->NumIndexedTuples(), data.database->TotalFacts());
       }
-      auto via_finder =
-          index::FindShapes(*source, {ShapeFinderMode::kIndex, /*threads=*/4});
-      ASSERT_TRUE(via_finder.ok()) << via_finder.status();
-      EXPECT_EQ(*via_finder, expected);
     }
+    // The build scans through the same ParallelTupleScan on both backends:
+    // every tuple once per build.
+    EXPECT_EQ(memory.stats().tuples_scanned, disk.stats().tuples_scanned);
+    EXPECT_EQ(memory.stats().tuples_scanned,
+              2 * data.database->TotalFacts());
     std::remove(path.c_str());
   }
 }
@@ -340,45 +341,6 @@ TEST(ShapeIndexTest, CorruptAndTruncatedSnapshotsAreRejected) {
                   .code(),
               StatusCode::kFailedPrecondition)
         << reserved;
-  }
-}
-
-// The `index` FindShapes mode agrees byte-for-byte with the scan and exists
-// plans on memory and disk across generated scenarios (the cross-backend
-// property the scan/exists plans already maintain, extended to the index).
-TEST(ShapeIndexTest, IndexModeAgreesWithScanAndExistsEverywhere) {
-  Rng rng(31415);
-  for (int trial = 0; trial < 6; ++trial) {
-    GeneratedData data = MakeRandomData(&rng);
-    storage::Catalog catalog(data.database.get());
-    storage::MemoryShapeSource memory(&catalog);
-    const std::string path =
-        TempPath("chase_shape_index_agree_" + std::to_string(trial) +
-                 ".db");
-    auto disk_db = pager::DiskDatabase::Create(path, *data.database,
-                                               /*num_frames=*/8);
-    ASSERT_TRUE(disk_db.ok()) << disk_db.status();
-    pager::DiskShapeSource disk(disk_db->get());
-
-    auto expected = index::FindShapes(memory, {ShapeFinderMode::kScan, 1});
-    ASSERT_TRUE(expected.ok());
-    for (const storage::ShapeSource* source :
-         {static_cast<const storage::ShapeSource*>(&memory),
-          static_cast<const storage::ShapeSource*>(&disk)}) {
-      for (ShapeFinderMode mode :
-           {ShapeFinderMode::kScan, ShapeFinderMode::kExists,
-            ShapeFinderMode::kIndex}) {
-        for (unsigned threads : {1u, 4u}) {
-          auto shapes = index::FindShapes(*source, {mode, threads});
-          ASSERT_TRUE(shapes.ok()) << shapes.status();
-          EXPECT_EQ(*shapes, *expected)
-              << "trial " << trial << ", backend " << source->Name()
-              << ", mode " << storage::ShapeFinderModeName(mode)
-              << ", threads " << threads;
-        }
-      }
-    }
-    std::remove(path.c_str());
   }
 }
 

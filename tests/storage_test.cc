@@ -137,8 +137,6 @@ TEST(ShapeFinderTest, ModeDispatchAndNames) {
   EXPECT_STREQ(storage::ShapeFinderModeName(ShapeFinderMode::kScan), "scan");
   EXPECT_STREQ(storage::ShapeFinderModeName(ShapeFinderMode::kExists),
                "exists");
-  EXPECT_STREQ(storage::ShapeFinderModeName(ShapeFinderMode::kIndex),
-               "index");
 }
 
 TEST(ShapeFinderTest, AgreeOnRandomDatabases) {

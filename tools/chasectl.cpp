@@ -1,23 +1,23 @@
 // chasectl — the command-line front end to the chase-termination library.
 //
 // Subcommands:
-//   check <file> [--mode=sl|l] [--shapes=mem|db|index] [--threads=N]
+//   check <file> [--mode=sl|l] [--shapes=mem|db] [--threads=N]
 //                [--snapshot=path.chidx]          termination check
 //   explain <file>                                 non-termination witness
 //   chase <file> [--variant=so|ob|re] [--max-atoms=N] [--max-rounds=N]
 //               [--threads=N] [--checkpoint=FILE]
 //               [--checkpoint-every=N] [--resume=FILE]
 //               [--progress[=SECS]] [--metrics-interval=SECS] [--print]
-//   simplify <file> [--mode=scan|exists|index] [--threads=N] [--print]
+//   simplify <file> [--mode=scan|exists] [--threads=N] [--print]
 //                                                  simple_D(Σ) via the
 //                                                  frontier-parallel
 //                                                  worklist
 //   findshapes <file> [--backend=memory|disk]
-//              [--mode=scan|exists|index] [--threads=N]
-//              [--snapshot=path.chidx]
+//              [--mode=scan|exists] [--threads=N]
+//              [--snapshot=path.chidx] [--store=path.db]
 //                                                  shape(D) via ShapeSource
 //   index build <file> <out.chidx> [--backend=memory|disk] [--threads=N]
-//                                                  materialize shape(D)
+//               [--store=path.db]                  materialize shape(D)
 //   index stat <snapshot.chidx>                    snapshot diagnostics
 //   stats <file>                                   Table-1-style statistics
 //   zoo <file>                                     uniform termination:
@@ -35,7 +35,7 @@
 // (io/binary_io.h); .chidx files are shape-index snapshots;
 // anything else uses the Datalog± text syntax. Every subcommand rejects a
 // flag it does not read (exit code 2), and so does every path that does
-// not read it (check --mode=sl, findshapes --snapshot).
+// not read it (check --mode=sl, check --snapshot, findshapes --snapshot).
 //
 // check, chase, simplify, and findshapes additionally take
 // --trace=FILE (Chrome trace-event JSON for Perfetto/chrome://tracing)
@@ -73,7 +73,6 @@
 #include "gen/tgd_generator.h"
 #include "graph/dependency_graph.h"
 #include "graph/dot.h"
-#include "index/find_shapes.h"
 #include "index/shape_index.h"
 #include "io/binary_io.h"
 #include "logic/atom.h"
@@ -178,18 +177,15 @@ uint32_t DiskPoolFrames(unsigned threads) {
   return static_cast<uint32_t>(std::min<uint64_t>(frames, 1u << 16));
 }
 
-// --mode=scan|exists|index -> the FindShapes query plan.
+// --mode=scan|exists -> the FindShapes query plan.
 bool ParseFinderMode(const Args& args, storage::ShapeFinderMode* mode) {
   const std::string raw = args.Get("mode", "scan");
   if (raw == "scan") {
     *mode = storage::ShapeFinderMode::kScan;
   } else if (raw == "exists") {
     *mode = storage::ShapeFinderMode::kExists;
-  } else if (raw == "index") {
-    *mode = storage::ShapeFinderMode::kIndex;
   } else {
-    std::cerr << "unknown --mode=" << raw
-              << " (want scan, exists, or index)\n";
+    std::cerr << "unknown --mode=" << raw << " (want scan or exists)\n";
     return false;
   }
   return true;
@@ -353,7 +349,7 @@ bool ParseMetricsInterval(const Args& args,
 int CmdCheck(const Args& args) {
   if (args.positional.empty()) {
     std::cerr << "usage: chasectl check <file> [--mode=sl|l] "
-                 "[--shapes=mem|db|index] [--threads=N] "
+                 "[--shapes=mem|db] [--threads=N] "
                  "[--snapshot=path.chidx] [--trace=FILE] [--metrics=FILE]\n";
     return 2;
   }
@@ -402,43 +398,41 @@ int CmdCheck(const Args& args) {
     if (!ParseThreads(args, &threads)) return 2;
     options.shape_threads = threads;
     options.simplify_threads = threads;
-    const std::string shapes_flag = args.Get("shapes", "mem");
-    if (args.Has("snapshot") && shapes_flag != "index") {
-      std::cerr << "--snapshot requires --shapes=index\n";
-      return 2;
-    }
-    std::vector<Shape> index_shapes;
-    double index_ms = 0;  // t-shapes of the index plan: the extraction
-    if (shapes_flag == "db") {
-      options.shape_finder = storage::ShapeFinderMode::kExists;
-    } else if (shapes_flag == "index") {
-      // The Section 10 deployment: shape(D) comes from the materialized
-      // index — loaded from a snapshot when given, built once otherwise.
-      std::optional<index::ShapeIndex> shape_index;
-      if (args.Has("snapshot")) {
-        auto loaded =
-            LoadSnapshotOf(args.Get("snapshot", ""), *program->database);
-        if (!loaded.ok()) return Fail(loaded.status());
-        shape_index.emplace(std::move(loaded).value());
-      } else {
-        shape_index.emplace(index::ShapeIndex::Build(*program->database));
+    std::vector<Shape> snapshot_shapes;
+    double snapshot_ms = 0;  // loading, validating and extracting
+    if (args.Has("snapshot")) {
+      // The Section 10 deployment: shape(D) comes from a materialized
+      // index snapshot of this database, so no shape plan applies. Its
+      // t-shapes is the whole cost of getting the shapes: the load, the
+      // staleness guard (a full pass over D) and the extraction.
+      if (args.Has("shapes")) {
+        std::cerr << "--snapshot excludes --shapes\n";
+        return 2;
       }
-      Timer extract_timer;
-      index_shapes = shape_index->CurrentShapes();
-      index_ms = extract_timer.ElapsedMillis();
-      options.precomputed_shapes = &index_shapes;
-    } else if (shapes_flag == "mem") {
-      options.shape_finder = storage::ShapeFinderMode::kScan;
+      Timer snapshot_timer;
+      auto loaded =
+          LoadSnapshotOf(args.Get("snapshot", ""), *program->database);
+      if (!loaded.ok()) return Fail(loaded.status());
+      snapshot_shapes = loaded->CurrentShapes();
+      snapshot_ms = snapshot_timer.ElapsedMillis();
+      options.precomputed_shapes = &snapshot_shapes;
     } else {
-      std::cerr << "unknown --shapes=" << shapes_flag
-                << " (want mem, db, or index)\n";
-      return 2;
+      const std::string shapes_flag = args.Get("shapes", "mem");
+      if (shapes_flag == "mem") {
+        options.shape_finder = storage::ShapeFinderMode::kScan;
+      } else if (shapes_flag == "db") {
+        options.shape_finder = storage::ShapeFinderMode::kExists;
+      } else {
+        std::cerr << "unknown --shapes=" << shapes_flag
+                  << " (want mem or db)\n";
+        return 2;
+      }
     }
     LCheckStats stats;
     auto finite =
         IsChaseFiniteL(*program->database, program->tgds, options, &stats);
     if (!finite.ok()) return Fail(finite.status());
-    stats.shapes_ms += index_ms;
+    stats.shapes_ms += snapshot_ms;
     times.shapes_ms = stats.shapes_ms;
     times.graph_ms = stats.graph_ms;
     times.comp_ms = stats.comp_ms;
@@ -584,8 +578,6 @@ int CmdChase(const Args& args) {
             << result->rounds << " rounds, " << result->triggers_fired
             << " triggers, " << result->instance.NumAtoms() << " atoms, "
             << result->rows_probed << " rows probed, " << chase_ms << " ms\n"
-            << "  prefiltered: " << result->triggers_prefiltered
-            << " satisfied trigger(s) skipped on the worker pool\n"
             << "  peak buffered homs: " << result->peak_buffered_homs
             << ", enumeration threads: " << result->enum_threads << "\n";
   if (args.Has("print")) {
@@ -603,7 +595,7 @@ int CmdChase(const Args& args) {
 int CmdSimplify(const Args& args) {
   if (args.positional.empty()) {
     std::cerr << "usage: chasectl simplify <file> "
-                 "[--mode=scan|exists|index] [--threads=N] [--trace=FILE] "
+                 "[--mode=scan|exists] [--threads=N] [--trace=FILE] "
                  "[--metrics=FILE] [--print]\n";
     return 2;
   }
@@ -624,7 +616,7 @@ int CmdSimplify(const Args& args) {
   storage::Catalog catalog(program->database.get());
   storage::MemoryShapeSource source(&catalog);
   Timer timer;
-  auto shapes = index::FindShapes(
+  auto shapes = storage::FindShapes(
       source, {.mode = finder_mode, .threads = threads});
   if (!shapes.ok()) return Fail(shapes.status());
   const double shapes_ms = timer.ElapsedMillis();
@@ -697,7 +689,7 @@ int CmdStats(const Args& args) {
 int CmdFindShapes(const Args& args) {
   if (args.positional.empty()) {
     std::cerr << "usage: chasectl findshapes <file> "
-                 "[--backend=memory|disk] [--mode=scan|exists|index] "
+                 "[--backend=memory|disk] [--mode=scan|exists] "
                  "[--threads=N] [--snapshot=path.chidx] [--store=path.db] "
                  "[--trace=FILE] [--metrics=FILE] [--print]\n";
     return 2;
@@ -764,7 +756,7 @@ int CmdFindShapes(const Args& args) {
   // run so the report excludes the Create-phase load above.
   const storage::IoCounters io_before = source->Io();
   Timer timer;
-  auto shapes = index::FindShapes(*source, options);
+  auto shapes = storage::FindShapes(*source, options);
   const double elapsed_ms = timer.ElapsedMillis();
   if (!shapes.ok()) return Fail(shapes.status());
 
@@ -1065,20 +1057,20 @@ int Usage() {
   std::cerr <<
       "chasectl — semi-oblivious chase termination toolkit\n"
       "\n"
-      "  chasectl check <file> [--mode=sl|l] [--shapes=mem|db|index] "
+      "  chasectl check <file> [--mode=sl|l] [--shapes=mem|db] "
       "[--threads=N] [--snapshot=path.chidx]\n"
       "  chasectl explain <file>               (non-termination witness)\n"
       "  chasectl chase <file> [--variant=so|ob|re] [--max-atoms=N] "
       "[--max-rounds=N] [--threads=N] [--checkpoint=FILE] "
       "[--checkpoint-every=N] [--resume=FILE] [--progress[=SECS]] "
       "[--metrics-interval=SECS] [--print]\n"
-      "  chasectl simplify <file> [--mode=scan|exists|index] [--threads=N] "
+      "  chasectl simplify <file> [--mode=scan|exists] [--threads=N] "
       "[--print]\n"
       "  chasectl findshapes <file> [--backend=memory|disk] "
-      "[--mode=scan|exists|index] [--threads=N] "
+      "[--mode=scan|exists] [--threads=N] "
       "[--snapshot=path.chidx] [--store=path.db] [--print]\n"
       "  chasectl index build <file> <out.chidx> [--backend=memory|disk] "
-      "[--threads=N]\n"
+      "[--threads=N] [--store=path.db]\n"
       "  chasectl index stat <snapshot.chidx>\n"
       "  chasectl stats <file>\n"
       "  chasectl zoo <file>                   (uniform termination)\n"
