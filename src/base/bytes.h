@@ -77,21 +77,30 @@ class ByteReader {
     return s;
   }
 
-  [[nodiscard]] StatusOr<std::vector<uint32_t>> GetU32Span() {
+  // A PutU32Span array as its raw bytes, without copying. The bytes sit
+  // at whatever offset the stream put them, so callers memcpy them out;
+  // they are never read in place as uint32_t.
+  [[nodiscard]] StatusOr<std::span<const uint8_t>> GetU32SpanBytes() {
     CHASE_ASSIGN_OR_RETURN(uint64_t count, GetU64());
     // Validate against the remaining length before computing count * 4,
     // which could otherwise wrap for adversarial length prefixes.
     if (count > remaining() / sizeof(uint32_t)) {
       return OutOfRangeError("byte stream truncated");
     }
-    std::vector<uint32_t> values(count);
-    if (count != 0) {
+    const std::span<const uint8_t> raw =
+        bytes_.subspan(pos_, count * sizeof(uint32_t));
+    pos_ += raw.size();
+    return raw;
+  }
+
+  [[nodiscard]] StatusOr<std::vector<uint32_t>> GetU32Span() {
+    CHASE_ASSIGN_OR_RETURN(std::span<const uint8_t> raw, GetU32SpanBytes());
+    std::vector<uint32_t> values(raw.size() / sizeof(uint32_t));
+    if (!raw.empty()) {
       // The guard matters under UBSan: an empty vector's data() is null,
       // and memcpy's pointer arguments are declared nonnull even at n=0.
-      std::memcpy(values.data(), bytes_.data() + pos_,
-                  count * sizeof(uint32_t));
+      std::memcpy(values.data(), raw.data(), raw.size());
     }
-    pos_ += count * sizeof(uint32_t);
     return values;
   }
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
+#include <cstring>
 
 #include "base/bytes.h"
+#include "base/file.h"
+#include "base/hash.h"
 #include "base/status.h"
 #include "logic/atom.h"
 #include "logic/database.h"
@@ -18,40 +20,46 @@ namespace io {
 
 namespace {
 
+// Every envelope's version went up by one when its checksum moved from
+// byte-wise FNV-1a to Checksum64; older files are refused by version.
 constexpr uint32_t kMagic = 0x4e424843;  // "CHBN"
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 constexpr uint32_t kSnapshotMagic = 0x49534843;  // "CHSI"
 // Version 2 added the content fingerprint to the payload header.
-constexpr uint32_t kSnapshotVersion = 2;
+constexpr uint32_t kSnapshotVersion = 3;
 constexpr uint32_t kCheckpointMagic = 0x4b434843;  // "CHCK"
 // Version 2 dropped two thread-dependent diagnostic counters from the
 // payload: a checkpoint holds chase state only.
-constexpr uint32_t kCheckpointVersion = 2;
+constexpr uint32_t kCheckpointVersion = 3;
+// magic | version | payload size | checksum.
+constexpr size_t kEnvelopeHeaderSize = 24;
 // ChaseVariant has three enumerators (chase/chase_engine.h); the
 // deserializer range-checks against this so a resume never reinterprets a
 // corrupt variant byte as a different chase.
 constexpr uint32_t kNumChaseVariants = 3;
 
-uint64_t Fnv1a(std::span<const uint8_t> bytes) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (uint8_t b : bytes) {
-    hash ^= b;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+// A writer for one artifact: the envelope header is reserved up front and
+// filled in by SealEnvelope, so the payload is never copied behind it.
+ByteWriter BeginEnvelope() {
+  ByteWriter out;
+  out.PutU64(0);  // magic | version
+  out.PutU64(0);  // payload size
+  out.PutU64(0);  // checksum
+  return out;
 }
 
-// The shared artifact envelope: magic | version | payload size | checksum.
-std::vector<uint8_t> WrapPayload(uint32_t magic, uint32_t version,
-                                 const ByteWriter& payload) {
-  ByteWriter out;
-  out.PutU32(magic);
-  out.PutU32(version);
-  out.PutU64(payload.bytes().size());
-  out.PutU64(Fnv1a(payload.bytes()));
-  std::vector<uint8_t> result = out.Take();
-  result.insert(result.end(), payload.bytes().begin(), payload.bytes().end());
-  return result;
+std::vector<uint8_t> SealEnvelope(uint32_t magic, uint32_t version,
+                                  ByteWriter out) {
+  std::vector<uint8_t> bytes = out.Take();
+  const std::span<const uint8_t> payload =
+      std::span<const uint8_t>(bytes).subspan(kEnvelopeHeaderSize);
+  ByteWriter header;
+  header.PutU32(magic);
+  header.PutU32(version);
+  header.PutU64(payload.size());
+  header.PutU64(Checksum64(payload));
+  std::memcpy(bytes.data(), header.bytes().data(), kEnvelopeHeaderSize);
+  return bytes;
 }
 
 // Validates the envelope and returns the checksummed payload span.
@@ -76,7 +84,7 @@ StatusOr<std::span<const uint8_t>> UnwrapPayload(
   }
   std::span<const uint8_t> payload =
       bytes.subspan(bytes.size() - payload_size);
-  if (Fnv1a(payload) != checksum) {
+  if (Checksum64(payload) != checksum) {
     return FailedPreconditionError(std::string(what) + " checksum mismatch");
   }
   return payload;
@@ -96,29 +104,11 @@ Status WriteFileBytes(std::span<const uint8_t> bytes,
   return OkStatus();
 }
 
-StatusOr<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return NotFoundError("cannot open file: " + path);
-  }
-  std::fseek(file, 0, SEEK_END);
-  const long size = std::ftell(file);
-  std::fseek(file, 0, SEEK_SET);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  const size_t read = std::fread(bytes.data(), 1, bytes.size(), file);
-  std::fclose(file);
-  if (read != bytes.size()) {
-    return InternalError("short read: " + path);
-  }
-  return bytes;
-}
-
 void PutAtoms(ByteWriter* writer, const std::vector<RuleAtom>& atoms) {
   writer->PutU32(static_cast<uint32_t>(atoms.size()));
   for (const RuleAtom& atom : atoms) {
     writer->PutU32(atom.pred);
-    std::vector<uint32_t> args(atom.args.begin(), atom.args.end());
-    writer->PutU32Span(args);
+    writer->PutU32Span(atom.args);
   }
 }
 
@@ -136,7 +126,7 @@ StatusOr<std::vector<RuleAtom>> GetAtoms(ByteReader* reader,
     if (args.size() != schema.Arity(pred)) {
       return FailedPreconditionError("atom arity mismatch");
     }
-    atoms.emplace_back(pred, std::vector<VarId>(args.begin(), args.end()));
+    atoms.emplace_back(pred, std::move(args));
   }
   return atoms;
 }
@@ -146,7 +136,7 @@ StatusOr<std::vector<RuleAtom>> GetAtoms(ByteReader* reader,
 std::vector<uint8_t> SerializeProgram(const Schema& schema,
                                       const Database& database,
                                       const std::vector<Tgd>& tgds) {
-  ByteWriter payload;
+  ByteWriter payload = BeginEnvelope();
   // Schema.
   payload.PutU32(static_cast<uint32_t>(schema.NumPredicates()));
   for (PredId pred = 0; pred < schema.NumPredicates(); ++pred) {
@@ -170,7 +160,7 @@ std::vector<uint8_t> SerializeProgram(const Schema& schema,
     PutAtoms(&payload, tgd.head());
   }
 
-  return WrapPayload(kMagic, kVersion, payload);
+  return SealEnvelope(kMagic, kVersion, std::move(payload));
 }
 
 StatusOr<Program> DeserializeProgram(std::span<const uint8_t> bytes) {
@@ -196,16 +186,15 @@ StatusOr<Program> DeserializeProgram(std::span<const uint8_t> bytes) {
   CHASE_ASSIGN_OR_RETURN(uint64_t domain, reader.GetU64());
   program.database->EnsureAnonymousDomain(domain);
   for (PredId pred = 0; pred < num_preds; ++pred) {
-    CHASE_ASSIGN_OR_RETURN(std::vector<uint32_t> tuples,
-                           reader.GetU32Span());
-    const uint32_t arity = program.schema->Arity(pred);
-    if (tuples.size() % arity != 0) {
-      return FailedPreconditionError("relation payload not arity-strided");
-    }
-    for (size_t row = 0; row * arity < tuples.size(); ++row) {
-      CHASE_RETURN_IF_ERROR(program.database->AddFact(
-          pred, std::span<const uint32_t>(tuples).subspan(row * arity,
-                                                          arity)));
+    // One exact-size append per relation, straight out of the payload; the
+    // length prefix was checked against the payload before anything is
+    // allocated.
+    CHASE_ASSIGN_OR_RETURN(std::span<const uint8_t> tuples,
+                           reader.GetU32SpanBytes());
+    if (Status status = program.database->AddFactBytes(pred, tuples);
+        !status.ok()) {
+      return FailedPreconditionError("relation payload not arity-strided: " +
+                                     std::string(status.message()));
     }
   }
   CHASE_ASSIGN_OR_RETURN(uint32_t num_tgds, reader.GetU32());
@@ -239,7 +228,7 @@ StatusOr<Program> LoadProgram(const std::string& path) {
 // Shape-index snapshots.
 
 std::vector<uint8_t> SerializeShapeSnapshot(const ShapeSnapshot& snapshot) {
-  ByteWriter payload;
+  ByteWriter payload = BeginEnvelope();
   payload.PutU32(snapshot.num_shards);
   payload.PutU64(snapshot.fingerprint);
   payload.PutU64(snapshot.counts.size());
@@ -249,7 +238,7 @@ std::vector<uint8_t> SerializeShapeSnapshot(const ShapeSnapshot& snapshot) {
     for (uint8_t v : entry.shape.id) payload.PutU8(v);
     payload.PutU64(entry.count);
   }
-  return WrapPayload(kSnapshotMagic, kSnapshotVersion, payload);
+  return SealEnvelope(kSnapshotMagic, kSnapshotVersion, std::move(payload));
 }
 
 StatusOr<ShapeSnapshot> DeserializeShapeSnapshot(
@@ -321,12 +310,12 @@ StatusOr<ShapeSnapshot> LoadShapeSnapshot(const std::string& path) {
 
 uint64_t ProgramFingerprint(const Schema& schema, const Database& database,
                             const std::vector<Tgd>& tgds) {
-  return Fnv1a(SerializeProgram(schema, database, tgds));
+  return Checksum64(SerializeProgram(schema, database, tgds));
 }
 
 std::vector<uint8_t> SerializeChaseCheckpoint(
     const ChaseCheckpoint& checkpoint) {
-  ByteWriter payload;
+  ByteWriter payload = BeginEnvelope();
   payload.PutU32(checkpoint.variant);
   payload.PutU64(checkpoint.input_fingerprint);
   payload.PutU64(checkpoint.rounds);
@@ -345,7 +334,8 @@ std::vector<uint8_t> SerializeChaseCheckpoint(
     payload.PutU32(static_cast<uint32_t>(key.size()));
     for (uint64_t value : key) payload.PutU64(value);
   }
-  return WrapPayload(kCheckpointMagic, kCheckpointVersion, payload);
+  return SealEnvelope(kCheckpointMagic, kCheckpointVersion,
+                      std::move(payload));
 }
 
 StatusOr<ChaseCheckpoint> DeserializeChaseCheckpoint(

@@ -7,23 +7,25 @@
 // benches' 100K-rule inputs parse in seconds but load in tens of
 // milliseconds, and chasectl uses it to snapshot generated scenarios.
 //
-// Both artifact kinds share one envelope (little-endian):
-//   magic | format version | payload size | FNV-1a payload checksum
+// All artifact kinds share one envelope (little-endian):
+//   magic | format version | payload size | payload checksum
+// The checksum is Checksum64 (base/hash.h), which the pager's pages use
+// too; any single changed payload byte changes it.
 //
-// Program payload (magic "CHBN"):
+// Program payload (magic "CHBN", version 2):
 //   schema   : predicate count, then (name, arity) per predicate
 //   constants: named-constant count + names, anonymous domain size
 //   facts    : per predicate, the flat arity-strided tuple array
 //   tgds     : per TGD, body and head atom lists (pred + variable ids)
 //
-// Shape-snapshot payload (magic "CHSI", version 2): a reserved u32, the
+// Shape-snapshot payload (magic "CHSI", version 3): a reserved u32, the
 // order-independent content fingerprint of the indexed tuples (the
 // staleness guard of `chasectl check --snapshot`, maintained by
 // Insert/Remove and the build), then the (pred, id-tuple, counter) entries
 // sorted strictly by shape, so snapshot bytes are canonical for a given
 // index state.
 //
-// Chase-checkpoint payload (magic "CHCK", version 2): the complete state of
+// Chase-checkpoint payload (magic "CHCK", version 3): the complete state of
 // a chase at a round boundary — variant, input fingerprint, the round and
 // trigger counters, the null counter, per-predicate atoms (insertion order,
 // arity-strided terms) with the semi-naive round-window watermarks, and the
@@ -33,7 +35,10 @@
 // so its bytes do not depend on the thread count that wrote it.
 //
 // Loading validates the checksum before parsing, and every read is bounds-
-// checked (ByteReader), so corrupt or truncated files fail cleanly.
+// checked (ByteReader), so corrupt or truncated files fail cleanly. A file
+// of an older format version is refused by its version ("unsupported ...
+// version N"), never parsed as the current layout; loading a path that is
+// not a regular file (a directory) fails with kInvalidArgument.
 
 #ifndef CHASE_IO_BINARY_IO_H_
 #define CHASE_IO_BINARY_IO_H_
@@ -60,7 +65,8 @@ std::vector<uint8_t> SerializeProgram(const Schema& schema,
                    const std::vector<Tgd>& tgds, const std::string& path);
 
 // Deserializes; fails with kFailedPrecondition on bad magic/version/
-// checksum and kOutOfRange on truncation.
+// checksum or a relation that is not arity-strided, and kOutOfRange on
+// truncation (including a length prefix that runs past the payload).
 [[nodiscard]]
 StatusOr<Program> DeserializeProgram(std::span<const uint8_t> bytes);
 [[nodiscard]] StatusOr<Program> LoadProgram(const std::string& path);
@@ -142,7 +148,7 @@ struct ChaseCheckpoint {
   std::vector<std::vector<uint64_t>> fired_keys;
 };
 
-// The identity of a chase input: FNV-1a over the serialized program.
+// The identity of a chase input: Checksum64 over the serialized program.
 uint64_t ProgramFingerprint(const Schema& schema, const Database& database,
                             const std::vector<Tgd>& tgds);
 

@@ -51,6 +51,14 @@ class Database {
   // Appends a fact; `tuple` must match the predicate arity.
   [[nodiscard]] Status AddFact(PredId pred, std::span<const uint32_t> tuple);
 
+  // Appends a run of facts in one step: `bytes` holds arity-strided
+  // constant ids as native-endian uint32 words at any alignment (the layout
+  // ByteWriter::PutU32Span writes). Into an empty relation the append is
+  // exact-size, with no growth slack. Fails, appending nothing, on an
+  // unknown predicate or a length that is not a whole number of tuples.
+  [[nodiscard]] Status AddFactBytes(PredId pred,
+                                    std::span<const uint8_t> bytes);
+
   // Number of tuples currently stored for `pred`.
   size_t NumTuples(PredId pred) const {
     if (pred >= relations_.size()) return 0;

@@ -1,5 +1,6 @@
 #include "logic/parser.h"
 
+#include "base/file.h"
 #include "base/status.h"
 #include "logic/atom.h"
 #include "logic/database.h"
@@ -7,8 +8,6 @@
 #include "logic/tgd.h"
 
 #include <cctype>
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 
 namespace chase {
@@ -285,11 +284,9 @@ Status ParseProgramInto(std::string_view text, Program* program) {
 }
 
 StatusOr<Program> ParseProgramFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return NotFoundError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseProgram(buffer.str());
+  CHASE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
+  return ParseProgram(std::string_view(
+      reinterpret_cast<const char*>(bytes.data()), bytes.size()));
 }
 
 StatusOr<std::vector<Tgd>> ParseTgds(std::string_view text, Schema* schema) {

@@ -45,7 +45,8 @@ struct Program {
 // Parses `text` into an existing program (incremental loading).
 [[nodiscard]] Status ParseProgramInto(std::string_view text, Program* program);
 
-// Parses a file from disk.
+// Parses a file from disk (base/file.h's ReadFileBytes: a path that is not
+// a regular file, such as a directory, fails with kInvalidArgument).
 [[nodiscard]] StatusOr<Program> ParseProgramFile(const std::string& path);
 
 // Parses rules only, interning predicates into `schema`. Facts are rejected.

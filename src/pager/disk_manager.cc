@@ -146,6 +146,12 @@ Status DiskManager::ReadPage(PageId page_id, Page* page) {
   }
   stats_.pages_read.fetch_add(1, std::memory_order_relaxed);
   if (!AllZero(*page) && !VerifyPage(*page)) {
+    if (ReadPageHeader(*page).magic != PageHeader::kMagic) {
+      return FailedPreconditionError(
+          path_ + ": page " + std::to_string(page_id) +
+          " has no page magic of this format (a store written by an older "
+          "version, or not a store); rebuild it");
+    }
     return InternalError("checksum mismatch at page " +
                          std::to_string(page_id));
   }

@@ -84,7 +84,9 @@ class DiskManager {
   [[nodiscard]] StatusOr<PageId> AllocatePage();
 
   // Reads `page_id` into `*page`, verifying the checksum unless the page is
-  // all-zero (freshly allocated pages are legitimately unsealed).
+  // all-zero (freshly allocated pages are legitimately unsealed). A page
+  // without PageHeader::kMagic (a store of an older page format) fails with
+  // kFailedPrecondition, a checksum mismatch with kInternal.
   [[nodiscard]] Status ReadPage(PageId page_id, Page* page);
 
   // Seals (checksums) and writes the page.

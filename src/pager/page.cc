@@ -1,15 +1,14 @@
 #include "pager/page.h"
 
+#include <span>
+
+#include "base/hash.h"
+
 namespace chase {
 namespace pager {
 
 uint64_t PageChecksum(const uint8_t* data, size_t size) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+  return Checksum64(std::span<const uint8_t>(data, size));
 }
 
 PageHeader ReadPageHeader(const Page& page) {

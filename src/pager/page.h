@@ -52,15 +52,19 @@ struct alignas(8) Page {
   }
 };
 
-// FNV-1a over a page body; stored in page headers to detect torn or
-// corrupted pages on read.
+// Checksum64 (base/hash.h) over a page body; stored in page headers to
+// detect torn or corrupted pages on read. Any single changed body byte
+// changes it.
 uint64_t PageChecksum(const uint8_t* data, size_t size);
 
 // Every page starts with this header. `kind` distinguishes catalog pages
 // from heap (tuple) pages; `next` chains pages of the same object.
 // The checksum covers bytes [kPageHeaderSize, kPageSize).
 struct PageHeader {
-  static constexpr uint32_t kMagic = 0x43485053;  // "CHPS"
+  // "CHP2". Pages sealed with the earlier byte-wise FNV-1a checksum
+  // carried "CHPS" (0x43485053); a file of them is refused by its magic
+  // (DiskManager::ReadPage), not reported as a checksum mismatch per page.
+  static constexpr uint32_t kMagic = 0x43485032;
 
   uint32_t magic = kMagic;
   uint32_t kind = 0;

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <vector>
 
+#include "base/file.h"
 #include "base/flat_set.h"
+#include "base/hash.h"
 #include "base/rng.h"
 #include "base/status.h"
 #include "base/table_printer.h"
@@ -86,6 +90,87 @@ Status UsesAssignOrReturn() {
 
 TEST(StatusOrTest, AssignOrReturnPropagates) {
   EXPECT_EQ(UsesAssignOrReturn().code(), StatusCode::kOutOfRange);
+}
+
+// Lengths 0-40 cover every tail length (0-7 bytes after the words) in
+// front of zero, one and more 32-byte blocks and partial word runs.
+TEST(Checksum64Test, EverySingleByteChangeChangesTheChecksum) {
+  for (size_t len = 0; len <= 40; ++len) {
+    std::vector<uint8_t> bytes(len);
+    for (size_t i = 0; i < len; ++i) bytes[i] = static_cast<uint8_t>(i * 37);
+    const uint64_t base = Checksum64(bytes);
+    EXPECT_EQ(Checksum64(bytes), base) << len;
+    for (size_t i = 0; i < len; ++i) {
+      for (uint8_t flip : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xff}}) {
+        std::vector<uint8_t> changed = bytes;
+        changed[i] ^= flip;
+        EXPECT_NE(Checksum64(changed), base)
+            << "length " << len << ", byte " << i << ", flip " << int{flip};
+      }
+    }
+  }
+}
+
+TEST(Checksum64Test, LengthIsFoldedIn) {
+  // Runs of zero bytes differ only in length (a zero tail word and no word
+  // at all feed the lanes alike), so the length must tell them apart.
+  std::set<uint64_t> seen;
+  for (size_t len = 0; len <= 40; ++len) {
+    seen.insert(Checksum64(std::vector<uint8_t>(len, 0)));
+  }
+  EXPECT_EQ(seen.size(), 41u);
+}
+
+TEST(Checksum64Test, ReadsBytesAtAnyAlignment) {
+  std::vector<uint8_t> buffer(80);
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<uint8_t>(i * 11 + 3);
+  }
+  for (size_t offset = 1; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 40; ++len) {
+      const std::span<const uint8_t> unaligned(buffer.data() + offset, len);
+      const std::vector<uint8_t> copy(unaligned.begin(), unaligned.end());
+      EXPECT_EQ(Checksum64(unaligned), Checksum64(copy))
+          << offset << "/" << len;
+    }
+  }
+}
+
+TEST(Checksum64Test, ValuesArePinned) {
+  // Every persisted format stores these checksums: changing the function
+  // needs a new version of each envelope and page magic.
+  const std::string text = "semi-oblivious chase";
+  EXPECT_EQ(Checksum64({}), 0xf4684d3332b4097bULL);
+  EXPECT_EQ(Checksum64(std::span<const uint8_t>(
+                reinterpret_cast<const uint8_t*>(text.data()), text.size())),
+            0x82227c56dc7df4b2ULL);
+  EXPECT_EQ(Checksum64(std::vector<uint8_t>(64, 0xab)), 0xa0d941ea1d41d865ULL);
+}
+
+TEST(ReadFileBytesTest, ReadsARegularFileAndRefusesTheRest) {
+  const std::string path = testing::TempDir() + "/base_test_read.bin";
+  {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    std::fputs("abc", file);
+    std::fclose(file);
+  }
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  EXPECT_EQ(*bytes, (std::vector<uint8_t>{'a', 'b', 'c'}));
+  std::remove(path.c_str());
+
+  EXPECT_EQ(ReadFileBytes(path).status().code(), StatusCode::kNotFound);
+  // A directory opens fine; it must be refused, not sized by seeking.
+  const std::string dir = testing::TempDir() + "/base_test_read_dir";
+  std::filesystem::create_directories(dir);
+  for (const std::string& target : {dir, dir + "/"}) {
+    const Status status = ReadFileBytes(target).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << target;
+    EXPECT_NE(status.message().find("not a regular file"), std::string::npos)
+        << status;
+  }
+  std::filesystem::remove(dir);
 }
 
 TEST(RngTest, DeterministicFromSeed) {

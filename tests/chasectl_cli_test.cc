@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -311,6 +312,8 @@ TEST_F(ChasectlCliTest, SnapshotMustIndexTheProgramsDatabase) {
             0);
   EXPECT_NE(out.find("3 shape(s) over 3 indexed tuples"), std::string::npos)
       << out;
+  EXPECT_NE(out.find("  backend: snapshot\n"), std::string::npos) << out;
+  EXPECT_EQ(out.find("plan:"), std::string::npos) << out;
   for (const char* shape : {"r_[1,1]", "r_[1,2]", "s_[1]"}) {
     EXPECT_NE(out.find(shape), std::string::npos) << shape << " in " << out;
   }
@@ -323,6 +326,24 @@ TEST_F(ChasectlCliTest, SnapshotMustIndexTheProgramsDatabase) {
   for (const std::string& path :
        {own, other, other_program, twin, twin_program}) {
     std::remove(path.c_str());
+  }
+}
+
+// A directory given as the program, text or binary, is an error with a
+// message — never a verdict on an empty program, never an abort.
+TEST_F(ChasectlCliTest, DirectoryProgramFailsWithAnError) {
+  for (const std::string& dir :
+       {TempDir() + "/chasectl_cli_test_dir.dlgp",
+        TempDir() + "/chasectl_cli_test_dir.chbin"}) {
+    std::filesystem::create_directories(dir);
+    for (const std::string& command : {"check ", "findshapes "}) {
+      std::string err, out;
+      EXPECT_EQ(RunChasectl(command + dir, &err, &out), 1) << command << dir;
+      EXPECT_NE(err.find("not a regular file"), std::string::npos)
+          << command << dir << ": " << err;
+      EXPECT_EQ(out.find("FINITE"), std::string::npos) << out;
+    }
+    std::filesystem::remove(dir);
   }
 }
 

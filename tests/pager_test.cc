@@ -76,6 +76,23 @@ TEST(PageTest, CorruptedBodyFailsVerify) {
   EXPECT_FALSE(VerifyPage(page));
 }
 
+TEST(PageTest, EverySingleByteFlipInTheBodyFailsVerify) {
+  Page page;
+  page.Zero();
+  WritePageHeader(&page, PageHeader{});
+  for (uint32_t offset = kPageHeaderSize; offset < kPageSize; ++offset) {
+    page.bytes[offset] = static_cast<uint8_t>(offset * 7);
+  }
+  SealPage(&page);
+  ASSERT_TRUE(VerifyPage(page));
+  for (uint32_t offset = kPageHeaderSize; offset < kPageSize; ++offset) {
+    page.bytes[offset] ^= 0x10;
+    EXPECT_FALSE(VerifyPage(page)) << "accepted a flip at byte " << offset;
+    page.bytes[offset] ^= 0x10;
+  }
+  EXPECT_TRUE(VerifyPage(page));
+}
+
 TEST(PageTest, BadMagicFailsVerify) {
   Page page;
   page.Zero();
@@ -203,6 +220,37 @@ TEST(DiskManagerTest, CorruptedPageDetectedOnRead) {
   ASSERT_TRUE(manager.ok());
   Page page;
   EXPECT_EQ(manager->ReadPage(id, &page).code(), StatusCode::kInternal);
+}
+
+// Pages sealed with the earlier checksum carried the magic "CHPS": a store
+// of them is refused by its magic, with an error that says so, not by a
+// checksum mismatch on some page.
+TEST(DiskDatabaseTest, PreviousPageFormatIsRefusedByMagic) {
+  GeneratedData data = MakeData(3, 500, 21);
+  const std::string path = TempPath("dd_previous_format.db");
+  PageId num_pages = 0;
+  {
+    auto created = DiskDatabase::Create(path, *data.database);
+    ASSERT_TRUE(created.ok()) << created.status();
+    num_pages = (*created)->disk().num_pages();
+  }
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    const uint32_t previous_magic = 0x43485053;
+    for (PageId id = 0; id < num_pages; ++id) {
+      std::fseek(f, static_cast<long>(id) * kPageSize, SEEK_SET);
+      std::fwrite(&previous_magic, sizeof(previous_magic), 1, f);
+    }
+    std::fclose(f);
+  }
+  auto reopened = DiskDatabase::Open(path);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(reopened.status().message().find("older version"),
+            std::string::npos)
+      << reopened.status();
+  std::remove(path.c_str());
 }
 
 TEST(DiskManagerTest, ReadFaultInjection) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
 #include "logic/parser.h"
@@ -216,6 +217,21 @@ TEST(ParserTest, LargeRuleSetParses) {
   ASSERT_TRUE(program.ok());
   EXPECT_EQ(program->tgds.size(), 2000u);
   EXPECT_EQ(program->schema->NumPredicates(), 50u);
+}
+
+// A directory opens like a file and reads as nothing; it must be an error,
+// never an empty program.
+TEST(ParserTest, ProgramFileMustBeARegularFile) {
+  const std::string dir = testing::TempDir() + "/parser_test_dir.dlgp";
+  std::filesystem::create_directories(dir);
+  for (const std::string& path : {dir, dir + "/"}) {
+    const Status status = ParseProgramFile(path).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << path;
+    EXPECT_NE(status.message().find("not a regular file"), std::string::npos)
+        << status;
+  }
+  std::filesystem::remove(dir);
+  EXPECT_EQ(ParseProgramFile(dir).status().code(), StatusCode::kNotFound);
 }
 
 TEST(ParserTest, IncrementalParsing) {
