@@ -15,19 +15,6 @@
 namespace chase {
 namespace {
 
-// Cost estimates saturate: a cross-product of a few large relations
-// overflows uint64 long before it overflows the planner's patience, and a
-// saturated estimate still splits maximally.
-uint64_t SatMul(uint64_t a, uint64_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a > UINT64_MAX / b) return UINT64_MAX;
-  return a * b;
-}
-
-uint64_t SatAdd(uint64_t a, uint64_t b) {
-  return a > UINT64_MAX - b ? UINT64_MAX : a + b;
-}
-
 // The candidate-row range of body position `pos` for the (rule, delta_pos)
 // task: the delta rows at the delta position, only previous-rounds rows
 // before it (so each trigger is enumerated once, at its first delta
@@ -40,27 +27,14 @@ RowRange CandidateRange(const Tgd& tgd, const RoundView& view,
   return {0, view.CurOf(pred)};
 }
 
-// Estimated enumeration cost of one position-0 row: the product of the
-// candidate counts of every inner position. 1 for a linear body.
-uint64_t InnerCost(const Tgd& tgd, const RoundView& view, size_t delta_pos) {
-  uint64_t cost = 1;
-  for (size_t pos = 1; pos < tgd.body().size(); ++pos) {
-    cost = SatMul(cost, CandidateRange(tgd, view, delta_pos, pos).size());
-  }
-  return cost;
-}
-
-// The per-position row windows of one fragment: its position-0 (and
-// position-1) sub-ranges, the task's candidate ranges everywhere else.
-// Fills `ranges` in place, so a reused enumerator allocates nothing.
-void FragmentRanges(const Tgd& tgd, const RoundView& view,
-                    const BodyPartition& part, std::vector<RowRange>& ranges) {
+// The per-position row windows of the (rule, delta position) task. Fills
+// `ranges` in place, so a reused enumerator allocates nothing.
+void TaskRanges(const Tgd& tgd, const RoundView& view, size_t delta_pos,
+                std::vector<RowRange>& ranges) {
   ranges.clear();
   for (size_t pos = 0; pos < tgd.body().size(); ++pos) {
-    ranges.push_back(CandidateRange(tgd, view, part.delta_pos, pos));
+    ranges.push_back(CandidateRange(tgd, view, delta_pos, pos));
   }
-  ranges[0] = {part.begin0, part.end0};
-  if (ranges.size() > 1) ranges[1] = {part.begin1, part.end1};
 }
 
 void UndoBindings(std::vector<Term>& h, std::vector<VarId>& trail,
@@ -124,75 +98,11 @@ std::vector<RowRange> FullRanges(std::span<const RuleAtom> atoms,
   return ranges;
 }
 
-std::vector<BodyPartition> PlanBodyPartitions(const std::vector<Tgd>& tgds,
-                                              const RoundView& view,
-                                              unsigned threads) {
-  const uint64_t num_threads = std::max(1u, threads);
-  // Pass 1: the round's total estimated cost, to size the grain — the same
-  // few-fragments-per-worker discipline as FrontierChunkSize, but weighted
-  // by estimated join cost instead of row count.
-  uint64_t total = 0;
-  for (const Tgd& tgd : tgds) {
-    for (size_t delta_pos = 0; delta_pos < tgd.body().size(); ++delta_pos) {
-      uint64_t cost = 1;
-      for (size_t pos = 0; pos < tgd.body().size(); ++pos) {
-        cost = SatMul(cost, CandidateRange(tgd, view, delta_pos, pos).size());
-      }
-      total = SatAdd(total, cost);
-    }
+bool HasCandidates(const Tgd& tgd, const RoundView& view, size_t delta_pos) {
+  for (size_t pos = 0; pos < tgd.body().size(); ++pos) {
+    if (CandidateRange(tgd, view, delta_pos, pos).empty()) return false;
   }
-  const uint64_t grain = std::max<uint64_t>(1, total / (4 * num_threads));
-
-  std::vector<BodyPartition> parts;
-  for (size_t rule = 0; rule < tgds.size(); ++rule) {
-    const Tgd& tgd = tgds[rule];
-    const size_t body_size = tgd.body().size();
-    for (size_t delta_pos = 0; delta_pos < body_size; ++delta_pos) {
-      bool empty = false;
-      for (size_t pos = 0; pos < body_size; ++pos) {
-        if (CandidateRange(tgd, view, delta_pos, pos).empty()) {
-          empty = true;
-          break;
-        }
-      }
-      if (empty) continue;  // some position has no candidates: no triggers
-
-      const RowRange r0 = CandidateRange(tgd, view, delta_pos, 0);
-      const RowRange r1 = body_size > 1
-                              ? CandidateRange(tgd, view, delta_pos, 1)
-                              : RowRange{};
-      const uint64_t inner = InnerCost(tgd, view, delta_pos);
-
-      // A single position-0 row heavier than the grain: pin each row and
-      // split the position-1 range under it. Self-limiting — at most
-      // ~4·threads such rows fit in `total`, and the per-row fragment
-      // count is capped at 4·threads besides.
-      uint64_t sub = 0;
-      if (inner > grain && body_size > 1 && r1.size() > 1) {
-        sub = inner / grain + (inner % grain != 0 ? 1 : 0);
-        sub = std::min<uint64_t>({sub, r1.size(), 4 * num_threads});
-      }
-      if (sub > 1) {
-        const size_t step = (r1.size() + sub - 1) / sub;
-        for (size_t row0 = r0.begin; row0 < r0.end; ++row0) {
-          for (size_t b1 = r1.begin; b1 < r1.end; b1 += step) {
-            parts.push_back({static_cast<uint32_t>(rule),
-                             static_cast<uint32_t>(delta_pos), row0, row0 + 1,
-                             b1, std::min(r1.end, b1 + step)});
-          }
-        }
-      } else {
-        const size_t rows_per = static_cast<size_t>(
-            std::max<uint64_t>(1, grain / std::max<uint64_t>(1, inner)));
-        for (size_t b0 = r0.begin; b0 < r0.end; b0 += rows_per) {
-          parts.push_back({static_cast<uint32_t>(rule),
-                           static_cast<uint32_t>(delta_pos), b0,
-                           std::min(r0.end, b0 + rows_per), r1.begin, r1.end});
-        }
-      }
-    }
-  }
-  return parts;
+  return true;
 }
 
 void IndexProbes(std::span<const RuleAtom> atoms, std::span<const Term> h,
@@ -215,11 +125,11 @@ void HomEnumerator::Reset(std::span<const RuleAtom> atoms,
 }
 
 void HomEnumerator::Reset(const Tgd& tgd, const Instance* instance,
-                          const RoundView& view, const BodyPartition& part,
+                          const RoundView& view, size_t delta_pos,
                           const RowIndex* index) {
   atoms_ = tgd.body();
   instance_ = instance;
-  FragmentRanges(tgd, view, part, ranges_);
+  TaskRanges(tgd, view, delta_pos, ranges_);
   h_.assign(tgd.num_vars(), kUnboundTerm);
   Start(index);
 }
@@ -227,15 +137,12 @@ void HomEnumerator::Reset(const Tgd& tgd, const Instance* instance,
 void HomEnumerator::Start(const RowIndex* index) {
   trail_.clear();
   level_.assign(atoms_.size(), Level{});
-  index_ = nullptr;
   if (index != nullptr && !index->empty()) {
     ForEachProbe(atoms_, h_, bound_, [&](size_t pos, uint32_t col) {
       const RuleAtom& atom = atoms_[pos];
       level_[pos].postings = index->Find(atom.pred, col, ranges_[pos].end);
       level_[pos].key = atom.args[col];
-      if (level_[pos].postings != nullptr) index_ = index;
     });
-    if (index_ != nullptr) epoch_ = index_->epoch();
   }
   depth_ = 0;
   Enter(0);
@@ -245,11 +152,12 @@ void HomEnumerator::Start(const RowIndex* index) {
 
 void HomEnumerator::Enter(size_t depth) {
   level_[depth].row = ranges_[depth].begin;
-  if (level_[depth].postings != nullptr) Seek(depth, ranges_[depth].begin);
+  if (level_[depth].postings != nullptr) Seek(depth);
 }
 
-void HomEnumerator::Seek(size_t depth, size_t from) {
+void HomEnumerator::Seek(size_t depth) {
   Level& level = level_[depth];
+  const size_t from = ranges_[depth].begin;
   const std::vector<RowIndex::Entry>& entries = level.postings->entries();
   const Term value = h_[level.key];
   level.at = level.postings->Lookup(value);
@@ -289,14 +197,6 @@ void HomEnumerator::Advance(size_t depth) {
 bool HomEnumerator::Next() {
   if (done_) return false;
   const size_t n = atoms_.size();
-  if (index_ != nullptr && index_->epoch() != epoch_) {
-    // The index grew while paused: entry positions moved, rows did not.
-    // Re-seek every entered lookup position at the row it stands on.
-    epoch_ = index_->epoch();
-    for (size_t d = 0; d <= std::min(depth_, n - 1); ++d) {
-      if (level_[d].postings != nullptr) Seek(d, level_[d].row);
-    }
-  }
   if (at_hom_) {
     // Step off the match emitted last time: unbind the deepest position
     // and advance its cursor.

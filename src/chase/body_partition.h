@@ -1,6 +1,5 @@
-// The chase's one conjunctive matcher (HomEnumerator), and the planner that
-// partitions a round's body-homomorphism space into fragments for it (the
-// K-Join recipe adapted to the chase's semi-naive rounds).
+// The chase's one conjunctive matcher, HomEnumerator, and the round
+// windows it matches a rule body against.
 //
 // A round's triggers are, for each rule and each delta position d, the
 // matches of a join over the body atoms in body order: position 0 is the
@@ -12,39 +11,16 @@
 // the rows whose probe column holds the bound value, in ascending row order
 // clipped to the range. The rows it skips are exactly those that would fail
 // to bind on that column, so the match stream is the nested-loop join's.
-// The trigger order — and with it the bit-identical-result contract at any
-// thread count — is the lexicographic order of (rule, delta position, row
-// at position 0, row at position 1, …). So instead of hash-partitioning a
-// join variable — which deals rows of one loop level round-robin across
-// partitions and interleaves their outputs — the planner splits candidate
-// *ranges*:
+// The trigger order is the lexicographic order of (rule, delta position,
+// row at position 0, row at position 1, ...): one HomEnumerator pass per
+// (rule, delta position), in that order, is the round's trigger stream.
 //
-//  * every (rule, delta position) task splits on its outermost loop, the
-//    position-0 candidate range (for d == 0 that is the delta range; for
-//    d > 0 it is the previous-rounds prefix);
-//  * when one position-0 row is still heavier than the grain (a hot row
-//    whose inner join cross-products against whole relations), the row is
-//    pinned and the position-1 candidate range is split under it.
-//
-// Concatenating the fragments in (rule, delta_pos, begin0, begin1) order —
-// the order PlanBodyPartitions emits them — yields the round's trigger
-// stream, so the serial round drains the threads = 1 plan inline and the
-// parallel round's apply loop needs no merge and no order keys. Fragment
-// sizing uses estimated enumeration cost (the product of candidate-range
-// sizes, saturating — an upper bound once lookups prune), with the usual
-// grain of a few fragments per worker; the per-row split is self-limiting:
-// a row only splits when its inner cost exceeds the grain, and at most
-// ~4·threads such rows fit in the round's total cost, so fragment counts
-// stay O(tasks + threads²).
-//
-// HomEnumerator is a resumable cursor over any conjunction of atoms with
-// per-atom row windows: a round fragment's body join, or a
-// head-satisfaction probe of the restricted chase and Satisfies. It is a
-// paused iterative backtracking search (per-position row cursors + binding
-// trail) that Next() advances one match at a time. The chase's budgeted
-// enumerate→pause→apply→resume protocol (WorkerPool::RunBudgetedTasks)
-// leans on Next() being stoppable anywhere: a worker fills a bounded
-// buffer, parks, and later resumes from the exact backtracking state.
+// HomEnumerator is a cursor over any conjunction of atoms with per-atom
+// row windows: a round task's body join, or a head-satisfaction probe of
+// the restricted chase and Satisfies. It is an iterative backtracking
+// search (per-position row cursors + binding trail) that Next() advances
+// one match at a time, so the chase fires each trigger as it is matched
+// and buffers none.
 
 #ifndef CHASE_CHASE_BODY_PARTITION_H_
 #define CHASE_CHASE_BODY_PARTITION_H_
@@ -84,7 +60,6 @@ struct RowRange {
   size_t begin = 0;
   size_t end = 0;
 
-  size_t size() const { return end - begin; }
   bool empty() const { return end == begin; }
 };
 
@@ -92,29 +67,10 @@ struct RowRange {
 std::vector<RowRange> FullRanges(std::span<const RuleAtom> atoms,
                                  const Instance& instance);
 
-// One fragment of a (rule, delta position) task's homomorphism space: a
-// contiguous sub-range of the position-0 candidate rows, and — for a
-// join-split fragment pinning a single hot position-0 row — a contiguous
-// sub-range of the position-1 candidate rows. Positions >= 2 (and position
-// 1 of non-join-split fragments, where [begin1, end1) just restates the
-// full range) always cover their full round-window range.
-struct BodyPartition {
-  uint32_t rule = 0;
-  uint32_t delta_pos = 0;
-  size_t begin0 = 0;
-  size_t end0 = 0;
-  size_t begin1 = 0;  // meaningful only when the body has >= 2 atoms
-  size_t end1 = 0;
-};
-
-// Plans the round's fragments in canonical (rule, delta_pos, begin0,
-// begin1) order — exactly the round's trigger order. Tasks with an empty
-// delta produce no fragment. Depends only on `tgds`, the round window, and
-// `threads` (never on instance contents or scheduling), so the plan itself
-// is deterministic.
-std::vector<BodyPartition> PlanBodyPartitions(const std::vector<Tgd>& tgds,
-                                              const RoundView& view,
-                                              unsigned threads);
+// True iff every body position of `tgd` has a candidate row in the
+// (rule, delta position) task `delta_pos` of the round `view`: a task
+// without one has no match, and the chase skips it.
+bool HasCandidates(const Tgd& tgd, const RoundView& view, size_t delta_pos);
 
 // Asks `index` for every column HomEnumerator looks up when it matches
 // `atoms` from partial assignment `h` (only which variables `h` binds
@@ -123,18 +79,18 @@ std::vector<BodyPartition> PlanBodyPartitions(const std::vector<Tgd>& tgds,
 void IndexProbes(std::span<const RuleAtom> atoms, std::span<const Term> h,
                  RowIndex& index);
 
-// The resumable conjunctive-match cursor. Usage:
+// The conjunctive-match cursor. Usage:
 //
 //   HomEnumerator e;
-//   e.Reset(tgd, &instance, view, part, &index);  // or Reset(atoms, ...)
-//   while (e.Next()) consume(e.hom());     // pausable between any two calls
+//   e.Reset(tgd, &instance, view, delta_pos, &index);  // or Reset(atoms, ...)
+//   while (e.Next()) consume(e.hom());
 //
 // Next() returns true with hom() extended to every variable of the atoms
 // (the next match in lexicographic row order: atom 0's row is the
 // outermost loop), false once the matches are exhausted (then stays false).
 // The full backtracking state — partial assignment, binding trail,
-// per-position row cursors — lives in the enumerator, so a paused search
-// resumes with zero re-enumeration.
+// per-position row cursors — lives in the enumerator, so the caller may
+// act on each match (the chase fires it) before asking for the next.
 //
 // Lookups: with an `index`, a position whose probe column (IndexProbes) is
 // indexed over its whole window walks only the index's rows for the bound
@@ -143,13 +99,12 @@ void IndexProbes(std::span<const RuleAtom> atoms, std::span<const Term> h,
 // window. Either way the match stream is the same. Body atoms are never
 // reordered: that would change the trigger order.
 //
-// Concurrency: Next() only reads instance rows inside the given windows,
-// and re-fetches each row on every access, so appends between two Next()
-// calls (which may reallocate a predicate's rows) are safe as long as no
-// window reaches the appended rows — which the round window guarantees,
-// and which the worker pool's barrier orders across threads.
-// Likewise the index may be extended between two Next() calls (a paused
-// cursor re-seeks its lookups), but never during one.
+// Appends: Next() only reads instance rows inside the given windows, and
+// re-fetches each row on every access, so appends between two Next() calls
+// (which may reallocate a predicate's rows) are safe as long as no window
+// reaches the appended rows — which the round window guarantees. The index
+// must not change between Reset and the last Next(): the chase extends it
+// only at the top of a round, before any Reset of that round.
 class HomEnumerator {
  public:
   // Matches atom i against rows `ranges[i]`, extending the partial
@@ -162,10 +117,10 @@ class HomEnumerator {
              std::vector<RowRange> ranges, std::span<const Term> h,
              const RowIndex* index = nullptr);
 
-  // The round fragment `part` of `tgd`'s body join, from the empty
-  // assignment.
+  // The (rule, delta position) task `delta_pos` of `tgd`'s body join in
+  // the round `view`, from the empty assignment.
   void Reset(const Tgd& tgd, const Instance* instance, const RoundView& view,
-             const BodyPartition& part, const RowIndex* index = nullptr);
+             size_t delta_pos, const RowIndex* index = nullptr);
 
   // Advances to the next match. False once exhausted (then stays false).
   bool Next();
@@ -191,14 +146,12 @@ class HomEnumerator {
 
   void Start(const RowIndex* index);
   void Enter(size_t depth);               // first candidate of a position
-  void Seek(size_t depth, size_t from);   // lookup: first row >= from
+  void Seek(size_t depth);                // lookup: first row in window
   void SetRow(size_t depth);              // lookup: `row` from `at`
   void Advance(size_t depth);             // next candidate of a position
 
   std::span<const RuleAtom> atoms_;
   const Instance* instance_ = nullptr;
-  const RowIndex* index_ = nullptr;  // null when no position looks up
-  uint64_t epoch_ = 0;               // index_->epoch() the cursors match
   std::vector<RowRange> ranges_;     // per-position candidate rows
 
   std::vector<Term> h_;        // partial assignment, kUnboundTerm = free
@@ -206,7 +159,7 @@ class HomEnumerator {
   std::vector<Level> level_;   // per-position cursor
   std::vector<char> bound_;    // probe-planning scratch
   size_t depth_ = 0;           // position currently being advanced
-  bool at_hom_ = false;        // paused on an emitted match
+  bool at_hom_ = false;        // stopped on an emitted match
   bool done_ = true;
   uint64_t rows_probed_ = 0;
 };

@@ -12,7 +12,6 @@
 #include "chase/body_partition.h"
 #include "chase/instance.h"
 #include "chase/row_index.h"
-#include "exec/frontier_pool.h"
 #include "io/binary_io.h"
 #include "logic/atom.h"
 #include "logic/database.h"
@@ -103,11 +102,6 @@ const char* ChaseOutcomeName(ChaseOutcome outcome) {
 StatusOr<ChaseResult> RunChase(const Database& database,
                                const std::vector<Tgd>& tgds,
                                const ChaseOptions& options) {
-  // Refused before anything below is sized from it or spawned.
-  if (options.frontier_threads > kMaxFrontierThreads) {
-    return InvalidArgumentError("frontier_threads exceeds " +
-                                std::to_string(kMaxFrontierThreads));
-  }
   const Schema& schema = database.schema();
   // The instance stores each predicate's atoms as rows of its schema arity.
   for (const Tgd& tgd : tgds) {
@@ -217,27 +211,11 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     result.triggers_fired = ckpt.triggers_fired;
   }
 
-  // Parallel rounds run where the workers have join work to do: a
-  // multi-atom body. Each such round's homomorphism space is split into
-  // range fragments whose canonical concatenation is the serial trigger
-  // order (chase/body_partition.h), and the budgeted
-  // enumerate→pause→apply→resume protocol below caps buffered homomorphisms
-  // at threads × hom_budget, so a multi-atom body cross-producting a
-  // fragment against whole relations cannot materialize unbounded buffers.
-  // A linear chase, of any variant, has no join to split: its workers would
-  // only copy delta rows into buffers that this thread then replays in the
-  // same order. It enumerates inline at any frontier_threads. The firing
-  // decision — the restricted variant's head check included — always runs
-  // on this thread, in serial order.
+  // Every round runs on this thread: one matcher pass per (rule, delta
+  // position), firing each trigger as it is matched. The firing decision —
+  // the restricted variant's head check included — sees every atom fired
+  // earlier in the round.
   const bool restricted = options.variant == ChaseVariant::kRestricted;
-  const unsigned enum_threads =
-      AllLinear(tgds) ? 1 : std::max(1u, options.frontier_threads);
-  result.enum_threads = enum_threads;
-  // Spawned on the first parallel round, then reused by every later wave
-  // and round through its generation barrier (no per-round thread spawn).
-  std::optional<WorkerPool> pool;
-  // Matcher scratch: the serial round's body join and the apply loop's
-  // head checks.
   HomEnumerator body_matcher;
   HomEnumerator head_matcher;
   // fire()'s scratch, reused by every trigger: the key it probes, then
@@ -245,16 +223,16 @@ StatusOr<ChaseResult> RunChase(const Database& database,
   std::vector<Term> scratch;
   std::vector<Term> null_of;
   // The lookups' row index: extended to the round-start prefix at the top
-  // of every round, on this thread, before any worker reads it, so the
-  // workers see a frozen structure. Never checkpointed (a resumed run
-  // rebuilds it from the restored instance) and freed on return.
+  // of every round, before any matcher of the round is reset onto it.
+  // Never checkpointed (a resumed run rebuilds it from the restored
+  // instance) and freed on return.
   RowIndex index = IndexFor(tgds, restricted);
 
   // Observability (all off by default, every site behind one relaxed
   // load): a whole-run span, a span and log2 duration histogram per round,
   // and — when the caller hands in a sink — live progress published at
   // round boundaries plus every few thousand firings inside a round.
-  obs::TraceSpan run_span("chase", "run", "threads", enum_threads, "rules",
+  obs::TraceSpan run_span("chase", "run", "rules",
                           static_cast<int64_t>(tgds.size()));
   obs::Histogram* round_hist =
       obs::MetricsRegistry::enabled()
@@ -335,12 +313,9 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     uint64_t atoms_now = instance.NumAtoms();
 
     // Applies one trigger: the firing decision, null allocation, and atom
-    // insertion. Always runs on this thread, in serial enumeration order —
-    // the parallel path below only moves the *enumeration* of `hom` off
-    // this thread.
+    // insertion, in enumeration order.
     auto fire = [&](size_t rule, std::span<const Term> hom) {
       const Tgd& tgd = tgds[rule];
-      if (hit_atom_limit) return;
       // Decide whether this trigger fires.
       if (restricted) {
         // Only the frontier restriction matters for satisfaction;
@@ -387,88 +362,18 @@ StatusOr<ChaseResult> RunChase(const Database& database,
       }
     };
 
-    if (enum_threads <= 1) {
-      // Serial round: drain the threads = 1 plan inline, firing each
-      // homomorphism as the matcher reaches it — no buffering.
-      const std::vector<BodyPartition> parts =
-          PlanBodyPartitions(tgds, view, 1);
-      for (size_t t = 0; t < parts.size() && !hit_atom_limit; ++t) {
+    for (uint32_t rule = 0; rule < tgds.size() && !hit_atom_limit; ++rule) {
+      const Tgd& tgd = tgds[rule];
+      for (uint32_t delta_pos = 0;
+           delta_pos < tgd.body().size() && !hit_atom_limit; ++delta_pos) {
+        if (!HasCandidates(tgd, view, delta_pos)) continue;
         obs::TraceSpan task_span("chase", "hom_task", "rule",
-                                 static_cast<int64_t>(parts[t].rule), "task",
-                                 static_cast<int64_t>(t));
-        body_matcher.Reset(tgds[parts[t].rule], &instance, view, parts[t],
-                           &index);
+                                 static_cast<int64_t>(rule), "delta_pos",
+                                 static_cast<int64_t>(delta_pos));
+        body_matcher.Reset(tgd, &instance, view, delta_pos, &index);
         while (!hit_atom_limit && body_matcher.Next()) {
-          fire(parts[t].rule, body_matcher.hom());
+          fire(rule, body_matcher.hom());
         }
-      }
-    } else {
-      // Frontier-parallel round: enumerate every trigger of the round
-      // against the frozen round-start prefix on the worker pool, apply
-      // them here in the exact serial order. The round's homomorphism
-      // space is planned as range fragments whose canonical order is the
-      // serial trigger order, and the budgeted protocol slides a window of at
-      // most `enum_threads` in-flight fragments over them: a worker fills
-      // its fragment's bounded buffer and parks, the serial drain applies
-      // buffers in fragment order (the first unfinished fragment's prefix
-      // included), and paused fragments resume from their saved
-      // backtracking cursors. So `fired`, null ids, and the atom-limit cut
-      // land identically to a single-threaded run, while peak buffered
-      // homomorphisms stay at most enum_threads × hom_budget.
-      if (!pool.has_value()) pool.emplace(enum_threads);
-      const std::vector<BodyPartition> parts =
-          PlanBodyPartitions(tgds, view, enum_threads);
-      const uint64_t budget = std::max<uint64_t>(1, options.hom_budget);
-      std::vector<HomEnumerator> enums(parts.size());
-      std::vector<char> started(parts.size(), 0);
-      // Fragment t's buffered homomorphisms, back to back, each as wide
-      // as its rule's num_vars() (at least 1: body atoms have arguments).
-      std::vector<std::vector<Term>> homs(parts.size());
-      auto num_homs = [&](size_t t) {
-        return homs[t].size() / tgds[parts[t].rule].num_vars();
-      };
-      pool->RunBudgetedTasks(
-          parts.size(),
-          [&](unsigned /*worker*/, size_t t) -> bool {
-            // One span per resume slice of a (rule, delta)-fragment's
-            // homomorphism enumeration — the per-task view of a wave.
-            obs::TraceSpan task_span("chase", "hom_task", "rule",
-                                     static_cast<int64_t>(parts[t].rule),
-                                     "task", static_cast<int64_t>(t));
-            const Tgd& tgd = tgds[parts[t].rule];
-            HomEnumerator& e = enums[t];
-            if (started[t] == 0) {
-              e.Reset(tgd, &instance, view, parts[t], &index);
-              started[t] = 1;
-            }
-            while (num_homs(t) < budget) {
-              if (!e.Next()) return true;  // fragment exhausted
-              homs[t].insert(homs[t].end(), e.hom().begin(), e.hom().end());
-            }
-            return false;  // buffer full: park, resume next epoch
-          },
-          [&](size_t t) -> bool {
-            const std::span<const Term> buffer = homs[t];
-            const uint32_t width = tgds[parts[t].rule].num_vars();
-            for (size_t j = 0, n = num_homs(t); j < n; ++j) {
-              if (hit_atom_limit) break;
-              fire(parts[t].rule, buffer.subspan(j * width, width));
-            }
-            homs[t].clear();
-            return !hit_atom_limit;  // the same early cut as serial
-          },
-          [&](size_t first, size_t count) {
-            // Epoch barrier: the only fragments with buffered output are
-            // the window's — sum them for the deterministic peak.
-            uint64_t buffered = 0;
-            for (size_t i = 0; i < count; ++i) {
-              buffered += num_homs(first + i);
-            }
-            result.peak_buffered_homs =
-                std::max(result.peak_buffered_homs, buffered);
-          });
-      for (const HomEnumerator& e : enums) {
-        result.rows_probed += e.rows_probed();
       }
     }
 
@@ -523,9 +428,6 @@ StatusOr<ChaseResult> RunChase(const Database& database,
   obs::SetGauge("chase.rounds", static_cast<double>(result.rounds));
   obs::SetGauge("chase.triggers_fired",
                 static_cast<double>(result.triggers_fired));
-  obs::SetGauge("chase.enum_threads", static_cast<double>(enum_threads));
-  obs::SetGauge("chase.peak_buffered_homs",
-                static_cast<double>(result.peak_buffered_homs));
   obs::SetGauge("chase.rows_probed", static_cast<double>(result.rows_probed));
   obs::SetGauge("chase.atoms", static_cast<double>(instance.NumAtoms()));
   obs::SetGauge("chase.nulls", static_cast<double>(instance.NumNulls()));
@@ -534,7 +436,7 @@ StatusOr<ChaseResult> RunChase(const Database& database,
 
 bool Satisfies(const Instance& instance, const std::vector<Tgd>& tgds) {
   // One round whose window is the whole instance: every body homomorphism
-  // is a delta-position-0 trigger of the threads = 1 plan.
+  // is a delta-position-0 trigger.
   RoundView view;
   const size_t num_preds = instance.schema().NumPredicates();
   view.cur.assign(num_preds, 0);
@@ -545,9 +447,8 @@ bool Satisfies(const Instance& instance, const std::vector<Tgd>& tgds) {
   index.Extend(instance);
   HomEnumerator body_matcher;
   HomEnumerator head_matcher;
-  for (const BodyPartition& part : PlanBodyPartitions(tgds, view, 1)) {
-    const Tgd& tgd = tgds[part.rule];
-    body_matcher.Reset(tgd, &instance, view, part, &index);
+  for (const Tgd& tgd : tgds) {
+    body_matcher.Reset(tgd, &instance, view, /*delta_pos=*/0, &index);
     while (body_matcher.Next()) {
       if (!HeadSatisfied(tgd, instance, index, body_matcher.hom(),
                          head_matcher)) {

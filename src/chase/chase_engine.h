@@ -15,6 +15,9 @@
 // using at least one atom created in round i-1 are considered. Bodies may
 // have multiple atoms (the checkers only need linear TGDs, but the engine is
 // a general TGD chase used by tests and the materialization-based checker).
+// Every round runs on the calling thread: one HomEnumerator pass per (rule,
+// delta position) (chase/body_partition.h) fires each trigger as it is
+// matched, so nothing is buffered and no thread is started.
 //
 // For non-terminating inputs the engine stops at a configurable atom or
 // round limit and reports which limit was hit.
@@ -45,18 +48,12 @@ enum class ChaseVariant {
 
 const char* ChaseVariantName(ChaseVariant variant);
 
-// The largest ChaseOptions::frontier_threads RunChase accepts (chasectl's
-// --threads ceiling).
-inline constexpr unsigned kMaxFrontierThreads = 1024;
-
 struct ChaseOptions {
   ChaseVariant variant = ChaseVariant::kSemiOblivious;
-  // Stop once the instance holds more than this many atoms. The cut trips
-  // at the same trigger for every frontier_threads value (triggers apply
-  // in serial order on every path), and never rolls back a partially
-  // applied trigger, so one multi-head trigger may overshoot by at most
-  // its head size: after the run, NumAtoms() <= max_atoms + the largest
-  // head atom count over the rules.
+  // Stop once the instance holds more than this many atoms. The cut never
+  // rolls back a partially applied trigger, so one multi-head trigger may
+  // overshoot by at most its head size: after the run, NumAtoms() <=
+  // max_atoms + the largest head atom count over the rules.
   //
   // Limit precedence: the atom budget outranks the round budget. When both
   // exhaust in the same round — or the seed database already exceeds
@@ -65,35 +62,10 @@ struct ChaseOptions {
   uint64_t max_atoms = 1'000'000;
   // Stop after this many rounds.
   uint64_t max_rounds = UINT64_MAX;
-  // Worker threads for per-round trigger enumeration (<= 1 enumerates
-  // inline; above kMaxFrontierThreads RunChase returns kInvalidArgument
-  // before it allocates anything). A round is a frontier: bodies only match
-  // against atoms from earlier rounds, so a chase over multi-atom bodies
-  // enumerates triggers on a chase::WorkerPool (spawned on the first
-  // parallel round, reused across rounds through its barrier) and applies
-  // them serially in the exact serial order: the resulting instance, null
-  // numbering, rounds, and trigger count are bit-identical to a
-  // single-threaded run. A linear chase, of any variant, enumerates inline
-  // at any value and never starts a thread: a one-atom body has no join to
-  // split, so workers would only copy delta rows into buffers that the
-  // apply loop replays in the same order (ChaseResult::enum_threads reports
-  // which path ran). Each parallel round's homomorphism space is split into
-  // range fragments (chase/body_partition.h) whose canonical concatenation
-  // is the serial trigger order; multi-atom bodies, whose fragments can
-  // produce unboundedly many homomorphisms, run under the budgeted
-  // enumerate→pause→apply→resume protocol (WorkerPool::RunBudgetedTasks)
-  // with at most `hom_budget` buffered homomorphisms per in-flight
-  // fragment. The firing decision — the restricted variant's head check
-  // included — runs only on the serial apply path, whatever the value.
+  // Inert: RunChase ignores it, since every round enumerates inline on
+  // the calling thread. Kept only because bench/spine/spine.cc still sets
+  // it; it goes once the spine stops.
   unsigned frontier_threads = 1;
-  // Parallel enumeration only: the per-fragment homomorphism buffer bound.
-  // A worker that fills its fragment's buffer parks at the pool barrier
-  // and resumes from its saved backtracking cursor after the serial apply
-  // drains it, so peak buffered homomorphisms are bounded by
-  // frontier_threads × hom_budget whatever the rule set does (a cross-
-  // producting multi-atom body included). 0 behaves as 1. Never affects
-  // results — only peak memory and barrier cadence.
-  uint64_t hom_budget = 4096;
   // Optional live-progress sink (obs/progress.h): when set, the engine
   // publishes rounds / atom count / null count / triggers fired into it at
   // every round boundary and every few thousand trigger firings within a
@@ -123,8 +95,8 @@ struct ChaseOptions {
   // the same variant; any mismatch is kInvalidArgument — never a silently
   // divergent chase. The continued run is bit-identical to the
   // uninterrupted one — same instance bytes, null ids, rounds, and
-  // trigger counts — at any frontier_threads (max_rounds/max_atoms count
-  // totals across both legs). Must outlive the call.
+  // trigger counts (max_rounds/max_atoms count totals across both legs).
+  // Must outlive the call.
   const io::ChaseCheckpoint* resume = nullptr;
 };
 
@@ -142,26 +114,14 @@ struct ChaseResult {
   ChaseOutcome outcome;
   uint64_t rounds = 0;
   uint64_t triggers_fired = 0;
-  // Parallel enumeration only: the largest number of homomorphisms ever
-  // buffered at once across the run, measured at each epoch barrier of the
-  // budgeted protocol. By construction at most frontier_threads ×
-  // hom_budget (tests/frontier_equivalence_test.cc asserts the bound).
-  // Deterministic for a given (input, threads, budget), but 0 for a run
-  // that enumerated inline (enum_threads == 1, at any frontier_threads).
-  // Counts this run only: a resumed run reports the peak of its resumed
-  // leg, since checkpoints do not carry it — diagnostics only, never part
-  // of the bit-identical-result contract.
+  // Always 0: no round buffers homomorphisms. Kept only because
+  // bench/spine/spine.cc still reads it; it goes once the spine stops.
   uint64_t peak_buffered_homs = 0;
-  // The threads this run enumerated triggers on: frontier_threads (at least
-  // 1) where rounds go parallel, 1 where they run inline — a linear chase,
-  // or frontier_threads <= 1.
-  unsigned enum_threads = 1;
   // Candidate rows every matcher of the run tried — body joins and head
   // checks (HomEnumerator::rows_probed) — the join work that row-index
   // lookups cut; divided by triggers_fired, the work per trigger. Counts
   // this run only (a resumed leg starts from 0: checkpoints do not carry
-  // it), and an atom-limit cut makes it vary with frontier_threads —
-  // diagnostics only, like peak_buffered_homs.
+  // it) — diagnostics only.
   uint64_t rows_probed = 0;
 
   explicit ChaseResult(Instance i) : instance(std::move(i)) {}

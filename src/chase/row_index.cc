@@ -64,7 +64,6 @@ void RowIndex::Extend(const Instance& instance) {
                          entries.end());
       column.Rebuild();
       column.covered_ = rows;
-      ++epoch_;
     }
   }
 }

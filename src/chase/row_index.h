@@ -10,9 +10,9 @@
 // new entries, merges them with the old ones — the relative order of
 // existing entries never changes — and rebuilds the table.
 //
-// Concurrency: Extend mutates; everything else reads. Callers extend only
-// while no enumerator reads (the chase does it on its own thread at round
-// start, before any worker starts), so workers see a frozen structure.
+// Extend mutates; everything else reads. Entry positions shift when it
+// merges new rows in, so the chase extends only at the top of a round,
+// before it resets any enumerator onto the index.
 
 #ifndef CHASE_CHASE_ROW_INDEX_H_
 #define CHASE_CHASE_ROW_INDEX_H_
@@ -75,14 +75,9 @@ class RowIndex {
   // else nullptr.
   const Column* Find(PredId pred, uint32_t col, size_t end) const;
 
-  // Bumped by every Extend that adds entries; enumerators paused across it
-  // re-seek their cursors (entry positions shift, rows do not).
-  uint64_t epoch() const { return epoch_; }
-
  private:
   std::vector<std::vector<Column>> columns_;  // [pred][col]
   size_t num_columns_ = 0;
-  uint64_t epoch_ = 0;
 };
 
 }  // namespace chase

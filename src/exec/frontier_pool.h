@@ -6,18 +6,15 @@
 // until the frontier drains. The Apriori walk of the shape lattice (items =
 // candidate shapes, successors = coarser shapes) and the dynamic-
 // simplification worklist (items = derived shapes, successors = head
-// shapes) are both instances; the chase itself is one too (rounds =
-// depths), and borrows the worker pool below for per-round trigger
-// enumeration.
+// shapes) are both instances.
 //
 // Items at the same depth are independent by construction, so the engine
 // expands each depth in parallel and barriers between depths:
 //
 //  * the workers are spawned ONCE — by the WorkerPool below — and reused
 //    across depths through a generation-counted condvar barrier, so a
-//    workload of many shallow depths (dynamic simplification, per-round
-//    chase trigger enumeration) pays a wakeup per depth, not a thread
-//    spawn+join per depth;
+//    workload of many shallow depths (dynamic simplification) pays a
+//    wakeup per depth, not a thread spawn+join per depth;
 //  * each depth's frontier is split into chunks dealt dynamically to the
 //    pool (the same range-partitioned chunking discipline as
 //    storage::ParallelTupleScan), so one expensive item cannot pin the
@@ -76,15 +73,16 @@ inline size_t FrontierChunkSize(size_t n, unsigned threads) {
 // A persistent pool of worker threads with a reusable start/finish barrier.
 // Construction spawns threads-1 workers (the thread calling ParallelFor
 // always participates as worker 0); every ParallelFor reuses them, so a
-// caller that loops — depths of a frontier walk, rounds of the chase —
-// pays one condvar round-trip per iteration instead of a thread spawn and
-// join. The barrier is a generation counter: workers sleep until the
+// caller that loops — depths of a frontier walk — pays one condvar
+// round-trip per iteration instead of a thread spawn and join. The barrier is a generation counter: workers sleep until the
 // epoch advances, run the dealt chunks of that epoch, and report back;
 // ParallelFor returns once every worker has reported, so task state can be
 // reused for the next epoch without further synchronization.
 class WorkerPool {
  public:
-  // threads <= 1 spawns no workers; ParallelFor then runs inline.
+  // threads <= 1 spawns no workers; ParallelFor then runs inline. Workers
+  // started while tracing is on allocate their trace buffers up front
+  // (obs::TraceRecorder::AttachThread), outside any span.
   explicit WorkerPool(unsigned threads);
   ~WorkerPool();
 
@@ -106,46 +104,10 @@ class WorkerPool {
   // check the flag itself where per-index stop matters.
   //
   // Chunks are claimed in ascending index order (a single fetch_add
-  // counter), so the index space drains front-to-back — a guarantee the
-  // budgeted driver below and the chase's sliding window both lean on.
+  // counter), so the index space drains front-to-back.
   void ParallelFor(size_t n,
                    const std::function<void(unsigned worker, size_t index)>& work,
                    const std::atomic<bool>* abort = nullptr);
-
-  // The budgeted enumerate→pause→apply→resume driver: runs `num_tasks`
-  // producer tasks whose outputs must be consumed serially in task order,
-  // but whose production may be paused (bounded buffers) and resumed
-  // (persistent cursors). Repeats epochs until every task is drained:
-  //
-  //  * parallel epoch: `resume(worker, task)` runs on the pool for the
-  //    window of the first min(threads(), remaining) undrained tasks. A
-  //    task fills its bounded buffer and pauses — resume returns false —
-  //    or exhausts its work and returns true. A task whose buffer is
-  //    already full must return false without producing (that keeps every
-  //    per-task buffer bounded by one budget even though windows overlap
-  //    across epochs).
-  //  * `epoch_end(first, count)`, if provided, runs serially right after
-  //    the epoch's barrier with the window bounds — the deterministic
-  //    point to measure buffered totals (at most `threads()` tasks ever
-  //    hold a non-empty buffer, all inside the window).
-  //  * serial drain: `drain(task)` consumes task buffers in ascending
-  //    task order, stopping after the first task that has not exhausted
-  //    (its buffered prefix is still consumed — outputs stay in task
-  //    order). Returning false stops the whole run (early cut, e.g. a
-  //    result-size limit): no further resume or drain call is made.
-  //
-  // Progress: the window's first task always enters an epoch with a
-  // freshly drained buffer, so every epoch either finishes it or consumes
-  // a full budget of its output. Deterministic for deterministic
-  // callbacks: which tasks resume, how far each fills, and the drain
-  // sequence depend only on num_tasks, threads(), and the callbacks —
-  // never on scheduling.
-  void RunBudgetedTasks(
-      size_t num_tasks,
-      const std::function<bool(unsigned worker, size_t task)>& resume,
-      const std::function<bool(size_t task)>& drain,
-      const std::function<void(size_t first, size_t count)>& epoch_end =
-          nullptr);
 
  private:
   void Loop(unsigned worker);
@@ -370,8 +332,8 @@ class FrontierPool {
       out_stats.items_expanded += expanded[t].value;
     }
     // Mirror into the metrics registry: counters accumulate across every
-    // frontier run of the session (EXISTS walks, dynamic simplification,
-    // chase trigger enumeration all fold in); the gauge keeps the widest
+    // frontier run of the session (EXISTS walks and dynamic
+    // simplification both fold in); the gauge keeps the widest
     // frontier any run reached.
     if (obs::MetricsRegistry::enabled()) {
       obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();

@@ -30,16 +30,21 @@ TraceRecorder& TraceRecorder::Get() {
 }
 
 void TraceRecorder::Start(size_t events_per_thread) {
-  MutexLock lock(mu_);
-  // Old-session buffers are intentionally leaked into buffers_ until
-  // process exit: a thread that cached one must be able to dereference it
-  // safely even if it emits exactly once more before noticing the session
-  // changed. WriteJson filters by session id.
-  session_.fetch_add(1, std::memory_order_relaxed);
-  capacity_ = events_per_thread == 0 ? 1 : events_per_thread;
-  session_start_ = std::chrono::steady_clock::now();
+  {
+    MutexLock lock(mu_);
+    // Old-session buffers are intentionally leaked into buffers_ until
+    // process exit: a thread that cached one must be able to dereference
+    // it safely even if it emits exactly once more before noticing the
+    // session changed. WriteJson filters by session id.
+    session_.fetch_add(1, std::memory_order_relaxed);
+    capacity_ = events_per_thread == 0 ? 1 : events_per_thread;
+    session_start_ = std::chrono::steady_clock::now();
+  }
+  AttachThread();
   enabled_.store(true, std::memory_order_relaxed);
 }
+
+void TraceRecorder::AttachThread() { (void)LocalBuffer(); }
 
 void TraceRecorder::Stop() {
   enabled_.store(false, std::memory_order_relaxed);

@@ -69,12 +69,19 @@ class TraceRecorder {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  // Begins a session: zeroes the session clock, allocates fresh per-thread
-  // buffers lazily as threads emit (each holding `events_per_thread`
-  // slots), and enables recording. Buffers of earlier sessions are kept
-  // until process exit but excluded from WriteJson (a stale thread-local
-  // pointer re-registers on first emit instead of dangling).
+  // Begins a session: zeroes the session clock, allocates the calling
+  // thread's buffer (`events_per_thread` slots), and enables recording.
+  // Other threads get theirs in AttachThread, or else on their first emit.
+  // Buffers of earlier sessions are kept until process exit but excluded
+  // from WriteJson (a stale thread-local pointer re-registers instead of
+  // dangling).
   void Start(size_t events_per_thread = kDefaultCapacity);
+
+  // Allocates the calling thread's buffer for the current session unless it
+  // has one, so that the first span it closes does not absorb the
+  // allocation and its page faults (about 3 ms for the default capacity).
+  // WorkerPool calls it on each worker it starts while recording is on.
+  void AttachThread();
 
   // Disables recording. Events already committed stay readable.
   void Stop();
@@ -108,8 +115,8 @@ class TraceRecorder {
       NO_THREAD_SAFETY_ANALYSIS;
 
   // Commits one completed span into the calling thread's buffer (wait-free
-  // once the buffer exists; first emit per thread per session registers
-  // one under a latch). Called by TraceSpan — use that instead.
+  // once the buffer exists; a thread without one registers it under a
+  // latch). Called by TraceSpan — use that instead.
   void Emit(const TraceEvent& event);
 
  private:

@@ -289,48 +289,34 @@ TEST(ChaseCheckpointEngineTest, PeriodicCheckpointResumesBitIdentically) {
   std::remove(path.c_str());
 }
 
-TEST(ChaseCheckpointEngineTest, CheckpointStateIsThreadCountInvariant) {
+TEST(ChaseCheckpointEngineTest, CheckpointStateIsCanonical) {
   // The checkpoint serializes canonical state only (fired keys sorted,
-  // atoms in insertion order, no diagnostic counter), so the file written
-  // at any frontier_threads is the same byte for byte. kNonTerminating is
-  // linear, so its threads = 4 run enumerates inline; the second leg adds
-  // a two-atom body, which puts threads = 4 on the worker pool's budgeted
-  // protocol.
+  // atoms in insertion order, no diagnostic counter), so two runs of one
+  // program write the same file byte for byte — for a linear program and
+  // for one with a two-atom body.
   const std::string joined =
       std::string(kNonTerminating) + "e(X, Y), e(Y, W) -> p(W).\n";
   for (const std::string& text : {std::string(kNonTerminating), joined}) {
     Program p = MustParse(text);
-    const bool pooled = text == joined;
-    const std::string path1 = TempPath("chck_canon_t1.chck");
-    const std::string path4 = TempPath("chck_canon_t4.chck");
-    const std::string path4_again = TempPath("chck_canon_t4_again.chck");
-    for (const auto& [path, threads] :
-         {std::pair<std::string, unsigned>{path1, 1},
-          {path4, 4},
-          {path4_again, 4}}) {
+    const std::string path = TempPath("chck_canon.chck");
+    const std::string path_again = TempPath("chck_canon_again.chck");
+    for (const std::string& out : {path, path_again}) {
       ChaseOptions options;
       options.max_rounds = 5;
-      options.frontier_threads = threads;
-      options.checkpoint_path = path;
+      options.checkpoint_path = out;
       options.checkpoint_every_rounds = 5;
       auto result = RunChase(*p.database, p.tgds, options);
       ASSERT_TRUE(result.ok()) << result.status();
-      if (pooled && threads > 1) {
-        EXPECT_GT(result->peak_buffered_homs, 0u);
-      } else {
-        EXPECT_EQ(result->peak_buffered_homs, 0u) << text << threads;
-      }
+      EXPECT_EQ(result->peak_buffered_homs, 0u) << text;
     }
-    EXPECT_EQ(ReadAllBytes(path4), ReadAllBytes(path4_again)) << text;
-    auto serial = io::LoadChaseCheckpoint(path1);
-    auto parallel = io::LoadChaseCheckpoint(path4);
-    ASSERT_TRUE(serial.ok()) << serial.status();
-    ASSERT_TRUE(parallel.ok()) << parallel.status();
-    ExpectSameCheckpoints(*serial, *parallel);
-    EXPECT_EQ(ReadAllBytes(path1), ReadAllBytes(path4)) << text;
-    std::remove(path1.c_str());
-    std::remove(path4.c_str());
-    std::remove(path4_again.c_str());
+    auto first = io::LoadChaseCheckpoint(path);
+    auto second = io::LoadChaseCheckpoint(path_again);
+    ASSERT_TRUE(first.ok()) << first.status();
+    ASSERT_TRUE(second.ok()) << second.status();
+    ExpectSameCheckpoints(*first, *second);
+    EXPECT_EQ(ReadAllBytes(path), ReadAllBytes(path_again)) << text;
+    std::remove(path.c_str());
+    std::remove(path_again.c_str());
   }
 }
 
@@ -502,10 +488,8 @@ TEST(ChaseCheckpointEngineTest, InterruptedOutcomeHasAName) {
 
 TEST(ChaseLimitTest, AtomLimitCutIsDeterministicAndBounded) {
   // Two-atom heads: the one trigger allowed to overshoot adds at most the
-  // largest head atom count, and the cut lands at the same trigger for
-  // every thread count — on the inline path the linear program takes at
-  // any thread count, and on the worker pool's budgeted protocol, which
-  // the two-atom body of the second program puts threads > 1 on.
+  // largest head atom count, and a second run cuts at the same trigger —
+  // for a linear program and for one with a two-atom body.
   const std::string linear = R"(
     e(a, b).
     e(X, Y) -> e(Y, Z), e(Z, W).
@@ -515,25 +499,21 @@ TEST(ChaseLimitTest, AtomLimitCutIsDeterministicAndBounded) {
   constexpr uint64_t kMaxHeadAtoms = 2;
   for (const std::string& text : {linear, joined}) {
     Program p = MustParse(text);
-    std::vector<GroundAtom> serial_atoms;
-    for (unsigned threads : {1u, 2u, 4u}) {
+    std::vector<GroundAtom> first_atoms;
+    for (int run = 0; run < 2; ++run) {
       ChaseOptions options;
       options.max_atoms = kMaxAtoms;
-      options.frontier_threads = threads;
       auto result = RunChase(*p.database, p.tgds, options);
       ASSERT_TRUE(result.ok()) << result.status();
-      const std::string label = text + ", threads " + std::to_string(threads);
+      const std::string label = text + ", run " + std::to_string(run);
       EXPECT_EQ(result->outcome, ChaseOutcome::kAtomLimit) << label;
       EXPECT_GT(result->instance.NumAtoms(), kMaxAtoms) << label;
       EXPECT_LE(result->instance.NumAtoms(), kMaxAtoms + kMaxHeadAtoms)
           << label;
-      if (text == joined && threads > 1) {
-        EXPECT_GT(result->peak_buffered_homs, 0u) << label;
-      }
-      if (threads == 1) {
-        serial_atoms = CollectAtoms(result->instance);
+      if (run == 0) {
+        first_atoms = CollectAtoms(result->instance);
       } else {
-        EXPECT_EQ(CollectAtoms(result->instance), serial_atoms) << label;
+        EXPECT_EQ(CollectAtoms(result->instance), first_atoms) << label;
       }
     }
   }

@@ -73,7 +73,6 @@ TEST_F(ChasectlCliTest, MalformedNumericFlagsExitTwo) {
   // with each malformed value below.
   const std::vector<std::string> invocations = {
       "check " + file + " --mode=l --threads=%s",
-      "chase " + file + " --threads=%s",
       "chase " + file + " --max-atoms=%s",
       "chase " + file + " --metrics-interval=%s",
       "chase " + file + " --max-rounds=%s",
@@ -104,8 +103,10 @@ TEST_F(ChasectlCliTest, MalformedNumericFlagsExitTwo) {
 TEST_F(ChasectlCliTest, OutOfRangeNumericFlagsExitTwo) {
   // In-format but out-of-bounds values: threads has a [1, 1024] window,
   // and generate's arity is capped at Schema::kMaxArity.
-  EXPECT_EQ(RunChasectl("chase " + program_path_ + " --threads=0"), 2);
-  EXPECT_EQ(RunChasectl("chase " + program_path_ + " --threads=4096"), 2);
+  EXPECT_EQ(RunChasectl("check " + program_path_ + " --mode=l --threads=0"),
+            2);
+  EXPECT_EQ(
+      RunChasectl("check " + program_path_ + " --mode=l --threads=4096"), 2);
   EXPECT_EQ(RunChasectl("generate " + TempDir() +
                         "/chasectl_cli_test_bad.dlgp --arity=300"),
             2);
@@ -113,10 +114,9 @@ TEST_F(ChasectlCliTest, OutOfRangeNumericFlagsExitTwo) {
 
 TEST_F(ChasectlCliTest, WellFormedFlagsStillRun) {
   EXPECT_EQ(RunChasectl("chase " + program_path_ +
-                        " --variant=re --threads=2 --max-atoms=1000"),
+                        " --variant=re --max-atoms=1000"),
             0);
-  EXPECT_EQ(RunChasectl("chase " + program_path_ + " --variant=so --threads=2"),
-            0);
+  EXPECT_EQ(RunChasectl("chase " + program_path_ + " --variant=so"), 0);
   EXPECT_EQ(RunChasectl("findshapes " + program_path_ +
                         " --mode=exists --threads=2"),
             0);
@@ -127,6 +127,26 @@ TEST_F(ChasectlCliTest, WellFormedFlagsStillRun) {
 TEST_F(ChasectlCliTest, UnknownEnumValuesExitTwo) {
   EXPECT_EQ(RunChasectl("findshapes " + program_path_ + " --mode=bogus"), 2);
   EXPECT_EQ(RunChasectl("chase " + program_path_ + " --variant=bogus"), 2);
+  // generate --class takes sl or l, spelled exactly: anything else used to
+  // write a linear program.
+  const std::string out = TempDir() + "/chasectl_cli_test_class.dlgp";
+  for (const char* value : {"SL", "L", "bogus", ""}) {
+    std::string err;
+    std::remove(out.c_str());
+    EXPECT_EQ(RunChasectl("generate " + out + " --tgds=3 --class=" + value,
+                          &err),
+              2)
+        << value;
+    EXPECT_NE(err.find("unknown --class=" + std::string(value)),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(std::filesystem::exists(out)) << value;
+  }
+  for (const char* value : {"sl", "l"}) {
+    EXPECT_EQ(RunChasectl("generate " + out + " --tgds=3 --class=" + value), 0)
+        << value;
+  }
+  std::remove(out.c_str());
 }
 
 TEST_F(ChasectlCliTest, UnknownFlagsExitTwo) {
@@ -168,6 +188,8 @@ TEST_F(ChasectlCliTest, UnknownFlagsExitTwo) {
       << err;
   EXPECT_EQ(RunChasectl("chase " + file + " --hom-budget=8", &err), 2);
   EXPECT_NE(err.find("unknown flag --hom-budget"), std::string::npos) << err;
+  EXPECT_EQ(RunChasectl("chase " + file + " --threads=4", &err), 2);
+  EXPECT_NE(err.find("unknown flag --threads"), std::string::npos) << err;
   EXPECT_EQ(RunChasectl("findshapes " + file + " --shards=4", &err), 2);
   EXPECT_NE(err.find("unknown flag --shards"), std::string::npos) << err;
   EXPECT_EQ(RunChasectl("index build " + file + " " + scratch +
@@ -269,6 +291,62 @@ TEST_F(ChasectlCliTest, FlagsThePathDoesNotReadExitTwo) {
     EXPECT_NE(err.find("--snapshot excludes " + name), std::string::npos)
         << err;
   }
+  // `index` accepts build's flags, but `index stat` reads none of them.
+  const std::string snapshot = TempDir() + "/chasectl_cli_test_stat.chidx";
+  ASSERT_EQ(RunChasectl("index build " + file + " " + snapshot), 0);
+  EXPECT_EQ(RunChasectl("index stat " + snapshot), 0);
+  for (const char* flag : {"--backend=disk", "--threads=2", "--store=s.db"}) {
+    EXPECT_EQ(RunChasectl("index stat " + snapshot + " " + flag, &err), 2)
+        << flag;
+    const std::string name =
+        std::string(flag).substr(2, std::string(flag).find('=') - 2);
+    EXPECT_NE(err.find("index stat takes no --" + name), std::string::npos)
+        << err;
+  }
+  std::remove(snapshot.c_str());
+}
+
+// The pager stores that findshapes and index build write to /tmp for
+// --backend=disk without --store, one per process.
+size_t ScratchStores() {
+  size_t stores = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/tmp")) {
+    const std::string name = entry.path().filename().string();
+    if ((name.rfind("chasectl_findshapes.", 0) == 0 ||
+         name.rfind("chasectl_index.", 0) == 0) &&
+        entry.path().extension() == ".db") {
+      ++stores;
+    }
+  }
+  return stores;
+}
+
+TEST_F(ChasectlCliTest, DiskBackendRemovesItsScratchStore) {
+  // On success and on failure alike a scratch store is removed; a --store
+  // path is the caller's and is kept.
+  const std::string file = program_path_;
+  const std::string snapshot = TempDir() + "/chasectl_cli_test_disk.chidx";
+  const std::string store = TempDir() + "/chasectl_cli_test_disk.db";
+  const size_t before = ScratchStores();
+  EXPECT_EQ(RunChasectl("findshapes " + file + " --backend=disk"), 0);
+  EXPECT_EQ(RunChasectl("index build " + file + " " + snapshot +
+                        " --backend=disk"),
+            0);
+  // Saving into a missing directory fails after the store was written.
+  EXPECT_EQ(RunChasectl("index build " + file + " " + TempDir() +
+                        "/no_such_dir/x.chidx --backend=disk"),
+            1);
+  EXPECT_EQ(ScratchStores(), before);
+  for (const std::string& invocation :
+       {"findshapes " + file + " --backend=disk --store=" + store,
+        "index build " + file + " " + snapshot + " --backend=disk --store=" +
+            store}) {
+    std::remove(store.c_str());
+    EXPECT_EQ(RunChasectl(invocation), 0) << invocation;
+    EXPECT_TRUE(std::filesystem::exists(store)) << invocation;
+  }
+  std::remove(store.c_str());
+  std::remove(snapshot.c_str());
 }
 
 TEST_F(ChasectlCliTest, SnapshotMustIndexTheProgramsDatabase) {
@@ -438,29 +516,15 @@ TEST_F(ChasectlCliTest, CheckpointResumeRoundTrips) {
   std::remove(file.c_str());
 }
 
-TEST_F(ChasectlCliTest, ChasePrintsTheEnumerationThreadsItUsed) {
-  // A linear chase, restricted included, enumerates inline at any
-  // --threads; a two-atom body puts the rounds on the worker pool at the
-  // requested count. The summary's second line reports which.
-  const std::string joined = TempDir() + "/chasectl_cli_test_joined.dlgp";
-  {
-    std::ofstream out(joined);
-    out << "r(a,b). r(b,c).\nr(X,Y), r(Y,Z) -> t(X,Z).\n";
-  }
-  for (const auto& [args, expected] :
-       {std::pair<std::string, std::string>{program_path_, "1"},
-        {program_path_ + " --variant=re", "1"},
-        {joined, "4"}}) {
-    std::string out;
-    EXPECT_EQ(RunChasectl("chase " + args + " --threads=4", nullptr, &out),
-              0);
-    EXPECT_NE(out.find("\n  peak buffered homs: "), std::string::npos)
-        << out;
-    EXPECT_NE(out.find(", enumeration threads: " + expected + "\n"),
-              std::string::npos)
-        << out;
-  }
-  std::remove(joined.c_str());
+TEST_F(ChasectlCliTest, ChasePrintsOneSummaryLine) {
+  // Without --print, the chase's whole stdout is its one summary line.
+  std::string out;
+  EXPECT_EQ(RunChasectl("chase " + program_path_ + " --variant=re", nullptr,
+                        &out),
+            0);
+  EXPECT_EQ(out.rfind("restricted chase: fixpoint after ", 0), 0u) << out;
+  EXPECT_NE(out.find(" rows probed, "), std::string::npos) << out;
+  EXPECT_EQ(out.find('\n'), out.size() - 1) << out;
 }
 
 TEST_F(ChasectlCliTest, ObservabilityRunsProduceArtifacts) {
@@ -470,7 +534,7 @@ TEST_F(ChasectlCliTest, ObservabilityRunsProduceArtifacts) {
   std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
   EXPECT_EQ(RunChasectl("chase " + program_path_ +
-                        " --threads=2 --progress --trace=" + trace_path +
+                        " --progress --trace=" + trace_path +
                         " --metrics=" + metrics_path),
             0);
   // Non-empty artifacts that at least look like JSON objects; the real

@@ -9,14 +9,12 @@
 //  * dynamic simplification: every thread count must emit the bit-identical
 //    canonical simplified-TGD list (same TGDs, same order, same interned
 //    shape-schema predicates) and the same initial/derived shape counts;
-//  * the chase engine's frontier-parallel trigger enumeration: instance,
-//    null numbering, rounds, and trigger counts must match the serial run —
-//    for linear rules and for every non-linear join family (triangle, star,
-//    chain, cross-product), across the thread sweep and homomorphism
-//    budgets down to 1, with the budgeted protocol's peak-buffer bound
-//    (threads × hom_budget) asserted on every run. A linear
-//    semi-oblivious or oblivious chase enumerates inline at any thread
-//    count; the dispatch rule that decides this has its own test.
+//  * the chase engine, which enumerates every round inline: at
+//    frontier_threads 4 (an inert knob) it starts no worker pool and its
+//    instance, null numbering, rounds, and trigger counts equal the
+//    threads = 1 run's — for linear rules and for every non-linear join
+//    family (triangle, star, chain, cross-product), under all three
+//    variants.
 //
 // Plus the EXISTS-probe edge cases the frontier split exposes: empty
 // relations, arity-1 predicates (trivial lattices), duplicate database
@@ -24,10 +22,9 @@
 //
 // The checkpoint/restart protocol rides the same contract: a chase
 // checkpointed at ANY round boundary and resumed must replay the
-// uninterrupted run bit-for-bit — instance bytes, null ids, rounds,
-// trigger counts, and the checkpointed state itself — at any thread
-// count, for all three variants. The sweep at the bottom cuts at every
-// round.
+// uninterrupted run bit-for-bit — instance bytes, null ids, rounds, and
+// trigger counts — for all three variants. The sweep at the bottom cuts
+// at every round.
 //
 // Runs in both the normal and the ThreadSanitizer CI jobs, and standalone
 // via `ctest -L frontier` (the resume sweep also under `-L checkpoint`).
@@ -40,7 +37,6 @@
 #include <fstream>
 #include <iterator>
 #include <numeric>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,6 +49,7 @@
 #include "gen/tgd_generator.h"
 #include "io/binary_io.h"
 #include "logic/parser.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pager/disk_database.h"
 #include "pager/disk_shape_source.h"
@@ -209,8 +206,103 @@ TEST(FrontierEquivalenceTest, DynamicSimplificationMatchesSerialOracle) {
   }
 }
 
-TEST(FrontierEquivalenceTest, ParallelChaseEnumerationMatchesSerial) {
-  Rng rng(777);
+// The threads = 1 run of `tgds` over `database` under `variant`, against
+// which a frontier_threads = 4 run is compared: with tracing and metrics
+// on, it must emit no pool span and leave the pool.epochs counter as it
+// was, and its outcome, rounds, trigger count, null count and atoms (in
+// insertion order, null names included) must be the threads = 1 run's.
+// Returns the threads = 1 result.
+ChaseResult ExpectInlineAtFourThreads(const Database& database,
+                                      const std::vector<Tgd>& tgds,
+                                      ChaseOptions options,
+                                      const std::string& label) {
+  auto serial = RunChase(database, tgds, options);
+  EXPECT_TRUE(serial.ok()) << label << ": " << serial.status();
+  if (!serial.ok()) return ChaseResult(Instance(&database.schema()));
+  EXPECT_EQ(serial->peak_buffered_homs, 0u) << label;
+
+  obs::MetricsRegistry::Get().Reset();
+  obs::MetricsRegistry::SetEnabled(true);
+  obs::Counter* epochs = obs::MetricsRegistry::Get().GetCounter("pool.epochs");
+  const uint64_t epochs_before = epochs->Value();
+  obs::TraceRecorder::Get().Start(4096);
+  options.frontier_threads = 4;
+  auto four = RunChase(database, tgds, options);
+  obs::TraceRecorder::Get().Stop();
+  obs::MetricsRegistry::SetEnabled(false);
+  EXPECT_TRUE(four.ok()) << label << ": " << four.status();
+  if (!four.ok()) return std::move(serial).value();
+
+  EXPECT_EQ(epochs->Value(), epochs_before) << label;
+  EXPECT_EQ(obs::TraceRecorder::Get().dropped(), 0u) << label;
+  std::ostringstream trace;
+  obs::TraceRecorder::Get().WriteJson(trace);
+  EXPECT_NE(trace.str().find("\"cat\": \"chase\""), std::string::npos)
+      << label;
+  EXPECT_EQ(trace.str().find("\"cat\": \"pool\""), std::string::npos)
+      << label;
+  EXPECT_EQ(four->peak_buffered_homs, 0u) << label;
+  EXPECT_EQ(four->outcome, serial->outcome) << label;
+  EXPECT_EQ(four->rounds, serial->rounds) << label;
+  EXPECT_EQ(four->triggers_fired, serial->triggers_fired) << label;
+  EXPECT_EQ(four->instance.NumNulls(), serial->instance.NumNulls()) << label;
+  std::vector<GroundAtom> serial_atoms, four_atoms;
+  serial->instance.ForEachAtom(
+      [&](const GroundAtom& atom) { serial_atoms.push_back(atom); });
+  four->instance.ForEachAtom(
+      [&](const GroundAtom& atom) { four_atoms.push_back(atom); });
+  EXPECT_EQ(four_atoms, serial_atoms) << label;
+  return std::move(serial).value();
+}
+
+constexpr ChaseVariant kVariants[] = {ChaseVariant::kSemiOblivious,
+                                      ChaseVariant::kOblivious,
+                                      ChaseVariant::kRestricted};
+
+TEST(FrontierEquivalenceTest, EveryChaseEnumeratesInline) {
+  // One-, two- and three-atom bodies, under every variant: frontier_threads
+  // is inert, so a run asking for 4 threads is the threads = 1 run.
+  const std::string linear = R"(
+    e(a,b). e(b,c). e(c,d). e(d,a). p(a,b,c).
+    e(X,Y) -> e(Y,Z).
+    e(X,Y) -> p(X,Y,Z).
+    p(X,Y,Z) -> q(Z,X).
+    q(X,Y) -> e(X,Y).
+  )";
+  const std::string joined = linear + "e(X,Y), e(Y,Z) -> f(X,Z).\n";
+  const std::string triangle =
+      joined + "e(X,Y), e(Y,Z), e(Z,X) -> t(X,W).\n";
+  for (const std::string* text : {&linear, &joined, &triangle}) {
+    auto program = ParseProgram(*text);
+    ASSERT_TRUE(program.ok()) << program.status();
+    for (ChaseVariant variant : kVariants) {
+      ChaseOptions options;
+      options.variant = variant;
+      options.max_rounds = 6;
+      options.max_atoms = 5'000;
+      const std::string label =
+          std::string(text == &linear    ? "linear"
+                      : text == &joined ? "two-atom body"
+                                        : "three-atom body") +
+          ", variant " + ChaseVariantName(variant);
+      const ChaseResult serial = ExpectInlineAtFourThreads(
+          *program->database, program->tgds, options, label);
+      EXPECT_GT(serial.triggers_fired, 0u) << label;
+    }
+  }
+}
+
+TEST(FrontierEquivalenceTest, GeneratedChasesEnumerateInline) {
+  // Generated linear rules, and every non-linear join family — triangle
+  // (cyclic join), star (one hub row fanning out), chain (role
+  // composition), cross (disconnected body, a pure cross-product) — with
+  // existential variables in multi-atom heads, so the restricted variant's
+  // head check runs against real joins. A chase that reaches its fixpoint
+  // must be a model of its rules.
+  Rng rng(20260808);
+  // Runs whose joins look rows up across several rounds, so the row index
+  // is extended at the top of more than one round.
+  size_t multi_round_lookups = 0;
   for (int trial = 0; trial < 4; ++trial) {
     DataGenParams data_params;
     data_params.preds = 5;
@@ -221,139 +313,24 @@ TEST(FrontierEquivalenceTest, ParallelChaseEnumerationMatchesSerial) {
     data_params.seed = rng.Next();
     auto data = GenerateData(data_params);
     ASSERT_TRUE(data.ok()) << data.status();
-    std::vector<Tgd> tgds = MakeLinearTgds(*data->schema, rng.Next(), 12);
-
-    // The rules are linear, so every variant enumerates inline: this
-    // compares the inline path at threads > 1 with threads = 1.
-    for (ChaseVariant variant :
-         {ChaseVariant::kSemiOblivious, ChaseVariant::kOblivious,
-          ChaseVariant::kRestricted}) {
-      ChaseOptions serial_options;
-      serial_options.variant = variant;
-      serial_options.max_atoms = 20'000;
-      auto serial = RunChase(*data->database, tgds, serial_options);
-      ASSERT_TRUE(serial.ok()) << serial.status();
-
-      for (unsigned threads : kThreadSweep) {
-        ChaseOptions parallel_options = serial_options;
-        parallel_options.frontier_threads = threads;
-        auto parallel = RunChase(*data->database, tgds, parallel_options);
-        ASSERT_TRUE(parallel.ok()) << parallel.status();
-        const std::string label =
-            "trial " + std::to_string(trial) + ", variant " +
-            ChaseVariantName(variant) + ", threads " +
-            std::to_string(threads);
-        EXPECT_EQ(parallel->outcome, serial->outcome) << label;
-        EXPECT_EQ(parallel->rounds, serial->rounds) << label;
-        EXPECT_EQ(parallel->triggers_fired, serial->triggers_fired) << label;
-        // Bit-identical instances, null names included: collect in
-        // insertion order.
-        std::vector<GroundAtom> serial_atoms, parallel_atoms;
-        serial->instance.ForEachAtom(
-            [&](const GroundAtom& atom) { serial_atoms.push_back(atom); });
-        parallel->instance.ForEachAtom(
-            [&](const GroundAtom& atom) { parallel_atoms.push_back(atom); });
-        EXPECT_EQ(parallel_atoms, serial_atoms) << label;
+    const std::vector<Tgd> tgds =
+        MakeLinearTgds(*data->schema, rng.Next(), 12);
+    for (ChaseVariant variant : kVariants) {
+      ChaseOptions options;
+      options.variant = variant;
+      options.max_atoms = 20'000;
+      const std::string label = "linear trial " + std::to_string(trial) +
+                                ", variant " + ChaseVariantName(variant);
+      const ChaseResult serial =
+          ExpectInlineAtFourThreads(*data->database, tgds, options, label);
+      if (serial.outcome == ChaseOutcome::kFixpoint) {
+        EXPECT_TRUE(Satisfies(serial.instance, tgds)) << label;
       }
     }
   }
-}
-
-// Whether a traced run announced a budgeted window of the worker pool.
-bool TraceHasPoolWave() {
-  std::ostringstream os;
-  obs::TraceRecorder::Get().WriteJson(os);
-  return os.str().find("{\"name\": \"wave\", \"cat\": \"pool\"") !=
-         std::string::npos;
-}
-
-TEST(FrontierEquivalenceTest, LinearChasesEnumerateInline) {
-  // The dispatch rule: a linear chase, of any variant, has no join for
-  // workers to split, so it enumerates inline at any thread count —
-  // nothing buffered, no pool wave, one enumeration thread. A two-atom
-  // body keeps the pool. Every leg equals threads = 1 bit for bit.
-  const std::string linear = R"(
-    e(a,b). e(b,c). e(c,d). e(d,a). p(a,b,c).
-    e(X,Y) -> e(Y,Z).
-    e(X,Y) -> p(X,Y,Z).
-    p(X,Y,Z) -> q(Z,X).
-    q(X,Y) -> e(X,Y).
-  )";
-  const std::string joined = linear + "e(X,Y), e(Y,Z) -> f(X,Z).\n";
-  for (const std::string* text : {&linear, &joined}) {
-    auto program = ParseProgram(*text);
-    ASSERT_TRUE(program.ok()) << program.status();
-    for (ChaseVariant variant :
-         {ChaseVariant::kSemiOblivious, ChaseVariant::kOblivious,
-          ChaseVariant::kRestricted}) {
-      const bool pooled = text == &joined;
-      ChaseOptions serial_options;
-      serial_options.variant = variant;
-      serial_options.max_rounds = 6;
-      serial_options.max_atoms = 5'000;
-      auto serial =
-          RunChase(*program->database, program->tgds, serial_options);
-      ASSERT_TRUE(serial.ok()) << serial.status();
-      ASSERT_GT(serial->triggers_fired, 0u);
-      EXPECT_EQ(serial->enum_threads, 1u);
-      std::vector<GroundAtom> serial_atoms;
-      serial->instance.ForEachAtom(
-          [&](const GroundAtom& atom) { serial_atoms.push_back(atom); });
-
-      for (unsigned threads : {2u, 4u, 8u}) {
-        ChaseOptions options = serial_options;
-        options.frontier_threads = threads;
-        obs::TraceRecorder::Get().Start(4096);
-        auto parallel = RunChase(*program->database, program->tgds, options);
-        obs::TraceRecorder::Get().Stop();
-        ASSERT_TRUE(parallel.ok()) << parallel.status();
-        const std::string label =
-            std::string(text == &linear ? "linear" : "joined") +
-            ", variant " + ChaseVariantName(variant) + ", threads " +
-            std::to_string(threads);
-        EXPECT_EQ(obs::TraceRecorder::Get().dropped(), 0u) << label;
-        EXPECT_EQ(TraceHasPoolWave(), pooled) << label;
-        EXPECT_EQ(parallel->enum_threads, pooled ? threads : 1u) << label;
-        if (pooled) {
-          EXPECT_GT(parallel->peak_buffered_homs, 0u) << label;
-        } else {
-          EXPECT_EQ(parallel->peak_buffered_homs, 0u) << label;
-        }
-        EXPECT_EQ(parallel->outcome, serial->outcome) << label;
-        EXPECT_EQ(parallel->rounds, serial->rounds) << label;
-        EXPECT_EQ(parallel->triggers_fired, serial->triggers_fired) << label;
-        EXPECT_EQ(parallel->instance.NumNulls(), serial->instance.NumNulls())
-            << label;
-        std::vector<GroundAtom> parallel_atoms;
-        parallel->instance.ForEachAtom(
-            [&](const GroundAtom& atom) { parallel_atoms.push_back(atom); });
-        EXPECT_EQ(parallel_atoms, serial_atoms) << label;
-      }
-    }
-  }
-}
-
-TEST(FrontierEquivalenceTest, ParallelNonLinearChaseMatchesSerial) {
-  // The non-linear sweep: every join family the body partitioner has to
-  // split differently — triangle (cyclic join), star (one hot hub row
-  // fanning out, the join-split case), chain (role composition), cross
-  // (disconnected body, the pure cross-product that makes unbudgeted
-  // buffering explode) — under all three variants, the full thread sweep,
-  // and budgets down to 1 (every epoch moves each fragment by one
-  // homomorphism, the maximal pause/resume stress). The contract is the
-  // serial one bit-for-bit: outcome, rounds, trigger counts, null ids, and
-  // the instance's insertion order. existential_percent > 0 puts
-  // existential variables in multi-atom heads, so the restricted variant's
-  // head check runs against real joins.
-  Rng rng(20260808);
-  const NonLinearFamily kFamilies[] = {
-      NonLinearFamily::kTriangle, NonLinearFamily::kStar,
-      NonLinearFamily::kChain, NonLinearFamily::kCross};
-  // Runs whose joins look rows up across several rounds: the row index is
-  // extended at every round start while the worker pool is live, which is
-  // what this suite's ThreadSanitizer run must see.
-  size_t multi_round_lookups = 0;
-  for (NonLinearFamily family : kFamilies) {
+  for (NonLinearFamily family :
+       {NonLinearFamily::kTriangle, NonLinearFamily::kStar,
+        NonLinearFamily::kChain, NonLinearFamily::kCross}) {
     DataGenParams data_params;
     data_params.preds = 4;
     data_params.min_arity = 2;
@@ -375,70 +352,35 @@ TEST(FrontierEquivalenceTest, ParallelNonLinearChaseMatchesSerial) {
     tgd_params.seed = rng.Next();
     auto tgds = GenerateNonLinearTgds(*data->schema, tgd_params);
     ASSERT_TRUE(tgds.ok()) << tgds.status();
-
-    for (ChaseVariant variant :
-         {ChaseVariant::kSemiOblivious, ChaseVariant::kOblivious,
-          ChaseVariant::kRestricted}) {
-      ChaseOptions serial_options;
-      serial_options.variant = variant;
+    for (ChaseVariant variant : kVariants) {
+      ChaseOptions options;
+      options.variant = variant;
       // Low enough that the oblivious variants hit the atom limit on the
-      // fan-out families: the limit cut itself must land identically.
-      serial_options.max_atoms = 1'500;
-      auto serial = RunChase(*data->database, *tgds, serial_options);
-      ASSERT_TRUE(serial.ok()) << serial.status();
-      EXPECT_EQ(serial->peak_buffered_homs, 0u);  // serial never buffers
-      if (family != NonLinearFamily::kCross && serial->rounds > 2) {
-        ++multi_round_lookups;
+      // fan-out families.
+      options.max_atoms = 1'500;
+      const std::string label = std::string("family ") +
+                                NonLinearFamilyName(family) + ", variant " +
+                                ChaseVariantName(variant);
+      const ChaseResult serial =
+          ExpectInlineAtFourThreads(*data->database, *tgds, options, label);
+      if (serial.outcome == ChaseOutcome::kFixpoint) {
+        EXPECT_TRUE(Satisfies(serial.instance, *tgds)) << label;
       }
-
-      std::vector<GroundAtom> serial_atoms;
-      serial->instance.ForEachAtom(
-          [&](const GroundAtom& atom) { serial_atoms.push_back(atom); });
-
-      for (unsigned threads : kThreadSweep) {
-        for (uint64_t budget :
-             {uint64_t{1}, uint64_t{7}, uint64_t{64}, uint64_t{4096}}) {
-          ChaseOptions parallel_options = serial_options;
-          parallel_options.frontier_threads = threads;
-          parallel_options.hom_budget = budget;
-          auto parallel = RunChase(*data->database, *tgds, parallel_options);
-          ASSERT_TRUE(parallel.ok()) << parallel.status();
-          const std::string label =
-              std::string("family ") + NonLinearFamilyName(family) +
-              ", variant " + ChaseVariantName(variant) + ", threads " +
-              std::to_string(threads) + ", budget " + std::to_string(budget);
-          EXPECT_EQ(parallel->outcome, serial->outcome) << label;
-          EXPECT_EQ(parallel->rounds, serial->rounds) << label;
-          EXPECT_EQ(parallel->triggers_fired, serial->triggers_fired)
-              << label;
-          // The protocol's memory bound, measured at the epoch barriers.
-          EXPECT_LE(parallel->peak_buffered_homs,
-                    uint64_t{threads} * budget)
-              << label;
-          if (threads > 1 && serial->triggers_fired > 0) {
-            EXPECT_GT(parallel->peak_buffered_homs, 0u) << label;
-          }
-          std::vector<GroundAtom> parallel_atoms;
-          parallel->instance.ForEachAtom([&](const GroundAtom& atom) {
-            parallel_atoms.push_back(atom);
-          });
-          EXPECT_EQ(parallel_atoms, serial_atoms) << label;
-        }
+      if (family != NonLinearFamily::kCross && serial.rounds > 2) {
+        ++multi_round_lookups;
       }
     }
   }
   EXPECT_GT(multi_round_lookups, 0u);
 }
 
-TEST(FrontierEquivalenceTest, RestrictedPoolMatchesSerialOnSameRoundWitness) {
-  // The restricted chase on the worker pool: the two-atom bodies keep the
-  // pool, and the firing decision stays on the serial apply path, so a
-  // head satisfied only by an atom fired earlier in the same round is seen
-  // exactly as at threads = 1. In round 1 the t rule has two triggers with
-  // frontier Y=b: the first fires t(b,_), the second's head is satisfied
-  // by that same-round atom alone, so it does not fire. Its Y=c trigger is
-  // satisfied by the seed fact t(c,d), and in round 2 the v rule's X=a
-  // trigger by v(a,_) from round 1.
+TEST(FrontierEquivalenceTest, RestrictedChaseSeesASameRoundWitness) {
+  // The restricted chase fires each trigger as it is matched, so a head
+  // satisfied only by an atom fired earlier in the same round is seen. In
+  // round 1 the t rule has two triggers with frontier Y=b: the first fires
+  // t(b,_), the second's head is satisfied by that same-round atom alone,
+  // so it does not fire. Its Y=c trigger is satisfied by the seed fact
+  // t(c,d), and in round 2 the v rule's X=a trigger by v(a,_) from round 1.
   auto program = ParseProgram(R"(
     r(a,b). r(c,b). r(a,c). s(b). s(c). t(c,d).
     r(X,Y), s(Y) -> t(Y,Z).
@@ -446,39 +388,15 @@ TEST(FrontierEquivalenceTest, RestrictedPoolMatchesSerialOnSameRoundWitness) {
   )");
   ASSERT_TRUE(program.ok()) << program.status();
 
-  ChaseOptions serial_options;
-  serial_options.variant = ChaseVariant::kRestricted;
-  auto serial = RunChase(*program->database, program->tgds, serial_options);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  EXPECT_EQ(serial->outcome, ChaseOutcome::kFixpoint);
+  ChaseOptions options;
+  options.variant = ChaseVariant::kRestricted;
+  auto result = RunChase(*program->database, program->tgds, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->outcome, ChaseOutcome::kFixpoint);
   // t(b,_), then v(a,_) in round 1; v(c,_) in round 2.
-  EXPECT_EQ(serial->triggers_fired, 3u);
-  EXPECT_EQ(serial->instance.NumNulls(), 3u);
-  std::vector<GroundAtom> serial_atoms;
-  serial->instance.ForEachAtom(
-      [&](const GroundAtom& atom) { serial_atoms.push_back(atom); });
-
-  for (unsigned threads : {2u, 4u, 8u}) {
-    for (uint64_t budget : {uint64_t{1}, uint64_t{4096}}) {
-      ChaseOptions options = serial_options;
-      options.frontier_threads = threads;
-      options.hom_budget = budget;
-      auto parallel = RunChase(*program->database, program->tgds, options);
-      ASSERT_TRUE(parallel.ok()) << parallel.status();
-      const std::string label = "threads " + std::to_string(threads) +
-                                ", budget " + std::to_string(budget);
-      EXPECT_EQ(parallel->enum_threads, threads) << label;
-      EXPECT_EQ(parallel->outcome, serial->outcome) << label;
-      EXPECT_EQ(parallel->rounds, serial->rounds) << label;
-      EXPECT_EQ(parallel->triggers_fired, serial->triggers_fired) << label;
-      EXPECT_EQ(parallel->instance.NumNulls(), serial->instance.NumNulls())
-          << label;
-      std::vector<GroundAtom> parallel_atoms;
-      parallel->instance.ForEachAtom(
-          [&](const GroundAtom& atom) { parallel_atoms.push_back(atom); });
-      EXPECT_EQ(parallel_atoms, serial_atoms) << label;
-    }
-  }
+  EXPECT_EQ(result->triggers_fired, 3u);
+  EXPECT_EQ(result->instance.NumNulls(), 3u);
+  EXPECT_TRUE(Satisfies(result->instance, program->tgds));
 }
 
 TEST(FrontierEquivalenceTest, ExistsPlanThreadSweepMatchesSerialWalk) {
@@ -608,8 +526,7 @@ TEST(FrontierEquivalenceTest, MoreThreadsThanFrontierItems) {
 
 // --------------------------------------------------------------------------
 // Checkpoint/resume differential sweep: cut at every round boundary, resume,
-// and demand the uninterrupted run bit-for-bit — across the thread sweep
-// and all three variants.
+// and demand the uninterrupted run bit-for-bit — for all three variants.
 
 TEST(FrontierEquivalenceTest, CheckpointResumeSweepMatchesUninterruptedRun) {
   // Non-terminating under every variant: the successor rule always finds a
@@ -628,7 +545,7 @@ TEST(FrontierEquivalenceTest, CheckpointResumeSweepMatchesUninterruptedRun) {
   for (ChaseVariant variant :
        {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
         ChaseVariant::kRestricted}) {
-    // The uninterrupted oracle: serial.
+    // The uninterrupted oracle.
     ChaseOptions oracle_options;
     oracle_options.variant = variant;
     oracle_options.max_rounds = kRounds;
@@ -640,66 +557,43 @@ TEST(FrontierEquivalenceTest, CheckpointResumeSweepMatchesUninterruptedRun) {
         [&](const GroundAtom& atom) { oracle_atoms.push_back(atom); });
 
     for (uint64_t cut = 1; cut < kRounds; ++cut) {
-      // Canonical checkpoints: across thread counts every state field
-      // matches and only the two per-thread-count diagnostic counters may
-      // differ.
-      std::optional<io::ChaseCheckpoint> canonical_state;
-      for (unsigned threads : {1u, 2u, 4u}) {
-        const std::string label =
-            std::string("variant ") + ChaseVariantName(variant) + ", cut " +
-            std::to_string(cut) + ", threads " + std::to_string(threads);
+      const std::string label = std::string("variant ") +
+                                ChaseVariantName(variant) + ", cut " +
+                                std::to_string(cut);
 
-        ChaseOptions leg1_options;
-        leg1_options.variant = variant;
-        leg1_options.max_rounds = cut;
-        leg1_options.frontier_threads = threads;
-        leg1_options.checkpoint_path = ck_path;
-        leg1_options.checkpoint_every_rounds = cut;
-        auto leg1 = RunChase(*program->database, program->tgds, leg1_options);
-        ASSERT_TRUE(leg1.ok()) << label << ": " << leg1.status();
-        ASSERT_EQ(leg1->outcome, ChaseOutcome::kRoundLimit) << label;
+      ChaseOptions leg1_options;
+      leg1_options.variant = variant;
+      leg1_options.max_rounds = cut;
+      leg1_options.checkpoint_path = ck_path;
+      leg1_options.checkpoint_every_rounds = cut;
+      auto leg1 = RunChase(*program->database, program->tgds, leg1_options);
+      ASSERT_TRUE(leg1.ok()) << label << ": " << leg1.status();
+      ASSERT_EQ(leg1->outcome, ChaseOutcome::kRoundLimit) << label;
 
-        std::ifstream in(ck_path, std::ios::binary);
-        ASSERT_TRUE(in.good()) << label;
-        std::vector<uint8_t> bytes(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>{});
-        in.close();
-        auto ckpt = io::DeserializeChaseCheckpoint(bytes);
-        ASSERT_TRUE(ckpt.ok()) << label << ": " << ckpt.status();
-        EXPECT_EQ(ckpt->rounds, cut) << label;
-        if (!canonical_state.has_value()) {
-          canonical_state = *ckpt;
-        } else {
-          EXPECT_EQ(ckpt->triggers_fired, canonical_state->triggers_fired)
-              << label;
-          EXPECT_EQ(ckpt->next_null, canonical_state->next_null) << label;
-          EXPECT_EQ(ckpt->fired_keys, canonical_state->fired_keys) << label;
-          ASSERT_EQ(ckpt->relations.size(), canonical_state->relations.size())
-              << label;
-          for (size_t i = 0; i < ckpt->relations.size(); ++i) {
-            EXPECT_EQ(ckpt->relations[i].atoms,
-                      canonical_state->relations[i].atoms)
-                << label << ", relation " << i;
-          }
-        }
+      std::ifstream in(ck_path, std::ios::binary);
+      ASSERT_TRUE(in.good()) << label;
+      std::vector<uint8_t> bytes(std::istreambuf_iterator<char>(in),
+                                 std::istreambuf_iterator<char>{});
+      in.close();
+      auto ckpt = io::DeserializeChaseCheckpoint(bytes);
+      ASSERT_TRUE(ckpt.ok()) << label << ": " << ckpt.status();
+      EXPECT_EQ(ckpt->rounds, cut) << label;
 
-        ChaseOptions leg2_options;
-        leg2_options.variant = variant;
-        leg2_options.max_rounds = kRounds;
-        leg2_options.frontier_threads = threads;
-        leg2_options.resume = &*ckpt;
-        auto leg2 = RunChase(*program->database, program->tgds, leg2_options);
-        ASSERT_TRUE(leg2.ok()) << label << ": " << leg2.status();
-        EXPECT_EQ(leg2->outcome, oracle->outcome) << label;
-        EXPECT_EQ(leg2->rounds, oracle->rounds) << label;
-        EXPECT_EQ(leg2->triggers_fired, oracle->triggers_fired) << label;
-        EXPECT_EQ(leg2->instance.NumNulls(), oracle->instance.NumNulls())
-            << label;
-        std::vector<GroundAtom> leg2_atoms;
-        leg2->instance.ForEachAtom(
-            [&](const GroundAtom& atom) { leg2_atoms.push_back(atom); });
-        EXPECT_EQ(leg2_atoms, oracle_atoms) << label;
-      }
+      ChaseOptions leg2_options;
+      leg2_options.variant = variant;
+      leg2_options.max_rounds = kRounds;
+      leg2_options.resume = &*ckpt;
+      auto leg2 = RunChase(*program->database, program->tgds, leg2_options);
+      ASSERT_TRUE(leg2.ok()) << label << ": " << leg2.status();
+      EXPECT_EQ(leg2->outcome, oracle->outcome) << label;
+      EXPECT_EQ(leg2->rounds, oracle->rounds) << label;
+      EXPECT_EQ(leg2->triggers_fired, oracle->triggers_fired) << label;
+      EXPECT_EQ(leg2->instance.NumNulls(), oracle->instance.NumNulls())
+          << label;
+      std::vector<GroundAtom> leg2_atoms;
+      leg2->instance.ForEachAtom(
+          [&](const GroundAtom& atom) { leg2_atoms.push_back(atom); });
+      EXPECT_EQ(leg2_atoms, oracle_atoms) << label;
     }
   }
   std::remove(ck_path.c_str());

@@ -314,128 +314,6 @@ TEST(FrontierPoolTest, ParallelForCoversEveryIndexOnce) {
   }
 }
 
-// --------------------------------------------------------------------------
-// The budgeted enumerate→pause→apply→resume protocol (RunBudgetedTasks),
-// exercised through a synthetic producer: task t yields the sequence
-// t*1000, t*1000+1, … (lens[t] items) into its bounded buffer; the drain
-// concatenates. The whole contract is that the concatenation equals the
-// task-order concatenation of every sequence — for any thread count, any
-// budget, any skew — while no epoch ever holds more than threads × budget
-// buffered items.
-
-struct BudgetedRun {
-  std::vector<uint64_t> drained;  // drain-order concatenation
-  uint64_t peak_buffered = 0;     // measured at the epoch barrier
-  size_t epochs = 0;
-  uint64_t resumes = 0;
-};
-
-BudgetedRun RunBudgeted(unsigned threads, uint64_t budget,
-                        const std::vector<size_t>& lens,
-                        size_t cut_after = SIZE_MAX) {
-  BudgetedRun run;
-  WorkerPool pool(threads);
-  std::vector<std::vector<uint64_t>> buffers(lens.size());
-  std::vector<size_t> produced(lens.size(), 0);
-  std::atomic<uint64_t> resumes{0};
-  bool cut = false;
-  pool.RunBudgetedTasks(
-      lens.size(),
-      [&](unsigned /*worker*/, size_t t) -> bool {
-        resumes.fetch_add(1);
-        while (buffers[t].size() < budget) {
-          if (produced[t] == lens[t]) return true;  // exhausted
-          buffers[t].push_back(t * 1000 + produced[t]);
-          ++produced[t];
-        }
-        return produced[t] == lens[t];  // full buffer: park unless done
-      },
-      [&](size_t t) -> bool {
-        for (uint64_t v : buffers[t]) run.drained.push_back(v);
-        buffers[t].clear();
-        if (run.drained.size() >= cut_after) {
-          cut = true;
-          return false;
-        }
-        return true;
-      },
-      [&](size_t first, size_t count) {
-        ++run.epochs;
-        uint64_t buffered = 0;
-        for (size_t i = 0; i < count; ++i) buffered += buffers[first + i].size();
-        run.peak_buffered = std::max(run.peak_buffered, buffered);
-      });
-  run.resumes = resumes.load();
-  // After a completed (un-cut) run, every buffer must have been drained.
-  if (!cut) {
-    for (const auto& buffer : buffers) EXPECT_TRUE(buffer.empty());
-  }
-  return run;
-}
-
-std::vector<uint64_t> TaskOrderReference(const std::vector<size_t>& lens) {
-  std::vector<uint64_t> ref;
-  for (size_t t = 0; t < lens.size(); ++t) {
-    for (size_t j = 0; j < lens[t]; ++j) ref.push_back(t * 1000 + j);
-  }
-  return ref;
-}
-
-TEST(FrontierPoolTest, BudgetedTasksDrainInTaskOrder) {
-  // Skewed lengths — long tasks early, empty tasks interleaved, a long
-  // tail task — swept over threads × budget. Order and coverage must be
-  // oblivious to both knobs; the buffered peak must respect the window.
-  const std::vector<size_t> lens = {17, 0, 3, 120, 1, 0, 42, 7, 0, 63};
-  const std::vector<uint64_t> ref = TaskOrderReference(lens);
-  for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    for (uint64_t budget : {1u, 2u, 7u, 1000u}) {
-      const BudgetedRun run = RunBudgeted(threads, budget, lens);
-      EXPECT_EQ(run.drained, ref)
-          << threads << " threads, budget " << budget;
-      EXPECT_LE(run.peak_buffered, uint64_t{threads} * budget)
-          << threads << " threads, budget " << budget;
-    }
-  }
-}
-
-TEST(FrontierPoolTest, BudgetedTasksBudgetOneStillMakesProgress) {
-  // budget=1 is the adversarial setting: every epoch moves each window
-  // task by at most one item, so the window's head task must be re-drained
-  // and resumed many times. 120 items at the head means >= 120 epochs —
-  // termination plus exact order is the regression.
-  const std::vector<size_t> lens = {120, 2, 2};
-  const BudgetedRun run = RunBudgeted(4, 1, lens);
-  EXPECT_EQ(run.drained, TaskOrderReference(lens));
-  EXPECT_GE(run.epochs, 120u);
-  EXPECT_LE(run.peak_buffered, 4u);
-}
-
-TEST(FrontierPoolTest, BudgetedTasksEarlyCutStopsTheRun) {
-  // The drain's false return is the chase's atom-limit cut: the protocol
-  // must stop immediately — no further resumes, no further drains — with
-  // the drained prefix exactly the task-order prefix.
-  const std::vector<size_t> lens = {10, 10, 10, 10};
-  const std::vector<uint64_t> ref = TaskOrderReference(lens);
-  for (unsigned threads : {1u, 4u}) {
-    const BudgetedRun run = RunBudgeted(threads, 1000, lens, /*cut_after=*/15);
-    // One drain overshoots past 15 at most to a task boundary.
-    ASSERT_GE(run.drained.size(), 15u) << threads;
-    ASSERT_LE(run.drained.size(), 20u) << threads;
-    for (size_t i = 0; i < run.drained.size(); ++i) {
-      EXPECT_EQ(run.drained[i], ref[i]) << threads;
-    }
-  }
-}
-
-TEST(FrontierPoolTest, BudgetedTasksHandleEmptyInputs) {
-  const BudgetedRun none = RunBudgeted(4, 8, {});
-  EXPECT_TRUE(none.drained.empty());
-  EXPECT_EQ(none.epochs, 0u);
-  const BudgetedRun all_empty = RunBudgeted(4, 8, {0, 0, 0, 0, 0});
-  EXPECT_TRUE(all_empty.drained.empty());
-  EXPECT_EQ(all_empty.peak_buffered, 0u);
-}
-
 TEST(FrontierPoolTest, ForEachChildHandlesMaxArity) {
   // Regression: with uint8_t loop counters, blocks == 255 (the
   // Schema::kMaxArity ceiling) wrapped `b` through 0 — an out-of-bounds

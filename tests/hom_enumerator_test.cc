@@ -1,20 +1,20 @@
 // HomEnumerator against an independent reference: a recursive nested-loop
 // join with its own binding trail, kept here as a test-only oracle.
 //
-// The chase's bit-identical-result contract rests on the matcher's output
-// ORDER, not just its output set: a round's triggers are the fragments of
-// PlanBodyPartitions(…, threads) concatenated in plan order, and that
-// concatenation must be the oracle's lexicographic (rule, delta position,
-// row at position 0, row at position 1, …) stream at every thread count.
-// The whole-chase differential sweeps only see that order through its
-// effects; these tests compare the streams themselves — over every
-// non-linear join family, random round windows, a run that pauses after
-// every Next() while other enumerators are reset in between, and
+// The chase's trigger order — and with it its null ids and checkpoint
+// bytes — rests on the matcher's output ORDER, not just its output set: a
+// round's triggers are one pass per (rule, delta position) task in that
+// order, skipping tasks HasCandidates rules out, and that concatenation must
+// be the oracle's lexicographic (rule, delta position, row at position 0,
+// row at position 1, …) stream. The whole-chase tests only see that order
+// through its effects; these tests compare the streams themselves — over
+// every non-linear join family, random round windows, a run that stops
+// after every Next() while other enumerators are reset in between, and
 // head-window matches from a partial assignment — each also with RowIndex
 // lookups, which must skip only rows the scan would have rejected: the
 // index built to the round-start watermark, windows reaching past it
-// (which scan), repeated variables, probes on a non-first column, keys the
-// index lacks, and an index extended while enumerators are paused.
+// (which scan), repeated variables, probes on a non-first column, and keys
+// the index lacks.
 
 #include <gtest/gtest.h>
 
@@ -38,8 +38,6 @@
 
 namespace chase {
 namespace {
-
-constexpr unsigned kThreadSweep[] = {1, 2, 4, 8};
 
 // A (rule, assignment) stream; for non-round matches the rule is 0.
 using Stream = std::vector<std::pair<uint32_t, std::vector<Term>>>;
@@ -135,49 +133,55 @@ Stream OracleStream(const std::vector<RuleAtom>& atoms,
 // The matcher's streams.
 
 Stream MatcherRound(const std::vector<Tgd>& tgds, const Instance& instance,
-                    const RoundView& view, unsigned threads,
-                    const RowIndex* index = nullptr) {
+                    const RoundView& view, const RowIndex* index = nullptr) {
   Stream out;
   HomEnumerator e;
-  for (const BodyPartition& part : PlanBodyPartitions(tgds, view, threads)) {
-    e.Reset(tgds[part.rule], &instance, view, part, index);
-    while (e.Next()) out.emplace_back(part.rule, e.hom());
+  for (uint32_t rule = 0; rule < tgds.size(); ++rule) {
+    for (size_t d = 0; d < tgds[rule].body().size(); ++d) {
+      if (!HasCandidates(tgds[rule], view, d)) continue;
+      e.Reset(tgds[rule], &instance, view, d, index);
+      while (e.Next()) out.emplace_back(rule, e.hom());
+    }
   }
   return out;
 }
 
-// Every fragment gets its own enumerator, all reset up front; they advance
-// round-robin one Next() at a time, and between any two calls a scratch
-// enumerator is reset onto another fragment and advanced once — so every
-// resume continues from a parked backtracking state. `between`, when set,
-// runs after every Next() as well (a simulated round boundary).
-Stream MatcherRoundInterleaved(
-    const std::vector<Tgd>& tgds, const Instance& instance,
-    const RoundView& view, unsigned threads, const RowIndex* index = nullptr,
-    const std::function<void()>& between = nullptr) {
-  const std::vector<BodyPartition> parts =
-      PlanBodyPartitions(tgds, view, threads);
-  std::vector<HomEnumerator> enums(parts.size());
-  for (size_t t = 0; t < parts.size(); ++t) {
-    enums[t].Reset(tgds[parts[t].rule], &instance, view, parts[t], index);
+// Every (rule, delta position) task — those without candidates included —
+// gets its own enumerator, all reset up front; they advance round-robin
+// one Next() at a time, and between any two calls a scratch enumerator is
+// reset onto another task and advanced once — so every call continues
+// from a stopped backtracking state.
+Stream MatcherRoundInterleaved(const std::vector<Tgd>& tgds,
+                               const Instance& instance,
+                               const RoundView& view,
+                               const RowIndex* index = nullptr) {
+  std::vector<std::pair<uint32_t, size_t>> tasks;
+  for (uint32_t rule = 0; rule < tgds.size(); ++rule) {
+    for (size_t d = 0; d < tgds[rule].body().size(); ++d) {
+      tasks.emplace_back(rule, d);
+    }
   }
-  std::vector<Stream> streams(parts.size());
-  std::vector<char> live(parts.size(), 1);
+  std::vector<HomEnumerator> enums(tasks.size());
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    enums[t].Reset(tgds[tasks[t].first], &instance, view, tasks[t].second,
+                   index);
+  }
+  std::vector<Stream> streams(tasks.size());
+  std::vector<char> live(tasks.size(), 1);
   HomEnumerator scratch;
-  size_t remaining = parts.size();
+  size_t remaining = tasks.size();
   for (size_t step = 0; remaining > 0; ++step) {
-    for (size_t t = 0; t < parts.size(); ++t) {
+    for (size_t t = 0; t < tasks.size(); ++t) {
       if (live[t] == 0) continue;
       if (enums[t].Next()) {
-        streams[t].emplace_back(parts[t].rule, enums[t].hom());
+        streams[t].emplace_back(tasks[t].first, enums[t].hom());
       } else {
         live[t] = 0;
         --remaining;
       }
-      if (between) between();
-      const size_t other = (t + 1 + step) % parts.size();
-      scratch.Reset(tgds[parts[other].rule], &instance, view, parts[other],
-                    index);
+      const size_t other = (t + 1 + step) % tasks.size();
+      scratch.Reset(tgds[tasks[other].first], &instance, view,
+                    tasks[other].second, index);
       (void)scratch.Next();
     }
   }
@@ -309,7 +313,7 @@ constexpr NonLinearFamily kFamilies[] = {
 
 // ---------------------------------------------------------------------------
 
-TEST(HomEnumeratorTest, FragmentStreamsConcatenateToTheOracleRound) {
+TEST(HomEnumeratorTest, TaskStreamsConcatenateToTheOracleRound) {
   // Each view runs twice: scanning, and with lookups in an index built to
   // the view's round-start watermark as the chase builds it — every window
   // of the round lies inside it, so every position with a bound variable
@@ -334,34 +338,28 @@ TEST(HomEnumeratorTest, FragmentStreamsConcatenateToTheOracleRound) {
         AddAtWatermark(instance, views[v], &indexed, &index);
         const Stream oracle = OracleRound(tgds, instance, views[v]);
         total_homs += oracle.size();
-        for (unsigned threads : kThreadSweep) {
-          const std::string label =
-              std::string("family ") + NonLinearFamilyName(family) +
-              ", body " + std::to_string(body_atoms) + ", view " +
-              std::to_string(v) + ", threads " + std::to_string(threads);
-          EXPECT_EQ(MatcherRound(tgds, instance, views[v], threads), oracle)
-              << label;
-          EXPECT_EQ(
-              MatcherRoundInterleaved(tgds, instance, views[v], threads),
-              oracle)
-              << label << " (interleaved)";
-          EXPECT_EQ(MatcherRound(tgds, indexed, views[v], threads, &index),
-                    oracle)
-              << label << " (lookups)";
-          EXPECT_EQ(MatcherRoundInterleaved(tgds, indexed, views[v],
-                                            threads, &index),
-                    oracle)
-              << label << " (lookups, interleaved)";
-        }
+        const std::string label =
+            std::string("family ") + NonLinearFamilyName(family) + ", body " +
+            std::to_string(body_atoms) + ", view " + std::to_string(v);
+        EXPECT_EQ(MatcherRound(tgds, instance, views[v]), oracle) << label;
+        EXPECT_EQ(MatcherRoundInterleaved(tgds, instance, views[v]), oracle)
+            << label << " (interleaved)";
+        EXPECT_EQ(MatcherRound(tgds, indexed, views[v], &index), oracle)
+            << label << " (lookups)";
+        EXPECT_EQ(MatcherRoundInterleaved(tgds, indexed, views[v], &index),
+                  oracle)
+            << label << " (lookups, interleaved)";
         HomEnumerator scan;
         HomEnumerator lookup;
-        for (const BodyPartition& part :
-             PlanBodyPartitions(tgds, views[v], 1)) {
-          scan.Reset(tgds[part.rule], &instance, views[v], part);
-          while (scan.Next()) {
-          }
-          lookup.Reset(tgds[part.rule], &indexed, views[v], part, &index);
-          while (lookup.Next()) {
+        for (const Tgd& tgd : tgds) {
+          for (size_t d = 0; d < tgd.body().size(); ++d) {
+            if (!HasCandidates(tgd, views[v], d)) continue;
+            scan.Reset(tgd, &instance, views[v], d);
+            while (scan.Next()) {
+            }
+            lookup.Reset(tgd, &indexed, views[v], d, &index);
+            while (lookup.Next()) {
+            }
           }
         }
         EXPECT_LE(lookup.rows_probed(), scan.rows_probed());
@@ -372,51 +370,6 @@ TEST(HomEnumeratorTest, FragmentStreamsConcatenateToTheOracleRound) {
   }
   EXPECT_GT(total_homs, 1000u);  // the sweep exercised real joins
   EXPECT_LT(probed_by_lookup, probed_by_scan);  // and real lookups
-}
-
-TEST(HomEnumeratorTest, PausedLookupsResumeAcrossIndexExtension) {
-  // Enumerators paused after every Next() while, in between, rows land past
-  // every window and the index is extended over them — a simulated round
-  // boundary. Extension moves entry positions (new rows merge into their
-  // keys' runs), so a parked lookup must re-seek by row; the new rows draw
-  // from the same domain, so they would join if it did not.
-  Rng rng(23);
-  size_t total_homs = 0;
-  size_t extended = 0;  // views whose index grew under paused enumerators
-  for (NonLinearFamily family : kFamilies) {
-    Fixture fixture;
-    DeclareSchema(&fixture, &rng);
-    const Instance source = MakeInstance(fixture, &rng, /*rows=*/12);
-    const std::vector<Tgd> tgds = MakeTgds(fixture, family, 3, rng.Next());
-    for (const RoundView& view : MakeViews(fixture, source, &rng)) {
-      Instance instance(&fixture.schema);
-      RowIndex index;
-      IndexBodies(tgds, &index);
-      AddAtWatermark(source, view, &instance, &index);
-      const Stream oracle = OracleRound(tgds, instance, view);
-      total_homs += oracle.size();
-      const uint64_t epoch = index.epoch();
-      auto round_boundary = [&] {
-        for (PredId pred : fixture.preds) {
-          std::vector<Term> args(fixture.schema.Arity(pred));
-          for (Term& arg : args) {
-            arg = MakeConstant(static_cast<uint32_t>(rng.Below(6)));
-          }
-          (void)instance.AddAtom(pred, args);
-        }
-        index.Extend(instance);
-      };
-      for (unsigned threads : {1u, 4u}) {
-        EXPECT_EQ(MatcherRoundInterleaved(tgds, instance, view, threads,
-                                          &index, round_boundary),
-                  oracle)
-            << NonLinearFamilyName(family) << ", threads " << threads;
-      }
-      if (index.epoch() > epoch) ++extended;
-    }
-  }
-  EXPECT_GT(total_homs, 100u);
-  EXPECT_GT(extended, 8u);
 }
 
 TEST(HomEnumeratorTest, LookupsMatchTheScanOnEveryProbeShape) {

@@ -5,7 +5,7 @@
 // filtering, and a golden check that the emitted artifact parses as JSON
 // with well-formed span nesting), the progress reporter, and the
 // end-to-end contract that matters most: a chase with tracing and metrics
-// ON is bit-identical to the untraced serial run across the thread sweep.
+// ON is bit-identical to the untraced run.
 //
 // The JSON checks use the minimal recursive-descent parser below rather
 // than eyeballing substrings: Perfetto and chrome://tracing are real
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "chase/chase_engine.h"
+#include "exec/frontier_pool.h"
 #include "logic/parser.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -396,7 +397,9 @@ TEST_F(ObsTest, ConcurrentEmitRecordsEverySpan) {
       EXPECT_TRUE(event.At("args").Has("i"));
     }
   }
-  EXPECT_EQ(metadata, kThreads);
+  // One row per emitting thread, plus the thread that called Start, whose
+  // buffer Start allocates.
+  EXPECT_EQ(metadata, kThreads + 1);
   EXPECT_EQ(complete, kThreads * kSpans);
 }
 
@@ -440,6 +443,27 @@ TEST_F(ObsTest, RestartExcludesThePreviousSession) {
     EXPECT_EQ(event.At("name").str, "fresh");
   }
   EXPECT_EQ(complete, 2u);
+}
+
+TEST_F(ObsTest, ThreadsGetTheirBuffersBeforeTheirFirstSpan) {
+  // Start allocates the calling thread's buffer, and a worker pool started
+  // under an enabled recorder allocates each worker's: the artifact names
+  // every one of those threads although none closed a span, so no thread's
+  // first span pays for its buffer.
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
+  recorder.Start(64);
+  { WorkerPool pool(4); }
+  std::ostringstream os;
+  recorder.WriteJson(os);
+  const JsonValue trace = MustParse(os.str());
+  size_t threads = 0;
+  size_t complete = 0;
+  for (const JsonValue& event : trace.At("traceEvents").array) {
+    threads += event.At("ph").str == "M";
+    complete += event.At("ph").str == "X";
+  }
+  EXPECT_EQ(threads, 4u);
+  EXPECT_EQ(complete, 0u);
 }
 
 // Span intervals on one thread must nest: for any two, either disjoint or
@@ -519,124 +543,63 @@ TEST_F(ObsTest, ProgressReporterPrintsAFinalLine) {
 
 TEST_F(ObsTest, ChaseIsBitIdenticalWithTracingOn) {
   // Non-linear transitive closure plus an existential fan-out: exercises
-  // rounds, the budgeted parallel homomorphism engine, and waves.
+  // rounds and the per-(rule, delta position) matcher passes.
   auto program = ParseProgram(
       "e(a,b). e(b,c). e(c,d). e(d,f). e(f,g).\n"
       "e(X,Y), e(Y,Z) -> e(X,Z).\n"
       "e(X,Y) -> p(X,W).\n");
   ASSERT_TRUE(program.ok()) << program.status();
 
-  ChaseOptions serial_options;
-  serial_options.max_atoms = 50'000;
-  auto baseline = RunChase(*program->database, program->tgds, serial_options);
+  ChaseOptions options;
+  options.max_atoms = 50'000;
+  auto baseline = RunChase(*program->database, program->tgds, options);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
   std::vector<GroundAtom> baseline_atoms;
   baseline->instance.ForEachAtom(
       [&](const GroundAtom& atom) { baseline_atoms.push_back(atom); });
   ASSERT_GT(baseline->rounds, 1u);
 
-  for (unsigned threads : {1u, 2u, 4u}) {
-    obs::MetricsRegistry::Get().Reset();
-    obs::MetricsRegistry::SetEnabled(true);
-    obs::TraceRecorder::Get().Start();
+  obs::MetricsRegistry::Get().Reset();
+  obs::MetricsRegistry::SetEnabled(true);
+  obs::TraceRecorder::Get().Start();
+  auto traced = RunChase(*program->database, program->tgds, options);
+  obs::TraceRecorder::Get().Stop();
+  obs::MetricsRegistry::SetEnabled(false);
+  ASSERT_TRUE(traced.ok()) << traced.status();
 
-    ChaseOptions options = serial_options;
-    options.frontier_threads = threads;
-    options.hom_budget = 3;  // tight budget: many waves
-    auto traced = RunChase(*program->database, program->tgds, options);
-    obs::TraceRecorder::Get().Stop();
-    obs::MetricsRegistry::SetEnabled(false);
-    ASSERT_TRUE(traced.ok()) << traced.status();
+  EXPECT_EQ(traced->outcome, baseline->outcome);
+  EXPECT_EQ(traced->rounds, baseline->rounds);
+  EXPECT_EQ(traced->triggers_fired, baseline->triggers_fired);
+  std::vector<GroundAtom> traced_atoms;
+  traced->instance.ForEachAtom(
+      [&](const GroundAtom& atom) { traced_atoms.push_back(atom); });
+  EXPECT_EQ(traced_atoms, baseline_atoms);
 
-    const std::string label = "threads " + std::to_string(threads);
-    EXPECT_EQ(traced->outcome, baseline->outcome) << label;
-    EXPECT_EQ(traced->rounds, baseline->rounds) << label;
-    EXPECT_EQ(traced->triggers_fired, baseline->triggers_fired) << label;
-    std::vector<GroundAtom> traced_atoms;
-    traced->instance.ForEachAtom(
-        [&](const GroundAtom& atom) { traced_atoms.push_back(atom); });
-    EXPECT_EQ(traced_atoms, baseline_atoms) << label;
-
-    // The artifact is valid Chrome trace JSON, well nested, and carries
-    // the chase's structural spans.
-    std::ostringstream os;
-    obs::TraceRecorder::Get().WriteJson(os);
-    const JsonValue trace = MustParse(os.str());
-    ExpectWellNested(trace);
-    std::map<std::string, size_t> names;
-    for (const JsonValue& event : trace.At("traceEvents").array) {
-      if (event.At("ph").str == "X") ++names[event.At("name").str];
-    }
-    EXPECT_GE(names["run"], 1u) << label;
-    EXPECT_EQ(names["round"], baseline->rounds) << label;
-    // Serial and parallel rounds both span each fragment they enumerate,
-    // under the same name.
-    EXPECT_GE(names["hom_task"], 1u) << label;
-    EXPECT_EQ(names["rule"], 0u) << label;
-    if (threads > 1) {
-      // The parallel non-linear engine announces its budgeted windows.
-      EXPECT_GE(names["wave"], 1u) << label;
-    }
-
-    // The registry mirrors the result counters as gauges.
-    std::ostringstream metrics_os;
-    obs::MetricsRegistry::Get().DumpJson(metrics_os);
-    const JsonValue dump = MustParse(metrics_os.str());
-    EXPECT_EQ(dump.At("gauges").At("chase.rounds").number,
-              static_cast<double>(traced->rounds))
-        << label;
-    EXPECT_EQ(dump.At("gauges").At("chase.triggers_fired").number,
-              static_cast<double>(traced->triggers_fired))
-        << label;
-    EXPECT_EQ(dump.At("gauges").At("chase.atoms").number,
-              static_cast<double>(traced->instance.NumAtoms()))
-        << label;
+  // The artifact is valid Chrome trace JSON, well nested, and carries
+  // the chase's structural spans.
+  std::ostringstream os;
+  obs::TraceRecorder::Get().WriteJson(os);
+  const JsonValue trace = MustParse(os.str());
+  ExpectWellNested(trace);
+  std::map<std::string, size_t> names;
+  for (const JsonValue& event : trace.At("traceEvents").array) {
+    if (event.At("ph").str == "X") ++names[event.At("name").str];
   }
-}
+  EXPECT_EQ(names["run"], 1u);
+  EXPECT_EQ(names["round"], baseline->rounds);
+  EXPECT_GE(names["hom_task"], 1u);
+  EXPECT_EQ(names["rule"], 0u);
 
-TEST_F(ObsTest, ChaseReportsTheThreadsItEnumeratedOn) {
-  // ChaseResult::enum_threads, the chase.enum_threads gauge and the
-  // chase/run span's `threads` argument carry one value: the requested
-  // threads where rounds go to the worker pool (a two-atom body), 1 where
-  // a linear semi-oblivious chase enumerates inline.
-  for (const bool linear : {true, false}) {
-    auto program = ParseProgram(
-        linear ? "e(a,b). e(b,c).\ne(X,Y) -> p(Y,Z).\n"
-               : "e(a,b). e(b,c).\ne(X,Y), e(Y,Z) -> p(X,Z).\n");
-    ASSERT_TRUE(program.ok()) << program.status();
-    obs::MetricsRegistry::Get().Reset();
-    obs::MetricsRegistry::SetEnabled(true);
-    obs::TraceRecorder::Get().Start();
-    ChaseOptions options;
-    options.frontier_threads = 4;
-    auto result = RunChase(*program->database, program->tgds, options);
-    obs::TraceRecorder::Get().Stop();
-    obs::MetricsRegistry::SetEnabled(false);
-    ASSERT_TRUE(result.ok()) << result.status();
-
-    const unsigned expected = linear ? 1 : 4;
-    const std::string label = linear ? "linear" : "two-atom body";
-    EXPECT_EQ(result->enum_threads, expected) << label;
-    std::ostringstream metrics_os;
-    obs::MetricsRegistry::Get().DumpJson(metrics_os);
-    EXPECT_EQ(MustParse(metrics_os.str())
-                  .At("gauges")
-                  .At("chase.enum_threads")
-                  .number,
-              expected)
-        << label;
-    std::ostringstream trace_os;
-    obs::TraceRecorder::Get().WriteJson(trace_os);
-    const JsonValue trace = MustParse(trace_os.str());
-    size_t runs = 0;
-    for (const JsonValue& event : trace.At("traceEvents").array) {
-      if (event.At("cat").str == "chase" && event.At("name").str == "run") {
-        ++runs;
-        EXPECT_EQ(event.At("args").At("threads").number, expected) << label;
-      }
-    }
-    EXPECT_EQ(runs, 1u) << label;
-  }
+  // The registry mirrors the result counters as gauges.
+  std::ostringstream metrics_os;
+  obs::MetricsRegistry::Get().DumpJson(metrics_os);
+  const JsonValue dump = MustParse(metrics_os.str());
+  EXPECT_EQ(dump.At("gauges").At("chase.rounds").number,
+            static_cast<double>(traced->rounds));
+  EXPECT_EQ(dump.At("gauges").At("chase.triggers_fired").number,
+            static_cast<double>(traced->triggers_fired));
+  EXPECT_EQ(dump.At("gauges").At("chase.atoms").number,
+            static_cast<double>(traced->instance.NumAtoms()));
 }
 
 }  // namespace

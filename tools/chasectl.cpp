@@ -5,8 +5,7 @@
 //                [--snapshot=path.chidx]          termination check
 //   explain <file>                                 non-termination witness
 //   chase <file> [--variant=so|ob|re] [--max-atoms=N] [--max-rounds=N]
-//               [--threads=N] [--checkpoint=FILE]
-//               [--checkpoint-every=N] [--resume=FILE]
+//               [--checkpoint=FILE] [--checkpoint-every=N] [--resume=FILE]
 //               [--progress[=SECS]] [--metrics-interval=SECS] [--print]
 //   simplify <file> [--mode=scan|exists] [--threads=N] [--print]
 //                                                  simple_D(Σ) via the
@@ -35,7 +34,8 @@
 // (io/binary_io.h); .chidx files are shape-index snapshots;
 // anything else uses the Datalog± text syntax. Every subcommand rejects a
 // flag it does not read (exit code 2), and so does every path that does
-// not read it (check --mode=sl, check --snapshot, findshapes --snapshot).
+// not read it (check --mode=sl, check --snapshot, findshapes --snapshot,
+// index stat).
 //
 // check, chase, simplify, and findshapes additionally take
 // --trace=FILE (Chrome trace-event JSON for Perfetto/chrome://tracing)
@@ -191,13 +191,6 @@ bool ParseFinderMode(const Args& args, storage::ShapeFinderMode* mode) {
   return true;
 }
 
-// Default scratch paths are per-invocation so concurrent runs don't stomp
-// each other's heap files.
-std::string ScratchStorePath(const Args& args, const std::string& stem) {
-  return args.Get("store", "/tmp/" + stem + "." +
-                               std::to_string(::getpid()) + ".db");
-}
-
 StatusOr<Program> LoadAnyProgram(const std::string& path) {
   if (IsBinaryPath(path)) return io::LoadProgram(path);
   return ParseProgramFile(path);
@@ -219,6 +212,62 @@ int Fail(const Status& status) {
   std::cerr << "error: " << status << "\n";
   return 1;
 }
+
+// The shape source of a findshapes or index build run: the in-memory
+// catalog, or with --backend=disk a pager store written from the database.
+// The store lives at --store, which is kept, or at a per-process scratch
+// path under /tmp (so concurrent runs don't stomp each other's heap files),
+// which Close removes; the destructor closes, so every exit path does.
+class ScanBackend {
+ public:
+  // `database` must outlive the backend.
+  explicit ScanBackend(const Database* database)
+      : catalog_(database), memory_(&catalog_) {}
+  ~ScanBackend() { Close(); }
+  ScanBackend(const ScanBackend&) = delete;
+  ScanBackend& operator=(const ScanBackend&) = delete;
+
+  // Selects --backend. Returns 0, or the exit code after printing why: 2
+  // for an unknown backend, 1 for a store that could not be written.
+  int Open(const Args& args, const std::string& stem, unsigned threads) {
+    const std::string backend = args.Get("backend", "memory");
+    if (backend == "memory") return 0;
+    if (backend != "disk") {
+      std::cerr << "unknown --backend=" << backend
+                << " (want memory or disk)\n";
+      return 2;
+    }
+    const std::string path = args.Get(
+        "store", "/tmp/" + stem + "." + std::to_string(::getpid()) + ".db");
+    if (!args.Has("store")) scratch_path_ = path;
+    auto created = pager::DiskDatabase::Create(
+        path, catalog_.database(), DiskPoolFrames(threads));
+    if (!created.ok()) return Fail(created.status());
+    disk_db_ = std::move(created).value();
+    disk_source_ = std::make_unique<pager::DiskShapeSource>(disk_db_.get());
+    return 0;
+  }
+
+  const storage::ShapeSource& source() const {
+    if (disk_source_ != nullptr) return *disk_source_;
+    return memory_;
+  }
+
+  // Closes the store (flush + stats quiesce), then removes a scratch one.
+  void Close() {
+    disk_source_.reset();
+    disk_db_.reset();
+    if (!scratch_path_.empty()) std::remove(scratch_path_.c_str());
+    scratch_path_.clear();
+  }
+
+ private:
+  storage::Catalog catalog_;
+  storage::MemoryShapeSource memory_;
+  std::unique_ptr<pager::DiskDatabase> disk_db_;
+  std::unique_ptr<pager::DiskShapeSource> disk_source_;
+  std::string scratch_path_;  // empty with --store
+};
 
 // Loads the shape-index snapshot at `path` and checks that it indexes
 // exactly `db`: the tuple count first (cheap), then the content
@@ -461,8 +510,7 @@ int CmdCheck(const Args& args) {
 int CmdChase(const Args& args) {
   if (args.positional.empty()) {
     std::cerr << "usage: chasectl chase <file> [--variant=so|ob|re] "
-                 "[--max-atoms=N] [--max-rounds=N] [--threads=N] "
-                 "[--checkpoint=FILE] "
+                 "[--max-atoms=N] [--max-rounds=N] [--checkpoint=FILE] "
                  "[--checkpoint-every=N] [--resume=FILE] "
                  "[--progress[=SECS]] [--trace=FILE] [--metrics=FILE] "
                  "[--metrics-interval=SECS] [--print]\n";
@@ -485,7 +533,6 @@ int CmdChase(const Args& args) {
   if (!program.ok()) return Fail(program.status());
 
   ChaseOptions options;
-  if (!ParseThreads(args, &options.frontier_threads)) return 2;
   const std::string variant = args.Get("variant", "so");
   if (variant == "so") {
     options.variant = ChaseVariant::kSemiOblivious;
@@ -577,9 +624,7 @@ int CmdChase(const Args& args) {
             << ChaseOutcomeName(result->outcome) << " after "
             << result->rounds << " rounds, " << result->triggers_fired
             << " triggers, " << result->instance.NumAtoms() << " atoms, "
-            << result->rows_probed << " rows probed, " << chase_ms << " ms\n"
-            << "  peak buffered homs: " << result->peak_buffered_homs
-            << ", enumeration threads: " << result->enum_threads << "\n";
+            << result->rows_probed << " rows probed, " << chase_ms << " ms\n";
   if (args.Has("print")) {
     result->instance.ForEachAtom([&](const GroundAtom& atom) {
       std::cout << ToString(*program->schema, *program->database, atom)
@@ -732,27 +777,12 @@ int CmdFindShapes(const Args& args) {
   if (!ParseFinderMode(args, &options.mode)) return 2;
   if (!ParseThreads(args, &options.threads)) return 2;
 
-  const std::string backend = args.Get("backend", "memory");
-  storage::Catalog catalog(program->database.get());
-  storage::MemoryShapeSource memory_source(&catalog);
-  std::unique_ptr<pager::DiskDatabase> disk_db;
-  std::unique_ptr<pager::DiskShapeSource> disk_source;
-  const storage::ShapeSource* source = &memory_source;
-  const bool keep_store = args.Has("store");
-  const std::string store_path =
-      ScratchStorePath(args, "chasectl_findshapes");
-  if (backend == "disk") {
-    auto created = pager::DiskDatabase::Create(
-        store_path, *program->database, DiskPoolFrames(options.threads));
-    if (!created.ok()) return Fail(created.status());
-    disk_db = std::move(created).value();
-    disk_source = std::make_unique<pager::DiskShapeSource>(disk_db.get());
-    source = disk_source.get();
-  } else if (backend != "memory") {
-    std::cerr << "unknown --backend=" << backend
-              << " (want memory or disk)\n";
-    return 2;
+  ScanBackend backend(program->database.get());
+  if (int rc = backend.Open(args, "chasectl_findshapes", options.threads);
+      rc != 0) {
+    return rc;
   }
+  const storage::ShapeSource* source = &backend.source();
 
   // Io() reports cumulative store-lifetime counters; snapshot before the
   // run so the report excludes the Create-phase load above.
@@ -796,10 +826,7 @@ int CmdFindShapes(const Args& args) {
   }
   // Close the pager (flush + stats quiesce) before the trace is written so
   // fault spans from pool teardown are in the artifact.
-  const bool had_disk = disk_db != nullptr;
-  disk_source.reset();
-  disk_db.reset();
-  if (had_disk && !keep_store) std::remove(store_path.c_str());
+  backend.Close();
   return obs_session.End();
 }
 
@@ -822,6 +849,13 @@ int CmdIndex(const Args& args) {
       std::cerr << usage;
       return 2;
     }
+    // The flag table is per subcommand; stat reads none of build's flags.
+    for (const char* flag : {"backend", "threads", "store"}) {
+      if (args.Has(flag)) {
+        std::cerr << "index stat takes no --" << flag << "\n";
+        return 2;
+      }
+    }
     auto loaded = index::ShapeIndex::Load(args.positional[1]);
     if (!loaded.ok()) return Fail(loaded.status());
     std::cout << "shapes:        " << loaded->NumShapes() << "\n"
@@ -839,49 +873,23 @@ int CmdIndex(const Args& args) {
   unsigned threads = 1;
   if (!ParseThreads(args, &threads)) return 2;
 
-  storage::Catalog catalog(program->database.get());
-  storage::MemoryShapeSource memory_source(&catalog);
-  std::unique_ptr<pager::DiskDatabase> disk_db;
-  std::unique_ptr<pager::DiskShapeSource> disk_source;
-  const storage::ShapeSource* source = &memory_source;
-  const std::string backend = args.Get("backend", "memory");
-  const bool keep_store = args.Has("store");
-  const std::string store_path = ScratchStorePath(args, "chasectl_index");
-  if (backend == "disk") {
-    auto created = pager::DiskDatabase::Create(
-        store_path, *program->database, DiskPoolFrames(threads));
-    if (!created.ok()) return Fail(created.status());
-    disk_db = std::move(created).value();
-    disk_source = std::make_unique<pager::DiskShapeSource>(disk_db.get());
-    source = disk_source.get();
-  } else if (backend != "memory") {
-    std::cerr << "unknown --backend=" << backend
-              << " (want memory or disk)\n";
-    return 2;
+  ScanBackend backend(program->database.get());
+  if (int rc = backend.Open(args, "chasectl_index", threads); rc != 0) {
+    return rc;
   }
-  auto cleanup_store = [&] {
-    if (disk_db != nullptr && !keep_store) {
-      disk_db.reset();  // close before unlinking
-      std::remove(store_path.c_str());
-    }
-  };
+  const storage::ShapeSource* source = &backend.source();
 
   Timer timer;
   auto built = index::ShapeIndex::Build(*source, threads);
   const double build_ms = timer.ElapsedMillis();
-  if (!built.ok()) {
-    cleanup_store();
-    return Fail(built.status());
-  }
+  if (!built.ok()) return Fail(built.status());
   if (Status status = built->Save(args.positional[2]); !status.ok()) {
-    cleanup_store();
     return Fail(status);
   }
   std::cout << "indexed " << built->NumIndexedTuples() << " tuples ("
             << built->NumShapes() << " shapes) in " << build_ms << " ms ("
             << source->Name() << " backend, " << threads << " threads)\n"
             << "wrote " << args.positional[2] << "\n";
-  cleanup_store();
   return 0;
 }
 
@@ -954,9 +962,13 @@ int CmdGenerate(const Args& args) {
   tgd_params.min_arity = 1;
   tgd_params.max_arity = data_params.max_arity;
   tgd_params.tsize = num_tgds;
-  tgd_params.tclass = args.Get("class", "l") == "sl"
-                          ? TgdClass::kSimpleLinear
-                          : TgdClass::kLinear;
+  const std::string tgd_class = args.Get("class", "l");
+  if (tgd_class != "sl" && tgd_class != "l") {
+    std::cerr << "unknown --class=" << tgd_class << " (want sl or l)\n";
+    return 2;
+  }
+  tgd_params.tclass =
+      tgd_class == "sl" ? TgdClass::kSimpleLinear : TgdClass::kLinear;
   tgd_params.seed = data_params.seed + 1;
   auto tgds = GenerateTgds(*data->schema, tgd_params);
   if (!tgds.ok()) return Fail(tgds.status());
@@ -1063,7 +1075,7 @@ int Usage() {
       "[--threads=N] [--snapshot=path.chidx]\n"
       "  chasectl explain <file>               (non-termination witness)\n"
       "  chasectl chase <file> [--variant=so|ob|re] [--max-atoms=N] "
-      "[--max-rounds=N] [--threads=N] [--checkpoint=FILE] "
+      "[--max-rounds=N] [--checkpoint=FILE] "
       "[--checkpoint-every=N] [--resume=FILE] [--progress[=SECS]] "
       "[--metrics-interval=SECS] [--print]\n"
       "  chasectl simplify <file> [--mode=scan|exists] [--threads=N] "
@@ -1112,7 +1124,7 @@ int main(int argc, char** argv) try {
        {"mode", "shapes", "threads", "snapshot", "trace", "metrics"}},
       {"explain", CmdExplain, {}},
       {"chase", CmdChase,
-       {"variant", "max-atoms", "max-rounds", "threads", "checkpoint",
+       {"variant", "max-atoms", "max-rounds", "checkpoint",
         "checkpoint-every", "resume", "progress", "metrics-interval",
         "print", "trace", "metrics"}},
       {"simplify", CmdSimplify,
