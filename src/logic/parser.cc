@@ -7,30 +7,57 @@
 #include "logic/schema.h"
 #include "logic/tgd.h"
 
-#include <cctype>
-#include <unordered_map>
+#include <array>
+#include <cstdint>
+#include <span>
 
 namespace chase {
 namespace {
 
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '?';
+// Byte classes of the grammar, one table load per byte. They are the
+// "C"-locale classes: only ASCII letters and digits count, whatever the
+// process locale.
+enum : uint8_t {
+  kDigit = 1 << 0,       // 0-9
+  kIdentStart = 1 << 1,  // a letter, '_' or '?'
+  kIdentChar = 1 << 2,   // a letter, a digit, '_' or '\''
+  kVarStart = 1 << 3,    // an upper-case letter, '_' or '?'
+};
+
+constexpr std::array<uint8_t, 256> kCharClasses = [] {
+  std::array<uint8_t, 256> classes{};
+  for (int c = 0; c < 256; ++c) {
+    const bool upper = c >= 'A' && c <= 'Z';
+    const bool letter = upper || (c >= 'a' && c <= 'z');
+    const bool digit = c >= '0' && c <= '9';
+    classes[c] = static_cast<uint8_t>(
+        (digit ? kDigit : 0) |
+        (letter || c == '_' || c == '?' ? kIdentStart : 0) |
+        (letter || digit || c == '_' || c == '\'' ? kIdentChar : 0) |
+        (upper || c == '_' || c == '?' ? kVarStart : 0));
+  }
+  return classes;
+}();
+
+bool HasClass(char c, uint8_t mask) {
+  return (kCharClasses[static_cast<unsigned char>(c)] & mask) != 0;
 }
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '\'';
-}
-bool IsVarStart(char c) {
-  return (c >= 'A' && c <= 'Z') || c == '_' || c == '?';
-}
+bool IsDigit(char c) { return HasClass(c, kDigit); }
+bool IsIdentStart(char c) { return HasClass(c, kIdentStart); }
+bool IsIdentChar(char c) { return HasClass(c, kIdentChar); }
+bool IsVarStart(char c) { return HasClass(c, kVarStart); }
 
 // One statement's worth of parsed atoms, before conversion to Tgd / fact.
+// The atoms index into the parser's term scratch, which every statement
+// clears and refills.
 struct ParsedTerm {
   std::string_view text;
   bool is_variable;
 };
 struct ParsedAtom {
   std::string_view pred;
-  std::vector<ParsedTerm> args;
+  uint32_t first;  // index of the first argument in Parser::terms_
+  uint32_t size;   // number of arguments
 };
 
 class Parser {
@@ -103,11 +130,9 @@ class Parser {
       ++pos_;  // closing quote
       return name;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    if (IsDigit(c)) {
       size_t start = pos_;
-      while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-        ++pos_;
-      }
+      while (!AtEnd() && IsDigit(Peek())) ++pos_;
       return text_.substr(start, pos_ - start);
     }
     if (!IsIdentStart(c)) {
@@ -119,87 +144,103 @@ class Parser {
     return text_.substr(start, pos_ - start);
   }
 
-  StatusOr<ParsedAtom> ParseAtom() {
+  // Reads a term: a quoted name is a constant, whatever its text; an
+  // unquoted one is a variable when it starts like one.
+  StatusOr<ParsedTerm> ReadTerm() {
+    const size_t term_start = pos_;
+    CHASE_ASSIGN_OR_RETURN(std::string_view name, ReadName());
+    const char first = text_[term_start];
+    const bool quoted = first == '"' || first == '\'';
+    return ParsedTerm{name, !quoted && IsVarStart(first)};
+  }
+
+  // Appends one atom to atoms_, its arguments to terms_.
+  Status ParseAtom() {
     CHASE_ASSIGN_OR_RETURN(std::string_view pred, ReadName());
     SkipTrivia();
     if (!Consume('(')) return Error("expected '(' after predicate name");
-    ParsedAtom atom;
-    atom.pred = pred;
+    const auto first = static_cast<uint32_t>(terms_.size());
     do {
       SkipTrivia();
-      size_t term_start = pos_;
-      CHASE_ASSIGN_OR_RETURN(std::string_view term, ReadName());
-      const char first = text_[term_start];
-      const bool quoted = first == '"' || first == '\'';
-      atom.args.push_back(ParsedTerm{term, !quoted && IsVarStart(first)});
+      CHASE_ASSIGN_OR_RETURN(ParsedTerm term, ReadTerm());
+      terms_.push_back(term);
       SkipTrivia();
     } while (Consume(','));
     if (!Consume(')')) return Error("expected ')' or ',' in atom");
-    return atom;
+    atoms_.push_back(ParsedAtom{
+        pred, first, static_cast<uint32_t>(terms_.size()) - first});
+    return OkStatus();
   }
 
-  StatusOr<std::vector<ParsedAtom>> ParseAtomList() {
-    std::vector<ParsedAtom> atoms;
+  Status ParseAtomList() {
     do {
       SkipTrivia();
-      CHASE_ASSIGN_OR_RETURN(ParsedAtom atom, ParseAtom());
-      atoms.push_back(std::move(atom));
+      CHASE_RETURN_IF_ERROR(ParseAtom());
       SkipTrivia();
     } while (Consume(','));
-    return atoms;
+    return OkStatus();
+  }
+
+  std::span<const ParsedTerm> Args(const ParsedAtom& atom) const {
+    return std::span<const ParsedTerm>(terms_).subspan(atom.first, atom.size);
   }
 
   Status ParseStatement() {
-    CHASE_ASSIGN_OR_RETURN(std::vector<ParsedAtom> body, ParseAtomList());
+    atoms_.clear();
+    terms_.clear();
+    CHASE_RETURN_IF_ERROR(ParseAtomList());
+    const size_t num_body = atoms_.size();
     SkipTrivia();
     if (ConsumeArrow()) {
-      return FinishRule(std::move(body));
+      return FinishRule(num_body);
     }
     if (!Consume('.')) return Error("expected '.' or '->' after atom(s)");
     if (rules_only_) return Error("facts are not allowed in a rule file");
-    if (body.size() != 1) {
+    if (num_body != 1) {
       return Error("a fact must consist of a single atom");
     }
-    return AddFact(body[0]);
+    return AddFact(atoms_[0]);
   }
 
-  Status FinishRule(std::vector<ParsedAtom> body) {
+  // atoms_[0, num_body) is the body; the head is appended after it.
+  Status FinishRule(size_t num_body) {
     SkipTrivia();
     // Optional "exists V1, V2 :" prefix; the listed variables must be
     // head-only, which Tgd::Create enforces structurally, so the list is
     // validated and otherwise ignored.
-    std::vector<std::string_view> declared_existentials;
+    existentials_.clear();
     if (PeekKeyword("exists")) {
       pos_ += 6;
       do {
         SkipTrivia();
-        CHASE_ASSIGN_OR_RETURN(std::string_view var, ReadName());
-        if (!IsVarStart(var[0])) {
+        CHASE_ASSIGN_OR_RETURN(ParsedTerm var, ReadTerm());
+        if (!var.is_variable) {
           return Error("'exists' list must contain variables");
         }
-        declared_existentials.push_back(var);
+        existentials_.push_back(var.text);
         SkipTrivia();
       } while (Consume(','));
       if (!Consume(':')) return Error("expected ':' after 'exists' list");
     }
     SkipTrivia();
-    CHASE_ASSIGN_OR_RETURN(std::vector<ParsedAtom> head, ParseAtomList());
+    CHASE_RETURN_IF_ERROR(ParseAtomList());
     SkipTrivia();
     if (!Consume('.')) return Error("expected '.' at end of rule");
 
+    const std::span<const ParsedAtom> atoms(atoms_);
     var_ids_.clear();
     CHASE_ASSIGN_OR_RETURN(std::vector<RuleAtom> body_atoms,
-                           ConvertRuleAtoms(body));
+                           ConvertRuleAtoms(atoms.first(num_body)));
     const size_t num_body_vars = var_ids_.size();
     CHASE_ASSIGN_OR_RETURN(std::vector<RuleAtom> head_atoms,
-                           ConvertRuleAtoms(head));
-    for (std::string_view var : declared_existentials) {
-      auto it = var_ids_.find(var);
-      if (it == var_ids_.end()) {
+                           ConvertRuleAtoms(atoms.subspan(num_body)));
+    for (std::string_view var : existentials_) {
+      const size_t id = FindVar(var);
+      if (id == var_ids_.size()) {
         return Error("existential variable '" + std::string(var) +
                      "' does not occur in the head");
       }
-      if (it->second < num_body_vars) {
+      if (id < num_body_vars) {
         return Error("variable '" + std::string(var) +
                      "' is declared existential but occurs in the body");
       }
@@ -216,27 +257,34 @@ class Parser {
     return after >= text_.size() || !IsIdentChar(text_[after]);
   }
 
+  // The id of variable `name` in the current rule (its index in var_ids_),
+  // or var_ids_.size() if it has none yet. Rules have few variables, so a
+  // linear scan beats hashing.
+  size_t FindVar(std::string_view name) const {
+    size_t id = 0;
+    while (id < var_ids_.size() && var_ids_[id] != name) ++id;
+    return id;
+  }
+
   StatusOr<std::vector<RuleAtom>> ConvertRuleAtoms(
-      const std::vector<ParsedAtom>& atoms) {
+      std::span<const ParsedAtom> atoms) {
     std::vector<RuleAtom> out;
     out.reserve(atoms.size());
     for (const ParsedAtom& atom : atoms) {
-      auto pred = program_->schema->GetOrAddPredicate(
-          atom.pred, static_cast<uint32_t>(atom.args.size()));
+      auto pred = program_->schema->GetOrAddPredicate(atom.pred, atom.size);
       if (!pred.ok()) return Error(std::string(pred.status().message()));
       RuleAtom rule_atom;
       rule_atom.pred = pred.value();
-      rule_atom.args.reserve(atom.args.size());
-      for (const ParsedTerm& term : atom.args) {
+      rule_atom.args.reserve(atom.size);
+      for (const ParsedTerm& term : Args(atom)) {
         if (!term.is_variable) {
           return Error("constants are not allowed in rules (TGDs are "
                        "constant-free): '" +
                        std::string(term.text) + "'");
         }
-        auto [it, inserted] = var_ids_.emplace(
-            term.text, static_cast<VarId>(var_ids_.size()));
-        rule_atom.args.push_back(it->second);
-        (void)inserted;
+        const size_t id = FindVar(term.text);
+        if (id == var_ids_.size()) var_ids_.push_back(term.text);
+        rule_atom.args.push_back(static_cast<VarId>(id));
       }
       out.push_back(std::move(rule_atom));
     }
@@ -244,11 +292,10 @@ class Parser {
   }
 
   Status AddFact(const ParsedAtom& atom) {
-    auto pred = program_->schema->GetOrAddPredicate(
-        atom.pred, static_cast<uint32_t>(atom.args.size()));
+    auto pred = program_->schema->GetOrAddPredicate(atom.pred, atom.size);
     if (!pred.ok()) return Error(std::string(pred.status().message()));
     tuple_buffer_.clear();
-    for (const ParsedTerm& term : atom.args) {
+    for (const ParsedTerm& term : Args(atom)) {
       if (term.is_variable) {
         return Error("variables are not allowed in facts: '" +
                      std::string(term.text) + "'");
@@ -266,7 +313,11 @@ class Parser {
   size_t pos_ = 0;
   size_t line_ = 1;
   size_t line_start_ = 0;
-  std::unordered_map<std::string_view, VarId> var_ids_;
+  // Per-statement scratch, cleared (not freed) between statements.
+  std::vector<ParsedAtom> atoms_;   // body atoms, then head atoms
+  std::vector<ParsedTerm> terms_;   // every atom's arguments, in order
+  std::vector<std::string_view> existentials_;  // the "exists" list
+  std::vector<std::string_view> var_ids_;  // a rule's variables by id
   std::vector<uint32_t> tuple_buffer_;
 };
 

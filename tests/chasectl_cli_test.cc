@@ -60,6 +60,8 @@ class ChasectlCliTest : public ::testing::Test {
            "r(X,Y) -> r(Y,X).\n";
   }
 
+  static void TearDownTestSuite() { std::remove(program_path_.c_str()); }
+
   static std::string program_path_;
 };
 
@@ -525,6 +527,30 @@ TEST_F(ChasectlCliTest, ChasePrintsOneSummaryLine) {
   EXPECT_EQ(out.rfind("restricted chase: fixpoint after ", 0), 0u) << out;
   EXPECT_NE(out.find(" rows probed, "), std::string::npos) << out;
   EXPECT_EQ(out.find('\n'), out.size() - 1) << out;
+}
+
+// The milliseconds printed on the `  <label> <ms> ms` line of `out`, or -1.
+double PrintedMs(const std::string& out, const std::string& label) {
+  const size_t at = out.find("  " + label);
+  if (at == std::string::npos) return -1;
+  return std::strtod(out.c_str() + at + 2 + label.size(), nullptr);
+}
+
+// check's t-total covers the whole check, its t-parse (the load) included,
+// in both modes.
+TEST_F(ChasectlCliTest, CheckTotalIncludesParse) {
+  for (const char* mode : {"sl", "l"}) {
+    std::string out;
+    ASSERT_EQ(RunChasectl("check " + program_path_ + " --mode=" + mode,
+                          nullptr, &out),
+              0)
+        << mode;
+    const double parse_ms = PrintedMs(out, "t-parse:");
+    const double total_ms = PrintedMs(out, "t-total:");
+    ASSERT_GE(parse_ms, 0) << out;
+    ASSERT_GE(total_ms, 0) << out;
+    EXPECT_GE(total_ms, parse_ms) << mode << "\n" << out;
+  }
 }
 
 TEST_F(ChasectlCliTest, ObservabilityRunsProduceArtifacts) {

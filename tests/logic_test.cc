@@ -28,6 +28,77 @@ TEST(SymbolTableTest, FindMissing) {
   EXPECT_TRUE(table.Find("yes").has_value());
 }
 
+// Ids are dense in first-use order however often the table grows, and
+// every name stays findable under its id after each growth.
+TEST(SymbolTableTest, IdsAreDenseInFirstUseOrderAcrossGrowth) {
+  constexpr uint32_t kNames = 100'000;
+  SymbolTable table;
+  EXPECT_EQ(table.Intern(""), 0u);  // the empty name is a name like any
+  for (uint32_t i = 1; i < kNames; ++i) {
+    const std::string name = "c" + std::to_string(i);
+    ASSERT_EQ(table.Intern(name), i);
+    ASSERT_EQ(table.size(), i + 1);
+    // A power-of-two size is right after a growth; check everything then.
+    if ((i & (i - 1)) == 0) {
+      for (uint32_t j = 1; j <= i; ++j) {
+        const std::string old = "c" + std::to_string(j);
+        ASSERT_EQ(table.Find(old), j) << old;
+        ASSERT_EQ(table.NameOf(j), old);
+      }
+      ASSERT_EQ(table.Find(""), 0u);
+    }
+  }
+  for (uint32_t i = 1; i < kNames; ++i) {
+    const std::string name = "c" + std::to_string(i);
+    ASSERT_EQ(table.Intern(name), i);  // re-interning adds nothing
+    ASSERT_EQ(table.NameOf(i), name);
+  }
+  EXPECT_EQ(table.size(), kNames);
+  EXPECT_EQ(table.NameOf(0), "");
+  EXPECT_EQ(table.Find(""), 0u);
+  EXPECT_FALSE(table.Find("c" + std::to_string(kNames)).has_value());
+}
+
+TEST(SymbolTableTest, PrefixPairsAreDistinctNames) {
+  SymbolTable table;
+  const uint32_t c1 = table.Intern("c1");
+  const uint32_t c10 = table.Intern("c10");
+  const uint32_t c = table.Intern("c");
+  EXPECT_EQ(c1, 0u);
+  EXPECT_EQ(c10, 1u);
+  EXPECT_EQ(c, 2u);
+  EXPECT_EQ(table.Find("c1"), c1);
+  EXPECT_EQ(table.Find("c10"), c10);
+  EXPECT_EQ(table.Find("c"), c);
+  EXPECT_FALSE(table.Find("c100").has_value());
+  EXPECT_FALSE(table.Find("").has_value());
+  // A view of a longer buffer matches only its own bytes.
+  const std::string buffer = "c10x";
+  EXPECT_EQ(table.Find(std::string_view(buffer).substr(0, 2)), c1);
+  EXPECT_EQ(table.Find(std::string_view(buffer).substr(0, 3)), c10);
+}
+
+// Intern copies the name: overwriting the caller's buffer afterwards
+// changes nothing in the table.
+TEST(SymbolTableTest, TableOwnsItsCopyOfEachName) {
+  SymbolTable table;
+  std::string buffer = "alpha";
+  const uint32_t alpha = table.Intern(buffer);
+  buffer.replace(0, buffer.size(), "omega");
+  EXPECT_EQ(table.NameOf(alpha), "alpha");
+  EXPECT_EQ(table.Find("alpha"), alpha);
+  EXPECT_FALSE(table.Find("omega").has_value());
+  EXPECT_EQ(table.Intern(buffer), alpha + 1);
+  // A long name (past any small-string buffer) and growth after it.
+  std::string long_name(100, 'x');
+  const uint32_t xs = table.Intern(long_name);
+  long_name.assign(100, 'y');
+  for (int i = 0; i < 1000; ++i) table.Intern("n" + std::to_string(i));
+  EXPECT_EQ(table.NameOf(xs), std::string(100, 'x'));
+  EXPECT_EQ(table.Find(std::string(100, 'x')), xs);
+  EXPECT_FALSE(table.Find(long_name).has_value());
+}
+
 TEST(TermTest, TaggedRepresentation) {
   const Term c = MakeConstant(7);
   const Term n = MakeNull(7);

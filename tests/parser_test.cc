@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "base/rng.h"
 #include "logic/parser.h"
 #include "logic/printer.h"
 
@@ -130,6 +135,80 @@ TEST(ParserTest, RejectsMalformedAtoms) {
   EXPECT_FALSE(ParseProgram("r(a,).").ok());
 }
 
+// Error messages and their line:col, byte for byte.
+TEST(ParserTest, ErrorMessagesArePinned) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"r(a)", "parse error at line 1:5: expected '.' or '->' after atom(s)"},
+      {"r(a).\n  r(", "parse error at line 2:5: unexpected end of input, "
+                      "expected a name"},
+      {"r(\"ab", "parse error at line 1:6: unterminated quoted name"},
+      {"r(a;b).", "parse error at line 1:4: expected ')' or ',' in atom"},
+      {"r a.", "parse error at line 1:3: expected '(' after predicate name"},
+      {"r(-).", "parse error at line 1:3: unexpected character '-'"},
+      {"r(a), s(b).", "parse error at line 1:12: a fact must consist of a "
+                      "single atom"},
+      {"r(X).", "parse error at line 1:6: variables are not allowed in "
+                "facts: 'X'"},
+      {"r(a,b). r(c).", "parse error at line 1:14: predicate 'r' used with "
+                        "arity 1 but declared with arity 2"},
+      {"r(X) -> s(X, a).", "parse error at line 1:17: constants are not "
+                           "allowed in rules (TGDs are constant-free): 'a'"},
+      {"r(X) -> exists a : s(X).", "parse error at line 1:17: 'exists' list "
+                                   "must contain variables"},
+      {"r(X) -> exists Z s(X).", "parse error at line 1:18: expected ':' "
+                                 "after 'exists' list"},
+      {"r(X) -> exists W : s(X, Z).", "parse error at line 1:28: existential "
+                                      "variable 'W' does not occur in the "
+                                      "head"},
+      {"r(X) -> exists X : s(X).", "parse error at line 1:25: variable 'X' "
+                                   "is declared existential but occurs in "
+                                   "the body"},
+      {"r(X) -> s(X)", "parse error at line 1:13: expected '.' at end of "
+                       "rule"},
+      // The exists list classifies names as atoms do: a quoted name is a
+      // constant, however it is spelled, the empty one included.
+      {"r(a). r(X) -> exists \"Z\" : s(X,Z).",
+       "parse error at line 1:25: 'exists' list must contain variables"},
+      {"r(a). r(X) -> exists '' : s(X,Z).",
+       "parse error at line 1:24: 'exists' list must contain variables"},
+      {"r(a). r(X) -> exists Z, 'W' : s(X,Z,W).",
+       "parse error at line 1:28: 'exists' list must contain variables"},
+  };
+  for (const auto& [text, message] : cases) {
+    EXPECT_EQ(ParseProgram(text).status().message(), message) << text;
+  }
+}
+
+// Letters, digits and identifier characters are the ASCII ("C" locale)
+// classes, byte for byte.
+TEST(ParserTest, CharacterClassesAreAscii) {
+  for (int byte = 0; byte < 256; ++byte) {
+    const char c = static_cast<char>(byte);
+    const bool alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+    const bool digit = c >= '0' && c <= '9';
+    // An identifier starts with a letter, '_' or '?'.
+    const std::string start = std::string(1, c) + "b";
+    auto program = ParseProgram(start + "(a).");
+    EXPECT_EQ(program.ok() && program->schema->FindPredicate(start),
+              alpha || c == '_' || c == '?')
+        << "byte " << byte;
+    // It continues with letters, digits, '_' and '\''.
+    const std::string inner = std::string("a") + c + "b";
+    program = ParseProgram("r(" + inner + ").");
+    EXPECT_EQ(program.ok() && program->database->NumNamedConstants() == 1 &&
+                  program->database->ConstantName(0) == inner,
+              alpha || digit || c == '_' || c == '\'')
+        << "byte " << byte;
+    // A number is a run of digits.
+    const std::string number = std::string("1") + c;
+    program = ParseProgram("r(" + number + ").");
+    EXPECT_EQ(program.ok() && program->database->NumNamedConstants() == 1 &&
+                  program->database->ConstantName(0) == number,
+              digit)
+        << "byte " << byte;
+  }
+}
+
 TEST(ParserTest, RejectsUnterminatedQuote) {
   EXPECT_FALSE(ParseProgram("r(\"abc).").ok());
 }
@@ -232,6 +311,144 @@ TEST(ParserTest, ProgramFileMustBeARegularFile) {
   }
   std::filesystem::remove(dir);
   EXPECT_EQ(ParseProgramFile(dir).status().code(), StatusCode::kNotFound);
+}
+
+// A generated linear program: facts and rules interleaved, with the
+// predicate and constant names in the order the text first uses them.
+struct GeneratedProgram {
+  std::string text;
+  std::vector<size_t> statement_ends;  // offset just past each statement
+  std::vector<std::string> predicates;
+  std::vector<std::string> constants;
+};
+
+GeneratedProgram GenerateLinearProgram(size_t facts, size_t rules) {
+  constexpr uint32_t kPredicates = 700;
+  constexpr uint32_t kConstants = 6000;
+  Rng rng(20230322);
+  auto draw = [&](uint64_t n) { return rng.Below(n); };
+  auto arity = [](uint64_t pred) { return 1 + pred % 3; };
+  GeneratedProgram out;
+  std::vector<bool> pred_seen(kPredicates), const_seen(kConstants);
+  auto use_pred = [&](uint64_t pred) {
+    const std::string name = "p" + std::to_string(pred);
+    if (!pred_seen[pred]) {
+      pred_seen[pred] = true;
+      out.predicates.push_back(name);
+    }
+    return name;
+  };
+  const char* const var_names[] = {"X", "Y1", "_v", "?w", "Long_Name'"};
+  for (size_t fact = 0, rule = 0; fact < facts || rule < rules;) {
+    if (fact < facts && (rule == rules || draw(2) == 0)) {
+      const uint64_t pred = draw(kPredicates);
+      out.text += use_pred(pred) + "(";
+      for (uint64_t i = 0; i < arity(pred); ++i) {
+        const uint64_t constant = draw(kConstants);
+        // Numbers and identifiers, some written quoted.
+        const std::string name = constant % 5 == 0
+                                     ? std::to_string(constant)
+                                     : "c" + std::to_string(constant);
+        if (!const_seen[constant]) {
+          const_seen[constant] = true;
+          out.constants.push_back(name);
+        }
+        out.text += (i > 0 ? ", " : "") +
+                    (constant % 7 == 0 ? "'" + name + "'" : name);
+      }
+      out.text += ").";
+      ++fact;
+    } else {
+      // One body atom over up to 3 variables (possibly repeated), one or
+      // two head atoms that may add 2 more: those are existential.
+      const uint64_t body = draw(kPredicates);
+      std::string text = use_pred(body) + "(";
+      for (uint64_t i = 0; i < arity(body); ++i) {
+        text += (i > 0 ? "," : "") + std::string(var_names[draw(3)]);
+      }
+      text += ") -> ";
+      const uint64_t heads = 1 + draw(2);
+      for (uint64_t h = 0; h < heads; ++h) {
+        const uint64_t head = draw(kPredicates);
+        text += (h > 0 ? ", " : "") + use_pred(head) + "(";
+        for (uint64_t i = 0; i < arity(head); ++i) {
+          text += (i > 0 ? "," : "") + std::string(var_names[draw(5)]);
+        }
+        text += ")";
+      }
+      out.text += text + ".";
+      ++rule;
+    }
+    out.text += draw(4) == 0 ? "  % note\n" : "\n";
+    out.statement_ends.push_back(out.text.size());
+  }
+  return out;
+}
+
+std::string PrintProgram(const Program& program) {
+  std::ostringstream os;
+  PrintDatabase(*program.database, os);
+  PrintTgds(*program.schema, program.tgds, os);
+  return os.str();
+}
+
+void ExpectSameProgram(const Program& a, const Program& b) {
+  ASSERT_EQ(a.schema->NumPredicates(), b.schema->NumPredicates());
+  for (PredId pred = 0; pred < a.schema->NumPredicates(); ++pred) {
+    ASSERT_EQ(a.schema->PredicateName(pred), b.schema->PredicateName(pred));
+  }
+  ASSERT_EQ(a.database->NumNamedConstants(), b.database->NumNamedConstants());
+  for (uint32_t c = 0; c < a.database->NumNamedConstants(); ++c) {
+    ASSERT_EQ(a.database->ConstantName(c), b.database->ConstantName(c));
+  }
+  ASSERT_EQ(a.tgds, b.tgds);
+  ASSERT_EQ(PrintProgram(a), PrintProgram(b));
+}
+
+// Predicate and constant ids are their first use in the text, printing and
+// re-parsing is a fixed point, and loading the text in pieces gives the
+// same ids as loading it whole.
+TEST(ParserTest, GeneratedProgramKeepsFirstUseIds) {
+  const GeneratedProgram generated = GenerateLinearProgram(10'000, 10'000);
+  auto program = ParseProgram(generated.text);
+  ASSERT_TRUE(program.ok()) << program.status();
+  EXPECT_EQ(program->database->TotalFacts(), 10'000u);
+  ASSERT_EQ(program->tgds.size(), 10'000u);
+  for (const Tgd& tgd : program->tgds) ASSERT_TRUE(tgd.IsLinear());
+
+  ASSERT_EQ(program->schema->NumPredicates(), generated.predicates.size());
+  for (PredId pred = 0; pred < generated.predicates.size(); ++pred) {
+    ASSERT_EQ(program->schema->PredicateName(pred),
+              generated.predicates[pred]);
+  }
+  ASSERT_EQ(program->database->NumNamedConstants(),
+            generated.constants.size());
+  for (uint32_t c = 0; c < generated.constants.size(); ++c) {
+    ASSERT_EQ(program->database->ConstantName(c), generated.constants[c]);
+  }
+
+  const std::string printed = PrintProgram(*program);
+  auto reparsed = ParseProgram(printed);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
+  EXPECT_EQ(PrintProgram(*reparsed), printed);
+
+  // Pieces of 1 to 997 statements, through one program.
+  Program pieces;
+  size_t begin = 0;
+  for (size_t i = 0, step = 1; i < generated.statement_ends.size();
+       i += step, step = step * 7 % 997 + 1) {
+    const size_t end =
+        generated.statement_ends[std::min(i + step,
+                                          generated.statement_ends.size()) -
+                                 1];
+    ASSERT_TRUE(ParseProgramInto(
+                    std::string_view(generated.text).substr(begin, end - begin),
+                    &pieces)
+                    .ok());
+    begin = end;
+  }
+  ASSERT_EQ(begin, generated.text.size());
+  ExpectSameProgram(*program, pieces);
 }
 
 TEST(ParserTest, IncrementalParsing) {

@@ -54,6 +54,17 @@ patterns that protect it, on every file, in CI:
                    without either. A table that needs erase (FlatSet has
                    none) says so in a suppression.
 
+  node-string-container
+                   std::unordered_{set,map} keyed on std::string or
+                   std::string_view under src/. Such a table pays a heap
+                   node per name and a pointer chase per probe, and a
+                   string_view key needs a second, owning copy of every
+                   name elsewhere; SymbolTable (logic/symbols.h) interns
+                   names into one flat FlatSet (base/flat_set.h) probed by
+                   string_view, and a handful of names is a vector
+                   searched linearly. A table that needs erase says so in
+                   a suppression.
+
   node-row-container
                    std::unordered_{set,map} keyed on GroundAtom,
                    std::vector<uint64_t> or std::vector<Term> under
@@ -138,6 +149,11 @@ THREAD_SCOPE = (os.path.join("src", ""), os.path.join("tools", ""))
 # node-shape-container ------------------------------------------------------
 NODE_SHAPE_CONTAINER_RE = re.compile(
     r"\bunordered_(?:set|map)\s*<\s*(?:(?:::)?chase::)?Shape\b")
+
+# node-string-container -----------------------------------------------------
+NODE_STRING_CONTAINER_RE = re.compile(
+    r"\bunordered_(?:set|map)\s*<\s*(?:(?:::)?std::)?(?:string|string_view)"
+    r"\s*[,>]")
 
 # node-row-container --------------------------------------------------------
 ROW_CONTAINER_DIRS = (os.path.join("src", "chase"),)
@@ -315,6 +331,18 @@ class FileLinter:
                     "ShapeView, or say why it needs erase in "
                     "`// chase-lint: allow(node-shape-container) <why>`")
 
+    def check_node_string_container(self):
+        if not in_dirs(self.relpath, ("src",)):
+            return
+        for i, code in enumerate(self.code, start=1):
+            if NODE_STRING_CONTAINER_RE.search(code):
+                self.report(
+                    i, "node-string-container",
+                    "node-based hash container keyed on a string; intern "
+                    "names in a SymbolTable (logic/symbols.h), search a "
+                    "short vector, or say why it needs erase in "
+                    "`// chase-lint: allow(node-string-container) <why>`")
+
     def check_node_row_container(self):
         if not in_dirs(self.relpath, ROW_CONTAINER_DIRS):
             return
@@ -403,6 +431,7 @@ class FileLinter:
         self.check_raw_sto()
         self.check_naked_thread()
         self.check_node_shape_container()
+        self.check_node_string_container()
         self.check_node_row_container()
         self.check_envelope_io()
         self.check_signal_handler()
