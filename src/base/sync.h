@@ -29,7 +29,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // Clang thread-safety analysis attributes (abseil-style spellings). The
 // `defined(__clang__)` gate keeps GCC builds attribute-free rather than
@@ -49,22 +48,12 @@
 #define ACQUIRED_AFTER(...) CHASE_TS_ATTRIBUTE(acquired_after(__VA_ARGS__))
 #define REQUIRES(...) \
   CHASE_TS_ATTRIBUTE(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) \
-  CHASE_TS_ATTRIBUTE(requires_shared_capability(__VA_ARGS__))
 #define ACQUIRE(...) CHASE_TS_ATTRIBUTE(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-  CHASE_TS_ATTRIBUTE(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) CHASE_TS_ATTRIBUTE(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-  CHASE_TS_ATTRIBUTE(release_shared_capability(__VA_ARGS__))
 #define TRY_ACQUIRE(...) \
   CHASE_TS_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
-#define TRY_ACQUIRE_SHARED(...) \
-  CHASE_TS_ATTRIBUTE(try_acquire_shared_capability(__VA_ARGS__))
 #define EXCLUDES(...) CHASE_TS_ATTRIBUTE(locks_excluded(__VA_ARGS__))
 #define ASSERT_CAPABILITY(x) CHASE_TS_ATTRIBUTE(assert_capability(x))
-#define ASSERT_SHARED_CAPABILITY(x) \
-  CHASE_TS_ATTRIBUTE(assert_shared_capability(x))
 #define RETURN_CAPABILITY(x) CHASE_TS_ATTRIBUTE(lock_returned(x))
 #define NO_THREAD_SAFETY_ANALYSIS \
   CHASE_TS_ATTRIBUTE(no_thread_safety_analysis)
@@ -103,64 +92,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-// std::shared_mutex with the "mutex" capability: many readers or one
-// writer. Reader-side methods carry the *_SHARED attribute family, so a
-// method annotated REQUIRES_SHARED(mu_) may be entered under either lock
-// flavor, while writes to GUARDED_BY fields still demand the exclusive
-// side. Use for read-mostly structures whose reads are too hot to
-// serialize (e.g. SeenSet membership probes under a saturated frontier).
-class CAPABILITY("mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() ACQUIRE() { mu_.lock(); }
-  void Unlock() RELEASE() { mu_.unlock(); }
-  bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  void LockShared() ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool TryLockShared() TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
-
- private:
-  std::shared_mutex mu_;
-};
-
-// RAII exclusive scope lock over a chase::SharedMutex — the writer side.
-class SCOPED_CAPABILITY SharedMutexLock {
- public:
-  explicit SharedMutexLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) {
-    mu_.Lock();
-  }
-  ~SharedMutexLock() RELEASE() { mu_.Unlock(); }
-
-  SharedMutexLock(const SharedMutexLock&) = delete;
-  SharedMutexLock& operator=(const SharedMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-// RAII shared scope lock over a chase::SharedMutex — the reader side. The
-// analysis treats the scope as holding the capability shared: reads of
-// GUARDED_BY fields are admitted, writes are still rejected.
-class SCOPED_CAPABILITY SharedReaderLock {
- public:
-  explicit SharedReaderLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.LockShared();
-  }
-  ~SharedReaderLock() RELEASE() { mu_.UnlockShared(); }
-
-  SharedReaderLock(const SharedReaderLock&) = delete;
-  SharedReaderLock& operator=(const SharedReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 // std::condition_variable over chase::Mutex. Wait atomically releases and

@@ -19,31 +19,30 @@
 //    pool (the same range-partitioned chunking discipline as
 //    storage::ParallelTupleScan), so one expensive item cannot pin the
 //    whole depth on a single worker;
-//  * discovered successors pass through a shared seen-set under striped
-//    latches — the first discoverer admits an item, every later discovery
-//    is dropped — and per-worker fresh-item lists are merged and sorted
-//    after the barrier, so the next frontier is canonical (duplicate-free,
-//    ascending) regardless of thread count or scheduling;
+//  * the seen-set is frozen while a depth expands: workers only read it,
+//    so they share it without a latch. Each worker filters its
+//    discoveries against it into its own fresh set; at the barrier the
+//    calling thread splices the fresh sets into the seen-set (the first
+//    copy of an item queued by two workers is admitted, the other
+//    dropped) and sorts the admitted items into the next frontier, so it
+//    is canonical (duplicate-free, ascending) regardless of thread count
+//    or scheduling;
 //  * per-item outputs are written into a per-depth slot vector and handed
 //    to a serial `absorb` callback in frontier order, so anything the
-//    caller accumulates (emitted TGDs, interned predicates) is ordered
-//    identically to a single-threaded run. Consumers whose absorption is
-//    associative and commutative (set inserts) can instead opt into a
-//    parallel absorb that runs per-chunk on the same pool — see
-//    RunParallelAbsorb.
+//    caller accumulates (emitted TGDs, interned predicates, confirmed
+//    shapes) is ordered identically to a single-threaded run.
 //
 // The net contract: Run with N threads produces bit-identical results to
 // Run with 1 thread (which executes inline on the calling thread, with no
-// pool and no latching). tests/frontier_equivalence_test.cc holds the
-// consumers to it; tests/frontier_pool_test.cc stresses the engine itself
-// under ThreadSanitizer.
+// pool). tests/frontier_equivalence_test.cc holds the consumers to it;
+// tests/frontier_pool_test.cc stresses the engine itself under
+// ThreadSanitizer, which guards the frozen-seen-set reads and the barrier.
 
 #ifndef CHASE_EXEC_FRONTIER_POOL_H_
 #define CHASE_EXEC_FRONTIER_POOL_H_
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -51,7 +50,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "base/hash.h"
 #include "base/padded.h"
 #include "base/status.h"
 #include "base/sync.h"
@@ -60,12 +58,9 @@
 
 namespace chase {
 
-// The one chunk-size heuristic behind every dealing site: roughly a few
-// chunks per thread, so dynamically dealt chunks still balance uneven
-// per-index cost. This is also the deterministic-boundary rule the
-// parallel-absorb contract documents (chunk boundaries depend only on the
-// index-space size and the thread count) — keep every copy of the formula
-// here so the sites cannot drift apart.
+// The one chunk-size heuristic behind every dealing site (WorkerPool's
+// ParallelFor and storage::ParallelTupleScan): roughly a few chunks per
+// thread, so dynamically dealt chunks still balance uneven per-index cost.
 inline size_t FrontierChunkSize(size_t n, unsigned threads) {
   return std::max<size_t>(1, n / (4 * std::max(1u, threads)));
 }
@@ -138,19 +133,15 @@ class WorkerPool {
   std::vector<std::thread> workers_;
 };
 
-// Counters reported by FrontierPool::Run. worker_expanded proves how the
-// frontier itself was split: with one giant work item source (e.g. a single
-// high-arity predicate's lattice), multiple non-zero entries mean multiple
-// workers expanded parts of it. Populated on every exit path, error
-// returns included, with items_expanded always equal to the number of
-// `expand` invocations that actually ran (= the sum of worker_expanded).
+// Counters reported by FrontierPool::Run. Populated on every exit path,
+// error returns included, with items_expanded always equal to the number
+// of `expand` invocations that actually ran.
 struct FrontierStats {
   uint64_t depths = 0;           // number of synchronized frontier waves
   uint64_t seeds_admitted = 0;   // unique seeds (duplicates are dropped)
   uint64_t items_expanded = 0;   // unique items actually expanded
   uint64_t items_discovered = 0;  // successors admitted past the seen filter
   uint64_t max_frontier = 0;     // widest single depth
-  std::vector<uint64_t> worker_expanded;  // per-worker expansion counts
 };
 
 // The engine. Item must be hashable (Hash), equality-comparable (for the
@@ -158,33 +149,40 @@ struct FrontierStats {
 // per-depth sort); Out must be default-constructible.
 template <typename Item, typename Out, typename Hash = std::hash<Item>>
 class FrontierPool {
+  // Node-based on purpose: the barrier splices admitted nodes from the
+  // fresh sets into the seen-set, so no admitted item is ever copied
+  // between sets. Each alternative measured moved the spine's
+  // manyrules.peak_rss_mb toward its 10% bound (4 alternating pairs
+  // each): FlatSet for the seen and fresh sets +9.1%, per-worker vectors
+  // deduplicated at the barrier +9.3%, node-based fresh sets copied into
+  // the seen-set +3.9% (4-vCPU VM, Release).
+  using ItemSet = std::unordered_set<Item, Hash>;
+
  public:
   struct Options {
-    unsigned threads = 1;  // <= 1 expands inline: no workers, no latching
+    unsigned threads = 1;  // <= 1 expands inline: no workers
   };
 
-  // Successor sink handed to each expansion. Thread-confined: a worker only
-  // ever touches its own fresh-item list; the shared seen-set underneath is
-  // striped-latched.
+  // Successor sink handed to each expansion. Thread-confined: a worker
+  // writes only its own fresh set and only reads the seen-set, which
+  // nothing writes while a depth expands.
   class Discoveries {
    public:
-    // Admits `item` into the next frontier unless some expansion (this
-    // depth or any earlier one) already discovered it. The const& form
-    // copies `item` only when it is admitted.
+    // Queues `item` for the next frontier unless an earlier depth already
+    // admitted it. The const& form copies `item` only when it queues it.
     void Discover(Item&& item) {
-      if (seen_->Insert(item)) fresh_->push_back(std::move(item));
+      if (!seen_.contains(item)) fresh_.insert(std::move(item));
     }
     void Discover(const Item& item) {
-      if (seen_->Insert(item)) fresh_->push_back(item);
+      if (!seen_.contains(item)) fresh_.insert(item);
     }
 
    private:
     friend class FrontierPool;
-    class SeenSet;
-    Discoveries(SeenSet* seen, std::vector<Item>* fresh)
+    Discoveries(const ItemSet& seen, ItemSet& fresh)
         : seen_(seen), fresh_(fresh) {}
-    SeenSet* seen_;
-    std::vector<Item>* fresh_;
+    const ItemSet& seen_;
+    ItemSet& fresh_;
   };
 
   // Expands one item: fills `out` (absorbed after the depth barrier) and
@@ -204,18 +202,6 @@ class FrontierPool {
       std::function<Status(std::span<const Item> frontier,
                            std::span<Out> outs)>;
 
-  // The opt-in parallel absorb: consumes one deterministic contiguous
-  // chunk of a depth's canonical frontier. Chunk boundaries depend only on
-  // the frontier size and the thread count — never on scheduling — but
-  // calls run concurrently on the pool and in arbitrary chunk order, so a
-  // consumer opting in guarantees its absorption is associative and
-  // commutative across chunks (e.g. inserts into a set whose final
-  // extraction is sorted). `worker` indexes caller-side thread-local
-  // accumulators: calls for the same worker never overlap.
-  using ParallelAbsorbFn =
-      std::function<Status(unsigned worker, std::span<const Item> frontier,
-                           std::span<Out> outs)>;
-
   explicit FrontierPool(Options options) : options_(options) {}
 
   // Expands from `seeds` (duplicates dropped, order irrelevant) until the
@@ -223,36 +209,15 @@ class FrontierPool {
   // the absorb call sequence, and the final seen-set depend only on the
   // seeds and the expansion function, never on thread count or scheduling.
   [[nodiscard]] Status Run(std::vector<Item> seeds, const ExpandFn& expand,
-             const AbsorbFn& absorb, FrontierStats* stats = nullptr) {
-    return RunImpl(std::move(seeds), expand, &absorb, nullptr, stats);
-  }
-
-  // As Run, but each depth is absorbed per-chunk on the pool through
-  // `absorb` (see ParallelAbsorbFn for the associativity contract the
-  // caller signs up to). The expansion side — frontiers, seen-set,
-  // discovery — is deterministic exactly as in Run.
-  [[nodiscard]]
-  Status RunParallelAbsorb(std::vector<Item> seeds, const ExpandFn& expand,
-                           const ParallelAbsorbFn& absorb,
+                           const AbsorbFn& absorb,
                            FrontierStats* stats = nullptr) {
-    return RunImpl(std::move(seeds), expand, nullptr, &absorb, stats);
-  }
-
- private:
-  [[nodiscard]] Status RunImpl(std::vector<Item> seeds, const ExpandFn& expand,
-                 const AbsorbFn* absorb, const ParallelAbsorbFn* par_absorb,
-                 FrontierStats* stats) {
     // The run's own persistent pool: workers spawn here, once, and every
     // depth below reuses them through the barrier.
     WorkerPool pool(options_.threads);
     const unsigned threads = pool.threads();
-    // The stripe count follows from the thread count and is a power of
-    // two: the stripe pick masks the mixed hash with (stripes - 1). A
-    // serial run keeps one unlatched stripe — no mutex on the hot Discover
-    // path.
-    typename Discoveries::SeenSet seen(
-        threads == 1 ? 1 : std::bit_ceil(std::max(16u, 4 * threads)),
-        /*latched=*/threads > 1);
+    ItemSet seen;
+    // One fresh set per worker, drained at every barrier and reused.
+    std::vector<ItemSet> fresh(threads);
 
     FrontierStats local_stats;
     FrontierStats& out_stats = stats != nullptr ? *stats : local_stats;
@@ -263,7 +228,7 @@ class FrontierPool {
     std::vector<Item> frontier;
     frontier.reserve(seeds.size());
     for (Item& seed : seeds) {
-      if (seen.Insert(seed)) frontier.push_back(std::move(seed));
+      if (seen.insert(seed).second) frontier.push_back(std::move(seed));
     }
     std::sort(frontier.begin(), frontier.end());
     out_stats.seeds_admitted = frontier.size();
@@ -281,7 +246,6 @@ class FrontierPool {
         out_stats.max_frontier =
             std::max<uint64_t>(out_stats.max_frontier, frontier.size());
         std::vector<Out> outs(frontier.size());
-        std::vector<std::vector<Item>> fresh(threads);
         std::vector<Status> worker_status(threads);
         // The shared abort: the first failing expansion trips it, chunk
         // dealing stops pool-wide, and workers skip every index they had
@@ -293,7 +257,7 @@ class FrontierPool {
             [&](unsigned worker, size_t index) {
               if (abort.load(std::memory_order_acquire)) return;
               if (!worker_status[worker].ok()) return;
-              Discoveries discovered(&seen, &fresh[worker]);
+              Discoveries discovered(seen, fresh[worker]);
               ++expanded[worker].value;
               Status status =
                   expand(worker, frontier[index], &outs[index], &discovered);
@@ -304,32 +268,18 @@ class FrontierPool {
             },
             &abort);
         for (Status& status : worker_status) CHASE_RETURN_IF_ERROR(status);
-        CHASE_RETURN_IF_ERROR(
-            Absorb(pool, frontier, outs, absorb, par_absorb));
-
-        // Barrier reached: merge the per-worker discoveries and sort them
-        // into the canonical next frontier.
-        size_t total = 0;
-        for (const std::vector<Item>& items : fresh) total += items.size();
-        std::vector<Item> next;
-        next.reserve(total);
-        for (std::vector<Item>& items : fresh) {
-          for (Item& item : items) next.push_back(std::move(item));
-        }
-        std::sort(next.begin(), next.end());
-        out_stats.items_discovered += next.size();
-        frontier = std::move(next);
+        CHASE_RETURN_IF_ERROR(absorb(frontier, std::span<Out>(outs)));
+        frontier = Admit(seen, fresh);
+        out_stats.items_discovered += frontier.size();
       }
       return OkStatus();
     };
     const Status status = run_depths();
     // Stats are populated on every exit path, and items_expanded counts
     // only expansions that actually ran (error-skipped items never count).
-    out_stats.worker_expanded.assign(threads, 0);
     out_stats.items_expanded = 0;
-    for (unsigned t = 0; t < threads; ++t) {
-      out_stats.worker_expanded[t] = expanded[t].value;
-      out_stats.items_expanded += expanded[t].value;
+    for (const PaddedU64& count : expanded) {
+      out_stats.items_expanded += count.value;
     }
     // Mirror into the metrics registry: counters accumulate across every
     // frontier run of the session (EXISTS walks and dynamic
@@ -351,103 +301,27 @@ class FrontierPool {
     return status;
   }
 
-  // One depth's absorb: serial in canonical order, or — when the consumer
-  // opted in — per-chunk on the pool with deterministic chunk boundaries.
-  [[nodiscard]] Status Absorb(WorkerPool& pool,
-                std::vector<Item>& frontier, std::vector<Out>& outs,
-                const AbsorbFn* absorb, const ParallelAbsorbFn* par_absorb) {
-    if (absorb != nullptr) {
-      return (*absorb)(frontier, std::span<Out>(outs));
+ private:
+  // The depth barrier, on the calling thread: splices every fresh node
+  // into `seen` (a node whose item another worker queued first is
+  // dropped) and returns a copy of each admitted item, sorted, as the
+  // next frontier.
+  static std::vector<Item> Admit(ItemSet& seen, std::vector<ItemSet>& fresh) {
+    size_t total = 0;
+    for (const ItemSet& items : fresh) total += items.size();
+    std::vector<Item> next;
+    next.reserve(total);
+    for (ItemSet& items : fresh) {
+      while (!items.empty()) {
+        auto admitted = seen.insert(items.extract(items.begin()));
+        if (admitted.inserted) next.push_back(*admitted.position);
+      }
     }
-    const std::span<const Item> items(frontier);
-    const std::span<Out> slots(outs);
-    const size_t chunk = FrontierChunkSize(frontier.size(), pool.threads());
-    const size_t num_chunks = (frontier.size() + chunk - 1) / chunk;
-    std::vector<Status> worker_status(pool.threads());
-    std::atomic<bool> abort{false};
-    pool.ParallelFor(
-        num_chunks,
-        [&](unsigned worker, size_t c) {
-          if (abort.load(std::memory_order_acquire)) return;
-          if (!worker_status[worker].ok()) return;
-          const size_t first = c * chunk;
-          const size_t count = std::min(chunk, frontier.size() - first);
-          Status status = (*par_absorb)(worker, items.subspan(first, count),
-                                        slots.subspan(first, count));
-          if (!status.ok()) {
-            worker_status[worker] = std::move(status);
-            abort.store(true, std::memory_order_release);
-          }
-        },
-        &abort);
-    for (Status& status : worker_status) CHASE_RETURN_IF_ERROR(status);
-    return OkStatus();
+    std::sort(next.begin(), next.end());
+    return next;
   }
 
   Options options_;
-};
-
-// The shared seen structure: one hash set per stripe, each under its own
-// reader-writer latch, stripe chosen by the decorrelated high bits of the
-// item hash. Insert is the only mutation — membership never shrinks — so
-// the first inserter of an item owns its admission and everyone else
-// observes a duplicate, whatever the interleaving; duplicates resolve on
-// the latch's shared side without blocking each other. A single-threaded
-// run constructs it unlatched: a plain hash-set insert, no lock
-// acquisition at all.
-template <typename Item, typename Out, typename Hash>
-class FrontierPool<Item, Out, Hash>::Discoveries::SeenSet {
- public:
-  SeenSet(unsigned stripes, bool latched)
-      : stripes_(stripes), latched_(latched) {}
-
-  bool Insert(const Item& item) {
-    Stripe& stripe =
-        stripes_[FibonacciMix(Hash{}(item)) & (stripes_.size() - 1)];
-    if (!latched_) return InsertSingleThreaded(stripe, item);
-    // Duplicate fast path: once the frontier saturates, most probes hit an
-    // item already admitted, and membership never shrinks — so a positive
-    // probe under the shared (reader) side of the stripe latch is
-    // conclusive and concurrent duplicates don't serialize on the writer
-    // lock. A negative probe is only advisory (another thread may insert
-    // between the locks); the exclusive insert below re-checks, so the
-    // first-inserter-owns-admission property is untouched.
-    {
-      SharedReaderLock lock(stripe.mu);
-      if (ContainsLocked(stripe, item)) return false;
-    }
-    SharedMutexLock lock(stripe.mu);
-    return stripe.set.insert(item).second;
-  }
-
- private:
-  struct Stripe {
-    SharedMutex mu;
-    // Node-based on purpose: with the stripes on FlatSet, the spine's
-    // bigdb peak RSS rose about 10%, past the benchmark's bound (allocator
-    // fragmentation across its repeated program loads; see ROADMAP.md).
-    std::unordered_set<Item, Hash> set GUARDED_BY(mu);
-  };
-
-  // Reader-side membership probe: callers hold the stripe latch at least
-  // shared, which admits the read of the guarded set but still rejects
-  // any mutation under the analysis.
-  static bool ContainsLocked(const Stripe& stripe, const Item& item)
-      REQUIRES_SHARED(stripe.mu) {
-    return stripe.set.count(item) != 0;
-  }
-
-  // The documented single-threaded mode: a serial run constructs the set
-  // unlatched and thread confinement stands in for the stripe latch.
-  static bool InsertSingleThreaded(Stripe& stripe, const Item& item)
-      NO_THREAD_SAFETY_ANALYSIS {
-    return stripe.set.insert(item).second;
-  }
-
-  // Constructed once at full size (power of two); never resized, so the
-  // immovable mutexes stay put.
-  std::vector<Stripe> stripes_;
-  bool latched_;
 };
 
 }  // namespace chase

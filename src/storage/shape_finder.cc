@@ -83,13 +83,11 @@ Status WalkShapesForPred(const ShapeSource& source, PredId pred,
 // (one huge lattice) spreads across the whole pool instead of pinning one
 // worker, and pruning stays exact: a candidate only discovers its coarser
 // children when its relaxed query succeeded, just like the serial walk.
-// Shape inserts are associative and commutative (the caller sorts on
-// extraction), so each depth's confirmed shapes are absorbed per-chunk on
-// the pool into worker-private sets merged once at the end — nothing of
-// the depth's tail runs serially between barriers.
+// Each depth's confirmed shapes go into one set on the serial absorb path;
+// the probes, not the inserts, dominate the walk.
 Status WalkShapesFrontier(const ShapeSource& source,
                           const std::vector<PredId>& preds, unsigned threads,
-                          ShapeSet* shapes, FrontierStats* frontier_stats) {
+                          ShapeSet* shapes) {
   struct Probe {
     bool present = false;
   };
@@ -121,18 +119,14 @@ Status WalkShapesFrontier(const ShapeSource& source,
     });
     return OkStatus();
   };
-  std::vector<ShapeSet> local_shapes(threads);
-  const Status status = pool.RunParallelAbsorb(
+  const Status status = pool.Run(
       std::move(seeds), expand,
-      [&](unsigned worker, std::span<const Shape> frontier,
-          std::span<Probe> outs) -> Status {
+      [&](std::span<const Shape> frontier, std::span<Probe> outs) -> Status {
         for (size_t i = 0; i < frontier.size(); ++i) {
-          if (outs[i].present) local_shapes[worker].Insert(frontier[i]);
+          if (outs[i].present) shapes->Insert(frontier[i]);
         }
         return OkStatus();
-      },
-      frontier_stats);
-  *shapes = Merged(local_shapes);
+      });
   for (unsigned t = 0; t < threads; ++t) {
     source.stats().MergeFrom(local_stats[t]);
   }
@@ -203,8 +197,7 @@ StatusOr<std::vector<Shape>> FindShapes(const ShapeSource& source,
       if (!status.ok()) break;
     }
   } else {
-    status = WalkShapesFrontier(source, preds, threads, &shapes,
-                                options.frontier_stats);
+    status = WalkShapesFrontier(source, preds, threads, &shapes);
   }
   CHASE_RETURN_IF_ERROR(status);
   return Sorted(std::move(shapes));

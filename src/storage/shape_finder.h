@@ -18,7 +18,8 @@
 // predicates as one depth-synchronous frontier through chase::FrontierPool,
 // so the candidate shapes themselves — not whole predicates — are dealt to
 // workers and one high-arity predicate (a large lattice) cannot pin a
-// single worker. This works over both backends — including parallel
+// single worker; each depth's confirmed shapes are collected serially at
+// the depth barrier. This works over both backends — including parallel
 // shape-finding over pager::DiskDatabase.
 //
 // All mode × backend × thread combinations return the same sorted set; a
@@ -30,7 +31,6 @@
 #include <vector>
 
 #include "base/status.h"
-#include "exec/frontier_pool.h"
 #include "logic/shape.h"
 #include "storage/catalog.h"
 #include "storage/shape_source.h"
@@ -51,12 +51,7 @@ const char* ShapeFinderModeName(ShapeFinderMode mode);
 
 struct FindShapesOptions {
   ShapeFinderMode mode = ShapeFinderMode::kScan;
-  unsigned threads = 1;     // <= 1 runs serially
-  // When non-null and the exists plan runs frontier-parallel (threads > 1),
-  // receives the engine's depth/expansion counters — per-worker expansion
-  // counts included, which is how bench/ablation_frontier_parallel.cc shows
-  // the lattice frontier itself being split across workers.
-  FrontierStats* frontier_stats = nullptr;
+  unsigned threads = 1;  // <= 1 runs serially
 };
 
 // The unified entry point: returns shape(D) sorted by (pred, id), computed

@@ -70,7 +70,7 @@ Status ParallelTupleScan(const ShapeSource& source,
   // Chunks of roughly equal tuple counts, a few per thread.
   uint64_t total_rows = 0;
   for (PredId pred : preds) total_rows += source.NumTuples(pred);
-  const uint64_t target = std::max<uint64_t>(1, total_rows / (4 * threads));
+  const uint64_t target = FrontierChunkSize(total_rows, threads);
   std::vector<Chunk> chunks;
   for (PredId pred : preds) {
     ++source.stats().relations_loaded;

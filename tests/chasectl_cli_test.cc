@@ -444,12 +444,23 @@ TEST_F(ChasectlCliTest, MalformedObservabilityFlagsExitTwo) {
               2)
         << value;
   }
-  // --trace / --metrics require a path: the bare-flag form is a syntax
-  // error, not a run that silently drops the artifact.
+  // --trace / --metrics require a path: the bare-flag and empty-value
+  // forms are syntax errors, not runs that silently drop the artifact.
   EXPECT_EQ(RunChasectl("chase " + program_path_ + " --trace"), 2);
   EXPECT_EQ(RunChasectl("chase " + program_path_ + " --metrics"), 2);
   EXPECT_EQ(RunChasectl("check " + program_path_ + " --trace"), 2);
   EXPECT_EQ(RunChasectl("findshapes " + program_path_ + " --metrics"), 2);
+  std::string err;
+  EXPECT_EQ(RunChasectl("check " + program_path_ + " --trace= --metrics=",
+                        &err),
+            2);
+  EXPECT_NE(err.find("bad --trace (want --trace=FILE)"), std::string::npos)
+      << err;
+  EXPECT_EQ(RunChasectl("chase " + program_path_ + " --metrics=", &err), 2);
+  EXPECT_NE(err.find("bad --metrics (want --metrics=FILE)"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(RunChasectl("findshapes " + program_path_ + " --trace="), 2);
 }
 
 TEST_F(ChasectlCliTest, UnwritableArtifactPathsFailCleanlyUpFront) {
@@ -466,10 +477,19 @@ TEST_F(ChasectlCliTest, UnwritableArtifactPathsFailCleanlyUpFront) {
 
 TEST_F(ChasectlCliTest, MalformedCheckpointFlagsExitTwo) {
   const std::string ck = TempDir() + "/chasectl_cli_test_flags.chck";
-  // --checkpoint and --resume require a path: the bare-flag form is a
-  // syntax error, not a run that silently drops the checkpoint.
+  // --checkpoint and --resume require a path: the bare-flag and
+  // empty-value forms are syntax errors, not runs that silently drop the
+  // checkpoint.
   EXPECT_EQ(RunChasectl("chase " + program_path_ + " --checkpoint"), 2);
   EXPECT_EQ(RunChasectl("chase " + program_path_ + " --resume"), 2);
+  std::string err;
+  EXPECT_EQ(RunChasectl("chase " + program_path_ + " --checkpoint=", &err), 2);
+  EXPECT_NE(err.find("bad --checkpoint (want --checkpoint=FILE)"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(RunChasectl("chase " + program_path_ + " --resume=", &err), 2);
+  EXPECT_NE(err.find("bad --resume (want --resume=FILE)"), std::string::npos)
+      << err;
   // A cadence without a file to write has nothing to mean.
   EXPECT_EQ(RunChasectl("chase " + program_path_ + " --checkpoint-every=2"),
             2);

@@ -128,6 +128,16 @@ struct Args {
   bool Has(const std::string& key) const { return flags.count(key) > 0; }
 };
 
+// A file-valued flag given bare (`--trace`) or empty (`--trace=`) names no
+// file: diagnosed as a syntax error, never a run that drops the artifact.
+bool FileFlagOk(const Args& args, const std::string& key) {
+  if (!args.Has(key)) return true;
+  const std::string value = args.Get(key, "");
+  if (!value.empty() && value != "true") return true;
+  std::cerr << "bad --" << key << " (want --" << key << "=FILE)\n";
+  return false;
+}
+
 bool IsBinaryPath(const std::string& path) {
   return path.size() > 6 && path.compare(path.size() - 6, 6, ".chbin") == 0;
 }
@@ -309,14 +319,7 @@ struct ObsSession {
   // Returns 0 when the run may proceed, else the exit code: 2 for a
   // flag-syntax error, 1 for an unwritable path.
   int Begin(const Args& args) {
-    if (args.Has("trace") && args.Get("trace", "") == "true") {
-      std::cerr << "bad --trace (want --trace=FILE)\n";
-      return 2;
-    }
-    if (args.Has("metrics") && args.Get("metrics", "") == "true") {
-      std::cerr << "bad --metrics (want --metrics=FILE)\n";
-      return 2;
-    }
+    if (!FileFlagOk(args, "trace") || !FileFlagOk(args, "metrics")) return 2;
     trace_path = args.Get("trace", "");
     metrics_path = args.Get("metrics", "");
     for (const std::string& path : {trace_path, metrics_path}) {
@@ -557,12 +560,7 @@ int CmdChase(const Args& args) {
   // checkpoint/restart protocol (README "Checkpoint & resume").
   // --checkpoint also arms the signal path: SIGUSR1 = checkpoint and
   // continue, SIGTERM = checkpoint and stop ("interrupted", exit 0).
-  if (args.Has("checkpoint") && args.Get("checkpoint", "") == "true") {
-    std::cerr << "bad --checkpoint (want --checkpoint=FILE)\n";
-    return 2;
-  }
-  if (args.Has("resume") && args.Get("resume", "") == "true") {
-    std::cerr << "bad --resume (want --resume=FILE)\n";
+  if (!FileFlagOk(args, "checkpoint") || !FileFlagOk(args, "resume")) {
     return 2;
   }
   options.checkpoint_path = args.Get("checkpoint", "");
