@@ -499,6 +499,35 @@ TEST_F(ChasectlCliTest, MalformedCheckpointFlagsExitTwo) {
             2);
 }
 
+TEST_F(ChasectlCliTest, MalformedStoreAndSnapshotFlagsExitTwo) {
+  // --store and --snapshot name files too: the bare form must not become
+  // a store or snapshot named `true` in the working directory.
+  for (const std::string invocation :
+       {"findshapes " + program_path_ + " --backend=disk --store",
+        "index build " + program_path_ + " " + TempDir() +
+            "/chasectl_cli_test_store.chidx --backend=disk --store=",
+        "check " + program_path_ + " --mode=l --snapshot",
+        "findshapes " + program_path_ + " --snapshot="}) {
+    EXPECT_EQ(RunChasectl(invocation), 2) << invocation;
+  }
+  EXPECT_FALSE(std::filesystem::exists("true"));
+  std::string err;
+  EXPECT_EQ(RunChasectl("findshapes " + program_path_ + " --store=", &err), 2);
+  EXPECT_NE(err.find("bad --store (want --store=FILE)"), std::string::npos)
+      << err;
+  EXPECT_EQ(
+      RunChasectl("check " + program_path_ + " --mode=l --snapshot=", &err),
+      2);
+  EXPECT_NE(err.find("bad --snapshot (want --snapshot=FILE)"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(RunChasectl("findshapes " + program_path_ + " --snapshot", &err),
+            2);
+  EXPECT_NE(err.find("bad --snapshot (want --snapshot=FILE)"),
+            std::string::npos)
+      << err;
+}
+
 TEST_F(ChasectlCliTest, CheckpointPathProblemsFailCleanlyUpFront) {
   // An unwritable checkpoint destination is probed before the run; a
   // missing resume source is a clean load failure. Both exit 1, never a

@@ -240,6 +240,7 @@ class ScanBackend {
   // Selects --backend. Returns 0, or the exit code after printing why: 2
   // for an unknown backend, 1 for a store that could not be written.
   int Open(const Args& args, const std::string& stem, unsigned threads) {
+    if (!FileFlagOk(args, "store")) return 2;
     const std::string backend = args.Get("backend", "memory");
     if (backend == "memory") return 0;
     if (backend != "disk") {
@@ -405,6 +406,7 @@ int CmdCheck(const Args& args) {
                  "[--snapshot=path.chidx] [--trace=FILE] [--metrics=FILE]\n";
     return 2;
   }
+  if (!FileFlagOk(args, "snapshot")) return 2;
   ObsSession obs_session;
   if (int rc = obs_session.Begin(args); rc != 0) return rc;
 
@@ -737,6 +739,7 @@ int CmdFindShapes(const Args& args) {
                  "[--trace=FILE] [--metrics=FILE] [--print]\n";
     return 2;
   }
+  if (!FileFlagOk(args, "snapshot")) return 2;
   ObsSession obs_session;
   if (int rc = obs_session.Begin(args); rc != 0) return rc;
 
