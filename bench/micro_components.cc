@@ -23,6 +23,7 @@
 #include "pager/heap_file.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
+#include "storage/tuple_run.h"
 
 namespace chase {
 namespace {
@@ -225,8 +226,8 @@ void BM_HeapFileScan(benchmark::State& state) {
   }
   for (auto _ : state) {
     uint64_t sum = 0;
-    (void)heap.Scan([&](std::span<const uint32_t> t) {
-      sum += t[0];
+    (void)heap.Scan([&](storage::TupleRun run) {
+      for (size_t i = 0; i < run.rows(); ++i) sum += run.row(i)[0];
       return true;
     });
     benchmark::DoNotOptimize(sum);

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "base/hash.h"
-#include "base/padded.h"
 #include "base/status.h"
 #include "base/sync.h"
 #include "io/binary_io.h"
@@ -14,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/shape_source.h"
+#include "storage/tuple_run.h"
 
 namespace chase {
 namespace index {
@@ -93,14 +93,13 @@ uint64_t ShapeIndex::ContentFingerprint() const {
   return state_->fingerprint;
 }
 
-void ShapeIndex::MergeCounts(CountMap counts, uint64_t fingerprint) {
+void ShapeIndex::MergeCounts(ShapeCounts local) {
+  std::vector<Shape> shapes = local.shapes.TakeItems();
   MutexLock lock(state_->mu);
-  state_->fingerprint += fingerprint;
-  // chase-lint: allow(unordered-iter) commutative fold: += into the
-  // counters, so visit order cannot change any final count
-  for (const auto& [shape, count] : counts) {
-    state_->counts[shape] += count;
-    state_->tuples += count;
+  state_->fingerprint += local.fingerprint;
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    state_->counts[std::move(shapes[i])] += local.counts[i];
+    state_->tuples += local.counts[i];
   }
 }
 
@@ -124,20 +123,24 @@ StatusOr<ShapeIndex> ShapeIndex::Build(const storage::ShapeSource& source,
                             static_cast<int64_t>(threads));
 
   // The range-partitioned scan driver is shared with the scan-mode shape
-  // finder; workers count into thread-local maps (and sum their tuples'
-  // content fingerprints at cache-line stride), folded in per worker.
-  std::vector<CountMap> local(threads);
-  std::vector<PaddedU64> local_fp(threads);
+  // finder; workers count each run into thread-local counters (and sum
+  // its tuples' content fingerprints), folded in per worker.
+  std::vector<ShapeCounts> local(threads);
   CHASE_RETURN_IF_ERROR(storage::ParallelTupleScan(
       source, source.NonEmptyRelations(), threads,
-      [&](unsigned t, PredId pred, std::span<const uint32_t> tuple) {
-        ++local[t][Shape(pred, IdOf(tuple))];
-        local_fp[t].value += TupleFingerprint(pred, tuple);
+      [&](unsigned t, PredId pred, storage::TupleRun run) {
+        ShapeCounts& counts = local[t];
+        uint64_t fingerprint = 0;
+        for (size_t r = 0; r < run.rows(); ++r) {
+          const std::span<const uint32_t> tuple = run.row(r);
+          IdBuffer id;
+          counts.Add(ShapeViewOfTuple(pred, tuple, id), 1);
+          fingerprint += TupleFingerprint(pred, tuple);
+        }
+        counts.fingerprint += fingerprint;
       }));
   ShapeIndex index;
-  for (unsigned t = 0; t < threads; ++t) {
-    index.MergeCounts(std::move(local[t]), local_fp[t].value);
-  }
+  for (ShapeCounts& counts : local) index.MergeCounts(std::move(counts));
   if (obs::MetricsRegistry::enabled()) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
     registry.GetCounter("index.builds")->Add(1);
@@ -183,16 +186,17 @@ Status ShapeIndex::Save(const std::string& path) const {
 StatusOr<ShapeIndex> ShapeIndex::Load(const std::string& path) {
   CHASE_ASSIGN_OR_RETURN(io::ShapeSnapshot snapshot,
                          io::LoadShapeSnapshot(path));
-  CountMap counts;
+  ShapeCounts counts;
   // chase-lint: allow(unordered-iter) not a hash map: io::ShapeSnapshot
   // ::counts is a vector, already shape-sorted by Save
   for (const io::ShapeCount& entry : snapshot.counts) {
-    counts.emplace(entry.shape, entry.count);
+    counts.Add(entry.shape, entry.count);
   }
   // Shape records don't carry tuple contents; the envelope's fingerprint is
   // the authoritative content digest of the snapshotted database.
+  counts.fingerprint = snapshot.fingerprint;
   ShapeIndex index;
-  index.MergeCounts(std::move(counts), snapshot.fingerprint);
+  index.MergeCounts(std::move(counts));
   return index;
 }
 

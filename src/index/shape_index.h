@@ -123,12 +123,27 @@ class ShapeIndex {
     uint64_t fingerprint GUARDED_BY(mu) = 0;
   };
 
+  // Unlatched counters a build worker (or a snapshot load) fills before
+  // folding them in: counts[i] tuples carry shapes[i], probed by ShapeView
+  // so a tuple whose shape is already counted allocates nothing.
+  struct ShapeCounts {
+    ShapeSet shapes;
+    std::vector<uint64_t> counts;
+    uint64_t fingerprint = 0;  // sum of the counted tuples' fingerprints
+
+    void Add(ShapeView shape, uint64_t n) {
+      const auto [index, admitted] = shapes.Insert(shape);
+      if (admitted) counts.push_back(0);
+      counts[index] += n;
+    }
+  };
+
   // One tuple carrying `shape`, whose TupleFingerprint is `fingerprint`.
   void AddShape(const Shape& shape, uint64_t fingerprint);
   [[nodiscard]] Status RemoveShape(const Shape& shape, uint64_t fingerprint);
 
-  // Folds a worker's thread-local counters and fingerprint sum in.
-  void MergeCounts(CountMap counts, uint64_t fingerprint);
+  // Folds a worker's counters and fingerprint sum in.
+  void MergeCounts(ShapeCounts local);
 
   std::unique_ptr<State> state_;
 };

@@ -10,6 +10,7 @@
 #include "pager/disk_manager.h"
 #include "pager/heap_file.h"
 #include "pager/page.h"
+#include "storage/tuple_run.h"
 
 namespace chase {
 namespace pager {
@@ -193,11 +194,12 @@ StatusOr<Database> DiskDatabase::ToDatabase() const {
   db.EnsureAnonymousDomain(anonymous_domain_);
   for (PredId pred = 0; pred < relations_.size(); ++pred) {
     Status append_status = OkStatus();
-    Status scan_status =
-        Scan(pred, [&](std::span<const uint32_t> tuple) {
-          append_status = db.AddFact(pred, tuple);
-          return append_status.ok();
-        });
+    Status scan_status = Scan(pred, [&](storage::TupleRun run) {
+      for (size_t i = 0; i < run.rows() && append_status.ok(); ++i) {
+        append_status = db.AddFact(pred, run.row(i));
+      }
+      return append_status.ok();
+    });
     CHASE_RETURN_IF_ERROR(scan_status);
     CHASE_RETURN_IF_ERROR(append_status);
   }

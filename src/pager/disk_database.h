@@ -14,7 +14,6 @@
 #ifndef CHASE_PAGER_DISK_DATABASE_H_
 #define CHASE_PAGER_DISK_DATABASE_H_
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -26,6 +25,7 @@
 #include "pager/buffer_pool.h"
 #include "pager/disk_manager.h"
 #include "pager/heap_file.h"
+#include "storage/tuple_run.h"
 
 namespace chase {
 namespace pager {
@@ -52,10 +52,10 @@ class DiskDatabase {
   // The catalog query of Section 5.3, answered from catalog metadata only.
   std::vector<PredId> NonEmptyPredicates() const;
 
-  // Scans `pred` in heap order; stops early when `visit` returns false.
+  // Scans `pred` in heap order, one run per page; stops early when `visit`
+  // returns false.
   [[nodiscard]] Status Scan(PredId pred,
-              const std::function<bool(std::span<const uint32_t>)>& visit)
-      const {
+                            const storage::RunVisitor& visit) const {
     return relations_[pred].Scan(visit);
   }
 

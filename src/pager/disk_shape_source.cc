@@ -10,6 +10,7 @@
 #include "pager/heap_file.h"
 #include "pager/page.h"
 #include "storage/shape_source.h"
+#include "storage/tuple_run.h"
 
 namespace chase {
 namespace pager {
@@ -31,7 +32,7 @@ StatusOr<const std::vector<PageId>*> DiskShapeSource::PageDirectory(
 
 Status DiskShapeSource::ScanRange(PredId pred, uint64_t first_row,
                                   uint64_t num_rows,
-                                  const storage::TupleVisitor& visit) const {
+                                  const storage::RunVisitor& visit) const {
   const uint64_t rows = db_->NumTuples(pred);
   const uint64_t begin = std::min<uint64_t>(first_row, rows);
   const uint64_t last = std::min<uint64_t>(rows, begin + num_rows);

@@ -25,6 +25,7 @@
 #include "pager/page.h"
 #include "storage/catalog.h"
 #include "storage/shape_source.h"
+#include "storage/tuple_run.h"
 
 namespace chase {
 namespace pager {
@@ -42,7 +43,7 @@ class DiskShapeSource final : public storage::ShapeSource {
   }
   [[nodiscard]]
   Status ScanRange(PredId pred, uint64_t first_row, uint64_t num_rows,
-                   const storage::TupleVisitor& visit) const override;
+                   const storage::RunVisitor& visit) const override;
   storage::AccessStats& stats() const override { return stats_; }
   storage::IoCounters Io() const override;
 

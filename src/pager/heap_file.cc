@@ -3,7 +3,9 @@
 #include "base/status.h"
 #include "pager/buffer_pool.h"
 #include "pager/page.h"
+#include "storage/tuple_run.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -56,14 +58,13 @@ Status HeapFile::Append(std::span<const uint32_t> tuple) {
   return OkStatus();
 }
 
-Status HeapFile::Scan(
-    const std::function<bool(std::span<const uint32_t>)>& visit) const {
+Status HeapFile::Scan(const storage::RunVisitor& visit) const {
   return ScanFrom(first_page_, 0, num_tuples_, visit);
 }
 
-Status HeapFile::ScanFrom(
-    PageId start_page, uint64_t skip_rows, uint64_t num_rows,
-    const std::function<bool(std::span<const uint32_t>)>& visit) const {
+Status HeapFile::ScanFrom(PageId start_page, uint64_t skip_rows,
+                          uint64_t num_rows,
+                          const storage::RunVisitor& visit) const {
   PageId current = start_page;
   while (current != kInvalidPageId && num_rows > 0) {
     CHASE_ASSIGN_OR_RETURN(PageGuard guard, pool_->Fetch(current));
@@ -75,15 +76,18 @@ Status HeapFile::ScanFrom(
     }
     const uint32_t* tuples = reinterpret_cast<const uint32_t*>(
         page.bytes.data() + kPageHeaderSize);
-    uint32_t row = 0;
     if (skip_rows >= header.count) {
       skip_rows -= header.count;
     } else {
-      row = static_cast<uint32_t>(skip_rows);
+      const auto row = static_cast<uint32_t>(skip_rows);
+      const auto take =
+          static_cast<uint32_t>(std::min<uint64_t>(header.count - row,
+                                                   num_rows));
       skip_rows = 0;
-      for (; row < header.count && num_rows > 0; ++row, --num_rows) {
-        if (!visit({tuples + row * arity_, arity_})) return OkStatus();
-      }
+      num_rows -= take;
+      const storage::TupleRun run{
+          {tuples + size_t{row} * arity_, size_t{take} * arity_}, arity_};
+      if (!visit(run)) return OkStatus();
     }
     current = header.next;
   }

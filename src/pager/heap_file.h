@@ -10,13 +10,13 @@
 #define CHASE_PAGER_HEAP_FILE_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "base/status.h"
 #include "pager/buffer_pool.h"
 #include "pager/page.h"
+#include "storage/tuple_run.h"
 
 namespace chase {
 namespace pager {
@@ -39,19 +39,20 @@ class HeapFile {
   // Appends one tuple; `tuple.size()` must equal the arity.
   [[nodiscard]] Status Append(std::span<const uint32_t> tuple);
 
-  // Calls `visit` for every tuple in chain order; stops early (and returns
-  // OK) when `visit` returns false.
-  [[nodiscard]] Status Scan(
-      const std::function<bool(std::span<const uint32_t>)>& visit) const;
+  // Visits every tuple in chain order, one run per page: each call of
+  // `visit` gets the page's tuples, read in place from the pinned frame.
+  // Stops early (and returns OK) when `visit` returns false.
+  [[nodiscard]] Status Scan(const storage::RunVisitor& visit) const;
 
   // Visits at most `num_rows` tuples starting from `skip_rows` tuples after
-  // the beginning of `start_page` (which must be a page of this chain).
+  // the beginning of `start_page` (which must be a page of this chain),
+  // one run per page touched, each clipped to the requested rows.
   // With `start_page` = first_page() and `skip_rows` counted from the head,
   // this is a plain row-range scan; callers holding a page directory (see
   // CollectPageIds) jump straight to `skip_rows / TuplesPerPage(arity)`.
-  [[nodiscard]] Status ScanFrom(
-      PageId start_page, uint64_t skip_rows, uint64_t num_rows,
-      const std::function<bool(std::span<const uint32_t>)>& visit) const;
+  [[nodiscard]] Status ScanFrom(PageId start_page, uint64_t skip_rows,
+                                uint64_t num_rows,
+                                const storage::RunVisitor& visit) const;
 
   // Appends the chain's page ids in order to `*out` — the page directory a
   // ranged scan seeks through. Appends only write to the tail page, and

@@ -1,6 +1,9 @@
 #include "storage/shape_finder.h"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <span>
 
 #include "base/status.h"
 #include "exec/frontier_pool.h"
@@ -11,6 +14,7 @@
 #include "storage/catalog.h"
 #include "storage/shape_lattice.h"
 #include "storage/shape_source.h"
+#include "storage/tuple_run.h"
 
 namespace chase {
 namespace storage {
@@ -32,22 +36,86 @@ ShapeSet Merged(std::vector<ShapeSet>& local) {
 }
 
 // ---------------------------------------------------------------------------
-// Scan plan: full strided scans, hashing every tuple's id-tuple. The scan
-// driver (chunking, worker pool, metering) is ParallelTupleScan in the
-// ShapeSource layer, shared with the shape-index build. Each tuple's
-// id-tuple is written into a stack buffer and probed as a ShapeView, so a
-// tuple whose shape is already known costs no allocation; a Shape is built
-// only the first time a worker meets it.
+// Scan plan: full scans, classifying every tuple. The scan driver
+// (chunking, worker pool, metering) is ParallelTupleScan in the ShapeSource
+// layer, shared with the shape-index build; it hands each worker runs of
+// whole tuples, and the kernel below dispatches on the run's arity once.
+//
+// Up to kMaxMaskArity, a tuple is classified by its pairwise-equality mask:
+// one bit per position pair (j < i), set iff t[j] == t[i]. The mask is the
+// partition of the positions, so two tuples of one relation share a mask
+// iff they share an id-tuple. A run-local bitmap over all masks skips every
+// tuple whose mask the run has already met; only a first-seen mask writes
+// its id-tuple into a stack buffer and probes the worker's ShapeSet as a
+// ShapeView. Wider tuples take that probe for every tuple. Either way a
+// Shape is built only the first time a worker meets it.
+
+// Arity A needs A(A-1)/2 mask bits and a 2^(A(A-1)/2)-bit bitmap: 4 KB at
+// A = 6, 256 KB at A = 7.
+constexpr uint32_t kMaxMaskArity = 6;
+
+template <uint32_t A>
+uint32_t EqualityMask(const uint32_t* tuple) {
+  uint32_t mask = 0;
+  uint32_t bit = 0;
+  for (uint32_t i = 1; i < A; ++i) {
+    for (uint32_t j = 0; j < i; ++j) {
+      mask |= static_cast<uint32_t>(tuple[j] == tuple[i]) << bit++;
+    }
+  }
+  return mask;
+}
+
+template <uint32_t A>
+void InsertRunShapesByMask(PredId pred, TupleRun run, ShapeSet* shapes) {
+  static_assert(A >= 1 && A <= kMaxMaskArity);
+  constexpr size_t kMasks = size_t{1} << (A * (A - 1) / 2);
+  std::array<uint64_t, (kMasks + 63) / 64> seen{};
+  const uint32_t* tuple = run.values.data();
+  const size_t rows = run.rows();
+  for (size_t r = 0; r < rows; ++r, tuple += A) {
+    const uint32_t mask = EqualityMask<A>(tuple);
+    uint64_t& word = seen[mask >> 6];
+    const uint64_t bit = uint64_t{1} << (mask & 63);
+    if ((word & bit) != 0) continue;
+    word |= bit;
+    IdBuffer id;
+    shapes->Insert(
+        ShapeViewOfTuple(pred, std::span<const uint32_t>(tuple, A), id));
+  }
+}
+
+void InsertRunShapes(PredId pred, TupleRun run, ShapeSet* shapes) {
+  switch (run.arity) {
+    case 1:
+      return InsertRunShapesByMask<1>(pred, run, shapes);
+    case 2:
+      return InsertRunShapesByMask<2>(pred, run, shapes);
+    case 3:
+      return InsertRunShapesByMask<3>(pred, run, shapes);
+    case 4:
+      return InsertRunShapesByMask<4>(pred, run, shapes);
+    case 5:
+      return InsertRunShapesByMask<5>(pred, run, shapes);
+    case 6:
+      return InsertRunShapesByMask<6>(pred, run, shapes);
+    default:
+      break;
+  }
+  const size_t rows = run.rows();
+  for (size_t r = 0; r < rows; ++r) {
+    IdBuffer id;  // only the prefix the tuple fills is read
+    shapes->Insert(ShapeViewOfTuple(pred, run.row(r), id));
+  }
+}
 
 Status ScanShapes(const ShapeSource& source,
                   const std::vector<PredId>& preds, unsigned threads,
                   ShapeSet* shapes) {
   std::vector<ShapeSet> local(threads);
   CHASE_RETURN_IF_ERROR(ParallelTupleScan(
-      source, preds, threads,
-      [&](unsigned t, PredId pred, std::span<const uint32_t> tuple) {
-        IdBuffer id;  // only the prefix the tuple fills is read
-        local[t].Insert(ShapeViewOfTuple(pred, tuple, id));
+      source, preds, threads, [&](unsigned t, PredId pred, TupleRun run) {
+        InsertRunShapes(pred, run, &local[t]);
       }));
   *shapes = Merged(local);
   return OkStatus();

@@ -2,8 +2,9 @@
 // database (Section 5.4), against any ShapeSource backend. The two query
 // plans of the paper, each implemented exactly once:
 //
-//  * Scan mode (the paper's "in-memory" variant): one full strided scan per
-//    relation, hashing the id-tuple of every tuple.
+//  * Scan mode (the paper's "in-memory" variant): one full scan per
+//    relation, classifying every tuple by its pairwise-equality mask (up to
+//    arity 6) or its id-tuple, over runs of whole tuples.
 //  * Exists mode (the paper's "in-database" variant): one EXISTS query pair
 //    per candidate shape, walking the shape lattice of each predicate from
 //    the all-distinct shape towards coarser shapes with the Apriori-style

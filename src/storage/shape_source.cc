@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <span>
 
 #include "base/padded.h"
 #include "base/status.h"
@@ -10,6 +11,7 @@
 #include "logic/schema.h"
 #include "logic/shape.h"
 #include "storage/catalog.h"
+#include "storage/tuple_run.h"
 
 namespace chase {
 namespace storage {
@@ -64,7 +66,7 @@ struct Chunk {
 
 Status ParallelTupleScan(const ShapeSource& source,
                          const std::vector<PredId>& preds, unsigned threads,
-                         const ParallelTupleVisitor& visit) {
+                         const ParallelRunVisitor& visit) {
   threads = std::max(1u, threads);
 
   // Chunks of roughly equal tuple counts, a few per thread.
@@ -81,6 +83,12 @@ Status ParallelTupleScan(const ShapeSource& source,
     }
   }
 
+  // No more workers than chunks: a pool spawns its threads up front, so a
+  // scan with few chunks (or none) would otherwise start threads that find
+  // no work. Thread ids stay within [0, threads).
+  threads = static_cast<unsigned>(
+      std::clamp<size_t>(chunks.size(), 1, threads));
+
   // Per-worker tuple counters at cache-line stride (see base/padded.h).
   std::vector<PaddedU64> scanned(threads);
   std::vector<Status> worker_status(threads);
@@ -88,10 +96,9 @@ Status ParallelTupleScan(const ShapeSource& source,
     if (!worker_status[t].ok()) return;
     const Chunk& chunk = chunks[index];
     worker_status[t] = source.ScanRange(
-        chunk.pred, chunk.first_row, chunk.num_rows,
-        [&](std::span<const uint32_t> tuple) {
-          ++scanned[t].value;
-          visit(t, chunk.pred, tuple);
+        chunk.pred, chunk.first_row, chunk.num_rows, [&](TupleRun run) {
+          scanned[t].value += run.rows();
+          visit(t, chunk.pred, run);
           return true;
         });
   };
@@ -123,15 +130,18 @@ StatusOr<bool> ProbeShapeExists(const ShapeSource& source, PredId pred,
   ++stats->exists_queries;
   bool found = false;
   uint64_t scanned = 0;
-  Status status =
-      source.ScanAll(pred, [&](std::span<const uint32_t> tuple) {
-        ++scanned;
-        if (MatchesShape(tuple, first, exact)) {
-          found = true;
-          return false;  // EXISTS: early exit on first witness
-        }
-        return true;
-      });
+  Status status = source.ScanAll(pred, [&](TupleRun run) {
+    const size_t rows = run.rows();
+    for (size_t i = 0; i < rows; ++i) {
+      if (MatchesShape(run.row(i), first, exact)) {
+        scanned += i + 1;  // the tuples up to and including the witness
+        found = true;
+        return false;  // EXISTS: early exit on first witness
+      }
+    }
+    scanned += rows;
+    return true;
+  });
   stats->tuples_scanned += scanned;
   CHASE_RETURN_IF_ERROR(status);
   return found;
@@ -139,7 +149,7 @@ StatusOr<bool> ProbeShapeExists(const ShapeSource& source, PredId pred,
 
 Status MemoryShapeSource::ScanRange(PredId pred, uint64_t first_row,
                                     uint64_t num_rows,
-                                    const TupleVisitor& visit) const {
+                                    const RunVisitor& visit) const {
   const Database& db = catalog_->database();
   const uint32_t arity = db.schema().Arity(pred);
   if (arity == 0) return OkStatus();
@@ -147,8 +157,8 @@ Status MemoryShapeSource::ScanRange(PredId pred, uint64_t first_row,
   const uint64_t rows = tuples.size() / arity;
   const uint64_t begin = std::min<uint64_t>(first_row, rows);
   const uint64_t last = std::min<uint64_t>(rows, begin + num_rows);
-  for (uint64_t row = begin; row < last; ++row) {
-    if (!visit(tuples.subspan(row * arity, arity))) return OkStatus();
+  if (begin < last) {
+    visit({tuples.subspan(begin * arity, (last - begin) * arity), arity});
   }
   return OkStatus();
 }

@@ -7,8 +7,9 @@
 //
 //   * relation metadata: schema, non-empty relations (the catalog query of
 //     Section 5.3), per-relation tuple counts;
-//   * strided tuple scans, full and row-range, with early exit — the
-//     row-range form is what the parallel scanner partitions over;
+//   * tuple scans, full and row-range, with early exit, handing their
+//     visitor runs of whole tuples (storage/tuple_run.h) — the row-range
+//     form is what the parallel scanner partitions over;
 //   * access metering: logical counters (AccessStats) written by the
 //     algorithms, physical I/O counters (IoCounters) reported by the
 //     backend.
@@ -21,13 +22,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "base/status.h"
 #include "logic/schema.h"
 #include "logic/shape.h"
 #include "storage/catalog.h"
+#include "storage/tuple_run.h"
 
 namespace chase {
 namespace storage {
@@ -54,9 +55,6 @@ struct IoCounters {
   }
 };
 
-// Visits one tuple (stride = arity); return false to stop the scan early.
-using TupleVisitor = std::function<bool(std::span<const uint32_t>)>;
-
 class ShapeSource {
  public:
   virtual ~ShapeSource() = default;
@@ -73,17 +71,20 @@ class ShapeSource {
   virtual uint64_t NumTuples(PredId pred) const = 0;
 
   // Visits rows [first_row, first_row + num_rows) of `pred` in storage
-  // order; stops early (and returns OK) once `visit` returns false. Rows
-  // past the end of the relation are silently clamped.
+  // order, as consecutive runs of whole tuples: the memory backend hands
+  // the whole range over in one run, the disk backend one heap page's
+  // tuples per run. Stops early (and returns OK) once `visit` returns
+  // false. Rows past the end of the relation are silently clamped; an
+  // empty range makes no call.
   //
   // Thread safety: concurrent ScanRange calls on one source must be safe —
   // the parallel scanner issues them from worker threads.
   [[nodiscard]]
   virtual Status ScanRange(PredId pred, uint64_t first_row, uint64_t num_rows,
-                           const TupleVisitor& visit) const = 0;
+                           const RunVisitor& visit) const = 0;
 
   // Full scan of `pred`.
-  [[nodiscard]] Status ScanAll(PredId pred, const TupleVisitor& visit) const {
+  [[nodiscard]] Status ScanAll(PredId pred, const RunVisitor& visit) const {
     return ScanRange(pred, 0, NumTuples(pred), visit);
   }
 
@@ -98,26 +99,27 @@ class ShapeSource {
 
 // Visits every tuple of `preds` with a work-partitioned scan: relations are
 // chunked into row ranges of roughly equal tuple counts (a few chunks per
-// thread, so uneven relation sizes still balance) and dealt to `threads`
-// workers; `threads` <= 1 scans inline on the calling thread. `visit` runs
-// concurrently from workers, keyed by a thread id in [0, threads) so
-// callers accumulate into thread-local state without synchronization.
-// Meters one relation load per predicate and every scanned tuple into
-// source.stats() — the scan-plan FindShapes convention. This is the one
-// scan driver behind both the scan-mode shape finder and the shape-index
-// build.
-using ParallelTupleVisitor =
-    std::function<void(unsigned thread, PredId pred,
-                       std::span<const uint32_t> tuple)>;
+// thread, so uneven relation sizes still balance) and dealt to at most
+// `threads` workers, never more workers than chunks; `threads` <= 1 scans
+// inline on the calling thread. `visit` receives each chunk as the runs its
+// ScanRange hands over and runs concurrently from workers, keyed by a
+// thread id in [0, threads) so callers accumulate into thread-local state
+// without synchronization. Meters one relation load per predicate and
+// every scanned tuple (once per run) into source.stats() — the scan-plan
+// FindShapes convention. This is the one scan driver behind both the
+// scan-mode shape finder and the shape-index build.
+using ParallelRunVisitor =
+    std::function<void(unsigned thread, PredId pred, TupleRun run)>;
 [[nodiscard]] Status ParallelTupleScan(const ShapeSource& source,
                          const std::vector<PredId>& preds, unsigned threads,
-                         const ParallelTupleVisitor& visit);
+                         const ParallelRunVisitor& visit);
 
 // The early-exit shape-existence probe both query plans of Section 5.4
 // compile to. With `exact` set it answers the full EXISTS query (equalities
 // and disequalities: some tuple has exactly this id-tuple); without it, the
 // relaxed query (equalities only: some tuple is coarser than or equal to
-// `id`). Meters one exists query plus the visited tuples into `stats`
+// `id`). Meters one exists query plus the visited tuples — those up to
+// and including the first witness, or the whole relation — into `stats`
 // (pass the source's own stats for the serial path, a thread-local copy for
 // parallel walkers). Fails with kInvalidArgument if `id` is longer than
 // Schema::kMaxArity positions (the compiled condition uses fixed-width
@@ -147,7 +149,7 @@ class MemoryShapeSource final : public ShapeSource {
   }
   [[nodiscard]]
   Status ScanRange(PredId pred, uint64_t first_row, uint64_t num_rows,
-                   const TupleVisitor& visit) const override;
+                   const RunVisitor& visit) const override;
   AccessStats& stats() const override { return catalog_->stats(); }
 
  private:

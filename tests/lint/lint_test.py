@@ -59,6 +59,9 @@ CASES = {
         ["node-row-container"] * 4,
     os.path.join("src", "chase", "good_node_row_container.cc"): [],
     os.path.join("src", "core", "good_node_row_container.cc"): [],
+    os.path.join("src", "storage", "bad_scan_id_alloc.cc"):
+        ["scan-id-alloc"] * 4,
+    os.path.join("src", "pager", "good_scan_id_alloc.cc"): [],
 }
 
 

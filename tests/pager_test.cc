@@ -17,6 +17,7 @@
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
 #include "storage/shape_source.h"
+#include "storage/tuple_run.h"
 
 namespace chase {
 namespace pager {
@@ -573,15 +574,24 @@ TEST(HeapFileTest, AppendScanRoundTripAcrossPages) {
   EXPECT_EQ(heap->num_tuples(), n);
 
   uint32_t seen = 0;
-  ASSERT_TRUE(heap->Scan([&](std::span<const uint32_t> tuple) {
-                    EXPECT_EQ(tuple[0], seen);
-                    EXPECT_EQ(tuple[1], seen * 2);
-                    EXPECT_EQ(tuple[2], seen * 3);
-                    ++seen;
+  uint32_t runs = 0;
+  ASSERT_TRUE(heap->Scan([&](storage::TupleRun run) {
+                    EXPECT_EQ(run.arity, 3u);
+                    // One run per page: every page but the tail is full.
+                    EXPECT_LE(run.rows(), HeapFile::TuplesPerPage(3));
+                    for (size_t i = 0; i < run.rows(); ++i) {
+                      const auto tuple = run.row(i);
+                      EXPECT_EQ(tuple[0], seen);
+                      EXPECT_EQ(tuple[1], seen * 2);
+                      EXPECT_EQ(tuple[2], seen * 3);
+                      ++seen;
+                    }
+                    ++runs;
                     return true;
                   })
                   .ok());
   EXPECT_EQ(seen, n);
+  EXPECT_EQ(runs, 4u);
 }
 
 TEST(HeapFileTest, ScanStopsEarly) {
@@ -590,16 +600,23 @@ TEST(HeapFileTest, ScanStopsEarly) {
   BufferPool pool(&manager.value(), 4);
   auto heap = HeapFile::Create(&pool, 1);
   ASSERT_TRUE(heap.ok());
-  for (uint32_t i = 0; i < 100; ++i) {
+  // Five pages' worth of tuples: one run per page, and the visitor stops
+  // the scan on the second run.
+  const uint32_t per_page = HeapFile::TuplesPerPage(1);
+  for (uint32_t i = 0; i < 5 * per_page; ++i) {
     std::vector<uint32_t> tuple = {i};
     ASSERT_TRUE(heap->Append(tuple).ok());
   }
-  uint32_t seen = 0;
-  ASSERT_TRUE(heap->Scan([&](std::span<const uint32_t>) {
-                    return ++seen < 5;
+  uint32_t runs = 0;
+  uint64_t seen = 0;
+  ASSERT_TRUE(heap->Scan([&](storage::TupleRun run) {
+                    EXPECT_EQ(run.row(0)[0], seen);
+                    seen += run.rows();
+                    return ++runs < 2;
                   })
                   .ok());
-  EXPECT_EQ(seen, 5u);
+  EXPECT_EQ(runs, 2u);
+  EXPECT_EQ(seen, 2u * per_page);
 }
 
 TEST(HeapFileTest, WrongWidthRejected) {
@@ -722,7 +739,7 @@ TEST(DiskDatabaseTest, ScanReadFaultPropagates) {
       [](PageId) { return InternalError("injected"); });
   PredId pred = (*disk_db)->NonEmptyPredicates().front();
   Status status =
-      (*disk_db)->Scan(pred, [](std::span<const uint32_t>) { return true; });
+      (*disk_db)->Scan(pred, [](storage::TupleRun) { return true; });
   // The relation is large and the pool tiny, so the scan must hit the disk
   // and observe the fault.
   EXPECT_EQ(status.code(), StatusCode::kInternal);

@@ -7,21 +7,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <initializer_list>
 #include <numeric>
 #include <set>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "base/rng.h"
 #include "gen/data_generator.h"
 #include "pager/disk_database.h"
 #include "pager/disk_shape_source.h"
+#include "pager/heap_file.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
 #include "storage/shape_source.h"
+#include "storage/tuple_run.h"
 
 namespace chase {
 namespace {
@@ -100,8 +105,13 @@ TEST(ShapeSourceTest, DiskRangeScansMatchMemory) {
     std::vector<std::vector<uint32_t>> rows;
     EXPECT_TRUE(source
                     .ScanRange(pred, first, count,
-                               [&](std::span<const uint32_t> tuple) {
-                                 rows.emplace_back(tuple.begin(), tuple.end());
+                               [&](storage::TupleRun run) {
+                                 EXPECT_GT(run.rows(), 0u);
+                                 for (size_t i = 0; i < run.rows(); ++i) {
+                                   const auto tuple = run.row(i);
+                                   rows.emplace_back(tuple.begin(),
+                                                     tuple.end());
+                                 }
                                  return true;
                                })
                     .ok());
@@ -254,6 +264,178 @@ TEST(ShapeSourceTest, ScanPlanHandlesMaximalArity) {
     }
   }
   std::remove(path.c_str());
+}
+
+// Fills `tuple` with one of the row kinds the scan kernel must classify:
+// all equal, all distinct, or drawn from a domain of 2..arity+1 values
+// (so coarse and fine shapes alike occur).
+void FillKernelRow(Rng* rng, std::vector<uint32_t>* tuple) {
+  const auto arity = static_cast<uint32_t>(tuple->size());
+  const auto base = static_cast<uint32_t>(rng->Below(64));
+  switch (rng->Below(4)) {
+    case 0:
+      std::fill(tuple->begin(), tuple->end(), base);
+      break;
+    case 1:
+      std::iota(tuple->begin(), tuple->end(), base);
+      break;
+    default: {
+      const uint64_t domain = 2 + rng->Below(arity);
+      for (uint32_t& c : *tuple) {
+        c = base + static_cast<uint32_t>(rng->Below(domain));
+      }
+    }
+  }
+}
+
+TEST(ShapeSourceTest, ScanKernelMatchesBruteForceOnBothSidesOfMaskCutoff) {
+  // One relation per arity 1..8, so both the equality-mask kernel (arity
+  // <= 6) and the per-tuple id-tuple path (7 and 8) run; row counts up to
+  // a few pages' worth, so relations split across chunks and disk runs.
+  Rng rng(20261020);
+  for (int trial = 0; trial < 4; ++trial) {
+    Schema schema;
+    Database db(&schema);
+    db.EnsureAnonymousDomain(128);
+    std::set<Shape> reference;
+    for (uint32_t arity = 1; arity <= 8; ++arity) {
+      const PredId pred =
+          schema.AddPredicate("r" + std::to_string(arity), arity).value();
+      const uint64_t rows = trial == 0 ? 3 : rng.Below(2500);
+      std::vector<uint32_t> tuple(arity);
+      for (uint64_t row = 0; row < rows; ++row) {
+        FillKernelRow(&rng, &tuple);
+        ASSERT_TRUE(db.AddFact(pred, tuple).ok());
+        reference.insert(ShapeOfTuple(pred, tuple));
+      }
+    }
+    const std::vector<Shape> expected(reference.begin(), reference.end());
+
+    const std::string path =
+        TempPath("chase_shape_source_kernel_" + std::to_string(trial) + ".db");
+    auto disk_db = pager::DiskDatabase::Create(path, db, /*num_frames=*/8);
+    ASSERT_TRUE(disk_db.ok()) << disk_db.status();
+    for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+      // Fresh sources per run: each carries its own logical counters.
+      storage::Catalog catalog(&db);
+      storage::MemoryShapeSource memory(&catalog);
+      pager::DiskShapeSource disk(disk_db->get());
+      for (const storage::ShapeSource* source :
+           std::initializer_list<const storage::ShapeSource*>{&memory,
+                                                              &disk}) {
+        auto shapes =
+            storage::FindShapes(*source, {ShapeFinderMode::kScan, threads});
+        ASSERT_TRUE(shapes.ok()) << shapes.status();
+        EXPECT_EQ(*shapes, expected)
+            << "trial " << trial << ", backend " << source->Name()
+            << ", threads " << threads;
+        EXPECT_EQ(source->stats().tuples_scanned, db.TotalFacts())
+            << "trial " << trial << ", backend " << source->Name()
+            << ", threads " << threads;
+      }
+    }
+    std::remove(path.c_str());
+  }
+}
+
+// Threads of this process, or 0 where /proc/self/task is not available.
+size_t LiveThreads() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/task", error);
+  if (error) return 0;
+  return static_cast<size_t>(
+      std::distance(it, std::filesystem::directory_iterator()));
+}
+
+TEST(ShapeSourceTest, ScanStartsNoMoreWorkersThanChunks) {
+  const size_t before = LiveThreads();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/task to count threads in";
+  Schema schema;
+  const PredId pred = schema.AddPredicate("r", 2).value();
+  Database db(&schema);
+  db.EnsureAnonymousDomain(8);
+  for (uint32_t row = 0; row < 3; ++row) {
+    const std::vector<uint32_t> tuple = {row, row + 1};
+    ASSERT_TRUE(db.AddFact(pred, tuple).ok());
+  }
+  storage::Catalog catalog(&db);
+  storage::MemoryShapeSource memory(&catalog);
+
+  // Three rows deal as at most three chunks, so at most two workers join
+  // the calling thread, however many threads are asked for.
+  std::vector<size_t> observed(8, 0);
+  uint64_t rows = 0;
+  std::vector<uint64_t> worker_rows(8, 0);
+  ASSERT_TRUE(storage::ParallelTupleScan(
+                  memory, {pred}, /*threads=*/8,
+                  [&](unsigned t, PredId, storage::TupleRun run) {
+                    observed[t] = std::max(observed[t], LiveThreads());
+                    worker_rows[t] += run.rows();
+                  })
+                  .ok());
+  for (uint64_t n : worker_rows) rows += n;
+  EXPECT_EQ(rows, 3u);
+  EXPECT_EQ(memory.stats().tuples_scanned, 3u);
+  const size_t most = *std::max_element(observed.begin(), observed.end());
+  EXPECT_GT(most, 0u);
+  EXPECT_LE(most, before + 2);
+}
+
+TEST(ShapeSourceTest, ExistsProbeMetersTuplesThroughFirstWitness) {
+  // Distinct pairs (shape [1,2]) over more than three disk pages, with one
+  // equal pair (shape [1,1]) as the only witness of the probed shape. Each
+  // probe must meter the tuples up to and including its witness, on both
+  // backends, wherever the witness sits: early in the first page, at the
+  // end of the first page, at the start of a middle page, in the last
+  // page — and the whole relation when there is none.
+  const uint32_t per_page = pager::HeapFile::TuplesPerPage(2);
+  const uint64_t rows = 3 * per_page + 7;
+  const IdTuple equal_pair = {1, 1};
+  struct Case {
+    const char* where;
+    uint64_t witness;  // row of the equal pair; `rows` for none
+  };
+  const Case cases[] = {{"first page", 3},
+                        {"end of first page", per_page - 1},
+                        {"middle page", 2 * per_page},
+                        {"last page", rows - 1},
+                        {"none", rows}};
+  for (const Case& c : cases) {
+    Schema schema;
+    const PredId pred = schema.AddPredicate("r", 2).value();
+    Database db(&schema);
+    db.EnsureAnonymousDomain(rows + 1);
+    for (uint64_t row = 0; row < rows; ++row) {
+      const auto v = static_cast<uint32_t>(row);
+      const std::vector<uint32_t> tuple = {v, row == c.witness ? v : v + 1};
+      ASSERT_TRUE(db.AddFact(pred, tuple).ok());
+    }
+    const std::string path = TempPath("chase_shape_source_probe.db");
+    auto disk_db = pager::DiskDatabase::Create(path, db, /*num_frames=*/4);
+    ASSERT_TRUE(disk_db.ok()) << disk_db.status();
+    storage::Catalog catalog(&db);
+    storage::MemoryShapeSource memory(&catalog);
+    pager::DiskShapeSource disk(disk_db->get());
+    const bool present = c.witness < rows;
+    const uint64_t expected_scanned = present ? c.witness + 1 : rows;
+    for (const storage::ShapeSource* source :
+         std::initializer_list<const storage::ShapeSource*>{&memory, &disk}) {
+      for (bool exact : {false, true}) {
+        storage::AccessStats stats;
+        auto found =
+            storage::ProbeShapeExists(*source, pred, equal_pair, exact, &stats);
+        ASSERT_TRUE(found.ok()) << found.status();
+        EXPECT_EQ(*found, present)
+            << c.where << ", backend " << source->Name() << ", exact "
+            << exact;
+        EXPECT_EQ(stats.tuples_scanned, expected_scanned)
+            << c.where << ", backend " << source->Name() << ", exact "
+            << exact;
+        EXPECT_EQ(stats.exists_queries, 1u);
+      }
+    }
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -74,6 +74,14 @@ patterns that protect it, on every file, in CI:
                    fired-trigger keys in flat RowSets
                    (chase/instance.h) instead.
 
+  scan-id-alloc    The allocating IdOf( and ShapeOfTuple( under
+                   src/storage/ and src/pager/, the scan layers. Both
+                   build a heap IdTuple, so one creeping into a scan
+                   loop pays an allocation per tuple; the scan kernel
+                   classifies tuples by equality mask and writes an
+                   id-tuple only into a stack IdBuffer (WriteIdOf,
+                   ShapeViewOfTuple in logic/shape.h).
+
 Suppressions: append `// chase-lint: allow(<rule>) <reason>` to the
 offending line, or put it in a comment on the line directly above. The
 reason is mandatory — a suppression documents the invariant that replaces
@@ -161,6 +169,12 @@ NODE_ROW_CONTAINER_RE = re.compile(
     r"\bunordered_(?:set|map)\s*<\s*(?:(?:::)?chase::)?"
     r"(?:GroundAtom\b|(?:std::)?vector\s*<\s*"
     r"(?:(?:std::)?uint64_t|(?:(?:::)?chase::)?Term)\s*>)")
+
+# scan-id-alloc -------------------------------------------------------------
+SCAN_ID_ALLOC_DIRS = (os.path.join("src", "storage"),
+                      os.path.join("src", "pager"))
+SCAN_ID_ALLOC_RE = re.compile(
+    r"\b(?:IdOf|ShapeOfTuple)\s*(?:<[^<>;()]*>\s*)?\(")
 
 # envelope-io ---------------------------------------------------------------
 ENVELOPE_HOME = (
@@ -355,6 +369,18 @@ class FileLinter:
                     "why it needs erase in "
                     "`// chase-lint: allow(node-row-container) <why>`")
 
+    def check_scan_id_alloc(self):
+        if not in_dirs(self.relpath, SCAN_ID_ALLOC_DIRS):
+            return
+        for i, code in enumerate(self.code, start=1):
+            if SCAN_ID_ALLOC_RE.search(code):
+                self.report(
+                    i, "scan-id-alloc",
+                    "allocating IdOf/ShapeOfTuple in a scan layer; write "
+                    "the id-tuple into a stack IdBuffer (WriteIdOf, "
+                    "ShapeViewOfTuple), or say why this is off the scan "
+                    "path in `// chase-lint: allow(scan-id-alloc) <why>`")
+
     def check_envelope_io(self):
         if self.relpath in ENVELOPE_HOME:
             return
@@ -433,6 +459,7 @@ class FileLinter:
         self.check_node_shape_container()
         self.check_node_string_container()
         self.check_node_row_container()
+        self.check_scan_id_alloc()
         self.check_envelope_io()
         self.check_signal_handler()
         return self.findings
