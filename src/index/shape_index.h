@@ -75,12 +75,14 @@ class ShapeIndex {
   // Records one inserted tuple of `pred`, maintaining the content
   // fingerprint from the actual tuple.
   void Insert(PredId pred, std::span<const uint32_t> tuple) {
+    // chase-lint: allow(scan-id-alloc) one tuple per update, not a scan
     AddShape(Shape(pred, IdOf(tuple)), TupleFingerprint(pred, tuple));
   }
 
   // Records one deleted tuple of `pred`. Fails with kFailedPrecondition if
   // no tuple with that shape is indexed (the counter would go negative).
   [[nodiscard]] Status Remove(PredId pred, std::span<const uint32_t> tuple) {
+    // chase-lint: allow(scan-id-alloc) one tuple per update, not a scan
     return RemoveShape(Shape(pred, IdOf(tuple)),
                        TupleFingerprint(pred, tuple));
   }

@@ -75,12 +75,13 @@ patterns that protect it, on every file, in CI:
                    (chase/instance.h) instead.
 
   scan-id-alloc    The allocating IdOf( and ShapeOfTuple( under
-                   src/storage/ and src/pager/, the scan layers. Both
-                   build a heap IdTuple, so one creeping into a scan
-                   loop pays an allocation per tuple; the scan kernel
-                   classifies tuples by equality mask and writes an
-                   id-tuple only into a stack IdBuffer (WriteIdOf,
-                   ShapeViewOfTuple in logic/shape.h).
+                   src/storage/, src/pager/ and src/index/, the layers
+                   that scan relations. Both build a heap IdTuple, so
+                   one creeping into a scan loop pays an allocation per
+                   tuple; the scan kernel classifies tuples by equality
+                   mask and writes an id-tuple only into a stack
+                   IdBuffer (WriteIdOf, ShapeViewOfTuple in
+                   logic/shape.h).
 
 Suppressions: append `// chase-lint: allow(<rule>) <reason>` to the
 offending line, or put it in a comment on the line directly above. The
@@ -172,7 +173,8 @@ NODE_ROW_CONTAINER_RE = re.compile(
 
 # scan-id-alloc -------------------------------------------------------------
 SCAN_ID_ALLOC_DIRS = (os.path.join("src", "storage"),
-                      os.path.join("src", "pager"))
+                      os.path.join("src", "pager"),
+                      os.path.join("src", "index"))
 SCAN_ID_ALLOC_RE = re.compile(
     r"\b(?:IdOf|ShapeOfTuple)\s*(?:<[^<>;()]*>\s*)?\(")
 
