@@ -20,6 +20,7 @@
 #include "index/shape_index.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
+#include "storage/shape_source.h"
 
 using namespace chase;
 using namespace chase::bench;
@@ -58,7 +59,9 @@ int main(int argc, char** argv) {
 
       // Build the index once (write-time cost, amortized over the
       // database's lifetime, not charged to either side below).
-      index::ShapeIndex index = index::ShapeIndex::Build(db);
+      storage::Catalog catalog(&db);
+      storage::MemoryShapeSource source(&catalog);
+      index::ShapeIndex index = index::ShapeIndex::Build(source).value();
 
       // Apply the update batch to both the database and the index, timing
       // only the index maintenance.
@@ -78,8 +81,6 @@ int main(int argc, char** argv) {
       incremental_ms += batch_ms;
 
       // The recomputation path scans the (now larger) database.
-      storage::Catalog catalog(&db);
-      storage::MemoryShapeSource source(&catalog);
       timer.Restart();
       std::vector<Shape> recomputed =
           std::move(storage::FindShapes(source, {})).value();

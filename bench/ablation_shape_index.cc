@@ -121,7 +121,10 @@ int main(int argc, char** argv) {
         Database& db = *grown->database;
         const Schema& schema = db.schema();
         n_tuples = db.TotalFacts();
-        index::ShapeIndex index = index::ShapeIndex::Build(db);
+        storage::Catalog catalog(&db);
+        index::ShapeIndex index =
+            index::ShapeIndex::Build(storage::MemoryShapeSource(&catalog))
+                .value();
 
         // Pre-generate the update batch, dealt round-robin to writers.
         std::vector<std::pair<PredId, std::vector<uint32_t>>> batch;

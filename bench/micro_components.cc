@@ -23,6 +23,7 @@
 #include "pager/heap_file.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
+#include "storage/shape_source.h"
 #include "storage/tuple_run.h"
 
 namespace chase {
@@ -164,7 +165,9 @@ BENCHMARK(BM_ChaseStepRate);
 
 void BM_ShapeIndexInsert(benchmark::State& state) {
   const Fixture& f = Fixture::Get(1000);
-  index::ShapeIndex index = index::ShapeIndex::Build(*f.database);
+  storage::Catalog catalog(f.database.get());
+  index::ShapeIndex index =
+      index::ShapeIndex::Build(storage::MemoryShapeSource(&catalog)).value();
   Rng rng(3);
   std::vector<uint32_t> tuple;
   const uint32_t num_preds =

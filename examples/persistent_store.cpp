@@ -64,14 +64,19 @@ int main(int argc, char** argv) {
             << pool.hits << " buffer hits / " << pool.misses
             << " misses.\n";
 
-  // 3. Build the incremental shape index once, then stream updates through
-  // it; the shape set stays current without rescanning.
+  // 3. Build the incremental shape index once off the pager, then stream
+  // updates through it; the shape set stays current without rescanning.
   StatusOr<Database> loaded = (*store)->ToDatabase();
   if (!loaded.ok()) {
     std::cerr << loaded.status() << "\n";
     return 1;
   }
-  index::ShapeIndex index = index::ShapeIndex::Build(*loaded);
+  auto built = index::ShapeIndex::Build(pager::DiskShapeSource(store->get()));
+  if (!built.ok()) {
+    std::cerr << built.status() << "\n";
+    return 1;
+  }
+  index::ShapeIndex index = std::move(built).value();
   Rng rng(7);
   std::vector<uint32_t> tuple;
   size_t new_shapes = 0;

@@ -150,19 +150,6 @@ StatusOr<ShapeIndex> ShapeIndex::Build(const storage::ShapeSource& source,
   return index;
 }
 
-ShapeIndex ShapeIndex::Build(const Database& db) {
-  ShapeIndex index;
-  for (PredId pred : db.NonEmptyPredicates()) {
-    const uint32_t arity = db.schema().Arity(pred);
-    const auto tuples = db.Tuples(pred);
-    const size_t rows = tuples.size() / arity;
-    for (size_t row = 0; row < rows; ++row) {
-      index.Insert(pred, tuples.subspan(row * arity, arity));
-    }
-  }
-  return index;
-}
-
 Status ShapeIndex::Save(const std::string& path) const {
   io::ShapeSnapshot snapshot;
   {

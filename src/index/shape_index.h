@@ -69,9 +69,6 @@ class ShapeIndex {
   [[nodiscard]] static StatusOr<ShapeIndex> Build(
       const storage::ShapeSource& source, unsigned threads = 1);
 
-  // Convenience: serial build straight from a raw database.
-  static ShapeIndex Build(const Database& db);
-
   // Records one inserted tuple of `pred`, maintaining the content
   // fingerprint from the actual tuple.
   void Insert(PredId pred, std::span<const uint32_t> tuple) {

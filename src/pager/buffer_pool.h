@@ -5,25 +5,22 @@
 // DiskManager, so its hit/miss/eviction counters — together with the
 // DiskManager's page I/O counters — fully account for the cost of the
 // on-disk FindShapes variants. Pages are pinned through the RAII PageGuard;
-// a pinned page is never evicted. Fetch/Allocate briefly wait out a shard
+// a pinned page is never evicted. Fetch/Allocate briefly wait out a pool
 // whose frames are all pinned (pins are transient in scan workloads) and
 // report kResourceExhausted only if it stays full — e.g. when guards are
 // held indefinitely.
 //
-// Concurrency: the pool is partitioned into N shards (page id → shard by a
-// mixed hash), each with its own latch, page table, frame set, clock hand,
-// and counters, so parallel disk scans touching different pages contend on
-// different latches instead of one global mutex. Reading a pinned page's
-// payload needs no lock (a pinned page is never evicted, and read-only
-// scans never mutate it). Frames are divided evenly across shards; a shard
-// whose frames are all pinned reports kResourceExhausted even if another
-// shard has free frames — size pools with at least a few frames per shard.
+// Concurrency: one latch guards the page table, the frame bookkeeping, the
+// clock hand and the counters. A miss reads its page outside the latch, so
+// concurrent faults overlap their I/O. Reading a pinned page's payload
+// needs no lock (a pinned page is never evicted, and read-only scans never
+// mutate it). A parallel scan worker pins at most one page at a time, so
+// a pool of at least `threads` frames never runs out of frames mid-scan.
 
 #ifndef CHASE_PAGER_BUFFER_POOL_H_
 #define CHASE_PAGER_BUFFER_POOL_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -43,14 +40,6 @@ struct BufferPoolStats {
   uint64_t dirty_writebacks = 0;
 
   void Reset() { *this = BufferPoolStats(); }
-
-  BufferPoolStats& MergeFrom(const BufferPoolStats& other) {
-    hits += other.hits;
-    misses += other.misses;
-    evictions += other.evictions;
-    dirty_writebacks += other.dirty_writebacks;
-    return *this;
-  }
 };
 
 class BufferPool;
@@ -69,7 +58,7 @@ class PageGuard {
   bool valid() const { return pool_ != nullptr; }
   PageId page_id() const { return page_id_; }
 
-  // Payload reads go through the frame vector without the shard latch: the
+  // Payload reads go through the frame vector without the pool latch: the
   // guard's pin is the invariant that replaces it (a pinned frame is never
   // evicted or re-pointed), which the analysis cannot express.
   const Page& page() const NO_THREAD_SAFETY_ANALYSIS;
@@ -84,29 +73,19 @@ class PageGuard {
 
   BufferPool* pool_ = nullptr;
   PageId page_id_ = kInvalidPageId;
-  uint32_t frame_ = 0;  // slot within the page's shard
+  uint32_t frame_ = 0;
 };
 
 class BufferPool {
  public:
-  // Default shard count for pools large enough to split (see the
-  // constructor); small pools stay single-sharded so per-shard capacity
-  // semantics match the unsharded pool.
-  static constexpr uint32_t kDefaultShards = 8;
-  // Auto-sharding keeps at least this many frames per shard.
-  static constexpr uint32_t kMinFramesPerShard = 8;
-
-  // `disk` must outlive the pool. `num_frames` >= 1. `num_shards` = 0 picks
-  // min(kDefaultShards, num_frames / kMinFramesPerShard) (at least 1);
-  // explicit counts are clamped to [1, num_frames].
-  BufferPool(DiskManager* disk, uint32_t num_frames, uint32_t num_shards = 0);
+  // `disk` must outlive the pool. `num_frames` >= 1.
+  BufferPool(DiskManager* disk, uint32_t num_frames);
 
   // Pins the page, reading it from disk on a miss. Miss reads are staged
-  // outside the shard latch so concurrent faults on one shard overlap
-  // their I/O. Contract: Fetch must not race with a writer of the same
-  // page. The unlatched read cannot tell a concurrent mutate+evict apart
-  // from the quiescent case and would install the pre-write image as a
-  // clean frame. Write phases and scan phases alternate in every current
+  // outside the latch so concurrent faults overlap their I/O. Contract:
+  // Fetch must not race with a writer of the same page. The unlatched read
+  // cannot tell a concurrent mutate+evict apart from the quiescent case and
+  // would install the pre-write image as a clean frame. Write phases and scan phases alternate in every current
   // deployment; a writer-concurrent one needs page versioning here.
   [[nodiscard]] StatusOr<PageGuard> Fetch(PageId page_id);
 
@@ -118,14 +97,9 @@ class BufferPool {
   [[nodiscard]] Status Flush();
 
   uint32_t num_frames() const { return num_frames_; }
-  uint32_t num_shards() const {
-    return static_cast<uint32_t>(shards_.size());
-  }
   uint32_t pinned_frames() const;
 
-  // Aggregated counters across shards; each shard is read under its latch,
-  // so the snapshot is race-free (though shards are not frozen relative to
-  // one another while scans run).
+  // The counters, read under the latch (race-free while scans run).
   BufferPoolStats stats() const;
   void ResetStats();
 
@@ -142,39 +116,33 @@ class BufferPool {
     bool referenced = false;
   };
 
-  struct Shard {
-    // Guards the shard's page table, frame bookkeeping, and counters.
-    // Pinned frames' page payloads are read outside the latch (see
-    // PageGuard::page).
-    mutable Mutex mu;
-    std::vector<Frame> frames GUARDED_BY(mu);
-    std::unordered_map<PageId, uint32_t> page_table GUARDED_BY(mu);
-    uint32_t clock_hand GUARDED_BY(mu) = 0;
-    BufferPoolStats stats GUARDED_BY(mu);
-  };
-
-  size_t ShardOf(PageId page_id) const;
-
-  // Shared Fetch/Allocate scaffold: waits out transient pin-exhaustion of
-  // `shard` with a bounded yield-retry, calling `check_hit` (latch held;
-  // may short-circuit with an already-resident frame) and, once a frame
-  // is free, `install` (latch held).
+  // Shared Fetch/Allocate scaffold: waits out transient pin-exhaustion
+  // with a bounded yield-retry, calling `check_hit` (latch held; may
+  // short-circuit with an already-resident frame) and, once a frame is
+  // free, `install` (latch held).
   template <typename CheckHit, typename Install>
   [[nodiscard]]
-  StatusOr<PageGuard> AcquireAndInstall(Shard& shard, CheckHit&& check_hit,
+  StatusOr<PageGuard> AcquireAndInstall(CheckHit&& check_hit,
                                         Install&& install);
 
-  // Finds a free or evictable frame in `shard`, writing back a dirty
-  // victim.
-  [[nodiscard]]
-  StatusOr<uint32_t> AcquireFrame(Shard* shard) REQUIRES(shard->mu);
+  // Finds a free or evictable frame, writing back a dirty victim.
+  [[nodiscard]] StatusOr<uint32_t> AcquireFrame() REQUIRES(mu_);
 
-  void Unpin(PageId page_id, uint32_t frame);
-  void MarkDirty(PageId page_id, uint32_t frame);
+  void Unpin(uint32_t frame);
+  void MarkDirty(uint32_t frame);
 
   DiskManager* disk_;
-  uint32_t num_frames_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const uint32_t num_frames_;
+  // Guards the page table, frame bookkeeping, and counters. Pinned frames'
+  // page payloads are read outside the latch (see PageGuard::page).
+  mutable Mutex mu_;
+  std::vector<Frame> frames_ GUARDED_BY(mu_);
+  // Frames fill in index order and eviction re-points a frame in place,
+  // so the never-used frames are exactly frames_[used_, num_frames_).
+  uint32_t used_ GUARDED_BY(mu_) = 0;
+  std::unordered_map<PageId, uint32_t> page_table_ GUARDED_BY(mu_);
+  uint32_t clock_hand_ GUARDED_BY(mu_) = 0;
+  BufferPoolStats stats_ GUARDED_BY(mu_);
 };
 
 }  // namespace pager

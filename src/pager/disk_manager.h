@@ -8,8 +8,8 @@
 //
 // The manager is thread-safe and lock-free on the data path: reads and
 // writes use positional I/O (pread/pwrite), which POSIX makes atomic with
-// respect to the file offset, so concurrent buffer-pool shards issue page
-// I/O in parallel without serializing on a file lock.
+// respect to the file offset, so the buffer pool's concurrent misses issue
+// page I/O in parallel without serializing on a file lock.
 // Only AllocatePage (file extension) takes a mutex. The I/O counters are
 // atomics, so they can be read (e.g. by DiskShapeSource::Io) while scans
 // are in flight. The fault hooks themselves are test-only and must be set

@@ -122,36 +122,17 @@ Status ScanShapes(const ShapeSource& source,
 }
 
 // ---------------------------------------------------------------------------
-// Exists plan: the Apriori lattice walk over EXISTS probes.
-
-Status WalkShapesForPred(const ShapeSource& source, PredId pred,
-                         AccessStats* stats, ShapeSet* shapes) {
-  Status failure = OkStatus();
-  auto probe = [&](const IdTuple& id, bool exact) {
-    if (!failure.ok()) return false;  // abort the walk on the first error
-    StatusOr<bool> found = ProbeShapeExists(source, pred, id, exact, stats);
-    if (!found.ok()) {
-      failure = found.status();
-      return false;
-    }
-    return *found;
-  };
-  WalkShapeLattice(
-      source.schema().Arity(pred),
-      [&](const IdTuple& id) { return probe(id, /*exact=*/false); },
-      [&](const IdTuple& id) { return probe(id, /*exact=*/true); },
-      [&](const IdTuple& id) { shapes->Insert(Shape(pred, id)); });
-  return failure;
-}
-
-// Frontier-parallel exists plan: the lattices of every predicate form one
-// global frontier of candidate shapes — seeded with each predicate's
-// all-distinct tuple — that FrontierPool expands depth-synchronously. The
-// probes of one depth are independent, so a single high-arity predicate
-// (one huge lattice) spreads across the whole pool instead of pinning one
-// worker, and pruning stays exact: a candidate only discovers its coarser
-// children when its relaxed query succeeded, just like the serial walk.
-// Each depth's confirmed shapes go into one set on the serial absorb path.
+// Exists plan: the Apriori lattice walk over EXISTS probes (Section 5.4).
+// The lattices of every predicate form one global frontier of candidate
+// shapes — seeded with each predicate's all-distinct tuple — that
+// FrontierPool expands depth-synchronously (inline at threads <= 1). A
+// candidate is probed with its relaxed query first; only if that succeeds
+// does the full query decide the exact shape and the candidate discover
+// its coarser children, so a failed relaxed query prunes the whole subtree
+// without touching the data. The probes of one depth are independent, so a
+// single high-arity predicate (one huge lattice) spreads across the whole
+// pool instead of pinning one worker. Each depth's confirmed shapes go
+// into one set on the serial absorb path.
 // Per-worker sets filled inside the expansion were no faster: at 2, 4 and
 // 8 threads on one arity-7 predicate (876 shapes, 20,000 rows) and on 500
 // predicates of arity 3-6 (23,838 shapes, 200 rows each), the two stayed
@@ -257,20 +238,10 @@ StatusOr<std::vector<Shape>> FindShapes(const ShapeSource& source,
   ScopedAccessStatsMirror stats_mirror(source);
   const std::vector<PredId> preds = source.NonEmptyRelations();
   ShapeSet shapes;
-  Status status = OkStatus();
-  if (options.mode == ShapeFinderMode::kScan) {
-    status = ScanShapes(source, preds, threads, &shapes);
-  } else if (threads == 1) {
-    // The serial reference walk — the oracle the frontier-parallel plan is
-    // differentially tested against (tests/frontier_equivalence_test.cc).
-    for (PredId pred : preds) {
-      status = WalkShapesForPred(source, pred, &source.stats(), &shapes);
-      if (!status.ok()) break;
-    }
-  } else {
-    status = WalkShapesFrontier(source, preds, threads, &shapes);
-  }
-  CHASE_RETURN_IF_ERROR(status);
+  CHASE_RETURN_IF_ERROR(options.mode == ShapeFinderMode::kScan
+                            ? ScanShapes(source, preds, threads, &shapes)
+                            : WalkShapesFrontier(source, preds, threads,
+                                                 &shapes));
   return Sorted(std::move(shapes));
 }
 

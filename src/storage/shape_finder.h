@@ -13,9 +13,10 @@
 //    query of a shape fails, every coarser shape is pruned without touching
 //    the data.
 //
-// Both modes also run work-partitioned in parallel (`threads` > 1): scan
-// mode splits relations into row ranges of roughly equal estimated work and
-// unions per-thread shape sets; exists mode walks the shape lattices of all
+// Both modes run work-partitioned in parallel at `threads` > 1 and inline
+// at `threads` <= 1, through one code path each: scan mode splits
+// relations into row ranges of roughly equal estimated work and unions
+// per-thread shape sets; exists mode walks the shape lattices of all
 // predicates as one depth-synchronous frontier through chase::FrontierPool,
 // so the candidate shapes themselves — not whole predicates — are dealt to
 // workers and one high-arity predicate (a large lattice) cannot pin a
@@ -24,7 +25,9 @@
 // shape-finding over pager::DiskDatabase.
 //
 // All mode × backend × thread combinations return the same sorted set; a
-// property test (tests/shape_source_test.cc) enforces this.
+// property test (tests/shape_source_test.cc) enforces this, and the scan
+// plan, an independent algorithm, is the oracle the exists plan is tested
+// against (tests/frontier_equivalence_test.cc).
 
 #ifndef CHASE_STORAGE_SHAPE_FINDER_H_
 #define CHASE_STORAGE_SHAPE_FINDER_H_

@@ -2,8 +2,6 @@
 
 #include "logic/shape.h"
 
-#include <queue>
-#include <set>
 #include <vector>
 
 namespace chase {
@@ -33,28 +31,6 @@ void ForEachChild(const IdTuple& id,
     for (uint32_t b = a + 1; b <= blocks; ++b) {
       child(MergeBlocks(id, representative[a], representative[b]));
     }
-  }
-}
-
-void WalkShapeLattice(
-    uint32_t arity,
-    const std::function<bool(const IdTuple&)>& relaxed_exists,
-    const std::function<bool(const IdTuple&)>& full_exists,
-    const std::function<void(const IdTuple&)>& emit) {
-  std::set<IdTuple> enqueued;
-  std::queue<IdTuple> frontier;
-  IdTuple all_distinct = AllDistinctIdTuple(arity);
-  frontier.push(all_distinct);
-  enqueued.insert(std::move(all_distinct));
-
-  while (!frontier.empty()) {
-    IdTuple id = std::move(frontier.front());
-    frontier.pop();
-    if (!relaxed_exists(id)) continue;
-    if (full_exists(id)) emit(id);
-    ForEachChild(id, [&](IdTuple child) {
-      if (enqueued.insert(child).second) frontier.push(std::move(child));
-    });
   }
 }
 

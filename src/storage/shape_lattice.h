@@ -1,12 +1,8 @@
-// The Apriori-style walk of the shape (partition) lattice of Section 5.4,
-// factored out so the in-memory row store and the disk-backed pager can run
-// identical query plans with their own EXISTS evaluators.
-//
-// The walk starts at the all-distinct id-tuple and explores coarser tuples
-// breadth-first. For each candidate it first evaluates the relaxed query
-// (equalities only); if that fails, every coarser tuple also fails and the
-// subtree is pruned without touching the data. Otherwise the full query
-// (equalities and disequalities) decides whether the exact shape is present.
+// The shape (partition) lattice of Section 5.4, whose Apriori-style walk
+// is the exists plan of FindShapes (storage/shape_finder.cc): the walk
+// starts at the all-distinct id-tuple of each predicate and explores
+// coarser id-tuples through ForEachChild, pruning the subtree below any
+// id-tuple whose relaxed (equalities-only) query fails.
 
 #ifndef CHASE_STORAGE_SHAPE_LATTICE_H_
 #define CHASE_STORAGE_SHAPE_LATTICE_H_
@@ -17,17 +13,6 @@
 
 namespace chase {
 namespace storage {
-
-// Calls `emit(id)` for every id-tuple of length `arity` whose full query
-// succeeds, pruning via the relaxed query as described above. Serial; the
-// frontier-parallel exists plan in shape_finder.cc runs the same walk
-// depth-synchronously through chase::FrontierPool, sharing ForEachChild
-// below, and is property-tested equal to this reference.
-void WalkShapeLattice(
-    uint32_t arity,
-    const std::function<bool(const IdTuple&)>& relaxed_exists,
-    const std::function<bool(const IdTuple&)>& full_exists,
-    const std::function<void(const IdTuple&)>& emit);
 
 // Calls `child(c)` for each immediate coarsening of `id` — every id-tuple
 // obtained by merging two of its blocks. Distinct block pairs yield

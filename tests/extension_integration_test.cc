@@ -72,8 +72,9 @@ TEST(ExtensionIntegrationTest, GeneratedWorkloadFullPipeline) {
   EXPECT_EQ(*disk_shapes, *memory_shapes);
 
   // 4. Index-fed termination check agrees with both scanning modes.
-  index::ShapeIndex index = index::ShapeIndex::Build(*loaded->database);
-  std::vector<Shape> shapes = index.CurrentShapes();
+  auto index = index::ShapeIndex::Build(storage::MemoryShapeSource(&catalog));
+  ASSERT_TRUE(index.ok()) << index.status();
+  std::vector<Shape> shapes = index->CurrentShapes();
   EXPECT_EQ(shapes, *disk_shapes);
   LCheckOptions indexed;
   indexed.precomputed_shapes = &shapes;

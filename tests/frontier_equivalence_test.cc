@@ -3,9 +3,10 @@
 // FrontierPool, so every consumer is swept against its serial oracle on
 // seeded random workloads —
 //
-//  * the EXISTS shape plan: {1, 2, 4, 8} threads x {memory, disk, index}
-//    backends must return the bit-identical sorted shape(D) the serial
-//    per-predicate lattice walk returns;
+//  * the EXISTS shape plan: {1, 2, 4, 8} threads x {memory, disk}
+//    backends must return the bit-identical sorted shape(D) the scan plan
+//    returns — an independent algorithm, since the EXISTS plan runs the
+//    one frontier walk at every thread count, inline at threads = 1;
 //  * dynamic simplification: every thread count must emit the bit-identical
 //    canonical simplified-TGD list (same TGDs, same order, same interned
 //    shape-schema predicates) and the same initial/derived shape counts;
@@ -113,8 +114,7 @@ void ExpectIdenticalSimplification(const DynamicSimplificationResult& a,
   }
 }
 
-// The registry's frontier.* counters over one exists-plan run. The
-// threads = 1 plan is the serial walk, which leaves them at zero.
+// The registry's frontier.* counters over one exists-plan run.
 struct FrontierCounters {
   uint64_t depths = 0;
   uint64_t seeds_admitted = 0;
@@ -147,8 +147,8 @@ TEST(FrontierEquivalenceTest, ExistsPlanMatchesSerialOracle) {
     GeneratedData data = MakeRandomData(&rng);
     storage::Catalog catalog(data.database.get());
     storage::MemoryShapeSource memory(&catalog);
-    // The serial oracle: the reference per-predicate lattice walk.
-    auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kExists, 1});
+    // The oracle: the serial scan plan, which classifies every tuple.
+    auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kScan, 1});
     ASSERT_TRUE(oracle.ok()) << oracle.status();
 
     const std::string path =
@@ -168,11 +168,12 @@ TEST(FrontierEquivalenceTest, ExistsPlanMatchesSerialOracle) {
         EXPECT_EQ(*shapes, *oracle)
             << "trial " << trial << ", backend " << source->Name()
             << ", threads " << threads;
-        if (threads > 1) {
-          // The frontier engine ran: its counters must reconcile.
-          EXPECT_EQ(stats.items_expanded,
-                    stats.seeds_admitted + stats.items_discovered);
-        }
+        // The frontier engine ran at every thread count: its counters must
+        // reconcile.
+        EXPECT_EQ(stats.items_expanded,
+                  stats.seeds_admitted + stats.items_discovered)
+            << "trial " << trial << ", backend " << source->Name()
+            << ", threads " << threads;
       }
     }
     std::remove(path.c_str());
@@ -195,8 +196,9 @@ TEST(FrontierEquivalenceTest, DynamicSimplificationMatchesSerialOracle) {
     ASSERT_TRUE(disk_db.ok()) << disk_db.status();
     pager::DiskShapeSource disk(disk_db->get());
 
-    // The serial oracle: serial shape finding + inline worklist.
-    auto oracle_shapes = storage::FindShapes(memory, {ShapeFinderMode::kExists, 1});
+    // The serial oracle: serial scan + inline worklist.
+    auto oracle_shapes =
+        storage::FindShapes(memory, {ShapeFinderMode::kScan, 1});
     ASSERT_TRUE(oracle_shapes.ok()) << oracle_shapes.status();
     auto oracle = DynamicSimplificationFromShapes(*data.schema, tgds,
                                                   *oracle_shapes, 1);
@@ -419,48 +421,25 @@ TEST(FrontierEquivalenceTest, RestrictedChaseSeesASameRoundWitness) {
   EXPECT_TRUE(Satisfies(result->instance, program->tgds));
 }
 
-TEST(FrontierEquivalenceTest, ExistsPlanThreadSweepMatchesSerialWalk) {
-  // The frontier-parallel exists plan absorbs each depth per-chunk into
-  // worker-private sets; that must never change shape(D). Sweep thread
-  // counts against the threads == 1 serial lattice walk.
-  Rng rng(515151);
-  for (int trial = 0; trial < 4; ++trial) {
-    GeneratedData data = MakeRandomData(&rng);
-    storage::Catalog catalog(data.database.get());
-    storage::MemoryShapeSource memory(&catalog);
-    auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kExists, 1});
-    ASSERT_TRUE(oracle.ok()) << oracle.status();
-    for (unsigned threads : kThreadSweep) {
-      auto shapes =
-          storage::FindShapes(memory, {ShapeFinderMode::kExists, threads});
-      ASSERT_TRUE(shapes.ok()) << shapes.status();
-      EXPECT_EQ(*shapes, *oracle)
-          << "trial " << trial << ", threads " << threads;
-    }
-  }
-}
-
 // --------------------------------------------------------------------------
 // EXISTS-probe edge cases the frontier split exposes.
 
 TEST(FrontierEquivalenceTest, EmptyRelationsNeverEnterTheFrontier) {
   // Two populated relations, one empty: the seed frontier must only hold
-  // the non-empty ones (the catalog query filters), and the parallel plans
-  // must agree with the serial oracle.
+  // the non-empty ones (the catalog query filters), and every thread count
+  // must agree with the scan plan.
   auto program = ParseProgram("r(a,b). r(c,c). s(a). t(X,Y) -> r(X,Y).");
   ASSERT_TRUE(program.ok()) << program.status();
   storage::Catalog catalog(program->database.get());
   storage::MemoryShapeSource memory(&catalog);
-  auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kExists, 1});
+  auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kScan, 1});
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   for (unsigned threads : kThreadSweep) {
     FrontierCounters stats;
     auto shapes = FindShapesExists(memory, threads, &stats);
     ASSERT_TRUE(shapes.ok()) << shapes.status();
     EXPECT_EQ(*shapes, *oracle) << "threads " << threads;
-    if (threads > 1) {
-      EXPECT_EQ(stats.seeds_admitted, 2u);  // r and s; t is empty
-    }
+    EXPECT_EQ(stats.seeds_admitted, 2u);  // r and s; t is empty
   }
 }
 
@@ -471,10 +450,10 @@ TEST(FrontierEquivalenceTest, ArityOnePredicatesHaveTrivialLattices) {
   ASSERT_TRUE(program.ok()) << program.status();
   storage::Catalog catalog(program->database.get());
   storage::MemoryShapeSource memory(&catalog);
-  auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kExists, 1});
+  auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kScan, 1});
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   ASSERT_EQ(oracle->size(), 2u);
-  for (unsigned threads : {2u, 8u}) {
+  for (unsigned threads : {1u, 2u, 8u}) {
     FrontierCounters stats;
     auto shapes = FindShapesExists(memory, threads, &stats);
     ASSERT_TRUE(shapes.ok()) << shapes.status();
@@ -525,7 +504,7 @@ TEST(FrontierEquivalenceTest, MoreThreadsThanFrontierItems) {
   ASSERT_TRUE(program.ok()) << program.status();
   storage::Catalog catalog(program->database.get());
   storage::MemoryShapeSource memory(&catalog);
-  auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kExists, 1});
+  auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kScan, 1});
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   ASSERT_EQ(oracle->size(), 2u);  // r_[1,2] and r_[1,1]
   FrontierCounters stats;
@@ -614,7 +593,7 @@ TEST(FrontierEquivalenceTest, CheckpointResumeSweepMatchesUninterruptedRun) {
 
 TEST(FrontierEquivalenceTest, MeteringTotalsAreThreadCountIndependent) {
   // The frontier split changes which worker issues which probe, never the
-  // probe set: logical access totals must match the serial walk exactly.
+  // probe set: logical access totals must match the threads = 1 run's.
   Rng rng(991);
   GeneratedData data = MakeRandomData(&rng);
   storage::Catalog catalog(data.database.get());

@@ -280,15 +280,15 @@ TEST(FrontierPoolTest, ForEachChildHandlesMaxArity) {
 // --------------------------------------------------------------------------
 // The three adversarial shape-lattice profiles, through the real consumer.
 
-void ExpectFrontierExistsMatchesSerial(const DataGenParams& params,
+void ExpectFrontierExistsMatchesScan(const DataGenParams& params,
                                        const char* label) {
   auto data = GenerateData(params);
   ASSERT_TRUE(data.ok()) << data.status();
   storage::Catalog catalog(data->database.get());
   storage::MemoryShapeSource memory(&catalog);
-  auto oracle = FindShapes(memory, {ShapeFinderMode::kExists, 1});
+  auto oracle = FindShapes(memory, {ShapeFinderMode::kScan, 1});
   ASSERT_TRUE(oracle.ok()) << oracle.status();
-  for (unsigned threads : {4u, 8u}) {
+  for (unsigned threads : {1u, 4u, 8u}) {
     auto shapes = FindShapes(memory, {ShapeFinderMode::kExists, threads});
     ASSERT_TRUE(shapes.ok()) << shapes.status();
     EXPECT_EQ(*shapes, *oracle) << label << ", threads " << threads;
@@ -305,7 +305,7 @@ TEST(FrontierPoolTest, WideShallowLattice) {
   params.dsize = 64;
   params.rsize = 200;
   params.seed = 11;
-  ExpectFrontierExistsMatchesSerial(params, "wide-shallow");
+  ExpectFrontierExistsMatchesScan(params, "wide-shallow");
 }
 
 TEST(FrontierPoolTest, NarrowDeepLattice) {
@@ -318,13 +318,13 @@ TEST(FrontierPoolTest, NarrowDeepLattice) {
   params.dsize = 64;
   params.rsize = 30;
   params.seed = 12;
-  ExpectFrontierExistsMatchesSerial(params, "narrow-deep");
+  ExpectFrontierExistsMatchesScan(params, "narrow-deep");
 }
 
 TEST(FrontierPoolTest, SingleGiantPredicate) {
   // The case PR 1's per-predicate dealing could never split: one predicate,
   // one big relation, one lattice. The frontier engine must spread its
-  // probes across the pool and still match the serial walk.
+  // probes across the pool and still match the scan plan.
   DataGenParams params;
   params.preds = 1;
   params.min_arity = 6;
@@ -332,7 +332,7 @@ TEST(FrontierPoolTest, SingleGiantPredicate) {
   params.dsize = 64;
   params.rsize = 5'000;
   params.seed = 13;
-  ExpectFrontierExistsMatchesSerial(params, "single-giant");
+  ExpectFrontierExistsMatchesScan(params, "single-giant");
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 Each case under tests/lint/fixtures/arch/ is a miniature repo root (its
 own src/ tree); the analyzer runs with --root at the case directory and
 the shared fixture manifest, so every structural rule is pinned against
-a tree purpose-built to trip (or not trip) it. A final pair of checks
+a tree purpose-built to trip (or not trip) it. A case that carries its
+own tools/lint/layers.toml runs against that manifest instead, as a
+whole-tree run, which is what enables the stale-edge rule. A final pair of checks
 makes sure real-repo directory walks skip the fixture tree and that
 usage errors exit 2, distinct from findings.
 
@@ -32,6 +34,7 @@ CASES = {
     "missing_guard": ["missing-guard"],
     "bad_suppression": ["bare-allow"],
     "nodiscard": ["nodiscard-status"],
+    "stale_edge": ["stale-edge"],
     "good": [],
 }
 
@@ -43,9 +46,17 @@ def main():
         if not os.path.isdir(case_dir):
             failures.append(f"{case}: fixture directory missing")
             continue
-        lint_common.check_case(failures, case, LINTER,
-                               ["--root", case_dir, "--manifest", MANIFEST],
-                               expected)
+        own_manifest = os.path.isfile(
+            os.path.join(case_dir, "tools", "lint", "layers.toml"))
+        args = ["--root", case_dir]
+        if not own_manifest:
+            args += ["--manifest", MANIFEST]
+        lint_common.check_case(failures, case, LINTER, args, expected)
+    # A partial run cannot see every include, so it reports no stale edge.
+    stale_case = os.path.join(ARCH_FIXTURES, "stale_edge")
+    lint_common.check_case(
+        failures, "stale_edge (partial run)", LINTER,
+        ["--root", stale_case, os.path.join(stale_case, "src")], [])
     lint_common.check_walk_skips_fixtures(failures, LINTER, REPO)
     # Usage errors: a nonexistent path and a missing manifest.
     lint_common.check_usage_error(

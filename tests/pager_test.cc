@@ -387,34 +387,12 @@ TEST(BufferPoolTest, DirtyPagesReachDiskOnFlush) {
 }
 
 // ---------------------------------------------------------------------------
-// BufferPool sharding
+// BufferPool under eviction and concurrency
 
-TEST(BufferPoolShardingTest, SmallPoolsStaySingleSharded) {
-  auto manager = DiskManager::Create(TempPath("bps_small.db"));
-  ASSERT_TRUE(manager.ok());
-  BufferPool pool(&manager.value(), 4);
-  // Per-shard capacity semantics (pinning, exhaustion) must match the
-  // pre-sharding pool when there are too few frames to split.
-  EXPECT_EQ(pool.num_shards(), 1u);
-}
-
-TEST(BufferPoolShardingTest, LargePoolsAutoShardAndClampExplicitCounts) {
-  auto manager = DiskManager::Create(TempPath("bps_auto.db"));
-  ASSERT_TRUE(manager.ok());
-  BufferPool auto_pool(&manager.value(), 64);
-  EXPECT_EQ(auto_pool.num_shards(), BufferPool::kDefaultShards);
-  BufferPool explicit_pool(&manager.value(), 16, 4);
-  EXPECT_EQ(explicit_pool.num_shards(), 4u);
-  // Never more shards than frames.
-  BufferPool clamped(&manager.value(), 2, 64);
-  EXPECT_EQ(clamped.num_shards(), 2u);
-  EXPECT_EQ(clamped.num_frames(), 2u);
-}
-
-TEST(BufferPoolShardingTest, ShardedPoolRoundTripsPagesThroughEviction) {
+TEST(BufferPoolTest, RoundTripsPagesThroughEviction) {
   auto manager = DiskManager::Create(TempPath("bps_roundtrip.db"));
   ASSERT_TRUE(manager.ok());
-  BufferPool pool(&manager.value(), 8, 4);
+  BufferPool pool(&manager.value(), 8);
   std::vector<PageId> pages;
   for (uint32_t i = 0; i < 64; ++i) {
     auto guard = pool.Allocate();
@@ -437,10 +415,10 @@ TEST(BufferPoolShardingTest, ShardedPoolRoundTripsPagesThroughEviction) {
 // The pool-stress suite: more worker threads than frames hammering Fetch
 // while reader threads poll the aggregated pool and disk counters (the
 // metering path DiskShapeSource::Io takes mid-scan). Run under TSan in CI.
-TEST(BufferPoolShardingTest, StressMoreThreadsThanFrames) {
+TEST(BufferPoolTest, StressMoreThreadsThanFrames) {
   auto manager = DiskManager::Create(TempPath("bps_stress.db"));
   ASSERT_TRUE(manager.ok());
-  BufferPool pool(&manager.value(), 4, 2);
+  BufferPool pool(&manager.value(), 4);
 
   std::vector<PageId> pages;
   for (uint32_t i = 0; i < 32; ++i) {
@@ -466,8 +444,8 @@ TEST(BufferPoolShardingTest, StressMoreThreadsThanFrames) {
                                                  pages.size());
         auto guard = pool.Fetch(pages[i]);
         if (!guard.ok()) {
-          // With more pins in flight than frames, per-shard exhaustion is
-          // legitimate back-pressure; anything else is a bug.
+          // With more pins in flight than frames, exhaustion is legitimate
+          // back-pressure; anything else is a bug.
           if (guard.status().code() != StatusCode::kResourceExhausted) {
             ++failures;
             return;
@@ -482,8 +460,8 @@ TEST(BufferPoolShardingTest, StressMoreThreadsThanFrames) {
       }
     });
   }
-  // Concurrent metering readers: aggregate counters while scans mutate the
-  // per-shard stats under their latches.
+  // Concurrent metering readers: read the counters while the workers
+  // mutate them under the pool latch.
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
@@ -527,10 +505,9 @@ TEST(DiskShapeSourceTest, ColdPoolChunkedScanMatchesMemory) {
   const std::string path = TempPath("cold_chunked_scan.db");
   ASSERT_TRUE(DiskDatabase::Create(path, *data.database).ok());
   for (unsigned threads : {1u, 4u, 8u}) {
-    // Fresh open per run: the pool starts cold. 32 frames auto-shard 4 ways.
+    // Fresh open per run: the pool starts cold.
     auto disk_db = DiskDatabase::Open(path, /*num_frames=*/32);
     ASSERT_TRUE(disk_db.ok()) << disk_db.status();
-    ASSERT_EQ((*disk_db)->buffer_pool().num_shards(), 4u);
     DiskShapeSource source(disk_db->get());
     auto shapes = storage::FindShapes(
         source, {storage::ShapeFinderMode::kScan, threads});
@@ -538,6 +515,31 @@ TEST(DiskShapeSourceTest, ColdPoolChunkedScanMatchesMemory) {
     EXPECT_EQ(*shapes, expected) << "threads " << threads;
     EXPECT_EQ(source.stats().tuples_scanned, data.database->TotalFacts());
   }
+  std::remove(path.c_str());
+}
+
+// A scan worker pins at most one page at a time, so a pool of exactly
+// `threads` frames carries a `threads`-worker scan: the sizing contract
+// behind chasectl's disk pools (max(64, threads) frames). A worker holding
+// a second pin would leave every frame pinned and fail the scan with
+// kResourceExhausted once the pin wait runs out.
+TEST(DiskShapeSourceTest, PoolOfOneFramePerWorkerCarriesParallelScan) {
+  GeneratedData data = MakeData(3, 20000, 78);
+  storage::Catalog catalog(data.database.get());
+  const std::vector<Shape> expected = MemoryScanShapes(catalog);
+
+  const std::string path = TempPath("one_frame_per_worker.db");
+  ASSERT_TRUE(DiskDatabase::Create(path, *data.database).ok());
+  constexpr unsigned kThreads = 4;
+  auto disk_db = DiskDatabase::Open(path, /*num_frames=*/kThreads);
+  ASSERT_TRUE(disk_db.ok()) << disk_db.status();
+  DiskShapeSource source(disk_db->get());
+  auto shapes = storage::FindShapes(
+      source, {storage::ShapeFinderMode::kScan, kThreads});
+  ASSERT_TRUE(shapes.ok()) << shapes.status();
+  EXPECT_EQ(*shapes, expected);
+  EXPECT_EQ(source.stats().tuples_scanned, data.database->TotalFacts());
+  EXPECT_EQ((*disk_db)->buffer_pool().pinned_frames(), 0u);
   std::remove(path.c_str());
 }
 

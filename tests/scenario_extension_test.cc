@@ -29,14 +29,15 @@ TEST(ScenarioExtensionTest, ShapeIndexMatchesFindShapesOnLubm) {
   ASSERT_TRUE(scenario.ok()) << scenario.status();
   const Program& p = scenario->program;
   storage::Catalog catalog(p.database.get());
-  index::ShapeIndex index = index::ShapeIndex::Build(*p.database);
-  auto scanned_shapes =
-      storage::FindShapes(storage::MemoryShapeSource(&catalog));
+  storage::MemoryShapeSource source(&catalog);
+  auto index = index::ShapeIndex::Build(source);
+  ASSERT_TRUE(index.ok()) << index.status();
+  auto scanned_shapes = storage::FindShapes(source);
   ASSERT_TRUE(scanned_shapes.ok()) << scanned_shapes.status();
-  EXPECT_EQ(index.CurrentShapes(), *scanned_shapes);
+  EXPECT_EQ(index->CurrentShapes(), *scanned_shapes);
 
   // Index-fed check agrees with the scanning check.
-  std::vector<Shape> shapes = index.CurrentShapes();
+  std::vector<Shape> shapes = index->CurrentShapes();
   LCheckOptions options;
   options.precomputed_shapes = &shapes;
   auto indexed = IsChaseFiniteL(*p.database, p.tgds, options);

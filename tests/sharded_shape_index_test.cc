@@ -75,6 +75,14 @@ std::vector<Shape> ScanShapes(const Database& db) {
   return shapes.ok() ? std::move(shapes).value() : std::vector<Shape>{};
 }
 
+// A serial index build over the row store.
+ShapeIndex BuildIndex(const Database& db) {
+  storage::Catalog catalog(&db);
+  auto built = ShapeIndex::Build(storage::MemoryShapeSource(&catalog));
+  EXPECT_TRUE(built.ok()) << built.status();
+  return built.ok() ? std::move(built).value() : ShapeIndex();
+}
+
 // Per-shape multiplicities counted straight off the database rows.
 ShapeCounts CountShapes(const Database& db) {
   ShapeCounts counts;
@@ -147,7 +155,7 @@ TEST(ShapeIndexTest, BuildPreservesMultiplicities) {
   Rng rng(7311);
   GeneratedData data = MakeRandomData(&rng);
   const ShapeCounts expected = CountShapes(*data.database);
-  ExpectCounts(ShapeIndex::Build(*data.database), expected);
+  ExpectCounts(BuildIndex(*data.database), expected);
 
   storage::Catalog catalog(data.database.get());
   storage::MemoryShapeSource memory(&catalog);
@@ -238,7 +246,7 @@ TEST(ShapeIndexTest, ConcurrentInsertRemoveMatchesSerialReplay) {
 TEST(ShapeIndexTest, SnapshotRoundTrips) {
   Rng rng(555);
   GeneratedData data = MakeRandomData(&rng);
-  ShapeIndex built = ShapeIndex::Build(*data.database);
+  ShapeIndex built = BuildIndex(*data.database);
 
   const std::string path = TempPath("chase_shape_index_snapshot.chidx");
   ASSERT_TRUE(built.Save(path).ok());
@@ -374,7 +382,7 @@ TEST_P(IndexFedCheckTest, PrecomputedShapesMatchScanningVerdict) {
   ASSERT_TRUE(scanned.ok()) << scanned.status();
 
   std::vector<Shape> shapes =
-      ShapeIndex::Build(*data->database).CurrentShapes();
+      BuildIndex(*data->database).CurrentShapes();
   LCheckOptions options;
   options.precomputed_shapes = &shapes;
   LCheckStats stats;
@@ -400,16 +408,15 @@ TEST(ShapeFingerprintTest, EveryBuildPathAgreesWithDatabaseFingerprint) {
     GeneratedData data = MakeRandomData(&rng);
     const uint64_t expected = index::DatabaseFingerprint(*data.database);
 
-    // Serial convenience build.
-    EXPECT_EQ(ShapeIndex::Build(*data.database).ContentFingerprint(),
-              expected);
-
-    // Parallel source build over memory and disk.
+    // Serial and parallel builds over memory, parallel over disk.
     storage::Catalog catalog(data.database.get());
     storage::MemoryShapeSource memory(&catalog);
-    auto built = ShapeIndex::Build(memory, /*threads=*/4);
-    ASSERT_TRUE(built.ok()) << built.status();
-    EXPECT_EQ(built->ContentFingerprint(), expected);
+    for (unsigned threads : {1u, 4u}) {
+      auto built = ShapeIndex::Build(memory, threads);
+      ASSERT_TRUE(built.ok()) << built.status();
+      EXPECT_EQ(built->ContentFingerprint(), expected)
+          << "threads " << threads;
+    }
 
     const std::string path =
         TempPath("chase_fingerprint_" + std::to_string(trial) + ".db");
@@ -468,8 +475,8 @@ TEST(ShapeFingerprintTest, CatchesRemoveInsertPairThatPreservesCounts) {
   ASSERT_TRUE(b.AddFact(*pred, t2).ok());
   ASSERT_TRUE(b.AddFact(*pred, shared).ok());
 
-  const ShapeIndex ia = ShapeIndex::Build(a);
-  const ShapeIndex ib = ShapeIndex::Build(b);
+  const ShapeIndex ia = BuildIndex(a);
+  const ShapeIndex ib = BuildIndex(b);
   EXPECT_EQ(ia.NumIndexedTuples(), ib.NumIndexedTuples());
   EXPECT_EQ(ia.CurrentShapes(), ib.CurrentShapes());
   EXPECT_NE(ia.ContentFingerprint(), ib.ContentFingerprint());
@@ -479,7 +486,7 @@ TEST(ShapeFingerprintTest, CatchesRemoveInsertPairThatPreservesCounts) {
 TEST(ShapeFingerprintTest, SnapshotPersistsFingerprint) {
   Rng rng(1010);
   GeneratedData data = MakeRandomData(&rng);
-  ShapeIndex built = ShapeIndex::Build(*data.database);
+  ShapeIndex built = BuildIndex(*data.database);
   const std::string path = TempPath("chase_fingerprint_snapshot.chidx");
   ASSERT_TRUE(built.Save(path).ok());
   auto loaded = ShapeIndex::Load(path);

@@ -120,13 +120,17 @@ TEST(ShapeFinderTest, AprioriPrunesUnreachableShapes) {
   // equality fails on the first probe, so the in-db finder must not issue
   // the full query for coarser shapes of arity-4 (15 partitions; only the
   // all-distinct one and its 6 single-merge children get a relaxed probe).
+  // The walk is one frontier at every thread count, so the count below is
+  // the metering reference for all of them.
   Program p = MustParse("r(a,b,c,d). r(e,f,g,h).");
-  Catalog catalog(p.database.get());
-  auto shapes = FindShapes(catalog, kExists);
-  ASSERT_EQ(shapes.size(), 1u);
-  // 1 relaxed + 1 full for the all-distinct shape, then 6 failing relaxed
-  // probes for its children: 8 queries total, far below 2 * 15.
-  EXPECT_EQ(catalog.stats().exists_queries, 8u);
+  for (unsigned threads : {1u, 2u, 4u}) {
+    Catalog catalog(p.database.get());
+    auto shapes = FindShapes(catalog, kExists, threads);
+    ASSERT_EQ(shapes.size(), 1u) << "threads " << threads;
+    // 1 relaxed + 1 full for the all-distinct shape, then 6 failing relaxed
+    // probes for its children: 8 queries total, far below 2 * 15.
+    EXPECT_EQ(catalog.stats().exists_queries, 8u) << "threads " << threads;
+  }
 }
 
 TEST(ShapeFinderTest, ModeDispatchAndNames) {

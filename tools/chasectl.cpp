@@ -85,7 +85,6 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
-#include "pager/buffer_pool.h"
 #include "pager/disk_database.h"
 #include "pager/disk_shape_source.h"
 #include "storage/catalog.h"
@@ -175,17 +174,11 @@ bool ParseThreads(const Args& args, unsigned* threads) {
   return ParseBoundedFlag(args, "threads", 1, 1, 1024, threads);
 }
 
-// Pool size for a disk-backend run: per-shard capacity must cover one
-// pinned page per scan worker even if every worker's pin lands in one
-// shard, i.e. frames >= threads x shards (auto-sharding splits into at
-// most BufferPool::kDefaultShards). Capped so pathological thread counts
-// don't balloon memory — past the cap the pool falls back on its bounded
-// pin-wait.
-uint32_t DiskPoolFrames(unsigned threads) {
-  const uint64_t frames = std::max<uint64_t>(
-      64, uint64_t{std::max(1u, threads)} * pager::BufferPool::kDefaultShards);
-  return static_cast<uint32_t>(std::min<uint64_t>(frames, 1u << 16));
-}
+// Pool size for a disk-backend run: a scan worker pins at most one page
+// (HeapFile::ScanFrom drops its guard before the next Fetch), so `threads`
+// frames never run out mid-scan. Fewer threads get DiskDatabase's default
+// 64 frames (512 KiB).
+uint32_t DiskPoolFrames(unsigned threads) { return std::max(64u, threads); }
 
 // --mode=scan|exists -> the FindShapes query plan.
 bool ParseFinderMode(const Args& args, storage::ShapeFinderMode* mode) {

@@ -17,6 +17,14 @@ declared layer DAG of tools/lint/layers.toml:
                       tools/, tests/, and bench/ are pseudo-subsystems
                       with their own entries ("*" = anything).
 
+  stale-edge          Every edge the manifest grants is used: some file
+                      of the subsystem directly includes a header of
+                      the subsystem it may depend on. Checked only when
+                      the whole tree is linted against its own manifest
+                      (no path arguments, the default manifest), since a
+                      partial run cannot tell an unused edge from an
+                      unseen one. Reported at the manifest's line.
+
   transitive-include  No "lucky" includes: a file that uses a type,
                       function, macro, or alias declared in a src/
                       header it only reaches transitively must name that
@@ -43,7 +51,7 @@ offending line, or put it in a comment on the line directly above. The
 reason is mandatory (a bare allow is itself a finding: bare-allow) —
 it documents the invariant that replaces the rule. Cycles cannot be
 suppressed: there is no line to hang a reason on that both sides of the
-cycle would see.
+cycle would see. Nor can stale edges: the fix is the manifest line.
 
 Usage: arch_lint.py [--root DIR] [--manifest FILE] [paths...]
 Paths default to `src tools tests bench` under --root (default: the
@@ -389,6 +397,29 @@ class Analyzer:
                     f"'{tsub}'); allowed: {', '.join(sorted(allowed))} — "
                     "fix the layering or amend tools/lint/layers.toml")
 
+    def check_stale_edges(self, manifest_path):
+        used = set()
+        for sf in self.files.values():
+            for _, _, resolved in sf.includes:
+                target = self.files.get(resolved)
+                if target is not None and target.subsystem != sf.subsystem:
+                    used.add((sf.subsystem, target.subsystem))
+        with open(manifest_path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        manifest = rel_to_root(manifest_path, self.root)
+        for sub, deps in sorted(self.layers.items()):
+            if deps == "*" or "*" in deps:
+                continue
+            line = next((i for i, text in enumerate(lines, start=1)
+                         if re.match(rf"\s*{re.escape(sub)}\s*=", text)),
+                        1)
+            for dep in deps:
+                if (sub, dep) not in used:
+                    self.findings.append(Finding(
+                        manifest, line, "stale-edge",
+                        f"'{sub}' may include '{dep}', but no file of "
+                        f"'{sub}' does — drop the edge from the manifest"))
+
     def check_transitive_includes(self):
         """A file using an identifier whose only declaring header among
         its transitive includes is one it never names directly relies on
@@ -487,11 +518,15 @@ class Analyzer:
                     "[[nodiscard]]; annotate the declaration so dropped "
                     "errors fail the build")
 
-    def run(self):
+    def run(self, manifest_path=None):
+        """`manifest_path` is given when the run covers the whole tree
+        against its own manifest, which enables the stale-edge rule."""
         self.check_bare_allows()
         self.check_guards()
         self.check_cycles()
         self.check_layers()
+        if manifest_path is not None:
+            self.check_stale_edges(manifest_path)
         self.check_transitive_includes()
         self.check_nodiscard()
         self.findings.sort(key=Finding.sort_key)
@@ -517,8 +552,9 @@ def main(argv):
         args.root if args.root is not None
         else os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "..", ".."))
+    default_manifest = os.path.join(root, "tools", "lint", "layers.toml")
     manifest_path = (args.manifest if args.manifest is not None
-                     else os.path.join(root, "tools", "lint", "layers.toml"))
+                     else default_manifest)
     layers, error = load_manifest(manifest_path)
     if error is not None:
         print(f"arch_lint: {error}", file=sys.stderr)
@@ -530,7 +566,10 @@ def main(argv):
     if relpaths is None:
         return 2
 
-    findings = Analyzer(root, layers, relpaths).run()
+    whole_tree = (not args.paths and os.path.abspath(manifest_path) ==
+                  os.path.abspath(default_manifest))
+    findings = Analyzer(root, layers, relpaths).run(
+        manifest_path if whole_tree else None)
     for finding in findings:
         print(finding)
     if findings:
