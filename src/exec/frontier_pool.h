@@ -11,10 +11,11 @@
 // Items at the same depth are independent by construction, so the engine
 // expands each depth in parallel and barriers between depths:
 //
-//  * the workers are spawned ONCE — by the WorkerPool below — and reused
-//    across depths through a generation-counted condvar barrier, so a
-//    workload of many shallow depths (dynamic simplification) pays a
-//    wakeup per depth, not a thread spawn+join per depth;
+//  * the workers are spawned ONCE per engine — by the WorkerPool below —
+//    and reused across depths and Runs through a generation-counted
+//    condvar barrier, so a workload of many shallow depths (dynamic
+//    simplification) or many small frontiers (the EXISTS plan's predicate
+//    batches) pays a wakeup per depth, not a thread spawn+join;
 //  * each depth's frontier is split into chunks dealt dynamically to the
 //    pool (the same range-partitioned chunking discipline as
 //    storage::ParallelTupleScan), so one expensive item cannot pin the
@@ -202,19 +203,20 @@ class FrontierPool {
       std::function<Status(std::span<const Item> frontier,
                            std::span<Out> outs)>;
 
-  explicit FrontierPool(Options options) : options_(options) {}
+  // Spawns the workers, once: every depth of every Run reuses them through
+  // the barrier, so a caller that walks many small frontiers (the exists
+  // plan's predicate batches) pays no thread spawn per Run.
+  explicit FrontierPool(Options options) : workers_(options.threads) {}
 
   // Expands from `seeds` (duplicates dropped, order irrelevant) until the
   // frontier drains. Deterministic: the frontier contents of every depth,
   // the absorb call sequence, and the final seen-set depend only on the
   // seeds and the expansion function, never on thread count or scheduling.
+  // Not reentrant: one Run at a time per engine.
   [[nodiscard]] Status Run(std::vector<Item> seeds, const ExpandFn& expand,
                            const AbsorbFn& absorb,
                            FrontierStats* stats = nullptr) {
-    // The run's own persistent pool: workers spawn here, once, and every
-    // depth below reuses them through the barrier.
-    WorkerPool pool(options_.threads);
-    const unsigned threads = pool.threads();
+    const unsigned threads = workers_.threads();
     ItemSet seen;
     // One fresh set per worker, drained at every barrier and reused.
     std::vector<ItemSet> fresh(threads);
@@ -252,7 +254,7 @@ class FrontierPool {
         // already been dealt — a failed depth drains promptly instead of
         // expanding to the end on the healthy workers.
         std::atomic<bool> abort{false};
-        pool.ParallelFor(
+        workers_.ParallelFor(
             frontier.size(),
             [&](unsigned worker, size_t index) {
               if (abort.load(std::memory_order_acquire)) return;
@@ -321,7 +323,7 @@ class FrontierPool {
     return next;
   }
 
-  Options options_;
+  WorkerPool workers_;
 };
 
 }  // namespace chase

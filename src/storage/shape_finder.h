@@ -16,12 +16,15 @@
 // Both modes run work-partitioned in parallel at `threads` > 1 and inline
 // at `threads` <= 1, through one code path each: scan mode splits
 // relations into row ranges of roughly equal estimated work and unions
-// per-thread shape sets; exists mode walks the shape lattices of all
-// predicates as one depth-synchronous frontier through chase::FrontierPool,
-// so the candidate shapes themselves — not whole predicates — are dealt to
-// workers and one high-arity predicate (a large lattice) cannot pin a
-// single worker; each depth's confirmed shapes are collected serially at
-// the depth barrier. This works over both backends — including parallel
+// per-thread shape sets; exists mode walks the shape lattices of batches
+// of predicates, each batch as one depth-synchronous frontier through
+// chase::FrontierPool, so the candidate shapes themselves — not whole
+// predicates — are dealt to workers and one high-arity predicate (a large
+// lattice) cannot pin a single worker; each depth's confirmed shapes are
+// collected serially at the depth barrier. At threads 1 a batch holds
+// consecutive relations of about 2^16 tuple values, so its depths run
+// while those relations are still cached; the budget grows with the
+// square of the thread count, since each depth is a pool-wide barrier. This works over both backends — including parallel
 // shape-finding over pager::DiskDatabase.
 //
 // All mode × backend × thread combinations return the same sorted set; a

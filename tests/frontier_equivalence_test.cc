@@ -6,7 +6,9 @@
 //  * the EXISTS shape plan: {1, 2, 4, 8} threads x {memory, disk}
 //    backends must return the bit-identical sorted shape(D) the scan plan
 //    returns — an independent algorithm, since the EXISTS plan runs the
-//    one frontier walk at every thread count, inline at threads = 1;
+//    one frontier walk at every thread count, inline at threads = 1; on a
+//    program it walks in several batches of relations, the threads = 1
+//    walk must also read no heap page twice through a 64-frame pool;
 //  * dynamic simplification: every thread count must emit the bit-identical
 //    canonical simplified-TGD list (same TGDs, same order, same interned
 //    shape-schema predicates) and the same initial/derived shape counts;
@@ -419,6 +421,91 @@ TEST(FrontierEquivalenceTest, RestrictedChaseSeesASameRoundWitness) {
   EXPECT_EQ(result->triggers_fired, 3u);
   EXPECT_EQ(result->instance.NumNulls(), 3u);
   EXPECT_TRUE(Satisfies(result->instance, program->tgds));
+}
+
+TEST(FrontierEquivalenceTest, ExistsPlanThreadSweepMatchesScanPlan) {
+  // Each depth of the exists plan is expanded across the pool and its
+  // confirmed shapes absorbed serially; that must never change shape(D).
+  // Sweep thread counts on another seed's workloads against the scan plan.
+  Rng rng(515151);
+  for (int trial = 0; trial < 4; ++trial) {
+    GeneratedData data = MakeRandomData(&rng);
+    storage::Catalog catalog(data.database.get());
+    storage::MemoryShapeSource memory(&catalog);
+    auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kScan, 1});
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+    for (unsigned threads : kThreadSweep) {
+      auto shapes =
+          storage::FindShapes(memory, {ShapeFinderMode::kExists, threads});
+      ASSERT_TRUE(shapes.ok()) << shapes.status();
+      EXPECT_EQ(*shapes, *oracle)
+          << "trial " << trial << ", threads " << threads;
+    }
+  }
+}
+
+TEST(FrontierEquivalenceTest, ExistsPlanBatchesReadEachPageOnce) {
+  // 120 relations of 300 arity-4 tuples hold 144,000 ids: at threads 1 the
+  // exists plan walks them as several batches, one frontier each. Every
+  // thread count must return the scan plan's shape(D) with the same
+  // probes. At threads 1 a batch's relations fit a 64-frame pool, so a
+  // cold pool reads no heap page twice: at most the pages a cold full
+  // scan reads. One frontier over all 120 relations cycles the pool.
+  DataGenParams params;
+  params.preds = 120;
+  params.min_arity = 4;
+  params.max_arity = 4;
+  params.dsize = 64;
+  params.rsize = 300;
+  params.seed = 20261021;
+  auto data = GenerateData(params);
+  ASSERT_TRUE(data.ok()) << data.status();
+  storage::Catalog catalog(data->database.get());
+  storage::MemoryShapeSource memory(&catalog);
+  auto oracle = storage::FindShapes(memory, {ShapeFinderMode::kScan, 1});
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+
+  const std::string path = TempPath("chase_frontier_batches.db");
+  {
+    auto created = pager::DiskDatabase::Create(path, *data->database);
+    ASSERT_TRUE(created.ok()) << created.status();
+  }
+  // One run on a cold 64-frame pool: its shape(D), probes and pages read.
+  struct ColdRun {
+    std::vector<Shape> shapes;
+    storage::AccessStats stats;
+    uint64_t pages_read = 0;
+  };
+  auto cold_run = [&](ShapeFinderMode mode, unsigned threads) {
+    ColdRun run;
+    auto db = pager::DiskDatabase::Open(path, /*num_frames=*/64);
+    EXPECT_TRUE(db.ok()) << db.status();
+    if (!db.ok()) return run;
+    pager::DiskShapeSource disk(db->get());
+    const storage::IoCounters before = disk.Io();
+    auto shapes = storage::FindShapes(disk, {mode, threads});
+    EXPECT_TRUE(shapes.ok()) << shapes.status();
+    if (shapes.ok()) run.shapes = *std::move(shapes);
+    run.stats = disk.stats();
+    run.pages_read = disk.Io().Since(before).pages_read;
+    return run;
+  };
+
+  const ColdRun scan = cold_run(ShapeFinderMode::kScan, 1);
+  EXPECT_EQ(scan.shapes, *oracle);
+  const ColdRun serial = cold_run(ShapeFinderMode::kExists, 1);
+  EXPECT_EQ(serial.shapes, *oracle);
+  EXPECT_GT(serial.pages_read, 0u);
+  EXPECT_LE(serial.pages_read, scan.pages_read);
+  for (unsigned threads : kThreadSweep) {
+    const ColdRun run = cold_run(ShapeFinderMode::kExists, threads);
+    EXPECT_EQ(run.shapes, *oracle) << "threads " << threads;
+    EXPECT_EQ(run.stats.exists_queries, serial.stats.exists_queries)
+        << "threads " << threads;
+    EXPECT_EQ(run.stats.tuples_scanned, serial.stats.tuples_scanned)
+        << "threads " << threads;
+  }
+  std::remove(path.c_str());
 }
 
 // --------------------------------------------------------------------------

@@ -133,6 +133,30 @@ TEST(ShapeFinderTest, AprioriPrunesUnreachableShapes) {
   }
 }
 
+TEST(ShapeFinderTest, SharedGrandchildIsProbedOnce) {
+  // [1,1,1] is a child of all three single-merge shapes of arity 3, and
+  // each of them passes its relaxed probe (r(d,d,d) is coarser), so all
+  // three discover it; the walk must probe it once. Hand count, with the
+  // tuples in storage order (a,b,c), (d,d,d):
+  //   [1,2,3]  relaxed + full, each witnessed by the first tuple: 2 q, 2 t
+  //   [1,1,2], [1,2,1], [1,2,2]  relaxed (witness (d,d,d)) + full (none):
+  //            2 q and 4 t each: 6 q, 12 t
+  //   [1,1,1]  relaxed + full, each witnessed by (d,d,d): 2 q, 4 t
+  // 10 queries and 18 tuples; probing [1,1,1] once per parent would issue
+  // 14 queries.
+  Program p = MustParse("r(a,b,c). r(d,d,d).");
+  const PredId r = p.schema->FindPredicate("r").value();
+  const std::vector<Shape> expected = {Shape(r, {1, 1, 1}),
+                                       Shape(r, {1, 2, 3})};
+  for (unsigned threads : {1u, 2u, 4u}) {
+    Catalog catalog(p.database.get());
+    EXPECT_EQ(FindShapes(catalog, kExists, threads), expected)
+        << "threads " << threads;
+    EXPECT_EQ(catalog.stats().exists_queries, 10u) << "threads " << threads;
+    EXPECT_EQ(catalog.stats().tuples_scanned, 18u) << "threads " << threads;
+  }
+}
+
 TEST(ShapeFinderTest, ModeDispatchAndNames) {
   Program p = MustParse("r(a,b).");
   Catalog catalog(p.database.get());
